@@ -21,7 +21,6 @@ import (
 	"gptattr/internal/corpus"
 	"gptattr/internal/cppast"
 	"gptattr/internal/cppinterp"
-	"gptattr/internal/cpptok"
 	"gptattr/internal/experiments"
 	"gptattr/internal/featcache"
 	"gptattr/internal/gpt"
@@ -115,18 +114,6 @@ func sampleSource(b *testing.B) string {
 	return codegen.Render(ch.Prog, style.Random("bench", rand.New(rand.NewSource(1))), 1)
 }
 
-// BenchmarkScan measures the C++ tokenizer.
-func BenchmarkScan(b *testing.B) {
-	src := sampleSource(b)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if toks := cpptok.MustScan(src); len(toks) == 0 {
-			b.Fatal("no tokens")
-		}
-	}
-}
-
 // BenchmarkParse measures the fuzzy C++ parser.
 func BenchmarkParse(b *testing.B) {
 	src := sampleSource(b)
@@ -160,18 +147,6 @@ func BenchmarkInterpret(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractFeatures measures stylometric feature extraction.
-func BenchmarkExtractFeatures(b *testing.B) {
-	src := sampleSource(b)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stylometry.Extract(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGPTTransform measures one simulated-ChatGPT rewrite
 // (parse + rename + IO/loop/structure passes + reprint), unverified.
 func BenchmarkGPTTransform(b *testing.B) {
@@ -200,29 +175,6 @@ func BenchmarkGPTTransformVerified(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Transform(src, -1, []string{run.Input}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkForestTrain measures random-forest training at oracle-like
-// shape (classes x samples x selected features).
-func BenchmarkForestTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	d := &ml.Dataset{NumClasses: 24}
-	for c := 0; c < 24; c++ {
-		for s := 0; s < 8; s++ {
-			row := make([]float64, 200)
-			for j := range row {
-				row[j] = float64(c)*0.1 + rng.NormFloat64()
-			}
-			d.X = append(d.X, row)
-			d.Y = append(d.Y, c)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ml.FitForest(d, ml.ForestConfig{NumTrees: 20, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,7 +38,9 @@ type baselineEntry struct {
 	SeedBytesPerOp  float64 `json:"seed_bytes_per_op"`
 	SeedAllocsPerOp float64 `json:"seed_allocs_per_op"`
 	TargetNsPerOp   float64 `json:"target_ns_per_op"`
-	TargetAllocs    float64 `json:"target_allocs_per_op"`
+	// TargetAllocs is nil when the baseline records no alloc target;
+	// a present zero is a target like any other.
+	TargetAllocs *float64 `json:"target_allocs_per_op"`
 }
 
 // measurement is one parsed benchmark result line.
@@ -123,12 +125,13 @@ func run(args []string, stdout io.Writer) error {
 				name, m.nsPerOp, b.TargetNsPerOp, *tolerance*100, limit))
 		}
 		allocStatus := ""
-		if m.hasAllocs && b.TargetAllocs > 0 {
-			allocStatus = fmt.Sprintf("  allocs %.0f (target %.0f)", m.allocsPerOp, b.TargetAllocs)
-			if m.allocsPerOp > b.TargetAllocs {
+		if m.hasAllocs && b.TargetAllocs != nil {
+			target := *b.TargetAllocs
+			allocStatus = fmt.Sprintf("  allocs %.0f (target %.0f)", m.allocsPerOp, target)
+			if m.allocsPerOp > target {
 				status = "FAIL"
 				failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op exceeds target %.0f",
-					name, m.allocsPerOp, b.TargetAllocs))
+					name, m.allocsPerOp, target))
 			}
 		}
 		fmt.Fprintf(stdout, "%-22s %12.0f ns/op (target %.0f, seed %.0f, %.2fx vs seed)%s  [%s]\n",

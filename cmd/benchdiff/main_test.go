@@ -21,10 +21,17 @@ const testBaseline = `{
 
 func writeFixture(t *testing.T, benchOut string) (string, string) {
 	t.Helper()
+	return writeBaseline(t, testBaseline, benchOut)
+}
+
+// writeBaseline writes a baseline file and captured bench output to a
+// temp dir and returns their paths.
+func writeBaseline(t *testing.T, baselineJSON, benchOut string) (string, string) {
+	t.Helper()
 	dir := t.TempDir()
 	bp := filepath.Join(dir, "base.json")
 	ip := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(bp, []byte(testBaseline), 0o644); err != nil {
+	if err := os.WriteFile(bp, []byte(baselineJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(ip, []byte(benchOut), 0o644); err != nil {
@@ -92,5 +99,41 @@ BenchmarkFitForest 	 30	  40000000 ns/op	 131 allocs/op
 	err := run([]string{"-baseline", bp, "-input", ip}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v, want missing-benchmark failure", err)
+	}
+}
+
+// TestZeroAllocTargetGates pins that a recorded target of 0 allocs/op
+// is a real gate: one allocation fails it.
+func TestZeroAllocTargetGates(t *testing.T) {
+	bp, ip := writeBaseline(t, `{"benchmarks": {
+  "BenchmarkVectorInto": {"target_ns_per_op": 1000, "target_allocs_per_op": 0}
+}}`, `
+BenchmarkVectorInto 	1000	  900 ns/op	  8 B/op	  1 allocs/op
+`)
+	err := run([]string{"-baseline", bp, "-input", ip}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "1 allocs/op exceeds target 0") {
+		t.Fatalf("err = %v, want zero-target alloc failure", err)
+	}
+
+	bp, ip = writeBaseline(t, `{"benchmarks": {
+  "BenchmarkVectorInto": {"target_ns_per_op": 1000, "target_allocs_per_op": 0}
+}}`, `
+BenchmarkVectorInto 	1000	  900 ns/op	  0 B/op	  0 allocs/op
+`)
+	if err := run([]string{"-baseline", bp, "-input", ip}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("zero allocs against a zero target failed: %v", err)
+	}
+}
+
+// TestMissingAllocTargetNeverGates pins the other half: a baseline
+// entry without target_allocs_per_op gates wall-clock only.
+func TestMissingAllocTargetNeverGates(t *testing.T) {
+	bp, ip := writeBaseline(t, `{"benchmarks": {
+  "BenchmarkRouterForward": {"target_ns_per_op": 1000}
+}}`, `
+BenchmarkRouterForward 	1000	  900 ns/op	  90000 B/op	  700 allocs/op
+`)
+	if err := run([]string{"-baseline", bp, "-input", ip}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("alloc count gated without a target: %v", err)
 	}
 }

@@ -108,8 +108,8 @@ func TestBuildDatasetWorkersDeterministic(t *testing.T) {
 // worker count.
 func TestCrossValidatePipelineWorkersDeterministic(t *testing.T) {
 	sources, labels, classes := determinismCorpus(t)
-	d, _, err := stylometry.BuildDataset(sources, labels, classes,
-		stylometry.VectorizerConfig{MinDocFreq: 2})
+	d, _, err := stylometry.BuildDatasetWith(sources, labels, classes,
+		stylometry.VectorizerConfig{MinDocFreq: 2}, stylometry.ExtractConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,12 +154,12 @@ func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 		index[l] = i
 	}
 	labelOf := func(s corpus.Sample) int {
-		if s.Origin == corpus.OriginGPTTransformed || s.Origin == corpus.OriginGPT {
+		if isChatGPT(s) {
 			return index[ChatGPTLabel]
 		}
 		return index[s.Author]
 	}
-	d, _, _ := buildDataset(combined, combinedFeats, labelOf, len(labels), cfg)
+	d, _, _ := buildDataset(task{combined, combinedFeats, labelOf, len(labels)}, cfg)
 	folds, err := ml.GroupKFold(d.Groups)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package attrib
 
 import (
 	"fmt"
-	"sync"
 
 	"gptattr/internal/corpus"
 	"gptattr/internal/ml"
@@ -61,13 +60,7 @@ func EvaluateBinary(human, transformed *corpus.Corpus, cfg Config) (*BinaryResul
 	if err != nil {
 		return nil, err
 	}
-	labelOf := func(s corpus.Sample) int {
-		if s.Origin == corpus.OriginGPTTransformed || s.Origin == corpus.OriginGPT {
-			return 1
-		}
-		return 0
-	}
-	d, _, _ := buildDataset(combined, feats, labelOf, 2, cfg)
+	d, _, _ := buildDataset(task{combined, feats, gptClass, 2}, cfg)
 	// Fold by (year, challenge) so the combined dataset leaves one
 	// challenge of one year out at a time, like the paper's per-
 	// challenge columns.
@@ -120,67 +113,34 @@ func EvaluateBinary(human, transformed *corpus.Corpus, cfg Config) (*BinaryResul
 }
 
 // Classifier is a fitted ChatGPT-vs-human model for the public API: it
-// exposes Train/Predict over raw sources.
+// exposes Train/Predict over raw sources. It is the shared scoring
+// core with two classes (1 = ChatGPT) and no labels of its own.
 type Classifier struct {
-	forest *ml.Forest
-	vec    *stylometry.Vectorizer
-	cols   []int
-
-	// level/families/calib mirror Oracle's ladder metadata (see
-	// oracle.go): the degrade level this model serves, the family
-	// subset it was trained on, and its out-of-bag accuracy estimate.
-	level    stylometry.DegradeLevel
-	families []stylometry.FeatureFamily
-	calib    float64
-
-	// scratch pools per-prediction buffers for the serving path; the
-	// zero value is ready to use.
-	scratch sync.Pool
-}
-
-// Level reports the degrade-ladder position the classifier was
-// trained for.
-func (c *Classifier) Level() stylometry.DegradeLevel { return c.level }
-
-// Calibration reports the training-time out-of-bag accuracy estimate
-// (0 = unknown).
-func (c *Classifier) Calibration() float64 { return c.calib }
-
-// getScratch fetches pooled prediction buffers sized for this model.
-func (c *Classifier) getScratch() *vecScratch {
-	return getScratch(&c.scratch, c.vec.NumFeatures(), len(c.cols), c.forest.NumClasses())
-}
-
-// reduceInto fills s.row with the column-reduced vector of f.
-func (c *Classifier) reduceInto(f stylometry.Features, s *vecScratch) {
-	c.vec.VectorInto(f, s.full)
-	for i, col := range c.cols {
-		s.row[i] = s.full[col]
-	}
+	model
 }
 
 // TrainBinary fits a ChatGPT-vs-human classifier on full corpora
 // (label 1 = ChatGPT).
 func TrainBinary(human, transformed *corpus.Corpus, cfg Config) (*Classifier, error) {
-	combined := corpus.Merge(human, transformed)
-	feats, err := extractAll(combined, cfg)
+	t, err := detectorTask(human, transformed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	labelOf := func(s corpus.Sample) int {
-		if s.Origin == corpus.OriginGPTTransformed || s.Origin == corpus.OriginGPT {
-			return 1
-		}
-		return 0
+	c := &Classifier{}
+	if err := c.fit(t, cfg, nil); err != nil {
+		return nil, fmt.Errorf("attrib: detector training: %w", err)
 	}
-	d, vec, cols := buildDataset(combined, feats, labelOf, 2, cfg)
-	forest, err := ml.FitForest(d, ml.ForestConfig{
-		NumTrees: cfg.trees(), Seed: cfg.Seed, Workers: cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Classifier{forest: forest, vec: vec, cols: cols}, nil
+	return c, nil
+}
+
+// detect returns the ChatGPT verdict and vote share for one reduced
+// source (see model.reduce).
+func (c *Classifier) detect(f stylometry.Features, fv *stylometry.FeatureVec) (bool, float64) {
+	s := c.reduce(f, fv)
+	c.forest.PredictProbaInto(s.row, s.proba)
+	conf := s.proba[1]
+	c.scratch.Put(s)
+	return conf > 0.5, conf
 }
 
 // EvaluateOn scores the classifier on labelled corpora (human = class
@@ -195,15 +155,11 @@ func (c *Classifier) EvaluateOn(human, gpt *corpus.Corpus) (float64, error) {
 			return 0, err
 		}
 		hits := 0
-		s := c.getScratch()
 		for _, f := range feats {
-			c.reduceInto(f, s)
-			c.forest.PredictProbaInto(s.row, s.proba)
-			if (s.proba[1] > 0.5) == wantGPT {
+			if gpt, _ := c.DetectFeatures(f); gpt == wantGPT {
 				hits++
 			}
 		}
-		c.scratch.Put(s)
 		return float64(hits) / float64(len(feats)), nil
 	}
 	h, err := score(human, false)
@@ -231,12 +187,7 @@ func (c *Classifier) IsChatGPT(src string) (bool, float64, error) {
 // DetectFeatures classifies pre-extracted features (the serving path:
 // extraction is batched separately through the feature cache).
 func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
-	s := c.getScratch()
-	c.reduceInto(f, s)
-	c.forest.PredictProbaInto(s.row, s.proba)
-	gpt, conf := s.proba[1] > 0.5, s.proba[1]
-	c.scratch.Put(s)
-	return gpt, conf
+	return c.detect(f, nil)
 }
 
 // DetectVec classifies the contents of an extraction scratch's
@@ -245,13 +196,5 @@ func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
 // the whole request to stay off the allocator. fv is read-only and
 // may be reused immediately after return.
 func (c *Classifier) DetectVec(fv *stylometry.FeatureVec) (bool, float64) {
-	s := c.getScratch()
-	c.vec.VectorIntoVec(fv, s.full)
-	for i, col := range c.cols {
-		s.row[i] = s.full[col]
-	}
-	c.forest.PredictProbaInto(s.row, s.proba)
-	gpt, conf := s.proba[1] > 0.5, s.proba[1]
-	c.scratch.Put(s)
-	return gpt, conf
+	return c.detect(nil, fv)
 }

@@ -109,10 +109,10 @@ func challengeIndex(id string) int {
 	return 0
 }
 
-// buildDataset vectorizes pre-extracted features with the given label
-// assignment and challenge groups, then reduces by information gain.
-func buildDataset(c *corpus.Corpus, feats []stylometry.Features, labelOf func(corpus.Sample) int,
-	numClasses int, cfg Config) (*ml.Dataset, *stylometry.Vectorizer, []int) {
+// buildDataset vectorizes a task's features with its label assignment
+// and challenge groups, then reduces by information gain.
+func buildDataset(t task, cfg Config) (*ml.Dataset, *stylometry.Vectorizer, []int) {
+	feats := t.feats
 	if len(cfg.Families) > 0 {
 		filtered := make([]stylometry.Features, len(feats))
 		for i, f := range feats {
@@ -121,14 +121,14 @@ func buildDataset(c *corpus.Corpus, feats []stylometry.Features, labelOf func(co
 		feats = filtered
 	}
 	vec := stylometry.NewVectorizer(feats, stylometry.VectorizerConfig{MinDocFreq: cfg.MinDocFreq})
-	d := &ml.Dataset{NumClasses: numClasses, FeatureNames: vec.FeatureNames()}
+	d := &ml.Dataset{NumClasses: t.numClasses, FeatureNames: vec.FeatureNames()}
 	d.X = make([][]float64, len(feats))
 	d.Y = make([]int, len(feats))
 	d.Groups = make([]int, len(feats))
 	for i, f := range feats {
 		d.X[i] = vec.Vector(f)
-		d.Y[i] = labelOf(c.Samples[i])
-		d.Groups[i] = challengeIndex(c.Samples[i].Challenge)
+		d.Y[i] = t.labelOf(t.c.Samples[i])
+		d.Groups[i] = challengeIndex(t.c.Samples[i].Challenge)
 	}
 	reduced, cols := ml.ReduceByInformationGain(d, cfg.topFeatures(), 10)
 	reduced.Groups = d.Groups

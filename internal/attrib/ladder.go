@@ -2,10 +2,8 @@ package attrib
 
 import (
 	"fmt"
-	"sort"
 
 	"gptattr/internal/corpus"
-	"gptattr/internal/ml"
 	"gptattr/internal/stylometry"
 )
 
@@ -26,38 +24,17 @@ type ClassifierLadder [stylometry.DegradeLevels]*Classifier
 // estimate so serving can report how much confidence a degraded
 // answer deserves.
 func TrainOracleLadder(human *corpus.Corpus, cfg Config) (*OracleLadder, error) {
-	if len(human.Samples) == 0 {
-		return nil, fmt.Errorf("attrib: empty oracle corpus")
-	}
-	labels := human.Authors()
-	sort.Strings(labels)
-	index := make(map[string]int, len(labels))
-	for i, l := range labels {
-		index[l] = i
-	}
-	feats, err := extractAll(human, cfg)
+	t, labels, err := oracleTask(human, cfg)
 	if err != nil {
 		return nil, err
 	}
 	var ladder OracleLadder
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-		cfgL := cfg
-		cfgL.Families = lvl.Families()
-		d, vec, cols := buildDataset(human, feats, func(s corpus.Sample) int {
-			return index[s.Author]
-		}, len(labels), cfgL)
-		forest, oob, err := ml.FitForestOOB(d, ml.ForestConfig{
-			NumTrees: cfg.trees(),
-			Seed:     cfg.Seed,
-			Workers:  cfg.Workers,
-		})
-		if err != nil {
+		o := &Oracle{labels: labels}
+		if err := o.fit(t, cfg, &lvl); err != nil {
 			return nil, fmt.Errorf("attrib: ladder level %d training: %w", lvl, err)
 		}
-		ladder[lvl] = &Oracle{
-			forest: forest, vec: vec, cols: cols, labels: labels, index: index,
-			level: lvl, families: cfgL.Families, calib: oob.Accuracy,
-		}
+		ladder[lvl] = o
 	}
 	return &ladder, nil
 }
@@ -65,35 +42,17 @@ func TrainOracleLadder(human *corpus.Corpus, cfg Config) (*OracleLadder, error) 
 // TrainBinaryLadder fits the ChatGPT-vs-human fallback ladder (label
 // 1 = ChatGPT) on one shared extraction pass.
 func TrainBinaryLadder(human, transformed *corpus.Corpus, cfg Config) (*ClassifierLadder, error) {
-	combined := corpus.Merge(human, transformed)
-	if len(combined.Samples) == 0 {
-		return nil, fmt.Errorf("attrib: empty detector corpus")
-	}
-	feats, err := extractAll(combined, cfg)
+	t, err := detectorTask(human, transformed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	labelOf := func(s corpus.Sample) int {
-		if s.Origin == corpus.OriginGPTTransformed || s.Origin == corpus.OriginGPT {
-			return 1
-		}
-		return 0
-	}
 	var ladder ClassifierLadder
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-		cfgL := cfg
-		cfgL.Families = lvl.Families()
-		d, vec, cols := buildDataset(combined, feats, labelOf, 2, cfgL)
-		forest, oob, err := ml.FitForestOOB(d, ml.ForestConfig{
-			NumTrees: cfg.trees(), Seed: cfg.Seed, Workers: cfg.Workers,
-		})
-		if err != nil {
+		c := &Classifier{}
+		if err := c.fit(t, cfg, &lvl); err != nil {
 			return nil, fmt.Errorf("attrib: detector ladder level %d training: %w", lvl, err)
 		}
-		ladder[lvl] = &Classifier{
-			forest: forest, vec: vec, cols: cols,
-			level: lvl, families: cfgL.Families, calib: oob.Accuracy,
-		}
+		ladder[lvl] = c
 	}
 	return &ladder, nil
 }

@@ -2,8 +2,7 @@ package attrib
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"gptattr/internal/corpus"
 	"gptattr/internal/ml"
@@ -13,72 +12,24 @@ import (
 // Oracle is the pre-trained non-ChatGPT authorship model: a random
 // forest over the stylometric feature space of one year's 204-author
 // corpus. The paper uses it "as an oracle to identify and narrow down
-// the stylistic patterns present in [transformed] code".
+// the stylistic patterns present in [transformed] code". It is the
+// shared scoring core plus the author label of each class.
 type Oracle struct {
-	forest *ml.Forest
-	vec    *stylometry.Vectorizer
-	cols   []int
+	model
 	labels []string
-	index  map[string]int
-
-	// level is the degrade-ladder position the model was trained for
-	// (0 = full feature set); families names the feature families its
-	// training corpus was filtered to (empty = unrestricted). Both ride
-	// in the persisted envelope so a serving registry can match
-	// degraded vectors to the oracle trained on exactly those families.
-	level    stylometry.DegradeLevel
-	families []stylometry.FeatureFamily
-
-	// calib is the training-time out-of-bag accuracy estimate (0 =
-	// uncalibrated legacy model). Serving multiplies the vote share by
-	// it so a degraded answer's confidence reflects the weaker model.
-	calib float64
-
-	// scratch pools per-prediction buffers for the serving path; the
-	// zero value is ready to use, so persisted-model loading needs no
-	// extra wiring.
-	scratch sync.Pool
 }
-
-// Level reports the degrade-ladder position the oracle was trained
-// for (0 for models trained on the full feature set).
-func (o *Oracle) Level() stylometry.DegradeLevel { return o.level }
-
-// Calibration reports the training-time out-of-bag accuracy estimate
-// (0 = unknown; legacy models persisted before calibration existed).
-func (o *Oracle) Calibration() float64 { return o.calib }
-
-// Families reports the feature families the oracle was trained on
-// (nil = unrestricted).
-func (o *Oracle) Families() []stylometry.FeatureFamily { return o.families }
 
 // TrainOracle fits the oracle on a human (non-ChatGPT) corpus.
 func TrainOracle(human *corpus.Corpus, cfg Config) (*Oracle, error) {
-	if len(human.Samples) == 0 {
-		return nil, fmt.Errorf("attrib: empty oracle corpus")
-	}
-	labels := human.Authors()
-	sort.Strings(labels)
-	index := make(map[string]int, len(labels))
-	for i, l := range labels {
-		index[l] = i
-	}
-	feats, err := extractAll(human, cfg)
+	t, labels, err := oracleTask(human, cfg)
 	if err != nil {
 		return nil, err
 	}
-	d, vec, cols := buildDataset(human, feats, func(s corpus.Sample) int {
-		return index[s.Author]
-	}, len(labels), cfg)
-	forest, err := ml.FitForest(d, ml.ForestConfig{
-		NumTrees: cfg.trees(),
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-	})
-	if err != nil {
+	o := &Oracle{labels: labels}
+	if err := o.fit(t, cfg, nil); err != nil {
 		return nil, fmt.Errorf("attrib: oracle training: %w", err)
 	}
-	return &Oracle{forest: forest, vec: vec, cols: cols, labels: labels, index: index}, nil
+	return o, nil
 }
 
 // Labels returns the author labels in class order.
@@ -88,28 +39,19 @@ func (o *Oracle) Labels() []string {
 	return out
 }
 
-// vector produces the reduced feature row for one source.
-func (o *Oracle) vector(f stylometry.Features) []float64 {
-	full := o.vec.Vector(f)
-	row := make([]float64, len(o.cols))
-	for i, c := range o.cols {
-		row[i] = full[c]
+// vote returns the label with the most tree votes for one reduced
+// source (see model.reduce).
+func (o *Oracle) vote(f stylometry.Features, fv *stylometry.FeatureVec) string {
+	s := o.reduce(f, fv)
+	o.forest.VotesInto(s.row, s.votes)
+	best := 0
+	for c, v := range s.votes {
+		if v > s.votes[best] {
+			best = c
+		}
 	}
-	return row
-}
-
-// getScratch fetches pooled prediction buffers sized for this model.
-func (o *Oracle) getScratch() *vecScratch {
-	return getScratch(&o.scratch, o.vec.NumFeatures(), len(o.cols), o.forest.NumClasses())
-}
-
-// reduceInto fills s.row with the column-reduced vector of f using
-// only pooled scratch.
-func (o *Oracle) reduceInto(f stylometry.Features, s *vecScratch) {
-	o.vec.VectorInto(f, s.full)
-	for i, c := range o.cols {
-		s.row[i] = s.full[c]
-	}
+	o.scratch.Put(s)
+	return o.labels[best]
 }
 
 // Predict attributes one source to an author label.
@@ -125,17 +67,7 @@ func (o *Oracle) Predict(src string) (string, error) {
 // serving path: extraction is batched separately (through the feature
 // cache) and the model only votes.
 func (o *Oracle) PredictFeatures(f stylometry.Features) string {
-	s := o.getScratch()
-	o.reduceInto(f, s)
-	o.forest.VotesInto(s.row, s.votes)
-	best := 0
-	for c, v := range s.votes {
-		if v > s.votes[best] {
-			best = c
-		}
-	}
-	o.scratch.Put(s)
-	return o.labels[best]
+	return o.vote(f, nil)
 }
 
 // PredictVec attributes the contents of an extraction scratch's
@@ -145,20 +77,7 @@ func (o *Oracle) PredictFeatures(f stylometry.Features) string {
 // vote on pooled rows). fv is read-only and may be reused by the
 // caller immediately after return.
 func (o *Oracle) PredictVec(fv *stylometry.FeatureVec) string {
-	s := o.getScratch()
-	o.vec.VectorIntoVec(fv, s.full)
-	for i, c := range o.cols {
-		s.row[i] = s.full[c]
-	}
-	o.forest.VotesInto(s.row, s.votes)
-	best := 0
-	for c, v := range s.votes {
-		if v > s.votes[best] {
-			best = c
-		}
-	}
-	o.scratch.Put(s)
-	return o.labels[best]
+	return o.vote(nil, fv)
 }
 
 // Proba returns the forest's vote share per author label for one
@@ -176,8 +95,7 @@ func (o *Oracle) Proba(src string) (map[string]float64, string, error) {
 // returned label map allocates; the vectorization and voting run on
 // pooled scratch.
 func (o *Oracle) ProbaFeatures(f stylometry.Features) (map[string]float64, string) {
-	s := o.getScratch()
-	o.reduceInto(f, s)
+	s := o.reduce(f, nil)
 	o.forest.PredictProbaInto(s.row, s.proba)
 	out := make(map[string]float64, len(o.labels))
 	best := 0
@@ -206,7 +124,9 @@ func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []stylometry.Features) ([
 	}
 	rows := make([][]float64, len(feats))
 	for i, f := range feats {
-		rows[i] = o.vector(f)
+		s := o.reduce(f, nil)
+		rows[i] = slices.Clone(s.row)
+		o.scratch.Put(s)
 	}
 	preds := o.forest.PredictAll(rows)
 	out := make([]string, len(preds))
@@ -220,19 +140,11 @@ func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []stylometry.Features) ([
 // cross-validation over its own training corpus — a sanity metric
 // mirroring Caliskan-Islam's headline result.
 func SelfAccuracy(human *corpus.Corpus, cfg Config) (float64, error) {
-	labels := human.Authors()
-	sort.Strings(labels)
-	index := make(map[string]int, len(labels))
-	for i, l := range labels {
-		index[l] = i
-	}
-	feats, err := extractAll(human, cfg)
+	t, _, err := oracleTask(human, cfg)
 	if err != nil {
 		return 0, err
 	}
-	d, _, _ := buildDataset(human, feats, func(s corpus.Sample) int {
-		return index[s.Author]
-	}, len(labels), cfg)
+	d, _, _ := buildDataset(t, cfg)
 	folds, err := ml.GroupKFold(d.Groups)
 	if err != nil {
 		return 0, err

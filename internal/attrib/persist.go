@@ -61,98 +61,85 @@ func parseFamilies(names []string) []stylometry.FeatureFamily {
 	return out
 }
 
-// Save writes the oracle to w as JSON (header line + forest line).
-func (o *Oracle) Save(w io.Writer) error {
-	env := modelEnvelope{Version: FormatVersion, Kind: "oracle", Vec: o.vec, Cols: o.cols, Labels: o.labels,
-		Level: int(o.level), Families: familyNames(o.families), Calibration: o.calib}
+// save writes the core's envelope header (with labels, if any) and
+// then the forest to w as two JSON lines.
+func (m *model) save(w io.Writer, kind string, labels []string) error {
+	env := modelEnvelope{Version: FormatVersion, Kind: kind, Vec: m.vec, Cols: m.cols, Labels: labels,
+		Level: int(m.level), Families: familyNames(m.families), Calibration: m.calib}
 	if err := json.NewEncoder(w).Encode(env); err != nil {
-		return fmt.Errorf("attrib: save oracle header: %w", err)
+		return fmt.Errorf("attrib: save %s header: %w", kind, err)
 	}
-	return o.forest.Encode(w)
+	return m.forest.Encode(w)
 }
 
-// loadEnvelope decodes and validates the model header, then the forest
-// that follows it. The input is untrusted disk state: the version and
-// kind must match, and the forest must be consistent with the header
-// (class count, feature width) so prediction can never index out of
-// range.
-func loadEnvelope(r io.Reader, kind string) (modelEnvelope, *ml.Forest, error) {
+// load decodes and validates the model header, then the forest that
+// follows it, into m and returns the header's labels. The input is
+// untrusted disk state: the version and kind must match, and the
+// forest must be consistent with the header's feature width so
+// prediction can never index out of range. Callers check the class
+// count against their labels.
+func (m *model) load(r io.Reader, kind string) ([]string, error) {
 	dec := json.NewDecoder(r)
 	var env modelEnvelope
 	if err := dec.Decode(&env); err != nil {
-		return env, nil, fmt.Errorf("attrib: load %s header: %w", kind, err)
+		return nil, fmt.Errorf("attrib: load %s header: %w", kind, err)
 	}
 	if env.Version != FormatVersion {
-		return env, nil, fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
+		return nil, fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
 	}
 	if env.Kind != kind {
-		return env, nil, fmt.Errorf("attrib: model kind %q, want %s", env.Kind, kind)
+		return nil, fmt.Errorf("attrib: model kind %q, want %s", env.Kind, kind)
 	}
 	if env.Vec == nil {
-		return env, nil, fmt.Errorf("attrib: malformed %s header", kind)
+		return nil, fmt.Errorf("attrib: malformed %s header", kind)
 	}
 	forest, err := ml.DecodeForest(io.MultiReader(dec.Buffered(), r))
 	if err != nil {
-		return env, nil, err
+		return nil, err
 	}
 	if forest.MaxFeature() >= len(env.Cols) {
-		return env, nil, fmt.Errorf("attrib: forest consults feature %d but header has %d columns",
+		return nil, fmt.Errorf("attrib: forest consults feature %d but header has %d columns",
 			forest.MaxFeature(), len(env.Cols))
 	}
-	return env, forest, nil
+	m.forest, m.vec, m.cols = forest, env.Vec, env.Cols
+	m.level = stylometry.DegradeLevel(env.Level).Clamp()
+	m.families = parseFamilies(env.Families)
+	m.calib = env.Calibration
+	return env.Labels, nil
 }
+
+// Save writes the oracle to w as JSON (header line + forest line).
+func (o *Oracle) Save(w io.Writer) error { return o.save(w, "oracle", o.labels) }
 
 // LoadOracle reads an oracle previously written by Save.
 func LoadOracle(r io.Reader) (*Oracle, error) {
-	env, forest, err := loadEnvelope(r, "oracle")
+	o := &Oracle{}
+	labels, err := o.load(r, "oracle")
 	if err != nil {
 		return nil, err
 	}
-	if len(env.Labels) < 2 {
+	if len(labels) < 2 {
 		return nil, fmt.Errorf("attrib: malformed oracle header")
 	}
-	if forest.NumClasses() != len(env.Labels) {
+	if o.forest.NumClasses() != len(labels) {
 		return nil, fmt.Errorf("attrib: forest has %d classes for %d labels",
-			forest.NumClasses(), len(env.Labels))
+			o.forest.NumClasses(), len(labels))
 	}
-	o := &Oracle{
-		forest:   forest,
-		vec:      env.Vec,
-		cols:     env.Cols,
-		labels:   env.Labels,
-		index:    make(map[string]int, len(env.Labels)),
-		level:    stylometry.DegradeLevel(env.Level).Clamp(),
-		families: parseFamilies(env.Families),
-		calib:    env.Calibration,
-	}
-	for i, l := range o.labels {
-		o.index[l] = i
-	}
+	o.labels = labels
 	return o, nil
 }
 
 // Save writes the binary classifier to w as JSON.
-func (c *Classifier) Save(w io.Writer) error {
-	env := modelEnvelope{Version: FormatVersion, Kind: "binary", Vec: c.vec, Cols: c.cols,
-		Level: int(c.level), Families: familyNames(c.families), Calibration: c.calib}
-	if err := json.NewEncoder(w).Encode(env); err != nil {
-		return fmt.Errorf("attrib: save classifier header: %w", err)
-	}
-	return c.forest.Encode(w)
-}
+func (c *Classifier) Save(w io.Writer) error { return c.save(w, "binary", nil) }
 
 // LoadClassifier reads a classifier previously written by Save.
 func LoadClassifier(r io.Reader) (*Classifier, error) {
-	env, forest, err := loadEnvelope(r, "binary")
-	if err != nil {
+	c := &Classifier{}
+	if _, err := c.load(r, "binary"); err != nil {
 		return nil, err
 	}
-	if forest.NumClasses() != 2 {
-		return nil, fmt.Errorf("attrib: binary classifier forest has %d classes", forest.NumClasses())
+	if c.forest.NumClasses() != 2 {
+		return nil, fmt.Errorf("attrib: binary classifier forest has %d classes", c.forest.NumClasses())
 	}
-	return &Classifier{forest: forest, vec: env.Vec, cols: env.Cols,
-		level:    stylometry.DegradeLevel(env.Level).Clamp(),
-		families: parseFamilies(env.Families),
-		calib:    env.Calibration,
-	}, nil
+	return c, nil
 }

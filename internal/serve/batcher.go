@@ -51,7 +51,7 @@ type BatchConfig struct {
 	// rejects with ErrSaturated (default 256).
 	QueueDepth int
 	// Workers bounds the per-batch extraction pool, passed through to
-	// stylometry.ExtractEach (0 = GOMAXPROCS).
+	// stylometry.ExtractEachDegraded (0 = GOMAXPROCS).
 	Workers int
 	// Cache is the shared feature cache consulted before extraction
 	// (nil = uncached).

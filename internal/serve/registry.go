@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -92,34 +93,29 @@ type Models struct {
 // which Calibration()==0 on the base model already signals). The
 // effective level is the deeper of the vector's and the rung's.
 func (m *Models) OracleFor(lvl stylometry.DegradeLevel) (*attrib.Oracle, stylometry.DegradeLevel) {
-	lvl = lvl.Clamp()
-	for l := lvl; l <= stylometry.MaxDegrade; l++ {
-		if o := m.Oracles[l]; o != nil {
-			return o, l
-		}
-	}
-	for l := lvl - 1; l >= stylometry.DegradeNone; l-- {
-		if o := m.Oracles[l]; o != nil {
-			return o, lvl
-		}
-	}
-	return nil, lvl
+	return rungFor(&m.Oracles, lvl)
 }
 
 // DetectorFor is OracleFor for the detector ladder.
 func (m *Models) DetectorFor(lvl stylometry.DegradeLevel) (*attrib.Classifier, stylometry.DegradeLevel) {
+	return rungFor(&m.Detectors, lvl)
+}
+
+// rungFor is the ladder lookup behind OracleFor and DetectorFor.
+func rungFor[M comparable](ladder *[stylometry.DegradeLevels]M, lvl stylometry.DegradeLevel) (M, stylometry.DegradeLevel) {
+	var none M
 	lvl = lvl.Clamp()
 	for l := lvl; l <= stylometry.MaxDegrade; l++ {
-		if c := m.Detectors[l]; c != nil {
-			return c, l
+		if ladder[l] != none {
+			return ladder[l], l
 		}
 	}
 	for l := lvl - 1; l >= stylometry.DegradeNone; l-- {
-		if c := m.Detectors[l]; c != nil {
-			return c, lvl
+		if ladder[l] != none {
+			return ladder[l], lvl
 		}
 	}
-	return nil, lvl
+	return none, lvl
 }
 
 // Registry loads serialized models from a directory and serves the
@@ -233,31 +229,35 @@ func (r *Registry) read() (*Models, error) {
 		return nil, fmt.Errorf("serve: model dir: %w", err)
 	}
 	m := &Models{}
+	var err error
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-		oraclePath := filepath.Join(r.dir, ladderFile(OracleFile, lvl))
-		if f, err := os.Open(oraclePath); err == nil {
-			o, lerr := attrib.LoadOracle(f)
-			_ = f.Close()
-			if lerr != nil {
-				return nil, fmt.Errorf("serve: %s: %w", oraclePath, lerr)
-			}
-			m.Oracles[lvl] = o
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("serve: %w", err)
+		if m.Oracles[lvl], err = loadRung(r.dir, OracleFile, lvl, attrib.LoadOracle); err != nil {
+			return nil, err
 		}
-		detectorPath := filepath.Join(r.dir, ladderFile(DetectorFile, lvl))
-		if f, err := os.Open(detectorPath); err == nil {
-			c, lerr := attrib.LoadClassifier(f)
-			_ = f.Close()
-			if lerr != nil {
-				return nil, fmt.Errorf("serve: %s: %w", detectorPath, lerr)
-			}
-			m.Detectors[lvl] = c
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("serve: %w", err)
+		if m.Detectors[lvl], err = loadRung(r.dir, DetectorFile, lvl, attrib.LoadClassifier); err != nil {
+			return nil, err
 		}
 	}
 	m.Oracle = m.Oracles[stylometry.DegradeNone]
 	m.Detector = m.Detectors[stylometry.DegradeNone]
+	return m, nil
+}
+
+// loadRung reads one ladder rung's model file (the zero M if absent).
+func loadRung[M any](dir, base string, lvl stylometry.DegradeLevel, load func(io.Reader) (M, error)) (M, error) {
+	var none M
+	path := filepath.Join(dir, ladderFile(base, lvl))
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return none, nil
+	}
+	if err != nil {
+		return none, fmt.Errorf("serve: %w", err)
+	}
+	m, err := load(f)
+	_ = f.Close()
+	if err != nil {
+		return none, fmt.Errorf("serve: %s: %w", path, err)
+	}
 	return m, nil
 }

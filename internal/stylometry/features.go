@@ -270,57 +270,26 @@ type synWalker struct {
 	totalDepth         int
 	nodeCount          int
 	depthSum, depthCnt [numKinds]int
-	// slowDepth holds depth aggregates for node kinds outside the
-	// closed vocabulary (future node types); nil in steady state.
-	slowDepth map[string][2]int
 }
 
 // walk visits n at the given depth. parent is the parent's kind index,
-// -2 for the root, -1 for an unknown-kind parent (parentName set).
-func (w *synWalker) walk(n cppast.Node, depth, parent int, parentName string) {
+// -1 for the root.
+func (w *synWalker) walk(n cppast.Node, depth, parent int) {
 	if n == nil {
 		return
 	}
 	k := kindID(n)
-	kName := ""
-	if k >= 0 {
-		w.fv.Add(sidNodeTF[k], 1)
-	} else {
-		kName = n.Kind()
-		w.fv.addOverflow("ASTNodeTF:"+kName, 1)
-	}
-	if parent != -2 {
-		if parent >= 0 && k >= 0 {
-			w.fv.Add(sidBigram[parent*numKinds+k], 1)
-		} else {
-			pn := parentName
-			if parent >= 0 {
-				pn = kindNames[parent]
-			}
-			cn := kName
-			if k >= 0 {
-				cn = kindNames[k]
-			}
-			w.fv.addOverflow("ASTBigramTF:"+pn+">"+cn, 1)
-		}
+	w.fv.Add(sidNodeTF[k], 1)
+	if parent >= 0 {
+		w.fv.Add(sidBigram[parent*numKinds+k], 1)
 	}
 	if depth > w.maxDepth {
 		w.maxDepth = depth
 	}
 	w.totalDepth += depth
 	w.nodeCount++
-	if k >= 0 {
-		w.depthSum[k] += depth
-		w.depthCnt[k]++
-	} else {
-		if w.slowDepth == nil {
-			w.slowDepth = make(map[string][2]int)
-		}
-		agg := w.slowDepth[kName]
-		agg[0] += depth
-		agg[1]++
-		w.slowDepth[kName] = agg
-	}
+	w.depthSum[k] += depth
+	w.depthCnt[k]++
 	// AST leaf terms (identifiers and literals at the leaves).
 	switch l := n.(type) {
 	case *cppast.Ident:
@@ -331,13 +300,13 @@ func (w *synWalker) walk(n cppast.Node, depth, parent int, parentName string) {
 		}
 	}
 	cppast.VisitChildren(n, func(c cppast.Node) {
-		w.walk(c, depth+1, k, kName)
+		w.walk(c, depth+1, k)
 	})
 }
 
 func syntacticFeaturesVec(fv *FeatureVec, tu *cppast.TranslationUnit) {
 	w := synWalker{fv: fv}
-	w.walk(tu, 0, -2, "")
+	w.walk(tu, 0, -1)
 
 	fv.Set(sidMaxASTDepth, float64(w.maxDepth))
 	if w.nodeCount > 0 {
@@ -347,9 +316,6 @@ func syntacticFeaturesVec(fv *FeatureVec, tu *cppast.TranslationUnit) {
 		if w.depthCnt[k] > 0 {
 			fv.Set(sidAvgDepthKind[k], float64(w.depthSum[k])/float64(w.depthCnt[k]))
 		}
-	}
-	for name, agg := range w.slowDepth {
-		fv.overflowMap()["ASTAvgDepth:"+name] = float64(agg[0]) / float64(agg[1])
 	}
 
 	// Structural style signals used by the grouping stage: how much

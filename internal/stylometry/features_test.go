@@ -252,9 +252,9 @@ func TestVectorizerTFIDF(t *testing.T) {
 func TestBuildDataset(t *testing.T) {
 	sources := []string{sampleA, sampleB, sampleA}
 	labels := []int{0, 1, 0}
-	d, v, err := BuildDataset(sources, labels, 2, VectorizerConfig{MinDocFreq: 1})
+	d, v, err := BuildDatasetWith(sources, labels, 2, VectorizerConfig{MinDocFreq: 1}, ExtractConfig{})
 	if err != nil {
-		t.Fatalf("BuildDataset: %v", err)
+		t.Fatalf("BuildDatasetWith: %v", err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("dataset invalid: %v", err)
@@ -272,7 +272,7 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestBuildDatasetPropagatesError(t *testing.T) {
-	if _, _, err := BuildDataset([]string{""}, []int{0}, 1, VectorizerConfig{}); err == nil {
-		t.Error("BuildDataset with empty source succeeded")
+	if _, _, err := BuildDatasetWith([]string{""}, []int{0}, 1, VectorizerConfig{}, ExtractConfig{}); err == nil {
+		t.Error("BuildDatasetWith with empty source succeeded")
 	}
 }

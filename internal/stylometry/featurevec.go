@@ -22,9 +22,8 @@ type FeatureVec struct {
 	leafs  termAccum // LeafTF:<ident or literal>
 	shapes termAccum // SemShape:<gram>
 
-	// overflow absorbs features outside the interned vocabulary (term
-	// namespaces past their cap, unknown future node kinds). nil in
-	// steady state.
+	// overflow absorbs terms outside the interned vocabulary (a term
+	// namespace past its intern cap). nil in steady state.
 	overflow Features
 }
 
@@ -101,13 +100,6 @@ func (fv *FeatureVec) AddLeaf(text string, v float64) bool { return fv.leafs.add
 
 // AddShape accumulates a SemShape term.
 func (fv *FeatureVec) AddShape(text string, v float64) bool { return fv.shapes.add(fv, text, v) }
-
-// addOverflow accumulates a feature by name, for values outside every
-// interned vocabulary (unknown node kinds). Allocates; never taken in
-// steady state.
-func (fv *FeatureVec) addOverflow(name string, v float64) {
-	fv.overflowMap()[name] += v
-}
 
 // Reset clears the accumulator for the next document. The slab, term
 // buffers, and intern tables are retained.

@@ -76,7 +76,7 @@ func (e *ExtractError) Unwrap() error { return e.Err }
 // drew its index. The first failing source is reported as an
 // *ExtractError.
 func ExtractAll(sources []string, cfg ExtractConfig) ([]Features, error) {
-	out, errs := ExtractEach(sources, cfg)
+	out, _, errs := ExtractEachDegraded(nil, sources, DegradeNone, cfg)
 	for i, err := range errs {
 		if err != nil {
 			return nil, &ExtractError{Index: i, Err: err}
@@ -85,19 +85,13 @@ func ExtractAll(sources []string, cfg ExtractConfig) ([]Features, error) {
 	return out, nil
 }
 
-// ExtractEach is the batch entry point behind ExtractAll: it computes
-// features for every source on the same bounded worker pool but
-// reports per-source errors instead of failing the whole batch. A
+// ExtractEachDegraded is the batch entry point behind ExtractAll: it
+// computes features for every source on the same bounded worker pool
+// but reports per-source errors instead of failing the whole batch. A
 // serving layer coalescing independent requests into one batch needs
 // this — one malformed request must not poison its batch-mates.
-// out[i] is valid iff errs[i] is nil.
-func ExtractEach(sources []string, cfg ExtractConfig) (out []Features, errs []error) {
-	out, _, errs = ExtractEachDegraded(nil, sources, DegradeNone, cfg)
-	return out, errs
-}
-
-// ExtractEachDegraded is ExtractEach with per-source budgets and a
-// brownout floor: ctxs[i] (nil = no budget; ctxs itself may be nil)
+// out[i] is valid iff errs[i] is nil. It also takes per-source budgets
+// and a brownout floor: ctxs[i] (nil = no budget; ctxs itself may be nil)
 // bounds source i's extraction, and force is the admission
 // controller's current degrade level — every vector is extracted at
 // least that degraded. levels[i] reports each vector's actual level

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"gptattr/internal/ml"
 )
 
 // jsonMarshal/jsonUnmarshal alias the stdlib so method receivers avoid
@@ -238,12 +236,4 @@ func (v *Vectorizer) termRow(ta *termAccum, row []float64) {
 		}
 		row[i] = val
 	}
-}
-
-// BuildDataset extracts features for every source, learns a vectorizer
-// on them, and assembles an ml.Dataset with the given labels.
-// Extraction runs on a GOMAXPROCS-bounded worker pool; use
-// BuildDatasetWith to control the pool size or add a feature cache.
-func BuildDataset(sources []string, labels []int, numClasses int, cfg VectorizerConfig) (*ml.Dataset, *Vectorizer, error) {
-	return BuildDatasetWith(sources, labels, numClasses, cfg, ExtractConfig{})
 }
