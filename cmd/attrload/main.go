@@ -168,10 +168,10 @@ func loadTest(cfg loadConfig) *report {
 		cfg.Clients = 1
 	}
 	var (
-		hist    metrics.Histogram
-		total   metrics.Counter
-		ok      metrics.Counter
-		netErrs metrics.Counter
+		hist      metrics.Histogram
+		total     metrics.Counter
+		ok        metrics.Counter
+		netErrs   metrics.Counter
 		mu        sync.Mutex
 		byCode    = map[int]uint64{}
 		byDegrade = map[int]uint64{}

@@ -10,7 +10,10 @@
 //   - Non-test files must not discard the error from io.Closer.Close
 //     (a bare `f.Close()` or `defer f.Close()` statement). Types
 //     declared in this repository whose Close returns nothing (e.g.
-//     serve.Batcher) are exempt — there is no error to discard.
+//     serve.Batcher) are exempt — there is no error to discard. A
+//     receiver counts as such a type when its name matches the type's,
+//     or when it was assigned from a repository function whose first
+//     result is that type or a pointer to it (hb := serve.NewBatcher(...)).
 //   - Supervised pipeline packages (stylometry, ml, experiments,
 //     featcache) must not call naked panic: a panic that escapes a
 //     worker kills a whole multi-hour run, so failures must flow
@@ -48,14 +51,21 @@
 //     loop that also honours its context) is exempted with a
 //     `// repolint:allow-sleep <reason>` comment on the same or
 //     preceding line.
+//   - An unexported non-method function in a non-test file must be
+//     referenced by some non-test file of its package. One that only
+//     the package's tests call is a reference implementation or a test
+//     helper: it belongs in a _test.go file, not in the shipped build.
+//   - Every Go file must be gofmt-clean (checked with go/format).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or parse errors.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -142,17 +152,25 @@ func run(args []string, out *os.File) (int, error) {
 	}
 	fset := token.NewFileSet()
 	parsed := make(map[string]*ast.File, len(files))
+	var findings []finding
 	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return 2, err
+		}
 		// Comments ride along for the allow-panic directive.
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 		if err != nil {
 			return 2, err
 		}
 		parsed[path] = f
+		if fmtd, err := format.Source(src); err == nil && !bytes.Equal(fmtd, src) {
+			findings = append(findings, finding{fset.Position(f.Package), "file is not gofmt-formatted (run gofmt -w)"})
+		}
 	}
 
-	voidClose := voidCloseTypes(parsed)
-	var findings []finding
+	voidClose := collectVoidClose(parsed)
+	findings = append(findings, checkTestOnlyFuncs(fset, files, parsed)...)
 	for _, path := range files {
 		f := parsed[path]
 		rel, err := filepath.Rel(*root, path)
@@ -174,7 +192,7 @@ func run(args []string, out *os.File) (int, error) {
 			findings = append(findings, checkFeatMaps(fset, f)...)
 		}
 		if !isTest {
-			findings = append(findings, checkCloseErrors(fset, f, voidClose)...)
+			findings = append(findings, checkCloseErrors(fset, path, f, voidClose)...)
 			findings = append(findings, checkUncheckedFileOps(fset, f)...)
 		}
 	}
@@ -201,8 +219,13 @@ func goFiles(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			// The root itself is never skipped: "../.." starts with a
+			// dot too, and skipping it would lint nothing.
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") && name != "." {
+			if name == "testdata" || strings.HasPrefix(name, ".") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -643,11 +666,24 @@ func checkUncheckedFileOps(fset *token.FileSet, f *ast.File) []finding {
 	return out
 }
 
-// voidCloseTypes collects names of repo-declared types whose Close
-// method has no results: calls on their values have no error to lose.
-func voidCloseTypes(parsed map[string]*ast.File) map[string]bool {
-	out := make(map[string]bool)
-	for _, f := range parsed {
+// voidClose describes the repository's void-Close types: their
+// lower-cased names (for the receiver-name heuristic) and the
+// repository functions whose first result is one of them, keyed
+// "<dir>.<func>" for same-package calls and "<pkg>.<func>" for
+// qualified ones.
+type voidClose struct {
+	names      map[string]bool
+	ctorsByDir map[string]bool
+	ctorsByPkg map[string]bool
+}
+
+// collectVoidClose finds repo-declared types whose Close method has no
+// results — calls on their values have no error to lose — and the
+// functions that construct them.
+func collectVoidClose(parsed map[string]*ast.File) voidClose {
+	vc := voidClose{names: make(map[string]bool), ctorsByDir: make(map[string]bool), ctorsByPkg: make(map[string]bool)}
+	types := make(map[string]bool) // "<dir>.<Type>" and "<pkg>.<Type>"
+	for path, f := range parsed {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Name.Name != "Close" || fd.Recv == nil || len(fd.Recv.List) != 1 {
@@ -661,25 +697,97 @@ func voidCloseTypes(parsed map[string]*ast.File) map[string]bool {
 				t = star.X
 			}
 			if id, ok := t.(*ast.Ident); ok {
-				out[strings.ToLower(id.Name)] = true
+				vc.names[strings.ToLower(id.Name)] = true
+				types[filepath.Dir(path)+"."+id.Name] = true
+				types[f.Name.Name+"."+id.Name] = true
 			}
 		}
 	}
+	for path, f := range parsed {
+		dir := filepath.Dir(path)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
+				continue
+			}
+			t := fd.Type.Results.List[0].Type
+			if star, ok := t.(*ast.StarExpr); ok {
+				t = star.X
+			}
+			var key string
+			switch v := t.(type) {
+			case *ast.Ident:
+				key = dir + "." + v.Name
+			case *ast.SelectorExpr:
+				if pkg, ok := v.X.(*ast.Ident); ok {
+					key = pkg.Name + "." + v.Sel.Name
+				}
+			}
+			if types[key] {
+				vc.ctorsByDir[dir+"."+fd.Name.Name] = true
+				vc.ctorsByPkg[f.Name.Name+"."+fd.Name.Name] = true
+			}
+		}
+	}
+	return vc
+}
+
+// voidCloseVars returns the objects of the file's variables that were
+// assigned (:=, = or var) from a call to a void-Close constructor, as
+// the first value of the assignment.
+func voidCloseVars(path string, f *ast.File, vc voidClose) map[*ast.Object]bool {
+	dir := filepath.Dir(path)
+	isCtor := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			return vc.ctorsByDir[dir+"."+fun.Name]
+		case *ast.SelectorExpr:
+			pkg, ok := fun.X.(*ast.Ident)
+			return ok && pkg.Obj == nil && vc.ctorsByPkg[pkg.Name+"."+fun.Sel.Name]
+		}
+		return false
+	}
+	out := make(map[*ast.Object]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		var lhs *ast.Ident
+		var rhs ast.Expr
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			if len(s.Lhs) > 0 && len(s.Rhs) > 0 {
+				lhs, _ = s.Lhs[0].(*ast.Ident)
+				rhs = s.Rhs[0]
+			}
+		case *ast.ValueSpec:
+			if len(s.Names) > 0 && len(s.Values) > 0 {
+				lhs, rhs = s.Names[0], s.Values[0]
+			}
+		}
+		if lhs != nil && lhs.Obj != nil && isCtor(rhs) {
+			out[lhs.Obj] = true
+		}
+		return true
+	})
 	return out
 }
 
 // checkCloseErrors flags statements that call .Close() and drop the
 // result. Without type information the receiver test is a heuristic:
 // a receiver identifier that case-insensitively matches a repo type
-// with a void Close is exempt.
-func checkCloseErrors(fset *token.FileSet, f *ast.File, voidClose map[string]bool) []finding {
+// with a void Close is exempt, and so is one assigned from a repo
+// function returning such a type.
+func checkCloseErrors(fset *token.FileSet, path string, f *ast.File, vc voidClose) []finding {
+	ctorVars := voidCloseVars(path, f, vc)
 	var out []finding
 	flag := func(call *ast.CallExpr) {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Close" || len(call.Args) != 0 {
 			return
 		}
-		if id, ok := sel.X.(*ast.Ident); ok && voidClose[strings.ToLower(id.Name)] {
+		if id, ok := sel.X.(*ast.Ident); ok && (vc.names[strings.ToLower(id.Name)] || id.Obj != nil && ctorVars[id.Obj]) {
 			return
 		}
 		out = append(out, finding{fset.Position(call.Pos()),
@@ -696,5 +804,78 @@ func checkCloseErrors(fset *token.FileSet, f *ast.File, voidClose map[string]boo
 		}
 		return true
 	})
+	return out
+}
+
+// checkTestOnlyFuncs flags unexported non-method functions declared in
+// a non-test file that no non-test file of the same package (directory)
+// references, while the package's tests do: code only tests call
+// belongs in a _test.go file. Function names are package-scoped, so a
+// name match is a reference; selector fields (x.name) are not counted,
+// and a function's references to itself do not keep it alive.
+func checkTestOnlyFuncs(fset *token.FileSet, files []string, parsed map[string]*ast.File) []finding {
+	type decl struct {
+		dir, name string
+		pos       token.Position
+	}
+	var decls []decl
+	shipRefs := make(map[string]bool) // "<dir>.<name>" used by non-test code
+	testRefs := make(map[string]bool) // "<dir>.<name>" used by tests
+	for _, path := range files {
+		dir := filepath.Dir(path)
+		isTest := strings.HasSuffix(path, "_test.go")
+		refs := shipRefs
+		if isTest {
+			refs = testRefs
+		}
+		self := "" // the enclosing function's own name
+		var mark func(n ast.Node) bool
+		mark = func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				// The declared name is not a use of itself.
+				self = ""
+				if v.Recv == nil {
+					self = v.Name.Name
+				} else {
+					ast.Inspect(v.Recv, mark)
+				}
+				ast.Inspect(v.Type, mark)
+				if v.Body != nil {
+					ast.Inspect(v.Body, mark)
+				}
+				return false
+			case *ast.SelectorExpr:
+				ast.Inspect(v.X, mark)
+				return false
+			case *ast.Ident:
+				if v.Name != self {
+					refs[dir+"."+v.Name] = true
+				}
+			}
+			return true
+		}
+		for _, d := range parsed[path].Decls {
+			self = ""
+			ast.Inspect(d, mark)
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || isTest || fd.Recv != nil || ast.IsExported(fd.Name.Name) {
+				continue
+			}
+			switch fd.Name.Name {
+			case "main", "init", "_":
+				continue
+			}
+			decls = append(decls, decl{dir, fd.Name.Name, fset.Position(fd.Name.Pos())})
+		}
+	}
+	var out []finding
+	for _, d := range decls {
+		key := d.dir + "." + d.name
+		if !shipRefs[key] && testRefs[key] {
+			out = append(out, finding{d.pos,
+				fmt.Sprintf("unexported function %s is referenced only by tests (move it into a _test.go file)", d.name)})
+		}
+	}
 	return out
 }

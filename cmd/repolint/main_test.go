@@ -369,8 +369,234 @@ func TestRepoIsClean(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Skip("repo root not found")
 	}
+	// Guard against a walk that silently visits nothing: the tree has
+	// well over a hundred Go files.
+	if files, err := goFiles(root); err != nil || len(files) < 100 {
+		t.Fatalf("goFiles(%q) = %d files, err %v: the repository is not being walked", root, len(files), err)
+	}
 	if code, out := lint(t, root); code != 0 {
 		t.Fatalf("repolint must exit clean on this repository, exit %d:\n%s", code, out)
+	}
+}
+
+// TestRelativeParentRootLinted pins that a root spelled "../.." is
+// walked: its base name starts with a dot, and the hidden-directory
+// skip once swallowed the whole tree, so a seeded violation went
+// unreported and the run exited 0.
+func TestRelativeParentRootLinted(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/corpus/gen.go": `package corpus
+
+import "time"
+
+func Stamp() int64 { return time.Now().Unix() }
+`,
+		"a/b/keep.txt": "cwd for the relative root\n",
+		".hidden/x.go": "package x\n\nfunc Broken( {\n",
+	})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join(root, "a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	code, out := lint(t, "../..")
+	if code != 1 || !strings.Contains(out, "time.Now") {
+		t.Fatalf("seeded violation under -root ../.. not caught, exit %d:\n%s", code, out)
+	}
+}
+
+func TestConstructorAssignedVoidCloseExempt(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/serve/batcher.go": `package serve
+
+type Batcher struct{}
+
+func NewBatcher() *Batcher { return &Batcher{} }
+
+func (b *Batcher) Close() {}
+`,
+		"internal/fleet/router.go": `package fleet
+
+type Router struct{}
+
+func New() (*Router, error) { return &Router{}, nil }
+
+func (r *Router) Close() {}
+`,
+		"cmd/tool/main.go": `package main
+
+import (
+	"gptattr/internal/fleet"
+	"gptattr/internal/serve"
+)
+
+func run() error {
+	hb := serve.NewBatcher()
+	defer hb.Close()
+	rt, err := fleet.New()
+	if err != nil {
+		return err
+	}
+	defer rt.Close()
+	return nil
+}
+
+func main() { _ = run() }
+`,
+	})
+	if code, out := lint(t, root); code != 0 {
+		t.Fatalf("constructor-assigned void-Close values must be exempt, exit %d:\n%s", code, out)
+	}
+}
+
+func TestConstructorAssignedErrorCloseFlagged(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/store/db.go": `package store
+
+type DB struct{}
+
+func Open() (*DB, error) { return &DB{}, nil }
+
+func (d *DB) Close() error { return nil }
+`,
+		"cmd/tool/main.go": `package main
+
+import "gptattr/internal/store"
+
+func run() error {
+	h, err := store.Open()
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	return nil
+}
+
+func main() { _ = run() }
+`,
+	})
+	code, out := lint(t, root)
+	if code != 1 || strings.Count(out, "Close error ignored") != 1 {
+		t.Fatalf("want one Close finding for an error-returning Close, exit %d:\n%s", code, out)
+	}
+}
+
+func TestTestOnlyFuncFlagged(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/semstats/ref.go": `package semstats
+
+func Analyze() int { return 1 }
+
+func referenceAnalyze() int { return helper() }
+
+func helper() int { return 2 }
+`,
+		"internal/semstats/ref_test.go": `package semstats
+
+import "testing"
+
+func TestRef(t *testing.T) {
+	if referenceAnalyze() != Analyze()+1 {
+		t.Fatal("mismatch")
+	}
+}
+`,
+	})
+	code, out := lint(t, root)
+	if code != 1 || !strings.Contains(out, "referenceAnalyze is referenced only by tests") {
+		t.Fatalf("want a test-only finding for referenceAnalyze, exit %d:\n%s", code, out)
+	}
+	// helper is called from shipped code (even though that caller is
+	// itself test-only): it is not the function to move first.
+	if strings.Contains(out, "function helper") {
+		t.Fatalf("helper has a non-test caller and must not be flagged:\n%s", out)
+	}
+}
+
+func TestTestOnlyFuncRecursionDoesNotCount(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/ml/walk.go": `package ml
+
+func depth(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 + depth(n-1)
+}
+`,
+		"internal/ml/walk_test.go": `package ml
+
+import "testing"
+
+func TestDepth(t *testing.T) {
+	if depth(3) != 3 {
+		t.Fatal("depth")
+	}
+}
+`,
+	})
+	code, out := lint(t, root)
+	if code != 1 || !strings.Contains(out, "depth is referenced only by tests") {
+		t.Fatalf("a self-call must not count as a shipped reference, exit %d:\n%s", code, out)
+	}
+}
+
+func TestShippedFuncAllowed(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/ml/pick.go": `package ml
+
+type picker struct{ n int }
+
+func (p picker) pick() int { return clamp(p.n) }
+
+func clamp(n int) int {
+	if n < 0 {
+		return 0
+	}
+	return n
+}
+
+func Pick(n int) int { return picker{n}.pick() }
+`,
+		"internal/ml/pick_test.go": `package ml
+
+import "testing"
+
+func TestClamp(t *testing.T) {
+	if clamp(-1) != 0 || (picker{2}).pick() != 2 {
+		t.Fatal("clamp")
+	}
+}
+`,
+	})
+	if code, out := lint(t, root); code != 0 {
+		t.Fatalf("functions called from shipped code must pass, exit %d:\n%s", code, out)
+	}
+}
+
+func TestUnformattedFileFlagged(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/cpptok/scan.go": "package cpptok\n\nconst (\n\ta byte = iota\n\tbb // two\n)\n",
+	})
+	code, out := lint(t, root)
+	if code != 1 || !strings.Contains(out, "not gofmt-formatted") {
+		t.Fatalf("want a gofmt finding, exit %d:\n%s", code, out)
+	}
+}
+
+func TestFormattedFileAllowed(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/cpptok/scan.go": "package cpptok\n\nconst (\n\ta  byte = iota\n\tbb      // two\n)\n",
+	})
+	if code, out := lint(t, root); code != 0 {
+		t.Fatalf("gofmt-clean file must pass, exit %d:\n%s", code, out)
 	}
 }
 

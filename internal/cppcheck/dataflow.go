@@ -153,8 +153,6 @@ func (fa *funcAnalysis) eventsOf(b *Block) []event {
 	return fa.events[fa.evOff[b.ID]:fa.evOff[b.ID+1]]
 }
 
-func (fa *funcAnalysis) varOf(ev event) *VarInfo { return &fa.vars[ev.vid] }
-
 func (fa *funcAnalysis) declare(name string, line int, param, scalar, uninit bool) {
 	if id, ok := fa.varID[name]; ok {
 		v := &fa.vars[id]
@@ -702,10 +700,10 @@ func (fa *funcAnalysis) liveness() []uint64 {
 // into FuncStats, produced without materializing chains or width
 // slices.
 type DataflowSummary struct {
-	Chains      int    // real def sites
-	ChainUses   int    // total use events over all chains
-	MaxChainLen int    // most uses reached by one def
-	ChainsAtLen [4]int // 0, 1, 2, >=3 uses
+	Chains       int    // real def sites
+	ChainUses    int    // total use events over all chains
+	MaxChainLen  int    // most uses reached by one def
+	ChainsAtLen  [4]int // 0, 1, 2, >=3 uses
 	Vars         int
 	LiveWidthSum int
 	MaxLiveWidth int

@@ -35,22 +35,22 @@ func (e *ScanError) Error() string {
 // walks raw offsets and only the paths that can cross a newline pay
 // for line accounting.
 const (
-	clOther byte = iota
-	clWS         // space, \t, \r
-	clNL         // \n
-	clIdent      // _ a-z A-Z
-	clDigit      // 0-9
-	clDQuote     // "
-	clSQuote     // '
-	clSlash      // /
-	clHash       // #
-	clDot        // .
-	clPunct      // remaining operator/punctuation bytes
+	clOther  byte = iota
+	clWS          // space, \t, \r
+	clNL          // \n
+	clIdent       // _ a-z A-Z
+	clDigit       // 0-9
+	clDQuote      // "
+	clSQuote      // '
+	clSlash       // /
+	clHash        // #
+	clDot         // .
+	clPunct       // remaining operator/punctuation bytes
 )
 
 var (
-	classTab  [256]byte
-	identTab  [256]bool // isIdentCont as a table
+	classTab   [256]byte
+	identTab   [256]bool // isIdentCont as a table
 	asciiSpTab [256]bool // the ASCII subset of unicode.IsSpace, per strings.TrimSpace
 )
 

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"gptattr/internal/corpus"
 )
 
 // Results is the machine-readable form of the reproduction: the
@@ -153,13 +151,4 @@ func (s *Suite) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("experiments: encode results: %w", err)
 	}
 	return nil
-}
-
-// settingsAsStrings is kept for JSON key stability tests.
-func settingsAsStrings() []string {
-	out := make([]string, 0, 4)
-	for _, s := range corpus.Settings() {
-		out = append(out, string(s))
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"gptattr/internal/corpus"
 )
 
 func TestResultsJSON(t *testing.T) {
@@ -39,4 +41,14 @@ func TestResultsJSON(t *testing.T) {
 	if len(settingsAsStrings()) != 4 {
 		t.Error("settings helper wrong")
 	}
+}
+
+// settingsAsStrings lists the corpus settings as the JSON keys the
+// results use.
+func settingsAsStrings() []string {
+	out := make([]string, 0, 4)
+	for _, s := range corpus.Settings() {
+		out = append(out, string(s))
+	}
+	return out
 }

@@ -132,27 +132,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 	return rr.ModelGeneration, nil
 }
 
-// MetricsText fetches the replica's plain-text /metrics page.
-func (r *Replica) MetricsText(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := r.Client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = resp.Body.Close() }() // body read to the limit below either way
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBody))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fleet: %s: /metrics answered %d", r.Name, resp.StatusCode)
-	}
-	return string(b), nil
-}
-
 // call issues one control request and decodes a 200's JSON body into
 // out; a non-200 answer becomes an error quoting the replica's
 // error body.

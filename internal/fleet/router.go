@@ -794,15 +794,15 @@ func (rt *Router) Status() FleetStatus {
 		}
 	}
 	return FleetStatus{
-		Generation:    rt.fleetGen.Load(),
-		AliveReplicas: len(rt.ring.Alive()),
-		Replicas:      sts,
-		Forwards:      rt.met.Counter("fleet_forwards_total").Value(),
-		Failovers:     rt.met.Counter("fleet_failovers_total").Value(),
-		Hedges:        rt.met.Counter("fleet_hedges_total").Value(),
-		HedgeWins:     rt.met.Counter("fleet_hedge_wins_total").Value(),
-		GenMismatches: rt.met.Counter("fleet_gen_mismatch_total").Value(),
-		Restores:      rt.met.Counter("fleet_restores_total").Value(),
+		Generation:     rt.fleetGen.Load(),
+		AliveReplicas:  len(rt.ring.Alive()),
+		Replicas:       sts,
+		Forwards:       rt.met.Counter("fleet_forwards_total").Value(),
+		Failovers:      rt.met.Counter("fleet_failovers_total").Value(),
+		Hedges:         rt.met.Counter("fleet_hedges_total").Value(),
+		HedgeWins:      rt.met.Counter("fleet_hedge_wins_total").Value(),
+		GenMismatches:  rt.met.Counter("fleet_gen_mismatch_total").Value(),
+		Restores:       rt.met.Counter("fleet_restores_total").Value(),
 		BreakerOpens:   rt.met.Counter("fleet_breaker_opens_total").Value(),
 		BreakerRejects: rt.met.Counter("fleet_breaker_rejects_total").Value(),
 	}

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // colMatrix is the flat column-major mirror of a Dataset's row-major X:
 // one contiguous []float64 with column f occupying data[f*n:(f+1)*n],
@@ -122,92 +119,20 @@ func (m *colMatrix) sortedCol(f int) []int32 { return m.sorted[f*m.n : (f+1)*m.n
 // codedCol returns the per-sample value ranks of coded slot cs.
 func (m *colMatrix) codedCol(cs int) []uint8 { return m.codes[cs*m.n : (cs+1)*m.n] }
 
-// maxBins bounds histogram-mode bin codes — and the exact-mode coded
-// feature ranks — to one byte.
+// maxBins bounds the coded feature ranks to one byte.
 const maxBins = 256
 
-// binSet is the histogram-mode quantization of a dataset: per-feature
-// quantile bin codes (≤ maxBins bins, one uint8 per sample) plus the
-// raw-value threshold associated with each bin boundary. Split search
-// over codes is O(n + bins) per feature instead of O(n) boundary scans
-// over sorted values — and, unlike exact mode, needs no per-node order
-// maintenance at all.
-type binSet struct {
-	n     int
-	codes []uint8 // f*n+i -> bin code of sample i under feature f
-	nbins []int   // per feature: number of bins actually formed
-	// edges[f][b] is the split threshold between bins b and b+1 in raw
-	// value space, chosen so that (value <= edge) ⇔ (code <= b) holds
-	// for every training sample: trees trained on codes predict on raw
-	// values with zero train/serve skew.
-	edges [][]float64
-}
-
-// newBinSet quantizes every feature into at most bins quantile bins.
-// Equal values always share a bin, so boundaries never split ties.
-func newBinSet(m *colMatrix, bins int) *binSet {
-	bs := &binSet{
-		n:     m.n,
-		codes: make([]uint8, m.n*m.nf),
-		nbins: make([]int, m.nf),
-		edges: make([][]float64, m.nf),
-	}
-	target := (m.n + bins - 1) / bins // ceil: samples per bin
-	for f := 0; f < m.nf; f++ {
-		col := m.col(f)
-		ord := m.sortedCol(f)
-		codes := bs.codes[f*m.n : (f+1)*m.n]
-		var edges []float64
-		b, inBin := 0, 0
-		for k := 0; k < m.n; {
-			j := k + 1
-			for j < m.n && col[ord[j]] == col[ord[k]] {
-				j++
-			}
-			for t := k; t < j; t++ {
-				codes[ord[t]] = uint8(b)
-			}
-			inBin += j - k
-			if inBin >= target && j < m.n && b < bins-1 {
-				lo, hi := col[ord[j-1]], col[ord[j]]
-				thr := lo + (hi-lo)/2
-				if thr >= hi { // float midpoint rounded up: fall back to the exact left max
-					thr = lo
-				}
-				edges = append(edges, thr)
-				b++
-				inBin = 0
-			}
-			k = j
-		}
-		bs.nbins[f] = b + 1
-		bs.edges[f] = edges
-	}
-	return bs
-}
-
-// code returns sample i's bin under feature f.
-func (bs *binSet) code(f, i int) uint8 { return bs.codes[f*bs.n+i] }
-
 // trainCtx is the per-training-run immutable state shared by every
-// tree of a forest: the column-major mirror, and (histogram mode only)
-// the bin quantization. Building it once per FitForest call is what
-// lets tree workers skip all per-node sorting.
+// tree of a forest: the dataset and its column-major mirror. Building
+// it once per FitForest call is what lets tree workers skip all
+// per-node sorting.
 type trainCtx struct {
-	d    *Dataset
-	cm   *colMatrix
-	bins *binSet // nil in exact mode
+	d  *Dataset
+	cm *colMatrix
 }
 
-// newTrainCtx validates the histogram configuration and assembles the
-// shared training state. bins == 0 selects exact (pre-sorted) mode.
-func newTrainCtx(d *Dataset, bins int) (*trainCtx, error) {
-	if bins != 0 && (bins < 2 || bins > maxBins) {
-		return nil, fmt.Errorf("ml: Bins = %d, want 0 (exact) or 2..%d", bins, maxBins)
-	}
-	ctx := &trainCtx{d: d, cm: d.columns()}
-	if bins > 0 {
-		ctx.bins = newBinSet(ctx.cm, bins)
-	}
-	return ctx, nil
+// newTrainCtx assembles the shared training state. d must already be
+// validated.
+func newTrainCtx(d *Dataset) *trainCtx {
+	return &trainCtx{d: d, cm: d.columns()}
 }

@@ -43,13 +43,6 @@ func (d *Dataset) columns() *colMatrix {
 	return d.colmat
 }
 
-// ColumnMajor returns the single flat backing array of the column-major
-// mirror: feature f occupies the n consecutive entries starting at
-// f*n, where n is the row count. The mirror is built lazily from the
-// row API and cached; callers must treat it — and X, once any training
-// or column access has happened — as read-only.
-func (d *Dataset) ColumnMajor() []float64 { return d.columns().data }
-
 // Col returns the contiguous column view of feature f from the
 // column-major mirror (read-only).
 func (d *Dataset) Col(f int) []float64 { return d.columns().col(f) }

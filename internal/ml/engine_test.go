@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -27,71 +26,4 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 			t.Fatalf("n=%d: rng states diverged after permutation (%d vs %d)", n, x, y)
 		}
 	}
-}
-
-// histDataset makes a dataset wide and continuous enough that
-// histogram mode actually bins (many distinct values per feature).
-func histDataset(seed int64, n, feats, classes int, sep float64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	X := make([][]float64, n)
-	Y := make([]int, n)
-	for i := range X {
-		cls := i % classes
-		row := make([]float64, feats)
-		for j := range row {
-			row[j] = rng.NormFloat64() + float64(cls)*sep
-		}
-		X[i] = row
-		Y[i] = cls
-	}
-	return &Dataset{X: X, Y: Y, NumClasses: classes}
-}
-
-// TestHistogramModeDeterministic pins that Bins > 0 is exactly as
-// deterministic as exact mode: same seed and bin count, byte-equal
-// forests at any worker count.
-func TestHistogramModeDeterministic(t *testing.T) {
-	d := histDataset(3, 240, 20, 4, 0.8)
-	cfg := ForestConfig{NumTrees: 12, Seed: 9, Bins: 16}
-	var encoded []string
-	for _, workers := range []int{1, 3} {
-		c := cfg
-		c.Workers = workers
-		f, err := FitForest(d, c)
-		if err != nil {
-			t.Fatalf("FitForest(workers=%d): %v", workers, err)
-		}
-		var buf bytes.Buffer
-		if err := f.Encode(&buf); err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		encoded = append(encoded, buf.String())
-	}
-	if encoded[0] != encoded[1] {
-		t.Fatal("histogram-mode forests differ across worker counts")
-	}
-}
-
-// TestHistogramModeOOBParity bounds the quality cost of binned splits:
-// on a well-separated continuous problem, histogram-mode OOB accuracy
-// must stay within a few points of exact mode (and both must actually
-// learn the problem).
-func TestHistogramModeOOBParity(t *testing.T) {
-	d := histDataset(7, 360, 24, 4, 1.4)
-	_, exact, err := FitForestOOB(d, ForestConfig{NumTrees: 30, Seed: 21})
-	if err != nil {
-		t.Fatalf("exact: %v", err)
-	}
-	_, binned, err := FitForestOOB(d, ForestConfig{NumTrees: 30, Seed: 21, Bins: 32})
-	if err != nil {
-		t.Fatalf("binned: %v", err)
-	}
-	if exact.Accuracy < 0.85 {
-		t.Fatalf("exact OOB accuracy %.3f: problem not learnable, parity check void", exact.Accuracy)
-	}
-	if diff := exact.Accuracy - binned.Accuracy; diff > 0.05 {
-		t.Errorf("histogram OOB %.3f trails exact %.3f by %.3f, want <= 0.05",
-			binned.Accuracy, exact.Accuracy, diff)
-	}
-	t.Logf("OOB accuracy: exact %.3f, 32-bin %.3f", exact.Accuracy, binned.Accuracy)
 }

@@ -22,10 +22,6 @@ type ForestConfig struct {
 	Seed int64
 	// Workers bounds build parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Bins opts every tree into histogram-mode induction (see
-	// TreeConfig.Bins). 0 keeps the exact pre-sorted engine, which is
-	// bit-identical to classic per-node-sorting CART.
-	Bins int
 }
 
 func (c ForestConfig) numTrees() int {
@@ -44,7 +40,7 @@ func (c ForestConfig) resolve(d *Dataset) (tcfg TreeConfig, workers int) {
 			mtry = 1
 		}
 	}
-	tcfg = TreeConfig{MaxDepth: c.MaxDepth, MinSamplesLeaf: c.MinSamplesLeaf, MTry: mtry, Bins: c.Bins}
+	tcfg = TreeConfig{MaxDepth: c.MaxDepth, MinSamplesLeaf: c.MinSamplesLeaf, MTry: mtry}
 	workers = c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -83,10 +79,7 @@ func fitForest(d *Dataset, cfg ForestConfig, oob bool) (*Forest, [][]int32, erro
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ctx, err := newTrainCtx(d, cfg.Bins)
-	if err != nil {
-		return nil, nil, err
-	}
+	ctx := newTrainCtx(d)
 	nTrees := cfg.numTrees()
 	tcfg, workers := cfg.resolve(d)
 
@@ -152,13 +145,6 @@ func fitForest(d *Dataset, cfg ForestConfig, oob bool) (*Forest, [][]int32, erro
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
 
-// Votes returns the per-class vote counts for one sample.
-func (f *Forest) Votes(x []float64) []int {
-	votes := make([]int, f.numClasses)
-	f.VotesInto(x, votes)
-	return votes
-}
-
 // VotesInto tallies per-class vote counts for one sample into votes
 // (len must be NumClasses) without allocating.
 func (f *Forest) VotesInto(x []float64, votes []int) {
@@ -168,18 +154,6 @@ func (f *Forest) VotesInto(x []float64, votes []int) {
 	for _, t := range f.trees {
 		votes[t.Predict(x)]++
 	}
-}
-
-// Argmax returns the index of the largest value; ties break toward the
-// lower index, deterministically.
-func Argmax(v []float64) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Predict returns the majority-vote class for one sample; ties break

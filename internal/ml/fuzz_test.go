@@ -89,19 +89,15 @@ func TestDecodeForestHardening(t *testing.T) {
 // in range for every training row, and exact mode is insensitive to
 // how many duplicate low-cardinality columns surround the signal.
 func FuzzFitTree(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(3), uint8(2), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0))   // single row
-	f.Add(int64(3), uint8(40), uint8(4), uint8(1), uint8(9), uint8(0))  // single class, minLeaf 9
-	f.Add(int64(4), uint8(30), uint8(2), uint8(3), uint8(50), uint8(4)) // minLeaf > n, binned
-	f.Add(int64(5), uint8(64), uint8(6), uint8(4), uint8(2), uint8(16)) // histogram mode
-	f.Fuzz(func(t *testing.T, seed int64, n8, feats8, classes8, minLeaf8, bins8 uint8) {
+	f.Add(int64(1), uint8(8), uint8(3), uint8(2), uint8(1))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1))   // single row
+	f.Add(int64(3), uint8(40), uint8(4), uint8(1), uint8(9))  // single class, minLeaf 9
+	f.Add(int64(4), uint8(30), uint8(2), uint8(3), uint8(50)) // minLeaf > n
+	f.Add(int64(5), uint8(64), uint8(6), uint8(4), uint8(2))  // wider, multi-class
+	f.Fuzz(func(t *testing.T, seed int64, n8, feats8, classes8, minLeaf8 uint8) {
 		n := int(n8%64) + 1
 		feats := int(feats8%8) + 1
 		classes := int(classes8%5) + 1
-		bins := int(bins8)
-		if bins == 1 {
-			bins = 2 // 1 is rejected by config validation; not the target here
-		}
 		rng := rand.New(rand.NewSource(seed))
 		d := &Dataset{X: make([][]float64, n), Y: make([]int, n), NumClasses: classes}
 		for i := range d.X {
@@ -127,7 +123,6 @@ func FuzzFitTree(f *testing.F) {
 			MaxDepth:       int(seed % 7), // 0 = unbounded
 			MinSamplesLeaf: int(minLeaf8),
 			MTry:           feats / 2,
-			Bins:           bins,
 		}
 		tree, err := FitTree(d, nil, cfg, rand.New(rand.NewSource(seed+1)))
 		if err != nil {

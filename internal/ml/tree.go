@@ -15,15 +15,6 @@ type TreeConfig struct {
 	// all features (a plain CART tree). Random forests set this to
 	// roughly sqrt(d).
 	MTry int
-	// Bins opts into histogram-mode induction: every feature is
-	// quantile-binned into at most Bins (2..256) codes and split search
-	// scans bin boundaries instead of sorted-value boundaries. O(n)
-	// split scans and no per-node order maintenance, at the price of
-	// thresholds restricted to bin edges — trees differ from exact mode
-	// (quality parity is OOB-verified in tests), but are equally
-	// deterministic for a given seed. 0 means exact mode, which is
-	// bit-identical to the classic per-node re-sorting implementation.
-	Bins int
 }
 
 func (c TreeConfig) minLeaf() int {
@@ -56,10 +47,7 @@ func FitTree(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (*Tree, erro
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	ctx, err := newTrainCtx(d, cfg.Bins)
-	if err != nil {
-		return nil, err
-	}
+	ctx := newTrainCtx(d)
 	if idx == nil {
 		idx = make([]int, len(d.X))
 		for i := range idx {
@@ -103,8 +91,7 @@ type treeBuilder struct {
 	samples []int32
 	// order holds, per wide slot, the node's samples sorted by that
 	// feature's value: slot w's segment is order[w*nb+lo : w*nb+hi].
-	// Stable partitioning preserves sortedness. Unused in histogram
-	// mode.
+	// Stable partitioning preserves sortedness.
 	order []int32
 	// staleLo/staleHi track, per wide slot, the segment [lo,hi) in
 	// which the feature was found constant and its order stopped being
@@ -134,8 +121,7 @@ type treeBuilder struct {
 	present    []int32 // classes with nonzero counts at the current node
 	leftCount  []int
 	rightCount []int
-	hist       []int32 // per-code class counts (coded scan, histogram mode)
-	histTotal  []int32 // per-code totals (histogram mode)
+	hist       []int32 // per-code class counts (coded scan)
 	seen       []uint8 // per-code occupancy flags (coded scan)
 	touched    []int32 // codes seen at the current node (coded scan)
 }
@@ -202,18 +188,6 @@ func (b *treeBuilder) reset(idx []int) {
 	}
 	b.side = b.side[:(n+63)/64]
 
-	if bs := b.ctx.bins; bs != nil {
-		// Histogram mode keeps only the membership list per node.
-		maxB := 0
-		for _, nb := range bs.nbins {
-			if nb > maxB {
-				maxB = nb
-			}
-		}
-		b.sizeHist(maxB, c)
-		return
-	}
-
 	b.sizeHist(cm.maxK, c)
 	nw := cm.nWide()
 	if cap(b.staleLo) < nw {
@@ -266,12 +240,10 @@ func (b *treeBuilder) sizeHist(maxB, classes int) {
 	}
 	if cap(b.hist) < maxB*classes {
 		b.hist = make([]int32, maxB*classes)
-		b.histTotal = make([]int32, maxB)
 		b.seen = make([]uint8, maxB)
 		b.touched = make([]int32, 0, maxB)
 	}
 	b.hist = b.hist[:maxB*classes]
-	b.histTotal = b.histTotal[:maxB]
 	b.seen = b.seen[:maxB]
 }
 
@@ -320,24 +292,13 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 		return nodeIdx
 	}
 
-	var (
-		feat int
-		thr  float64
-		ok   bool
-	)
-	if b.ctx.bins != nil {
-		feat, thr, ok = b.bestSplitHist(lo, hi, counts)
-	} else {
-		feat, thr, ok = b.bestSplit(lo, hi, counts)
-	}
+	feat, thr, ok := b.bestSplit(lo, hi, counts)
 	if !ok {
 		return nodeIdx
 	}
 
 	// Split membership is decided by the same raw-value comparison the
-	// seed implementation used (x[f] <= thr); in histogram mode the bin
-	// edges are constructed so this agrees with the code comparison.
-	// The float midpoint threshold can round up onto the right-hand
+	// seed implementation used (x[f] <= thr). The float midpoint threshold can round up onto the right-hand
 	// value, leaving one side empty: mirror the seed's guard and leave
 	// a leaf.
 	nLeft := b.markSides(feat, thr, lo, hi)
@@ -375,14 +336,13 @@ func (b *treeBuilder) markSides(feat int, thr float64, lo, hi int) int {
 }
 
 // partition stable-partitions the node segment [lo,hi) of the
-// membership list — and, in exact mode, of every wide feature's sorted
-// order — around the sides recorded by markSides. Stability preserves
-// each order segment's sortedness, which is what lets children skip
-// sorting. Order maintenance stops once no descendant can exceed
-// smallNode (small nodes re-gather from the membership list), and
-// features that became constant in this segment are skipped and marked
-// stale: with no boundaries left, their order is never consulted below
-// here.
+// membership list and of every wide feature's sorted order around the
+// sides recorded by markSides. Stability preserves each order
+// segment's sortedness, which is what lets children skip sorting.
+// Order maintenance stops once no descendant can exceed smallNode
+// (small nodes re-gather from the membership list), and features that
+// became constant in this segment are skipped and marked stale: with
+// no boundaries left, their order is never consulted below here.
 func (b *treeBuilder) partition(lo, hi, nLeft int) {
 	b.partitionSeg(b.samples[lo:hi])
 	// Order segments are consulted only at nodes larger than smallNode
@@ -390,7 +350,7 @@ func (b *treeBuilder) partition(lo, hi, nLeft int) {
 	// only when that child can itself exceed smallNode. When neither
 	// can, the wide orders below this point are dead and left as-is.
 	nRight := hi - lo - nLeft
-	if b.ctx.bins != nil || (nLeft <= smallNode && nRight <= smallNode) {
+	if nLeft <= smallNode && nRight <= smallNode {
 		return
 	}
 	cm := b.ctx.cm
@@ -742,82 +702,6 @@ func (b *treeBuilder) scanCoded(s *splitScan, f, cs, lo, hi int, parentCounts []
 			hist[base+int(c)] = 0
 		}
 	}
-}
-
-// bestSplitHist is the opt-in histogram-mode split search: one O(n)
-// pass accumulates per-bin class counts, then an O(bins·classes) scan
-// evaluates every bin boundary with the O(1) sum-of-squares impurity.
-// Ties break toward the earliest candidate feature and lowest boundary,
-// deterministically.
-func (b *treeBuilder) bestSplitHist(lo, hi int, parentCounts []int) (int, float64, bool) {
-	n := hi - lo
-	y := b.ctx.d.Y
-	bs := b.ctx.bins
-	c := b.ctx.d.NumClasses
-
-	bestGain := math.Inf(-1)
-	bestFeat, bestThr := -1, 0.0
-	parentGini := giniFromCounts(parentCounts, n)
-
-	leftCounts, rightCounts := b.leftCount, b.rightCount
-	minLeaf := b.cfg.minLeaf()
-	inv := b.invTab
-	invN := inv[n]
-	var srParent int64
-	for _, pc := range b.present {
-		srParent += int64(parentCounts[pc]) * int64(parentCounts[pc])
-	}
-
-	for _, f := range b.candidates() {
-		nbins := bs.nbins[f]
-		if nbins < 2 {
-			continue // constant feature: nothing to split
-		}
-		hist := b.hist[:nbins*c]
-		total := b.histTotal[:nbins]
-		clear(hist)
-		clear(total)
-		codes := bs.codes[f*bs.n : (f+1)*bs.n]
-		for _, row := range b.samples[lo:hi] {
-			code := int(codes[row])
-			hist[code*c+y[row]]++
-			total[code]++
-		}
-		b.initSides(parentCounts)
-		sl, sr := int64(0), srParent
-		nl, nr := 0, n
-		for bb := 0; bb < nbins-1; bb++ {
-			if t := total[bb]; t > 0 {
-				base := bb * c
-				for _, cls := range b.present {
-					d := int64(hist[base+int(cls)])
-					if d == 0 {
-						continue
-					}
-					l := int64(leftCounts[cls])
-					sl += d * (2*l + d)
-					leftCounts[cls] = int(l + d)
-					r := int64(rightCounts[cls])
-					sr -= d * (2*r - d)
-					rightCounts[cls] = int(r - d)
-				}
-				nl += int(t)
-				nr -= int(t)
-			}
-			if nl < minLeaf || nr < minLeaf {
-				continue
-			}
-			g := (float64(nl) - float64(sl)*inv[nl] +
-				float64(nr) - float64(sr)*inv[nr]) * invN
-			if gain := parentGini - g; gain > bestGain {
-				bestGain = gain
-				bestFeat = f
-				bestThr = bs.edges[f][bb]
-			}
-		}
-		b.doneSides()
-	}
-	return bestFeat, bestThr, bestFeat >= 0
 }
 
 // giniFromCounts computes 1 - sum(p^2).

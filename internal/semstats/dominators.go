@@ -1,43 +1,5 @@
 package semstats
 
-import "sort"
-
-// dominators computes the immediate-dominator array of the compacted
-// graph with the Cooper-Harvey-Kennedy iterative algorithm. Nodes are
-// already numbered in reverse postorder, so after the first sweep every
-// node's stored idom is strictly smaller than the node itself (its DFS
-// tree parent precedes it), which keeps intersect finite. idom[0] == 0:
-// the entry dominates itself.
-func dominators(g *graph) []int {
-	n := len(g.nodes)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for b := 1; b < n; b++ {
-			newIdom := -1
-			for _, p := range g.nodes[b].preds {
-				if idom[p] < 0 {
-					continue // not yet processed (back-edge pred, first sweep)
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(idom, p, newIdom)
-				}
-			}
-			if newIdom >= 0 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
 // intersect walks both nodes up the dominator tree to their common
 // ancestor. Larger RPO numbers are deeper, so walking always moves the
 // larger index first.
@@ -64,71 +26,4 @@ func dominates(idom []int, a, b int) bool {
 		}
 		b = idom[b]
 	}
-}
-
-// loopInfo is one natural loop: its header node and the body set (the
-// header is a member of its own body).
-type loopInfo struct {
-	header int
-	body   map[int]bool
-}
-
-// naturalLoops finds the back edges (u -> h where h dominates u) of the
-// compacted graph and collects their natural-loop bodies, merging back
-// edges that share a header into one loop. Loops are returned in header
-// order; backEdges counts raw back edges before merging.
-func naturalLoops(g *graph, idom []int) (loops []loopInfo, backEdges int) {
-	byHeader := make(map[int]*loopInfo)
-	var headers []int
-	for u, nd := range g.nodes {
-		for _, h := range nd.succs {
-			if !dominates(idom, h, u) {
-				continue
-			}
-			backEdges++
-			li := byHeader[h]
-			if li == nil {
-				li = &loopInfo{header: h, body: map[int]bool{h: true}}
-				byHeader[h] = li
-				headers = append(headers, h)
-			}
-			// Walk predecessors back from the latch; the header caps
-			// the walk because it is already in the body.
-			stack := []int{u}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if li.body[n] {
-					continue
-				}
-				li.body[n] = true
-				stack = append(stack, g.nodes[n].preds...)
-			}
-		}
-	}
-	sort.Ints(headers)
-	for _, h := range headers {
-		loops = append(loops, *byHeader[h])
-	}
-	return loops, backEdges
-}
-
-// loopDepths returns, per loop, its nesting depth (1 = outermost): the
-// number of loops whose body contains that loop's header. maxDepth is
-// the deepest nesting over all nodes.
-func loopDepths(loops []loopInfo) (depths []int, maxDepth int) {
-	depths = make([]int, len(loops))
-	for i, li := range loops {
-		d := 0
-		for _, other := range loops {
-			if other.body[li.header] {
-				d++
-			}
-		}
-		depths[i] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return depths, maxDepth
 }

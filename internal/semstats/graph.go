@@ -1,9 +1,6 @@
 package semstats
 
-import (
-	"gptattr/internal/cppast"
-	"gptattr/internal/cppcheck"
-)
+import "gptattr/internal/cppast"
 
 // node is one block of the compacted per-function graph. Successor and
 // predecessor edges are indices into graph.nodes.
@@ -22,147 +19,4 @@ type node struct {
 // graph does not. nodes[0] is the entry.
 type graph struct {
 	nodes []*node
-}
-
-// cnode is the pointer-form working node used during compaction.
-type cnode struct {
-	stmts []cppast.Node
-	cond  cppast.Node
-	succs []*cnode
-}
-
-// compact reduces g to its canonical shape. Returns nil for a nil CFG.
-func compact(g *cppcheck.CFG) *graph {
-	if g == nil {
-		return nil
-	}
-	reach := g.Reachable()
-	nodes := make(map[*cppcheck.Block]*cnode, len(g.Blocks))
-	for _, b := range g.Blocks {
-		if reach[b] {
-			nodes[b] = &cnode{stmts: b.Stmts, cond: b.Cond}
-		}
-	}
-	// Resolve edges, skipping trivial empty single-successor blocks.
-	var resolve func(b *cppcheck.Block, seen map[*cppcheck.Block]bool) *cppcheck.Block
-	resolve = func(b *cppcheck.Block, seen map[*cppcheck.Block]bool) *cppcheck.Block {
-		if len(b.Stmts) > 0 || b.Cond != nil || len(b.Succs) != 1 || b == g.Exit || seen[b] {
-			return b
-		}
-		seen[b] = true
-		return resolve(b.Succs[0], seen)
-	}
-	for _, b := range g.Blocks {
-		n := nodes[b]
-		if n == nil {
-			continue
-		}
-		for _, s := range b.Succs {
-			t := resolve(s, map[*cppcheck.Block]bool{})
-			n.succs = append(n.succs, nodes[t])
-		}
-	}
-	entry := nodes[resolve(g.Entry, map[*cppcheck.Block]bool{})]
-	exit := nodes[g.Exit] // nil when the exit is unreachable (infinite loop)
-
-	// Merge straight-line chains: a condition-less node whose single
-	// successor has a single predecessor absorbs it. One merge per
-	// sweep, restarting, keeps the traversal state simple; functions are
-	// small enough that the quadratic bound never matters.
-	preds := func() map[*cnode]int {
-		p := make(map[*cnode]int)
-		var walk func(n *cnode, seen map[*cnode]bool)
-		walk = func(n *cnode, seen map[*cnode]bool) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			for _, s := range n.succs {
-				p[s]++
-				walk(s, seen)
-			}
-		}
-		walk(entry, map[*cnode]bool{})
-		return p
-	}
-	for {
-		p := preds()
-		merged := false
-		var visit func(n *cnode, seen map[*cnode]bool)
-		visit = func(n *cnode, seen map[*cnode]bool) {
-			if seen[n] || merged {
-				return
-			}
-			seen[n] = true
-			if n.cond == nil && len(n.succs) == 1 {
-				s := n.succs[0]
-				if s != n && s != exit && s != entry && p[s] == 1 {
-					n.stmts = append(append([]cppast.Node{}, n.stmts...), s.stmts...)
-					n.cond = s.cond
-					n.succs = s.succs
-					merged = true
-					return
-				}
-			}
-			for _, s := range n.succs {
-				visit(s, seen)
-			}
-		}
-		visit(entry, map[*cnode]bool{})
-		if !merged {
-			break
-		}
-	}
-
-	// Reverse-postorder numbering from the merged entry. RPO guarantees
-	// every non-entry node has a predecessor with a smaller index (its
-	// DFS tree parent), which the dominator pass relies on.
-	var order []*cnode
-	var po func(n *cnode, seen map[*cnode]bool)
-	po = func(n *cnode, seen map[*cnode]bool) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, s := range n.succs {
-			po(s, seen)
-		}
-		order = append(order, n)
-	}
-	po(entry, map[*cnode]bool{})
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	idx := make(map[*cnode]int, len(order))
-	for i, n := range order {
-		idx[n] = i
-	}
-	out := &graph{nodes: make([]*node, len(order))}
-	for i, n := range order {
-		out.nodes[i] = &node{stmts: n.stmts, cond: n.cond}
-	}
-	for i, n := range order {
-		for _, s := range n.succs {
-			j := idx[s]
-			out.nodes[i].succs = append(out.nodes[i].succs, j)
-			out.nodes[j].preds = append(out.nodes[j].preds, i)
-		}
-	}
-	return out
-}
-
-// edgeCount returns the number of edges (parallel edges counted once
-// per pair, matching the usual cyclomatic-complexity convention).
-func (g *graph) edgeCount() int {
-	n := 0
-	for _, nd := range g.nodes {
-		seen := make(map[int]bool, len(nd.succs))
-		for _, s := range nd.succs {
-			if !seen[s] {
-				seen[s] = true
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -5,24 +5,25 @@ import (
 	"gptattr/internal/cppcheck"
 )
 
-// scnode is the index-form working node used by the scratch compactor
-// (the counterpart of cnode, with indices instead of pointers so the
-// slab can be recycled without aliasing hazards).
+// scnode is the working node used during compaction, with successor
+// indices instead of pointers so the slab can be recycled without
+// aliasing hazards.
 type scnode struct {
 	stmts []cppast.Node
 	cond  cppast.Node
 	succs []int32
 }
 
-// graphScratch recycles every piece of storage behind compact():
+// graphScratch recycles every piece of storage behind CFG compaction:
 // the working-node slab, reachability and DFS marks, the merge
 // statement arena, and the output graph itself. One scratch backs one
 // live graph at a time — compactInto invalidates the previous result.
 //
-// The compaction it performs is step-for-step the one in compact()
-// (same resolve short-circuit, same one-merge-per-sweep order, same
-// RPO numbering), so the resulting graph is structurally identical;
-// TestScratchMatchesReference pins that.
+// The compaction it performs is step-for-step the reference compact()
+// in the package tests (same resolve short-circuit, same
+// one-merge-per-sweep order, same RPO numbering), so the resulting
+// graph is structurally identical; TestScratchMatchesReference pins
+// that.
 type graphScratch struct {
 	reach   []bool
 	blockCn []int32 // block ID -> working-node index, -1 unreachable
@@ -103,8 +104,7 @@ func (gs *graphScratch) takeNode() *node {
 }
 
 // resolve follows trivial empty single-successor blocks to their
-// landing block, stopping on a cycle — the iterative twin of the
-// recursive resolve in compact().
+// landing block, stopping on a cycle.
 func (gs *graphScratch) resolve(cfg *cppcheck.CFG, b *cppcheck.Block) *cppcheck.Block {
 	gs.repoch++
 	e := gs.repoch
@@ -115,8 +115,9 @@ func (gs *graphScratch) resolve(cfg *cppcheck.CFG, b *cppcheck.Block) *cppcheck.
 	return b
 }
 
-// compactInto is compact() over recycled storage. The returned graph
-// is owned by the scratch and valid until the next compactInto call.
+// compactInto reduces cfg to its canonical compact graph (nil for a
+// nil CFG) over recycled storage. The returned graph is owned by the
+// scratch and valid until the next compactInto call.
 func (gs *graphScratch) compactInto(cfg *cppcheck.CFG) *graph {
 	if cfg == nil {
 		return nil
@@ -165,12 +166,14 @@ func (gs *graphScratch) compactInto(cfg *cppcheck.CFG) *graph {
 		}
 	}
 	gs.entryCn = gs.blockCn[gs.resolve(cfg, cfg.Entry).ID]
-	gs.exitCn = -1 // unreachable exit (infinite loop): matches nil in compact()
+	gs.exitCn = -1 // unreachable exit (infinite loop)
 	if gs.reach[cfg.Exit.ID] {
 		gs.exitCn = gs.blockCn[cfg.Exit.ID]
 	}
 
-	// Merge straight-line chains, one merge per sweep (see compact()).
+	// Merge straight-line chains: a condition-less node whose single
+	// successor has a single predecessor absorbs it. One merge per
+	// sweep, restarting, keeps the traversal state simple.
 	gs.vmark = growI32(gs.vmark, gs.used)
 	gs.stmtBuf = gs.stmtBuf[:0]
 	for {
@@ -225,8 +228,8 @@ func (gs *graphScratch) predWalk(ci int32) {
 	}
 }
 
-// mergeVisit performs at most one chain merge per call, in the same
-// DFS discovery order as compact()'s visit closure.
+// mergeVisit performs at most one chain merge per call, in DFS
+// discovery order from the entry.
 func (gs *graphScratch) mergeVisit(ci int32) bool {
 	if gs.vmark[ci] == gs.vepoch {
 		return false
@@ -268,8 +271,9 @@ func (gs *graphScratch) poVisit(ci int32) {
 	gs.order = append(gs.order, ci)
 }
 
-// edgeCount is graph.edgeCount over epoch marks instead of a map per
-// node.
+// edgeCount returns the number of edges of g (parallel edges counted
+// once per pair, matching the usual cyclomatic-complexity convention),
+// deduplicating through epoch marks.
 func (gs *graphScratch) edgeCount(g *graph) int {
 	gs.emark = growI32(gs.emark, len(g.nodes))
 	n := 0
@@ -302,7 +306,13 @@ func (gs *graphScratch) release() {
 	gs.g.nodes = gs.g.nodes[:0]
 }
 
-// dominatorsInto is dominators() over a reused idom slice.
+// dominatorsInto computes the immediate-dominator array of the
+// compacted graph into a reused idom slice, with the
+// Cooper-Harvey-Kennedy iterative algorithm. Nodes are already
+// numbered in reverse postorder, so after the first sweep every node's
+// stored idom is strictly smaller than the node itself (its DFS tree
+// parent precedes it), which keeps intersect finite. idom[0] == 0: the
+// entry dominates itself.
 func dominatorsInto(g *graph, idom []int) []int {
 	n := len(g.nodes)
 	if cap(idom) < n {
@@ -339,9 +349,12 @@ func dominatorsInto(g *graph, idom []int) []int {
 	return idom
 }
 
-// loopScratch recycles the natural-loop pass state. Loops are
-// discovered in back-edge order instead of sorted-header order; every
-// consumed output (counts, depth histogram) is order-independent.
+// loopScratch recycles the natural-loop pass state. compute finds the
+// back edges (u -> h where h dominates u) of the compacted graph and
+// collects their natural-loop bodies, merging back edges that share a
+// header into one loop. Loops are discovered in back-edge order
+// instead of sorted-header order; every consumed output (counts, depth
+// histogram) is order-independent.
 type loopScratch struct {
 	headerLoop []int32 // node -> loop index, -1
 	headers    []int32
@@ -397,8 +410,8 @@ func (ls *loopScratch) compute(g *graph, idom []int) {
 	}
 }
 
-// fill writes the loop-nesting numbers into st (the loopDepths
-// aggregation of Stats()).
+// fill writes the loop-nesting numbers into st: a loop's depth
+// (1 = outermost) is the number of loop bodies containing its header.
 func (ls *loopScratch) fill(st *FuncStats) {
 	st.BackEdges = ls.backEdges
 	st.Loops = ls.nLoops

@@ -147,7 +147,9 @@ func (s *Scratch) AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit
 	return out, nil
 }
 
-// funcStats is FuncContext.Stats over the scratch pipeline.
+// funcStats runs every per-function pass and assembles st. Call-graph
+// fields (FanIn/FanOut/Recursive) are left zero; AnalyzeContext fills
+// them from the file-level pass.
 func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	grams := st.ExprGrams
 	if grams == nil {
@@ -220,10 +222,21 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 // per-occurrence allocation.
 const maxGramIntern = 1 << 16
 
-// shaperScratch is the shaper with reused local-set and an intern
-// table for gram strings: grams are rendered into a byte buffer and
-// deduplicated, so steady-state gram emission performs no allocation
-// and repeated grams share one string.
+// shaperScratch renders alpha-normalized expression-shape grams, the
+// semantic cousin of the fingerprint's canonical expression text.
+// Every user-chosen name is erased to its binding class — locals/params
+// to "v", unit globals to "g", unit functions to "f" — while library
+// identifiers (cin, printf, sqrt, ...) pass through with their std::
+// prefix stripped, so idiom survives but renaming cannot move a single
+// gram. Literals reduce to their kind ("lit:int"), member selectors
+// keep their name (push_back vs emplace_back is style), and
+// statement-context ++/--/+=1/-=1 all normalize to one increment form,
+// matching what the pre/post-increment rewriters can reach.
+//
+// The local set is reused across functions, and gram strings are
+// rendered into a byte buffer and interned, so steady-state gram
+// emission performs no allocation and repeated grams share one string.
+// The map-based reference shaper in the package tests pins the output.
 type shaperScratch struct {
 	locals  map[string]bool
 	globals map[string]bool
@@ -276,8 +289,7 @@ func (ss *shaperScratch) bump(out map[string]int) {
 	out[key]++
 }
 
-// appendLabel appends the one-token shape label of e — byte-for-byte
-// what shaper.label returns.
+// appendLabel appends the one-token shape label of e.
 func (ss *shaperScratch) appendLabel(b []byte, e cppast.Node) []byte {
 	switch n := e.(type) {
 	case nil:
@@ -321,8 +333,11 @@ func (ss *shaperScratch) appendLabel(b []byte, e cppast.Node) []byte {
 	}
 }
 
-// gram is shaper.gram over the byte buffer: identical gram strings,
-// no per-gram string building.
+// gram emits the one-level shape gram of e (parent label plus direct
+// child labels) into out, then recurses into the children. stmtCtx
+// marks value-discarding position, where x++ / ++x / x += 1 / x -= 1
+// all collapse to the same increment gram. Grams are built in the
+// byte buffer, never by string concatenation.
 func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 	switch n := e.(type) {
 	case nil, *cppast.Ident, *cppast.Lit:
@@ -424,7 +439,7 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 	}
 }
 
-// stmtGrams is shaper.stmtGrams over the byte buffer.
+// stmtGrams emits grams for one simple (non-control-flow) statement.
 func (ss *shaperScratch) stmtGrams(st cppast.Node, out map[string]int) {
 	switch n := st.(type) {
 	case *cppast.VarDecl:
@@ -455,9 +470,12 @@ func (ss *shaperScratch) stmtGrams(st cppast.Node, out map[string]int) {
 
 // --- call-graph scratch ---
 
-// cgScratch is buildCallGraph over index-addressed storage: defined
-// functions get dense indices, callee sets deduplicate through epoch
-// marks, and the recursion DFS reuses one stack. Callee lists are in
+// cgScratch is the file-level call graph between the unit's own
+// defined functions, over index-addressed storage. Library calls are
+// out of scope here — they show up in the expression-shape grams
+// instead. Defined functions get dense indices, callee sets
+// deduplicate through epoch marks, and the recursion DFS reuses one
+// stack. Callee lists are in
 // discovery order rather than sorted — every consumer (fan-out counts,
 // fan-in totals, reachability) is order-independent.
 type cgScratch struct {

@@ -1,18 +1,19 @@
-// Package semstats is the reusable static-analysis pass framework
-// behind the semantic stylometry feature group. It runs per-function
-// passes over internal/cppcheck's control-flow graphs — CFG compaction
-// to a canonical shape, dominator trees and natural-loop nesting,
-// def-use chain and live-range statistics, a file-level call graph with
+// Package semstats is the static-analysis pass framework behind the
+// semantic stylometry feature group. It runs per-function passes over
+// internal/cppcheck's control-flow graphs — CFG compaction to a
+// canonical shape, dominator trees and natural-loop nesting, def-use
+// chain and live-range statistics, a file-level call graph with
 // fan-in/fan-out and recursion detection, and alpha-normalized
 // expression-shape grams — and aggregates them into FuncStats/FileStats
 // records that internal/stylometry folds into its feature vectors and
 // cmd/cppcheck -metrics prints directly.
 //
-// Every pass result is cached on the FuncContext that computed it, so
-// passes that build on earlier ones (loops need dominators need the
-// compact graph need the CFG) each run at most once per function. All
-// outputs are deterministic: iteration is over slices in source or
-// sorted order, never raw map order.
+// One pipeline ships: Scratch.AnalyzeContext, which runs every pass for
+// a function in sequence over recycled workspace (Analyze and
+// AnalyzeContext wrap it with a fresh Scratch per call). The map-based
+// reference pipeline it replaced lives in the package tests, which
+// diff the two bit-for-bit. All outputs are deterministic: iteration
+// is over slices in source or sorted order, never raw map order.
 //
 // The statistics are deliberately computed on normalized forms — the
 // compact graph erases the for/while distinction, shape grams erase
@@ -24,11 +25,8 @@ package semstats
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"gptattr/internal/cppast"
-	"gptattr/internal/cppcheck"
 )
 
 // PointAnalyze is the fault-injection point at every per-function pass
@@ -89,174 +87,6 @@ type FileStats struct {
 	RecursiveFuncs int          `json:"recursive_funcs"`
 }
 
-// FuncContext carries one function through the pass pipeline, caching
-// each computed artifact (CFG, compact graph, dominator tree, loop
-// nest) so later passes reuse earlier ones instead of recomputing.
-type FuncContext struct {
-	fn      *cppast.FuncDecl
-	funcs   map[string]*cppast.FuncDecl
-	globals map[string]bool
-
-	cfgDone   bool
-	cfg       *cppcheck.CFG
-	g         *graph
-	idom      []int
-	loopsDone bool
-	loops     []loopInfo
-	backEdges int
-}
-
-// NewFuncContext prepares the pass pipeline for fn. funcs maps every
-// defined function of the unit by name (for reference-parameter
-// resolution in the dataflow passes) and globals names the unit's
-// file-scope variables (for shape-gram alpha classes); both may be nil
-// and may be shared across contexts.
-func NewFuncContext(fn *cppast.FuncDecl, funcs map[string]*cppast.FuncDecl, globals map[string]bool) *FuncContext {
-	return &FuncContext{fn: fn, funcs: funcs, globals: globals}
-}
-
-// CFG returns the raw control-flow graph (nil for a bodyless
-// prototype), building it on first use.
-func (c *FuncContext) CFG() *cppcheck.CFG {
-	if !c.cfgDone {
-		c.cfg = cppcheck.BuildCFG(c.fn)
-		c.cfgDone = true
-	}
-	return c.cfg
-}
-
-// compactGraph returns the canonical compacted graph.
-func (c *FuncContext) compactGraph() *graph {
-	if c.g == nil {
-		c.g = compact(c.CFG())
-	}
-	return c.g
-}
-
-// dominatorTree returns the immediate-dominator array of the compact
-// graph.
-func (c *FuncContext) dominatorTree() []int {
-	if c.idom == nil {
-		c.idom = dominators(c.compactGraph())
-	}
-	return c.idom
-}
-
-// loopNest returns the natural loops and raw back-edge count.
-func (c *FuncContext) loopNest() ([]loopInfo, int) {
-	if !c.loopsDone {
-		c.loops, c.backEdges = naturalLoops(c.compactGraph(), c.dominatorTree())
-		c.loopsDone = true
-	}
-	return c.loops, c.backEdges
-}
-
-// Stats runs every per-function pass and assembles the FuncStats.
-// Call-graph fields (FanIn/FanOut/Recursive) are zero here; Analyze
-// fills them from the file-level pass.
-func (c *FuncContext) Stats() *FuncStats {
-	st := &FuncStats{Name: c.fn.Name}
-	g := c.CFG()
-	if g == nil {
-		return st
-	}
-	st.Unsupported = g.Unsupported
-
-	// CFG shape.
-	cg := c.compactGraph()
-	st.Blocks = len(cg.nodes)
-	st.Edges = cg.edgeCount()
-	succTotal := 0
-	for _, nd := range cg.nodes {
-		if len(nd.succs) >= 2 {
-			st.Branches++
-		}
-		succTotal += len(nd.succs)
-	}
-	if st.Blocks > 0 {
-		st.BranchFactor = float64(succTotal) / float64(st.Blocks)
-	}
-	st.Cyclomatic = st.Edges - st.Blocks + 2
-
-	// Loop nesting.
-	loops, back := c.loopNest()
-	st.BackEdges = back
-	st.Loops = len(loops)
-	depths, maxDepth := loopDepths(loops)
-	st.MaxLoopDepth = maxDepth
-	for _, d := range depths {
-		switch {
-		case d <= 1:
-			st.LoopsAtDepth[0]++
-		case d == 2:
-			st.LoopsAtDepth[1]++
-		default:
-			st.LoopsAtDepth[2]++
-		}
-	}
-
-	// Def-use chains (on the raw CFG: the dataflow passes own it).
-	chains := cppcheck.DefUseChains(g, c.funcs)
-	st.Chains = len(chains)
-	for _, ch := range chains {
-		n := len(ch.UseLines)
-		st.ChainUses += n
-		if n > st.MaxChainLen {
-			st.MaxChainLen = n
-		}
-		switch {
-		case n == 0:
-			st.ChainsAtLen[0]++
-		case n == 1:
-			st.ChainsAtLen[1]++
-		case n == 2:
-			st.ChainsAtLen[2]++
-		default:
-			st.ChainsAtLen[3]++
-		}
-	}
-	if st.Chains > 0 {
-		st.MeanChainLen = float64(st.ChainUses) / float64(st.Chains)
-	}
-
-	// Live-range widths.
-	widths := cppcheck.LiveWidths(g, c.funcs)
-	st.Vars = len(widths)
-	for _, w := range widths {
-		st.LiveWidthSum += w.Width
-		if w.Width > st.MaxLiveWidth {
-			st.MaxLiveWidth = w.Width
-		}
-	}
-	if st.Vars > 0 {
-		st.MeanLiveWidth = float64(st.LiveWidthSum) / float64(st.Vars)
-	}
-
-	// Expression shapes, walked over the raw blocks in build order.
-	sh := newShaper(c.fn, c.globals, unitFuncNames(c.funcs))
-	grams := make(map[string]int)
-	for _, b := range g.Blocks {
-		for _, s := range b.Stmts {
-			sh.stmtGrams(s, grams)
-		}
-		if b.Cond != nil {
-			sh.gram(b.Cond, false, grams)
-		}
-	}
-	st.ExprGrams = grams
-	return st
-}
-
-// unitFuncNames converts the defined-function map to the set form the
-// shaper consumes.
-func unitFuncNames(funcs map[string]*cppast.FuncDecl) map[string]bool {
-	out := make(map[string]bool, len(funcs))
-	for name := range funcs {
-		out[name] = true
-	}
-	return out
-}
-
 // Analyze runs the full pass pipeline over one translation unit.
 func Analyze(tu *cppast.TranslationUnit) *FileStats {
 	fs, _ := AnalyzeContext(context.Background(), tu)
@@ -277,57 +107,4 @@ func Analyze(tu *cppast.TranslationUnit) *FileStats {
 // its AnalyzeContext method directly to skip the per-call setup.
 func AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit) (*FileStats, error) {
 	return NewScratch().AnalyzeContext(ctx, tu)
-}
-
-// AnalyzeAllContext is AnalyzeAll under a shared budget, sequential by
-// design (the budget, not a pool, is the bound): units after the point
-// where ctx dies are left nil and the budget error is returned
-// alongside whatever completed. Callers needing all-or-nothing
-// semantics treat err != nil as "discard".
-func AnalyzeAllContext(ctx context.Context, tus []*cppast.TranslationUnit) ([]*FileStats, error) {
-	out := make([]*FileStats, len(tus))
-	for i, tu := range tus {
-		fs, err := AnalyzeContext(ctx, tu)
-		if err != nil {
-			return out, err
-		}
-		out[i] = fs
-	}
-	return out, nil
-}
-
-// AnalyzeAll analyzes units on a bounded worker pool, preserving input
-// order. Results are bit-identical at any worker count: each unit's
-// analysis is independent and deterministic.
-func AnalyzeAll(tus []*cppast.TranslationUnit, workers int) []*FileStats {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tus) {
-		workers = len(tus)
-	}
-	out := make([]*FileStats, len(tus))
-	if workers <= 1 {
-		for i, tu := range tus {
-			out[i] = Analyze(tu)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = Analyze(tus[i])
-			}
-		}()
-	}
-	for i := range tus {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
 }

@@ -254,28 +254,6 @@ func TestDefUseAndLiveStats(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAllMatchesSequential(t *testing.T) {
-	srcs := []string{forSrc, whileSrc,
-		`int f(int n) { if (n <= 1) return 1; return n * f(n - 1); } int main() { return f(5); }`,
-		`int main() { return 0; }`,
-	}
-	tus := make([]*cppast.TranslationUnit, len(srcs))
-	for i, s := range srcs {
-		tu, err := cppast.Parse(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tus[i] = tu
-	}
-	want := AnalyzeAll(tus, 1)
-	for _, workers := range []int{2, 4, 8} {
-		got := AnalyzeAll(tus, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("AnalyzeAll(workers=%d) differs from sequential", workers)
-		}
-	}
-}
-
 func TestPassCaching(t *testing.T) {
 	tu, err := cppast.Parse(forSrc)
 	if err != nil {

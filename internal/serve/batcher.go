@@ -63,13 +63,11 @@ type BatchConfig struct {
 	// batcher feeds it every job's queue delay and honours its current
 	// degrade level as the forced floor for each batch.
 	Brownout *Brownout
-	// extractFn overrides the batch extraction function; tests use it
-	// to observe batch shapes and to block batches deterministically.
-	// Batches run through it bypass degradation (level 0 always).
-	extractFn func(sources []string) ([]stylometry.Features, []error)
-	// extractCtxFn is the budget-aware override: per-job contexts plus
-	// the brownout floor in, per-job degrade levels out. Nil falls back
-	// to extractFn (if set) or stylometry.ExtractEachDegraded.
+	// extractCtxFn overrides the batch extraction function: per-job
+	// contexts plus the brownout floor in, per-job degrade levels out.
+	// Tests use it to observe batch shapes, block batches
+	// deterministically, and force degrade levels. Nil means
+	// stylometry.ExtractEachDegraded.
 	extractCtxFn func(ctxs []context.Context, sources []string,
 		force stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error)
 }
@@ -85,20 +83,12 @@ func (c BatchConfig) withDefaults() BatchConfig {
 		c.QueueDepth = 256
 	}
 	if c.extractCtxFn == nil {
-		if fn := c.extractFn; fn != nil {
-			c.extractCtxFn = func(_ []context.Context, sources []string,
-				_ stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
-				feats, errs := fn(sources)
-				return feats, make([]stylometry.DegradeLevel, len(sources)), errs
-			}
-		} else {
-			workers, cache := c.Workers, c.Cache
-			c.extractCtxFn = func(ctxs []context.Context, sources []string,
-				force stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
-				return stylometry.ExtractEachDegraded(ctxs, sources, force, stylometry.ExtractConfig{
-					Workers: workers, Cache: cache,
-				})
-			}
+		workers, cache := c.Workers, c.Cache
+		c.extractCtxFn = func(ctxs []context.Context, sources []string,
+			force stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
+			return stylometry.ExtractEachDegraded(ctxs, sources, force, stylometry.ExtractConfig{
+				Workers: workers, Cache: cache,
+			})
 		}
 	}
 	return c
@@ -155,21 +145,15 @@ func (b *Batcher) QueueLen() int { return len(b.queue) }
 // Brownout returns the wired overload controller (nil if none).
 func (b *Batcher) Brownout() *Brownout { return b.cfg.Brownout }
 
-// Extract admits one source, waits for its batch, and returns the
-// features. It fails fast with ErrSaturated when the queue is full,
+// ExtractDegraded admits one source, waits for its batch, and returns
+// the features plus the degrade level they were computed at — the
+// serving path uses the level to pick the matching fallback oracle and
+// to stamp X-Degrade-Level. The level reflects both the request's own
+// budget (a deadline that expires mid-extraction sheds the semantic
+// family instead of failing) and the brownout floor in force when the
+// batch ran. It fails fast with ErrSaturated when the queue is full,
 // ErrClosed when draining, or ctx.Err() when the caller's deadline
 // expires first.
-func (b *Batcher) Extract(ctx context.Context, src string) (stylometry.Features, error) {
-	f, _, err := b.ExtractDegraded(ctx, src)
-	return f, err
-}
-
-// ExtractDegraded is Extract plus the degrade level the features were
-// computed at — the serving path uses it to pick the matching fallback
-// oracle and to stamp X-Degrade-Level. The level reflects both the
-// request's own budget (a deadline that expires mid-extraction sheds
-// the semantic family instead of failing) and the brownout floor in
-// force when the batch ran.
 func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.Features, stylometry.DegradeLevel, error) {
 	j := &job{src: src, id: RequestIDFrom(ctx), ctx: ctx, enq: time.Now(), done: make(chan jobResult, 1)}
 	if err := fault.Hit(PointAdmit); err != nil {

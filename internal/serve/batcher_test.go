@@ -42,6 +42,18 @@ func (b *blockingExtractor) fn(sources []string) ([]stylometry.Features, []error
 	return out, errs
 }
 
+// level0 adapts a plain batch extractor to the extractCtxFn hook: it
+// ignores the per-job contexts and the brownout floor, and reports
+// every answer at level 0.
+func level0(fn func(sources []string) ([]stylometry.Features, []error)) func([]context.Context, []string,
+	stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
+	return func(_ []context.Context, sources []string,
+		_ stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
+		feats, errs := fn(sources)
+		return feats, make([]stylometry.DegradeLevel, len(sources)), errs
+	}
+}
+
 func (b *blockingExtractor) batchSizes() []int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -50,7 +62,7 @@ func (b *blockingExtractor) batchSizes() []int {
 
 func TestBatcherCoalesces(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 32, extractFn: ex.fn})
+	b := NewBatcher(BatchConfig{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	results := make(chan error, 6)
@@ -58,7 +70,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		for i := 0; i < n; i++ {
 			src := fmt.Sprintf("src-%d", i)
 			go func() {
-				_, err := b.Extract(context.Background(), src)
+				_, _, err := b.ExtractDegraded(context.Background(), src)
 				results <- err
 			}()
 		}
@@ -97,14 +109,14 @@ func TestBatcherCoalesces(t *testing.T) {
 func TestBatcherSaturationExactlyN(t *testing.T) {
 	const K, N = 4, 3
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractFn: ex.fn})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	type outcome struct{ err error }
 	results := make(chan outcome, 1+K+N)
 	launch := func(ctx context.Context) {
 		go func() {
-			_, err := b.Extract(ctx, "x")
+			_, _, err := b.ExtractDegraded(ctx, "x")
 			results <- outcome{err}
 		}()
 	}
@@ -132,7 +144,7 @@ func TestBatcherSaturationExactlyN(t *testing.T) {
 	saturated := 0
 	for i := 0; i < N; i++ {
 		start := time.Now()
-		_, err := b.Extract(ctx, "overflow")
+		_, _, err := b.ExtractDegraded(ctx, "overflow")
 		if !errors.Is(err, ErrSaturated) {
 			t.Fatalf("overflow request %d: err = %v, want ErrSaturated", i, err)
 		}
@@ -166,11 +178,11 @@ func TestBatcherSaturationExactlyN(t *testing.T) {
 
 func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractFn: ex.fn})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	// Block the loop.
-	go b.Extract(context.Background(), "blocker")
+	go b.ExtractDegraded(context.Background(), "blocker")
 	<-ex.entered
 
 	// A queued request whose deadline passes must return promptly with
@@ -178,7 +190,7 @@ func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := b.Extract(ctx, "queued")
+	_, _, err := b.ExtractDegraded(ctx, "queued")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -188,7 +200,7 @@ func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 	// An already-expired context never reaches extraction.
 	expired, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := b.Extract(expired, "expired"); !errors.Is(err, context.Canceled) {
+	if _, _, err := b.ExtractDegraded(expired, "expired"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired ctx: err = %v", err)
 	}
 	ex.release <- struct{}{}
@@ -205,17 +217,17 @@ func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 
 func TestBatcherCloseDrains(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, extractFn: ex.fn})
+	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, extractCtxFn: level0(ex.fn)})
 
 	results := make(chan error, 5)
 	go func() {
-		_, err := b.Extract(context.Background(), "first")
+		_, _, err := b.ExtractDegraded(context.Background(), "first")
 		results <- err
 	}()
 	<-ex.entered
 	for i := 0; i < 4; i++ {
 		go func() {
-			_, err := b.Extract(context.Background(), "queued")
+			_, _, err := b.ExtractDegraded(context.Background(), "queued")
 			results <- err
 		}()
 	}
@@ -233,7 +245,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 	// it cannot block the test, and keep probing until ErrClosed.
 	for deadline := time.Now().Add(2 * time.Second); ; {
 		probeCtx, probeCancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		_, err := b.Extract(probeCtx, "late")
+		_, _, err := b.ExtractDegraded(probeCtx, "late")
 		probeCancel()
 		if errors.Is(err, ErrClosed) {
 			break
@@ -290,7 +302,7 @@ func TestBatcherRealExtraction(t *testing.T) {
 			if i == 3 {
 				src = "#this is not C++ at all \x00\x01"
 			}
-			feats[i], errs[i] = b.Extract(context.Background(), src)
+			feats[i], _, errs[i] = b.ExtractDegraded(context.Background(), src)
 		}(i)
 	}
 	wg.Wait()

@@ -89,7 +89,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 	logs := &logCapture{}
 	ts, _, b, _ := newTestServer(t, BatchConfig{
 		MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 1,
-		extractFn: ex.fn, Logf: logs.logf,
+		extractCtxFn: level0(ex.fn), Logf: logs.logf,
 	})
 
 	src := sampleSource(t, 0)
@@ -183,7 +183,7 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 	b := NewBatcher(BatchConfig{
 		MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 16,
 		Logf: logs.logf,
-		extractFn: func(sources []string) ([]stylometry.Features, []error) {
+		extractCtxFn: level0(func(sources []string) ([]stylometry.Features, []error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -196,12 +196,12 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 				out[i] = stylometry.Features{"ok": 1}
 			}
 			return out, make([]error, len(sources))
-		},
+		}),
 	})
 	defer b.Close()
 
 	ctx := WithRequestID(context.Background(), "test-panic-1")
-	_, err := b.Extract(ctx, "int main() {}")
+	_, _, err := b.ExtractDegraded(ctx, "int main() {}")
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("panicked batch error = %v, want ErrInternal", err)
 	}
@@ -213,7 +213,7 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 	}
 
 	// The loop survived: the next batch extracts normally.
-	f, err := b.Extract(context.Background(), "int main() {}")
+	f, _, err := b.ExtractDegraded(context.Background(), "int main() {}")
 	if err != nil || f["ok"] != 1 {
 		t.Fatalf("batch after panic: f=%v err=%v", f, err)
 	}
@@ -228,7 +228,7 @@ func TestBatchFaultRetriedTransparently(t *testing.T) {
 
 	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
 	defer b.Close()
-	f, err := b.Extract(context.Background(), "int main() { return 0; }\n")
+	f, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n")
 	if err != nil {
 		t.Fatalf("transient batch faults leaked to caller: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestBatchInjectedPanicRetried(t *testing.T) {
 
 	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
 	defer b.Close()
-	if _, err := b.Extract(context.Background(), "int main() { return 0; }\n"); err != nil {
+	if _, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n"); err != nil {
 		t.Fatalf("injected panic under retry budget leaked: %v", err)
 	}
 }

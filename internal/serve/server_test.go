@@ -212,7 +212,7 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 func TestServerSaturationOverHTTP(t *testing.T) {
 	const K = 3
 	ex := newBlockingExtractor()
-	ts, s, b, _ := newTestServer(t, BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractFn: ex.fn})
+	ts, s, b, _ := newTestServer(t, BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractCtxFn: level0(ex.fn)})
 
 	src := sampleSource(t, 0)
 	codes := make(chan int, 32)
@@ -339,7 +339,7 @@ func TestServerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractFn: ex.fn})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
 	s, err := New(Config{Registry: r, Batcher: b, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -133,3 +133,22 @@ func BenchmarkExtractDegraded(b *testing.B) {
 		PutScratch(sc)
 	}
 }
+
+// semanticFeatures runs the semantic feature group into a feature map
+// (the map-boundary form BenchmarkSemanticFeatures times).
+func semanticFeatures(f Features, tu *cppast.TranslationUnit) {
+	_ = semanticFeaturesCtx(context.Background(), f, tu)
+}
+
+// semanticFeaturesCtx is the budgeted map-boundary form over the vec
+// engine: extraction proper goes through semanticFeaturesCtxVec.
+func semanticFeaturesCtx(ctx context.Context, f Features, tu *cppast.TranslationUnit) error {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	sc.vec.Reset()
+	if err := semanticFeaturesCtxVec(ctx, sc, tu); err != nil {
+		return err
+	}
+	sc.vec.mergeInto(f)
+	return nil
+}

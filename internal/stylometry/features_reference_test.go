@@ -452,3 +452,13 @@ func TestClassifyNameFastAgrees(t *testing.T) {
 		}
 	}
 }
+
+// isOpChar reports whether c is an operator byte (the reference
+// layout pass's operator-spacing test).
+func isOpChar(c byte) bool {
+	switch c {
+	case '=', '<', '>', '!', '+', '-', '*', '/', '%', '&', '|', '^':
+		return true
+	}
+	return false
+}

@@ -52,11 +52,3 @@ func layoutFeaturesVec(fv *FeatureVec, surf *cpptok.Surface,
 	fv.Set(sidSpacedAssignRatio, ratio(surf.EqSpaced, surf.EqTotal))
 	fv.Set(sidSpaceAfterComma, ratio(surf.CommaSpaced, surf.CommaTotal))
 }
-
-func isOpChar(c byte) bool {
-	switch c {
-	case '=', '<', '>', '!', '+', '-', '*', '/', '%', '&', '|', '^':
-		return true
-	}
-	return false
-}

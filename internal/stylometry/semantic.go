@@ -12,8 +12,8 @@ import (
 // vectors instead of silently mixing schemas.
 const SemanticVersion = 1
 
-// semanticFeatures appends the semstats-derived feature group: CFG
-// shape, loop nesting, def-use/live-range distributions, call-graph
+// semanticFeaturesCtxVec appends the semstats-derived feature group:
+// CFG shape, loop nesting, def-use/live-range distributions, call-graph
 // position, and alpha-normalized expression-shape grams. Every feature
 // name carries the "Sem" prefix (FamilySemantic); "SemShape:" grams are
 // open-vocabulary term features, everything else is a fixed scalar.
@@ -22,28 +22,12 @@ const SemanticVersion = 1
 // erased identifiers, block-count live ranges), so it is bit-identical
 // under the rename and layout actions of internal/evade — pinned by
 // TestSemanticInvariantUnderRenameAndLayout.
-func semanticFeatures(f Features, tu *cppast.TranslationUnit) {
-	_ = semanticFeaturesCtx(context.Background(), f, tu)
-}
-
-// semanticFeaturesCtx is the budgeted map-boundary form over the vec
-// engine: extraction proper goes through semanticFeaturesCtxVec.
-func semanticFeaturesCtx(ctx context.Context, f Features, tu *cppast.TranslationUnit) error {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	sc.vec.Reset()
-	if err := semanticFeaturesCtxVec(ctx, sc, tu); err != nil {
-		return err
-	}
-	sc.vec.mergeInto(f)
-	return nil
-}
-
-// semanticFeaturesCtxVec is the budgeted pass: the semstats pipeline
-// checks ctx at every function boundary, and on budget exhaustion NO
-// semantic feature is written — the family is all-or-nothing so the
-// degraded vector's content depends only on the level, never on how
-// far the pass got (determinism under latency storms).
+//
+// The pass is budgeted: the semstats pipeline checks ctx at every
+// function boundary, and on budget exhaustion NO semantic feature is
+// written — the family is all-or-nothing so the degraded vector's
+// content depends only on the level, never on how far the pass got
+// (determinism under latency storms).
 func semanticFeaturesCtxVec(ctx context.Context, sc *Scratch, tu *cppast.TranslationUnit) error {
 	fv := &sc.vec
 	fs, err := sc.sem.AnalyzeContext(ctx, tu)
