@@ -47,8 +47,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	modelDir := fs.String("models", "", "directory with oracle.model / detector.model (plus optional .l1/.l2 degrade-ladder rungs)")
 	queueDepth := fs.Int("queue-depth", 256, "admission queue bound; overflow answers 429")
-	maxBatch := fs.Int("batch", 16, "max requests coalesced into one extraction batch")
-	batchDelay := fs.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch")
+	maxBatch := fs.Int("batch", 16, "max already-queued requests taken into one extraction batch (never waits to fill)")
 	workers := fs.Int("workers", 0, "extraction workers per batch (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed feature cache directory shared across requests")
 	cacheEntries := fs.Int("cache-entries", 4096, "in-memory feature cache size")
@@ -98,7 +97,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	}
 	batcher := serve.NewBatcher(serve.BatchConfig{
 		MaxBatch:   *maxBatch,
-		MaxDelay:   *batchDelay,
 		QueueDepth: *queueDepth,
 		Workers:    *workers,
 		Cache:      cache,

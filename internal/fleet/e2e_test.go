@@ -79,7 +79,7 @@ func (r *e2eReplica) start(addr string) {
 		r.t.Fatalf("replica %s: %v", r.name, err)
 	}
 	batcher := serve.NewBatcher(serve.BatchConfig{
-		MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 128,
+		MaxBatch: 8, QueueDepth: 128,
 	})
 	srv, err := serve.New(serve.Config{Registry: registry, Batcher: batcher, Timeout: 15 * time.Second,
 		Evade: r.evade})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gptattr/internal/arena"
+	"gptattr/internal/featcache"
 	"gptattr/internal/serve/metrics"
 	"gptattr/internal/stylometry"
 )
@@ -159,23 +160,42 @@ func (l *LocalBackend) Observe(met *metrics.Registry) {
 	met.Gauge("model_generation").Set(int64(l.reg.Current().Generation))
 	if bo := l.batcher.Brownout(); bo != nil {
 		met.Gauge("brownout_level").Set(int64(bo.Level()))
-		steps := met.Counter("brownout_steps_up_total")
-		if have := bo.StepsUp(); have > steps.Value() {
-			steps.Add(have - steps.Value())
-		}
-		down := met.Counter("brownout_steps_down_total")
-		if have := bo.StepsDown(); have > down.Value() {
-			down.Add(have - down.Value())
-		}
+		met.Counter("brownout_steps_up_total").Raise(bo.StepsUp())
+		met.Counter("brownout_steps_down_total").Raise(bo.StepsDown())
+	}
+	if c, ok := l.batcher.cfg.Cache.(interface{ Stats() featcache.Stats }); ok {
+		st := c.Stats()
+		met.Counter("featcache_hits_total").Raise(st.Hits)
+		met.Counter("featcache_misses_total").Raise(st.Misses)
+		met.Counter("featcache_disk_hits_total").Raise(st.DiskHits)
+		met.Counter("featcache_evictions_total").Raise(st.Evictions)
 	}
 }
 
-// latencyName returns the per-endpoint histogram name; shared so the
-// router and replica bucket identically.
-func latencyName(endpoint string) string { return endpoint + "_latency" }
+// endpointMetrics holds one endpoint's metric handles.
+type endpointMetrics struct {
+	requests, ok *metrics.Counter
+	degraded     *metrics.Counter // nil for an endpoint that never degrades
+	latency      *metrics.Histogram
+}
 
-// observeEndpoint records one successful request's latency and count.
-func observeEndpoint(met *metrics.Registry, endpoint string, start time.Time) {
-	met.Histogram(latencyName(endpoint)).Observe(time.Since(start))
-	met.Counter(endpoint + "_ok_total").Inc()
+// newEndpointMetrics resolves the <endpoint>_requests_total,
+// <endpoint>_ok_total and <endpoint>_latency handles, plus
+// <endpoint>_degraded_total when the endpoint can answer degraded.
+func newEndpointMetrics(met *metrics.Registry, endpoint string, degradable bool) endpointMetrics {
+	em := endpointMetrics{
+		requests: met.Counter(endpoint + "_requests_total"),
+		ok:       met.Counter(endpoint + "_ok_total"),
+		latency:  met.Histogram(endpoint + "_latency"),
+	}
+	if degradable {
+		em.degraded = met.Counter(endpoint + "_degraded_total")
+	}
+	return em
+}
+
+// observe records one successful request's latency and count.
+func (em *endpointMetrics) observe(start time.Time) {
+	em.latency.Observe(time.Since(start))
+	em.ok.Inc()
 }

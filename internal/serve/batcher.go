@@ -40,13 +40,9 @@ const batchRetries = 3
 
 // BatchConfig tunes the micro-batching extraction queue.
 type BatchConfig struct {
-	// MaxBatch bounds how many requests one batch coalesces
-	// (default 16).
+	// MaxBatch bounds how many already-queued requests one batch
+	// takes (default 16). The loop never waits for a batch to fill.
 	MaxBatch int
-	// MaxDelay bounds how long the collector waits to fill a batch
-	// after its first request arrives (default 2ms). Latency cost of
-	// batching is at most this.
-	MaxDelay time.Duration
 	// QueueDepth bounds admitted-but-unbatched requests; a full queue
 	// rejects with ErrSaturated (default 256).
 	QueueDepth int
@@ -75,9 +71,6 @@ type BatchConfig struct {
 func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -202,9 +195,12 @@ func (b *Batcher) Close() {
 	<-b.loopDone
 }
 
-// loop collects jobs into batches: the first job opens a batch, then
-// the collector takes whatever arrives within MaxDelay up to MaxBatch.
-// A closed queue drains to empty and exits.
+// loop collects jobs into batches without ever waiting for one to
+// fill: it blocks for the first job, takes whatever else is already
+// queued (up to MaxBatch), and runs the batch at once. Jobs that
+// arrive while a batch runs queue up and form the next batch, so batch
+// size grows only when there is a real queue. One batch runs at a
+// time. A closed queue drains to empty and exits.
 func (b *Batcher) loop() {
 	defer close(b.loopDone)
 	for {
@@ -213,7 +209,6 @@ func (b *Batcher) loop() {
 			return
 		}
 		batch := []*job{first}
-		timer := time.NewTimer(b.cfg.MaxDelay)
 	collect:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
@@ -224,11 +219,10 @@ func (b *Batcher) loop() {
 					break collect
 				}
 				batch = append(batch, j)
-			case <-timer.C:
+			default:
 				break collect
 			}
 		}
-		timer.Stop()
 		b.runBatch(batch)
 	}
 }

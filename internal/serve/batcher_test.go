@@ -60,9 +60,12 @@ func (b *blockingExtractor) batchSizes() []int {
 	return append([]int(nil), b.batches...)
 }
 
+// TestBatcherCoalesces pins dispatch on arrival: the loop never waits
+// for a batch to fill, so jobs coalesce only when they queue up behind
+// a running batch.
 func TestBatcherCoalesces(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	results := make(chan error, 6)
@@ -75,11 +78,11 @@ func TestBatcherCoalesces(t *testing.T) {
 			}()
 		}
 	}
-	// First job opens a batch and blocks inside extraction.
+	// The first job runs alone at once and blocks inside extraction.
 	submit(1)
 	<-ex.entered
-	// Five more arrive while the loop is busy; they must coalesce into
-	// ONE second batch, not five.
+	// Five more queue up while the loop is busy; the next batch takes
+	// every one already queued, so they form ONE second batch, not five.
 	submit(5)
 	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < 5; {
 		if time.Now().After(deadline) {
@@ -102,6 +105,52 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 }
 
+// TestBatcherGreedyFormation: with MaxBatch 8 and 20 jobs queued
+// behind a running batch, releasing one batch at a time takes what is
+// queued up to the cap each time, giving batches of exactly 1, 8, 8, 4.
+func TestBatcherGreedyFormation(t *testing.T) {
+	const queued = 20
+	ex := newBlockingExtractor()
+	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
+	defer b.Close()
+
+	results := make(chan error, 1+queued)
+	submit := func(src string) {
+		go func() {
+			_, _, err := b.ExtractDegraded(context.Background(), src)
+			results <- err
+		}()
+	}
+	submit("blocker")
+	if got := <-ex.entered; got != 1 {
+		t.Fatalf("first batch size = %d, want 1", got)
+	}
+	for i := 0; i < queued; i++ {
+		submit(fmt.Sprintf("src-%d", i))
+	}
+	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < queued; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d (at %d)", queued, b.QueueLen())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ex.release <- struct{}{} // finish the blocker's batch
+	for _, want := range []int{8, 8, 4} {
+		if got := <-ex.entered; got != want {
+			t.Errorf("batch size = %d, want %d", got, want)
+		}
+		ex.release <- struct{}{}
+	}
+	for i := 0; i < 1+queued; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+	if sizes := ex.batchSizes(); !reflect.DeepEqual(sizes, []int{1, 8, 8, 4}) {
+		t.Errorf("batch sizes = %v, want [1 8 8 4]", sizes)
+	}
+}
+
 // TestBatcherSaturationExactlyN is the admission-control contract:
 // with queue depth K and K+N outstanding requests beyond the one in
 // flight, exactly N are rejected with ErrSaturated, and nothing hangs
@@ -109,7 +158,7 @@ func TestBatcherCoalesces(t *testing.T) {
 func TestBatcherSaturationExactlyN(t *testing.T) {
 	const K, N = 4, 3
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: K, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	type outcome struct{ err error }
@@ -178,7 +227,7 @@ func TestBatcherSaturationExactlyN(t *testing.T) {
 
 func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
 	defer b.Close()
 
 	// Block the loop.
@@ -217,7 +266,7 @@ func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 
 func TestBatcherCloseDrains(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, extractCtxFn: level0(ex.fn)})
 
 	results := make(chan error, 5)
 	go func() {
@@ -283,7 +332,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 // TestBatcherRealExtraction exercises the default stylometry-backed
 // path end to end, including per-source errors inside a mixed batch.
 func TestBatcherRealExtraction(t *testing.T) {
-	b := NewBatcher(BatchConfig{MaxBatch: 8, MaxDelay: 5 * time.Millisecond, QueueDepth: 16, Workers: 2})
+	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 16, Workers: 2})
 	defer b.Close()
 
 	good := sampleSource(t, 0)

@@ -62,7 +62,7 @@ func TestBrownoutChaosSemstatsLatencyStorm(t *testing.T) {
 	// One worker and small batches so injected semantic latency turns
 	// into real standing queue delay.
 	b := NewBatcher(BatchConfig{
-		MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 256,
+		MaxBatch: 4, QueueDepth: 256,
 		Workers: 1, Brownout: brown,
 	})
 	s, err := New(Config{Registry: r, Batcher: b, Timeout: 30 * time.Second})

@@ -145,7 +145,7 @@ func TestBrownoutForcesBatchLevel(t *testing.T) {
 
 	var sawForce stylometry.DegradeLevel
 	b := NewBatcher(BatchConfig{
-		MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16,
+		MaxBatch: 4, QueueDepth: 16,
 		Brownout: h.b,
 		extractCtxFn: func(ctxs []context.Context, sources []string,
 			force stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {

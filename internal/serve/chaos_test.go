@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"gptattr/internal/fault"
 )
@@ -21,7 +20,7 @@ func TestServeDegradesNeverDrops(t *testing.T) {
 	defer fault.Disable()
 	for _, seed := range []int64{31, 32, 33} {
 		ts, _, _, _ := newTestServer(t, BatchConfig{
-			MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 8, Workers: 1,
+			MaxBatch: 4, QueueDepth: 8, Workers: 1,
 		})
 		src := sampleSource(t, 0)
 

@@ -301,10 +301,9 @@ func (s *Server) decodeEvade(w http.ResponseWriter, r *http.Request, reqID strin
 // async search, 200 + result when the response state is terminal
 // (wait, or a baseline that already met the goal).
 func (s *Server) handleEvade(w http.ResponseWriter, r *http.Request) {
-	met := s.core.Metrics()
-	met.Counter("evade_requests_total").Inc()
-	met.Gauge("inflight").Add(1)
-	defer met.Gauge("inflight").Add(-1)
+	s.evade.requests.Inc()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	start := time.Now()
 
 	reqID := s.core.Begin(w, r)
@@ -323,7 +322,7 @@ func (s *Server) handleEvade(w http.ResponseWriter, r *http.Request) {
 		s.core.FailBackend(w, err, reqID)
 		return
 	}
-	observeEndpoint(met, "evade", start)
+	s.evade.observe(start)
 	status := http.StatusAccepted
 	if evadeTerminal(resp.State) {
 		status = http.StatusOK

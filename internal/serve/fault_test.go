@@ -47,7 +47,7 @@ func (l *logCapture) containing(sub string) []string {
 // response — success, client error, saturation — carries X-Request-Id,
 // and error bodies echo the same ID in request_id.
 func TestRequestIDOnEveryResponse(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
+	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 
 	// Success path: header present and unique per request.
 	seen := map[string]bool{}
@@ -88,7 +88,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 	ex := newBlockingExtractor()
 	logs := &logCapture{}
 	ts, _, b, _ := newTestServer(t, BatchConfig{
-		MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 1,
+		MaxBatch: 1, QueueDepth: 1,
 		extractCtxFn: level0(ex.fn), Logf: logs.logf,
 	})
 
@@ -144,7 +144,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 // the client: 429 with Retry-After and a request_id, then recovery.
 func TestAdmitFaultDegradesTo429(t *testing.T) {
 	defer fault.Disable()
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
+	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 
 	src := sampleSource(t, 0)
 	fault.Enable(11)
@@ -181,7 +181,7 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 	var calls int
 	var mu sync.Mutex
 	b := NewBatcher(BatchConfig{
-		MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 16,
+		MaxBatch: 8, QueueDepth: 16,
 		Logf: logs.logf,
 		extractCtxFn: level0(func(sources []string) ([]stylometry.Features, []error) {
 			mu.Lock()
@@ -226,7 +226,7 @@ func TestBatchFaultRetriedTransparently(t *testing.T) {
 	fault.Enable(12)
 	fault.Set(PointBatch, fault.Policy{Kind: fault.KindError, Limit: batchRetries - 1})
 
-	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
+	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	f, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n")
 	if err != nil {
@@ -248,7 +248,7 @@ func TestBatchInjectedPanicRetried(t *testing.T) {
 	fault.Enable(13)
 	fault.Set(PointBatch, fault.Policy{Kind: fault.KindPanic, Limit: batchRetries - 1})
 
-	b := NewBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
+	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	if _, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n"); err != nil {
 		t.Fatalf("injected panic under retry budget leaked: %v", err)
@@ -260,7 +260,7 @@ func TestBatchInjectedPanicRetried(t *testing.T) {
 // half-swapped state, no downtime.
 func TestReloadFaultKeepsServing(t *testing.T) {
 	defer fault.Disable()
-	ts, _, _, reg := newTestServer(t, BatchConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16, Workers: 1})
+	ts, _, _, reg := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 
 	genBefore := reg.Current().Generation
 	fault.Enable(14)

@@ -126,7 +126,7 @@ func TestRegistryLoadsLadderAtomically(t *testing.T) {
 // deterministically.
 func degradeForcingBatcher(lvl stylometry.DegradeLevel) *Batcher {
 	return NewBatcher(BatchConfig{
-		MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16,
+		MaxBatch: 4, QueueDepth: 16,
 		extractCtxFn: func(ctxs []context.Context, sources []string,
 			_ stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
 			return stylometry.ExtractEachDegraded(ctxs, sources, lvl, stylometry.ExtractConfig{Workers: 1})

@@ -33,6 +33,16 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// Raise lifts the count to n when n is higher, so a counter can mirror
+// a running total kept elsewhere; concurrent callers never overshoot.
+func (c *Counter) Raise(n uint64) {
+	for cur := c.v.Load(); n > cur; cur = c.v.Load() {
+		if c.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Gauge is an instantaneous value that can move both ways (queue
 // depth, in-flight requests, model generation).
 type Gauge struct {

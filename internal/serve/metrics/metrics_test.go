@@ -17,6 +17,11 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
+	c.Raise(9)
+	c.Raise(3) // never lowers
+	if c.Value() != 9 {
+		t.Errorf("raised counter = %d, want 9", c.Value())
+	}
 	var g Gauge
 	g.Set(7)
 	g.Add(-3)

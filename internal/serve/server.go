@@ -67,6 +67,11 @@ type Server struct {
 	backend Backend
 	evader  Evader // nil unless the backend serves /v1/evade
 	mux     *http.ServeMux
+
+	// Metric handles resolved once in New, so the request path does no
+	// registry lookups.
+	inflight                 *metrics.Gauge
+	attribute, detect, evade endpointMetrics
 }
 
 // AttributeRequest is the body of POST /v1/attribute and /v1/detect.
@@ -151,7 +156,13 @@ func New(cfg Config) (*Server, error) {
 		backend = lb
 	}
 	core := NewCore(cfg.Metrics, cfg.Timeout, cfg.MaxBodyBytes, cfg.MaxInflight)
-	s := &Server{core: core, backend: backend, mux: http.NewServeMux()}
+	met := core.Metrics()
+	s := &Server{
+		core: core, backend: backend, mux: http.NewServeMux(),
+		inflight:  met.Gauge("inflight"),
+		attribute: newEndpointMetrics(met, "attribute", true),
+		detect:    newEndpointMetrics(met, "detect", true),
+	}
 	s.mux.HandleFunc("/v1/attribute", s.handleAttribute)
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
 	s.mux.HandleFunc("/v1/reload", s.handleReload)
@@ -163,15 +174,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	if ev, ok := backend.(Evader); ok && ev.EvadeEnabled() {
 		s.evader = ev
+		s.evade = newEndpointMetrics(met, "evade", false)
 		s.mux.HandleFunc("/v1/evade", s.handleEvade)
 		s.mux.HandleFunc("/v1/evade/status", s.handleEvadeStatus)
 	}
 	if cfg.Batcher != nil {
 		// Batch-size observability: average batch = batched_requests_total
 		// / batches_total.
+		batches, batched := met.Counter("batches_total"), met.Counter("batched_requests_total")
 		cfg.Batcher.onBatch = func(n int) {
-			core.Metrics().Counter("batches_total").Inc()
-			core.Metrics().Counter("batched_requests_total").Add(uint64(n))
+			batches.Inc()
+			batched.Add(uint64(n))
 		}
 	}
 	return s, nil
@@ -190,12 +203,11 @@ func (s *Server) Core() *Core { return s.core }
 // handleInference is the shared endpoint body: count, admit, decode,
 // call the backend, map the outcome. call runs the endpoint-specific
 // backend method and returns the response value to encode.
-func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, endpoint string,
+func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics,
 	call func(ctx context.Context, src string) (any, int, error)) {
-	met := s.core.Metrics()
-	met.Counter(endpoint + "_requests_total").Inc()
-	met.Gauge("inflight").Add(1)
-	defer met.Gauge("inflight").Add(-1)
+	em.requests.Inc()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	start := time.Now()
 
 	reqID := s.core.Begin(w, r)
@@ -215,22 +227,22 @@ func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, endpoin
 		return
 	}
 	if level > 0 {
-		met.Counter(endpoint + "_degraded_total").Inc()
+		em.degraded.Inc()
 	}
 	w.Header().Set(DegradeHeader, strconv.Itoa(level))
-	observeEndpoint(met, endpoint, start)
+	em.observe(start)
 	s.core.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAttribute(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, "attribute", func(ctx context.Context, src string) (any, int, error) {
+	s.handleInference(w, r, &s.attribute, func(ctx context.Context, src string) (any, int, error) {
 		resp, err := s.backend.Attribute(ctx, src)
 		return resp, resp.DegradeLevel, err
 	})
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, "detect", func(ctx context.Context, src string) (any, int, error) {
+	s.handleInference(w, r, &s.detect, func(ctx context.Context, src string) (any, int, error) {
 		resp, err := s.backend.Detect(ctx, src)
 		return resp, resp.DegradeLevel, err
 	})

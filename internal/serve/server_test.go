@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gptattr/internal/featcache"
 )
 
 // newTestServer stands up the full stack over the shared fixture
@@ -62,7 +64,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 func TestServerAttributeAndDetect(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 64, Workers: 2})
+	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, QueueDepth: 64, Workers: 2})
 
 	resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: sampleSource(t, 0)})
 	if resp.StatusCode != http.StatusOK {
@@ -205,6 +207,39 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestServerMetricsFeatcacheWarmth: /metrics exports the batcher's
+// feature-cache counters, so a repeated source shows up as a hit.
+func TestServerMetricsFeatcacheWarmth(t *testing.T) {
+	cache, err := featcache.New(featcache.Options{MaxEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1, Cache: cache})
+	src := sampleSource(t, 0)
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("attribute %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"featcache_hits_total 1\n",
+		"featcache_misses_total 1\n",
+		"featcache_disk_hits_total 0\n",
+		"featcache_evictions_total 0\n",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
 // TestServerSaturationOverHTTP drives the admission contract through
 // the HTTP layer: with the batch loop pinned and the queue full,
 // exactly the overflow requests see 429 + Retry-After, and every
@@ -212,7 +247,7 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 func TestServerSaturationOverHTTP(t *testing.T) {
 	const K = 3
 	ex := newBlockingExtractor()
-	ts, s, b, _ := newTestServer(t, BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: K, extractCtxFn: level0(ex.fn)})
+	ts, s, b, _ := newTestServer(t, BatchConfig{MaxBatch: 1, QueueDepth: K, extractCtxFn: level0(ex.fn)})
 
 	src := sampleSource(t, 0)
 	codes := make(chan int, 32)
@@ -276,7 +311,7 @@ func TestServerSaturationOverHTTP(t *testing.T) {
 // while models hot-swap via POST /v1/reload; every request must
 // succeed — a reload never drops in-flight or subsequent traffic.
 func TestServerReloadUnderLoad(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 128, Workers: 2})
+	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, QueueDepth: 128, Workers: 2})
 
 	src := sampleSource(t, 0)
 	stop := make(chan struct{})
@@ -339,7 +374,7 @@ func TestServerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
 	s, err := New(Config{Registry: r, Batcher: b, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
