@@ -1,7 +1,7 @@
 // Command attrserve is the attribution inference server: it loads
 // trained models from a directory and answers attribution and
-// detection queries over HTTP with micro-batched feature extraction,
-// bounded admission, and hot model reload.
+// detection queries over HTTP with feature extraction on a fixed pool
+// of workers, bounded admission, and hot model reload.
 //
 //	attrserve -models ./models -addr :8080
 //
@@ -47,8 +47,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	modelDir := fs.String("models", "", "directory with oracle.model / detector.model (plus optional .l1/.l2 degrade-ladder rungs)")
 	queueDepth := fs.Int("queue-depth", 256, "admission queue bound; overflow answers 429")
-	maxBatch := fs.Int("batch", 16, "max already-queued requests taken into one extraction batch (never waits to fill)")
-	workers := fs.Int("workers", 0, "extraction workers per batch (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "extraction workers (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed feature cache directory shared across requests")
 	cacheEntries := fs.Int("cache-entries", 4096, "in-memory feature cache size")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
@@ -96,7 +95,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		})
 	}
 	batcher := serve.NewBatcher(serve.BatchConfig{
-		MaxBatch:   *maxBatch,
 		QueueDepth: *queueDepth,
 		Workers:    *workers,
 		Cache:      cache,
@@ -179,7 +177,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 				continue
 			}
 			// Graceful shutdown: stop accepting, let in-flight requests
-			// finish, then drain the batch queue.
+			// finish, then drain the extraction queue.
 			fmt.Fprintf(stdout, "attrserve: %v, draining\n", sig)
 			ctx, cancel := context.WithTimeout(context.Background(), *drain)
 			err := httpSrv.Shutdown(ctx)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gptattr/internal/attrib"
@@ -45,10 +44,6 @@ func (s *Suite) ExtensionDegradeLadder() (string, error) {
 	for i, sm := range ev.Samples {
 		sources[i] = sm.Source
 	}
-	ctxs := make([]context.Context, len(sources))
-	for i := range ctxs {
-		ctxs[i] = context.Background()
-	}
 
 	var rows [][]string
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
@@ -59,7 +54,7 @@ func (s *Suite) ExtensionDegradeLadder() (string, error) {
 			return "", err
 		}
 		if !ok {
-			feats, _, errs := stylometry.ExtractEachDegraded(ctxs, sources, lvl,
+			feats, _, errs := stylometry.ExtractEachDegraded(sources, lvl,
 				stylometry.ExtractConfig{Workers: s.workers()})
 			for i, ferr := range errs {
 				if ferr != nil {

@@ -78,9 +78,7 @@ func (r *e2eReplica) start(addr string) {
 	if err != nil {
 		r.t.Fatalf("replica %s: %v", r.name, err)
 	}
-	batcher := serve.NewBatcher(serve.BatchConfig{
-		MaxBatch: 8, QueueDepth: 128,
-	})
+	batcher := serve.NewBatcher(serve.BatchConfig{QueueDepth: 128})
 	srv, err := serve.New(serve.Config{Registry: registry, Batcher: batcher, Timeout: 15 * time.Second,
 		Evade: r.evade})
 	if err != nil {

@@ -34,7 +34,7 @@ func (rt *Router) EvadeSubmit(ctx context.Context, req serve.EvadeRequest) (serv
 	if err != nil {
 		return out, err
 	}
-	rt.met.Counter("fleet_evade_forwards_total").Inc()
+	rt.ctr.evadeForwards.Inc()
 	if err := fault.Hit(PointForward); err != nil {
 		return out, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "router degraded: " + err.Error()}
 	}

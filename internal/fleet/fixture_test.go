@@ -22,6 +22,7 @@ var (
 	oracleBytes []byte
 	detBytes    []byte
 	fixHuman    *corpus.Corpus
+	fixGPT      *corpus.Corpus
 )
 
 func trainModels() {
@@ -59,7 +60,7 @@ func trainModels() {
 		return
 	}
 	oracleBytes, detBytes = ob.Bytes(), db.Bytes()
-	fixHuman = human
+	fixHuman, fixGPT = human, transformed
 }
 
 // modelDir writes the shared trained models into a fresh directory.

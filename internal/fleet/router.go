@@ -153,9 +153,7 @@ type Router struct {
 	names   []string // sorted, for deterministic iteration
 	tracker *Tracker
 	met     *metrics.Registry
-	// forwards is fleet_forwards_total, resolved once at construction
-	// because every routed request bumps it.
-	forwards *metrics.Counter
+	ctr     counters
 
 	inflight map[string]*atomic.Int64
 	breakers map[string]*Breaker
@@ -178,6 +176,37 @@ type Router struct {
 	pollDone chan struct{}
 }
 
+// counters holds the router's event counters, resolved once in New so
+// no event looks a metric up by name. Resolving them up front also
+// lists every one in /metrics at 0 before its first event.
+type counters struct {
+	forwards, evadeForwards                          *metrics.Counter
+	failovers, hedges, hedgeWins                     *metrics.Counter
+	genMismatches, restores, p2cDemotions            *metrics.Counter
+	breakerOpens, breakerHalfOpens, breakerCloses    *metrics.Counter
+	breakerRejects, breakerBypasses, stages, reloads *metrics.Counter
+}
+
+func newCounters(met *metrics.Registry) counters {
+	return counters{
+		forwards:         met.Counter("fleet_forwards_total"),
+		evadeForwards:    met.Counter("fleet_evade_forwards_total"),
+		failovers:        met.Counter("fleet_failovers_total"),
+		hedges:           met.Counter("fleet_hedges_total"),
+		hedgeWins:        met.Counter("fleet_hedge_wins_total"),
+		genMismatches:    met.Counter("fleet_gen_mismatch_total"),
+		restores:         met.Counter("fleet_restores_total"),
+		p2cDemotions:     met.Counter("fleet_p2c_demotions_total"),
+		breakerOpens:     met.Counter("fleet_breaker_opens_total"),
+		breakerHalfOpens: met.Counter("fleet_breaker_halfopens_total"),
+		breakerCloses:    met.Counter("fleet_breaker_closes_total"),
+		breakerRejects:   met.Counter("fleet_breaker_rejects_total"),
+		breakerBypasses:  met.Counter("fleet_breaker_bypasses_total"),
+		stages:           met.Counter("fleet_stages_total"),
+		reloads:          met.Counter("fleet_reloads_total"),
+	}
+}
+
 // New builds the router. Membership is fixed at construction; call
 // Sync to take the initial health census, then Start for background
 // polling.
@@ -192,7 +221,7 @@ func New(cfg Config) (*Router, error) {
 		reps:     make(map[string]*Replica, len(cfg.Replicas)),
 		tracker:  NewTracker(cfg.DeadAfter),
 		met:      cfg.Metrics,
-		forwards: cfg.Metrics.Counter("fleet_forwards_total"),
+		ctr:      newCounters(cfg.Metrics),
 		inflight: make(map[string]*atomic.Int64, len(cfg.Replicas)),
 		breakers: make(map[string]*Breaker, len(cfg.Replicas)),
 		stop:     make(chan struct{}),
@@ -224,11 +253,11 @@ func (rt *Router) newBreaker(name string) *Breaker {
 		rt.tracker.SetBreaker(name, to.String())
 		switch to {
 		case BreakerOpen:
-			rt.met.Counter("fleet_breaker_opens_total").Inc()
+			rt.ctr.breakerOpens.Inc()
 		case BreakerHalfOpen:
-			rt.met.Counter("fleet_breaker_halfopens_total").Inc()
+			rt.ctr.breakerHalfOpens.Inc()
 		case BreakerClosed:
-			rt.met.Counter("fleet_breaker_closes_total").Inc()
+			rt.ctr.breakerCloses.Inc()
 		}
 		rt.logf("fleet: breaker %s: %s -> %s", name, from, to)
 	}
@@ -363,7 +392,7 @@ func (rt *Router) tryRestore(ctx context.Context, name string) {
 	}
 	rt.tracker.MarkAlive(name)
 	rt.ring.SetAlive(name, true)
-	rt.met.Counter("fleet_restores_total").Inc()
+	rt.ctr.restores.Inc()
 	rt.logf("fleet: replica %s restored at generation %d", name, target)
 }
 
@@ -411,7 +440,7 @@ func (rt *Router) pickOrder(key string) []string {
 	if len(order) >= 2 {
 		if rt.inflight[order[0]].Load()-rt.inflight[order[1]].Load() > rt.cfg.P2CSlack {
 			order[0], order[1] = order[1], order[0]
-			rt.met.Counter("fleet_p2c_demotions_total").Inc()
+			rt.ctr.p2cDemotions.Inc()
 		}
 	}
 	return order
@@ -445,7 +474,7 @@ func (rt *Router) attempt(ctx context.Context, name, endpoint, reqID string, bod
 	observed := false
 	if !bypass {
 		if !br.Allow() {
-			rt.met.Counter("fleet_breaker_rejects_total").Inc()
+			rt.ctr.breakerRejects.Inc()
 			out <- attemptResult{name: name, err: errBreakerOpen, hedged: hedged}
 			return
 		}
@@ -486,7 +515,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 	defer rt.flip.RUnlock()
 	expect := rt.fleetGen.Load()
 	reqID := serve.RequestIDFrom(ctx)
-	rt.forwards.Inc()
+	rt.ctr.forwards.Inc()
 	if err := fault.Hit(PointForward); err != nil {
 		return nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "router degraded: " + err.Error()}
 	}
@@ -505,7 +534,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 		}
 	}
 	if bypass {
-		rt.met.Counter("fleet_breaker_bypasses_total").Inc()
+		rt.ctr.breakerBypasses.Inc()
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -541,7 +570,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 				continue
 			}
 			if launch(true) {
-				rt.met.Counter("fleet_hedges_total").Inc()
+				rt.ctr.hedges.Inc()
 			}
 		case res := <-results:
 			launched--
@@ -555,7 +584,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 					// Rejected locally; the replica was never touched,
 					// so its health record must not change.
 				} else {
-					rt.met.Counter("fleet_failovers_total").Inc()
+					rt.ctr.failovers.Inc()
 					rt.replicaDown(res.name, res.err)
 				}
 				if launched == 0 && !launch(res.hedged) {
@@ -565,7 +594,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 				continue
 			}
 			if res.hedged {
-				rt.met.Counter("fleet_hedge_wins_total").Inc()
+				rt.ctr.hedgeWins.Inc()
 			}
 			if res.status != http.StatusOK {
 				// The replica answered: its verdict passes through.
@@ -582,7 +611,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 // was reloaded behind the router's back.
 func (rt *Router) checkGen(got, expect uint64) {
 	if expect != 0 && got != expect {
-		rt.met.Counter("fleet_gen_mismatch_total").Inc()
+		rt.ctr.genMismatches.Inc()
 		rt.logf("fleet: response generation %d != fleet generation %d", got, expect)
 	}
 }
@@ -709,7 +738,7 @@ func (rt *Router) stagePhase(ctx context.Context) (uint64, error) {
 			maxStaged = gens[i]
 		}
 	}
-	rt.met.Counter("fleet_stages_total").Inc()
+	rt.ctr.stages.Inc()
 	rt.logf("fleet: staged generation on %d replicas", len(alive))
 	return maxStaged, nil
 }
@@ -768,7 +797,7 @@ func (rt *Router) commitPhase(ctx context.Context) (uint64, error) {
 		}
 	}
 	rt.fleetGen.Store(newGen)
-	rt.met.Counter("fleet_reloads_total").Inc()
+	rt.ctr.reloads.Inc()
 	rt.met.Gauge("fleet_generation").Set(int64(newGen))
 	rt.logf("fleet: coordinated reload complete, fleet at generation %d (%d/%d replicas)",
 		newGen, len(rt.ring.Alive()), len(rt.names))
@@ -801,13 +830,13 @@ func (rt *Router) Status() FleetStatus {
 		Generation:     rt.fleetGen.Load(),
 		AliveReplicas:  len(rt.ring.Alive()),
 		Replicas:       sts,
-		Forwards:       rt.forwards.Value(),
-		Failovers:      rt.met.Counter("fleet_failovers_total").Value(),
-		Hedges:         rt.met.Counter("fleet_hedges_total").Value(),
-		HedgeWins:      rt.met.Counter("fleet_hedge_wins_total").Value(),
-		GenMismatches:  rt.met.Counter("fleet_gen_mismatch_total").Value(),
-		Restores:       rt.met.Counter("fleet_restores_total").Value(),
-		BreakerOpens:   rt.met.Counter("fleet_breaker_opens_total").Value(),
-		BreakerRejects: rt.met.Counter("fleet_breaker_rejects_total").Value(),
+		Forwards:       rt.ctr.forwards.Value(),
+		Failovers:      rt.ctr.failovers.Value(),
+		Hedges:         rt.ctr.hedges.Value(),
+		HedgeWins:      rt.ctr.hedgeWins.Value(),
+		GenMismatches:  rt.ctr.genMismatches.Value(),
+		Restores:       rt.ctr.restores.Value(),
+		BreakerOpens:   rt.ctr.breakerOpens.Value(),
+		BreakerRejects: rt.ctr.breakerRejects.Value(),
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -502,9 +504,28 @@ func TestRouterP2CDemotion(t *testing.T) {
 	}
 }
 
-// TestRouterStatus spot-checks the /fleet/status payload fields.
+// TestRouterStatus spot-checks the /fleet/status payload fields, and
+// that every router event counter is listed in /metrics at 0 before
+// the first request (New resolves them all up front).
 func TestRouterStatus(t *testing.T) {
-	fakes, rt, _ := newTestFleet(t, 2, func(c *Config) { c.NoHedge = true })
+	fakes, rt, met := newTestFleet(t, 2, func(c *Config) { c.NoHedge = true })
+	var text strings.Builder
+	if err := met.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(text.String(), "\n")
+	for _, name := range []string{
+		"fleet_forwards_total", "fleet_evade_forwards_total",
+		"fleet_failovers_total", "fleet_hedges_total", "fleet_hedge_wins_total",
+		"fleet_gen_mismatch_total", "fleet_restores_total", "fleet_p2c_demotions_total",
+		"fleet_breaker_opens_total", "fleet_breaker_halfopens_total", "fleet_breaker_closes_total",
+		"fleet_breaker_rejects_total", "fleet_breaker_bypasses_total",
+		"fleet_stages_total", "fleet_reloads_total",
+	} {
+		if !slices.Contains(lines, name+" 0") {
+			t.Errorf("/metrics lacks %q before the first request:\n%s", name+" 0", text.String())
+		}
+	}
 	if _, err := attribute(t, rt, "int s() { return 3; }", "status-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ var (
 
 // LocalBackend serves inference from this process: model lookups on
 // the registry's current generation, feature extraction through the
-// micro-batching queue.
+// bounded queue and its extraction workers.
 type LocalBackend struct {
 	reg     *Registry
 	batcher *Batcher

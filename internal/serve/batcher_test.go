@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,185 +11,110 @@ import (
 	"gptattr/internal/stylometry"
 )
 
-// blockingExtractor lets a test hold the batch loop inside an
-// extraction until released, making queue-occupancy deterministic.
+// blockingExtractor lets a test hold extraction workers inside an
+// extraction until released, making queue occupancy deterministic.
+// Sources listed in pass skip the block and return at once.
 type blockingExtractor struct {
-	entered chan int      // batch size, sent on entry
-	release chan struct{} // closed/pinged to let the batch finish
-	mu      sync.Mutex
-	batches []int
+	entered   chan string   // source, sent on entry
+	release   chan struct{} // pinged to let one blocked extraction finish
+	pass      map[string]bool
+	mu        sync.Mutex
+	extracted []string
 }
 
-func newBlockingExtractor() *blockingExtractor {
-	return &blockingExtractor{
-		entered: make(chan int, 64),
+func newBlockingExtractor(pass ...string) *blockingExtractor {
+	b := &blockingExtractor{
+		entered: make(chan string, 64),
 		release: make(chan struct{}, 64),
+		pass:    make(map[string]bool),
 	}
+	for _, src := range pass {
+		b.pass[src] = true
+	}
+	return b
 }
 
-func (b *blockingExtractor) fn(sources []string) ([]stylometry.Features, []error) {
+func (b *blockingExtractor) fn(src string) (stylometry.Features, error) {
 	b.mu.Lock()
-	b.batches = append(b.batches, len(sources))
+	b.extracted = append(b.extracted, src)
 	b.mu.Unlock()
-	b.entered <- len(sources)
-	<-b.release
-	out := make([]stylometry.Features, len(sources))
-	errs := make([]error, len(sources))
-	for i, s := range sources {
-		out[i] = stylometry.Features{"len": float64(len(s))}
+	if !b.pass[src] {
+		b.entered <- src
+		<-b.release
 	}
-	return out, errs
+	return stylometry.Features{"len": float64(len(src))}, nil
 }
 
-// level0 adapts a plain batch extractor to the extractCtxFn hook: it
-// ignores the per-job contexts and the brownout floor, and reports
-// every answer at level 0.
-func level0(fn func(sources []string) ([]stylometry.Features, []error)) func([]context.Context, []string,
-	stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
-	return func(_ []context.Context, sources []string,
-		_ stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
-		feats, errs := fn(sources)
-		return feats, make([]stylometry.DegradeLevel, len(sources)), errs
+// level0 adapts a plain per-source extractor to the extractFn hook: it
+// ignores the job's context and the brownout floor, and reports every
+// answer at level 0.
+func level0(fn func(src string) (stylometry.Features, error)) func(context.Context, string,
+	stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+	return func(_ context.Context, src string, _ stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+		f, err := fn(src)
+		return f, stylometry.DegradeNone, err
 	}
 }
 
-func (b *blockingExtractor) batchSizes() []int {
+func (b *blockingExtractor) sources() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]int(nil), b.batches...)
+	return append([]string(nil), b.extracted...)
 }
 
-// TestBatcherCoalesces pins dispatch on arrival: the loop never waits
-// for a batch to fill, so jobs coalesce only when they queue up behind
-// a running batch.
-func TestBatcherCoalesces(t *testing.T) {
-	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
-	defer b.Close()
-
-	results := make(chan error, 6)
-	submit := func(n int) {
-		for i := 0; i < n; i++ {
-			src := fmt.Sprintf("src-%d", i)
-			go func() {
-				_, _, err := b.ExtractDegraded(context.Background(), src)
-				results <- err
-			}()
-		}
-	}
-	// The first job runs alone at once and blocks inside extraction.
-	submit(1)
-	<-ex.entered
-	// Five more queue up while the loop is busy; the next batch takes
-	// every one already queued, so they form ONE second batch, not five.
-	submit(5)
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < 5; {
+// waitQueueLen polls until the batcher's admission queue holds n jobs.
+func waitQueueLen(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached 5 (at %d)", b.QueueLen())
+			t.Fatalf("queue depth %d, want %d", b.QueueLen(), n)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	ex.release <- struct{}{} // finish batch 1
-	if got := <-ex.entered; got != 5 {
-		t.Errorf("second batch size = %d, want 5", got)
-	}
-	ex.release <- struct{}{} // finish batch 2
-	for i := 0; i < 6; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("job %d: %v", i, err)
-		}
-	}
-	if sizes := ex.batchSizes(); !reflect.DeepEqual(sizes, []int{1, 5}) {
-		t.Errorf("batch sizes = %v, want [1 5]", sizes)
-	}
-}
-
-// TestBatcherGreedyFormation: with MaxBatch 8 and 20 jobs queued
-// behind a running batch, releasing one batch at a time takes what is
-// queued up to the cap each time, giving batches of exactly 1, 8, 8, 4.
-func TestBatcherGreedyFormation(t *testing.T) {
-	const queued = 20
-	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 32, extractCtxFn: level0(ex.fn)})
-	defer b.Close()
-
-	results := make(chan error, 1+queued)
-	submit := func(src string) {
-		go func() {
-			_, _, err := b.ExtractDegraded(context.Background(), src)
-			results <- err
-		}()
-	}
-	submit("blocker")
-	if got := <-ex.entered; got != 1 {
-		t.Fatalf("first batch size = %d, want 1", got)
-	}
-	for i := 0; i < queued; i++ {
-		submit(fmt.Sprintf("src-%d", i))
-	}
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < queued; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached %d (at %d)", queued, b.QueueLen())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ex.release <- struct{}{} // finish the blocker's batch
-	for _, want := range []int{8, 8, 4} {
-		if got := <-ex.entered; got != want {
-			t.Errorf("batch size = %d, want %d", got, want)
-		}
-		ex.release <- struct{}{}
-	}
-	for i := 0; i < 1+queued; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("job %d: %v", i, err)
-		}
-	}
-	if sizes := ex.batchSizes(); !reflect.DeepEqual(sizes, []int{1, 8, 8, 4}) {
-		t.Errorf("batch sizes = %v, want [1 8 8 4]", sizes)
 	}
 }
 
 // TestBatcherSaturationExactlyN is the admission-control contract:
-// with queue depth K and K+N outstanding requests beyond the one in
-// flight, exactly N are rejected with ErrSaturated, and nothing hangs
-// past its deadline.
+// with both of two workers blocked inside extraction, queue depth K,
+// and K+N further requests, exactly N are rejected with ErrSaturated,
+// and nothing hangs past its deadline. Both blocked extractions
+// entering at once also pins that W workers run concurrently.
 func TestBatcherSaturationExactlyN(t *testing.T) {
-	const K, N = 4, 3
+	const W, K, N = 2, 4, 3
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: K, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{Workers: W, QueueDepth: K, extractFn: level0(ex.fn)})
 	defer b.Close()
 
-	type outcome struct{ err error }
-	results := make(chan outcome, 1+K+N)
-	launch := func(ctx context.Context) {
+	results := make(chan error, W+K+N)
+	launch := func() {
 		go func() {
-			_, _, err := b.ExtractDegraded(ctx, "x")
-			results <- outcome{err}
+			_, _, err := b.ExtractDegraded(context.Background(), "x")
+			results <- err
 		}()
 	}
 
-	// One request enters extraction and blocks there (queue stays
-	// empty while it runs).
-	launch(context.Background())
-	<-ex.entered
+	// W requests enter extraction and block there, one per worker
+	// (the queue stays empty while they run).
+	for i := 0; i < W; i++ {
+		launch()
+	}
+	for i := 0; i < W; i++ {
+		select {
+		case <-ex.entered:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of %d workers entered extraction", i, W)
+		}
+	}
 
 	// K requests fill the admission queue exactly.
 	for i := 0; i < K; i++ {
-		launch(context.Background())
+		launch()
 	}
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < K; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want %d", b.QueueLen(), K)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueLen(t, b, K)
 
 	// N more must be turned away immediately — each with ErrSaturated,
 	// well before its deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	saturated := 0
 	for i := 0; i < N; i++ {
 		start := time.Now()
 		_, _, err := b.ExtractDegraded(ctx, "overflow")
@@ -200,37 +124,58 @@ func TestBatcherSaturationExactlyN(t *testing.T) {
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("rejection took %v; admission must not block", d)
 		}
-		saturated++
-	}
-	if saturated != N {
-		t.Fatalf("saturated = %d, want exactly %d", saturated, N)
 	}
 
-	// Release the blocked batches: every admitted request completes.
-	ex.release <- struct{}{}
-	for i := 0; i < K; i++ {
-		<-ex.entered // next queued job enters its own batch
+	// Release every extraction: every admitted request completes.
+	for i := 0; i < W+K; i++ {
 		ex.release <- struct{}{}
 	}
-	admitted := 0
-	for i := 0; i < 1+K; i++ {
-		res := <-results
-		if res.err != nil {
-			t.Errorf("admitted request failed: %v", res.err)
+	for i := 0; i < W+K; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted request failed: %v", err)
 		}
-		admitted++
 	}
-	if admitted != 1+K {
-		t.Errorf("admitted completions = %d, want %d", admitted, 1+K)
+	if got := len(ex.sources()); got != W+K {
+		t.Errorf("extractions = %d, want %d (overflow must never reach a worker)", got, W+K)
+	}
+}
+
+// TestBatcherSlowSourceHoldsOneWorker pins head-of-line isolation: with
+// two workers and one extraction blocked, another request still
+// completes well inside its deadline on the free worker.
+func TestBatcherSlowSourceHoldsOneWorker(t *testing.T) {
+	ex := newBlockingExtractor("fast")
+	b := NewBatcher(BatchConfig{Workers: 2, QueueDepth: 8, extractFn: level0(ex.fn)})
+	defer b.Close()
+
+	slow := make(chan error, 1)
+	go func() {
+		_, _, err := b.ExtractDegraded(context.Background(), "slow")
+		slow <- err
+	}()
+	<-ex.entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	f, _, err := b.ExtractDegraded(ctx, "fast")
+	if err != nil {
+		t.Fatalf("request behind a blocked extraction: %v", err)
+	}
+	if f["len"] != float64(len("fast")) {
+		t.Fatalf("features %v, want len %d", f, len("fast"))
+	}
+	ex.release <- struct{}{}
+	if err := <-slow; err != nil {
+		t.Fatalf("slow request: %v", err)
 	}
 }
 
 func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{Workers: 1, QueueDepth: 8, extractFn: level0(ex.fn)})
 	defer b.Close()
 
-	// Block the loop.
+	// Block the only worker.
 	go b.ExtractDegraded(context.Background(), "blocker")
 	<-ex.entered
 
@@ -253,20 +198,17 @@ func TestBatcherHonoursDeadlineWhileQueued(t *testing.T) {
 		t.Fatalf("expired ctx: err = %v", err)
 	}
 	ex.release <- struct{}{}
-	// The expired job is answered without extraction: only the blocker
-	// and (possibly) the timed-out queued job ran.
-	ex.release <- struct{}{}
 	b.Close()
-	for _, n := range ex.batchSizes() {
-		if n != 1 {
-			t.Errorf("batch of %d, want all batches of 1", n)
-		}
+	// Both expired jobs are answered without extraction: only the
+	// blocker ran.
+	if got := ex.sources(); !reflect.DeepEqual(got, []string{"blocker"}) {
+		t.Errorf("extracted %q, want only the blocker", got)
 	}
 }
 
 func TestBatcherCloseDrains(t *testing.T) {
 	ex := newBlockingExtractor()
-	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{Workers: 1, QueueDepth: 16, extractFn: level0(ex.fn)})
 
 	results := make(chan error, 5)
 	go func() {
@@ -280,12 +222,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 			results <- err
 		}()
 	}
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < 4; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want 4", b.QueueLen())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueLen(t, b, 4)
 
 	closed := make(chan struct{})
 	go func() { b.Close(); close(closed) }()
@@ -304,8 +241,8 @@ func TestBatcherCloseDrains(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Release all in-flight batches; Close must then return and every
-	// admitted job must have an answer.
+	// Release every in-flight extraction; Close must then return and
+	// every admitted job must have an answer.
 	go func() {
 		for range ex.entered {
 			ex.release <- struct{}{}
@@ -330,9 +267,10 @@ func TestBatcherCloseDrains(t *testing.T) {
 }
 
 // TestBatcherRealExtraction exercises the default stylometry-backed
-// path end to end, including per-source errors inside a mixed batch.
+// path end to end, including a per-source error among concurrent
+// requests.
 func TestBatcherRealExtraction(t *testing.T) {
-	b := NewBatcher(BatchConfig{MaxBatch: 8, QueueDepth: 16, Workers: 2})
+	b := NewBatcher(BatchConfig{QueueDepth: 16, Workers: 2})
 	defer b.Close()
 
 	good := sampleSource(t, 0)
@@ -364,7 +302,7 @@ func TestBatcherRealExtraction(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(feats[i], want) {
-			t.Errorf("source %d: batched features differ from direct extraction", i)
+			t.Errorf("source %d: served features differ from direct extraction", i)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 type Brownout struct {
 	cfg BrownoutConfig
 
-	// level is the current forced floor, read lock-free per batch.
+	// level is the current forced floor, read lock-free per extraction.
 	level atomic.Int32
 
 	// stepsUp/stepsDown count transitions for /metrics.
@@ -89,8 +89,9 @@ func (b *Brownout) StepsUp() uint64 { return b.stepsUp.Load() }
 // StepsDown reports how many times the controller has recovered a level.
 func (b *Brownout) StepsDown() uint64 { return b.stepsDown.Load() }
 
-// Observe feeds one request's queue delay (admission to batch start).
-// The batcher calls it for every job in every batch, expired or not.
+// Observe feeds one request's queue delay (admission to the start of
+// its extraction). The batcher's workers call it for every job,
+// expired or not.
 func (b *Brownout) Observe(delay time.Duration) {
 	now := b.cfg.now()
 	b.mu.Lock()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -59,12 +58,9 @@ func TestBrownoutChaosSemstatsLatencyStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker and small batches so injected semantic latency turns
-	// into real standing queue delay.
-	b := NewBatcher(BatchConfig{
-		MaxBatch: 4, QueueDepth: 256,
-		Workers: 1, Brownout: brown,
-	})
+	// One worker so injected semantic latency turns into real standing
+	// queue delay.
+	b := NewBatcher(BatchConfig{QueueDepth: 256, Workers: 1, Brownout: brown})
 	s, err := New(Config{Registry: r, Batcher: b, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +73,9 @@ func TestBrownoutChaosSemstatsLatencyStorm(t *testing.T) {
 		Kind: fault.KindLatency, Latency: 3 * time.Millisecond, Prob: 1.0,
 	})
 
-	// More closed-loop clients than one batch can carry: the overflow
-	// has to queue behind an in-flight batch, which is exactly the
-	// standing delay the controller watches.
+	// More closed-loop clients than one worker can carry: the overflow
+	// has to queue behind the in-flight extraction, which is exactly
+	// the standing delay the controller watches.
 	const clients, perClient = 12, 6
 	type answer struct {
 		status int
@@ -181,22 +177,18 @@ func TestBrownoutChaosSemstatsLatencyStorm(t *testing.T) {
 }
 
 // TestDegradedExtractionWorkerCountInvariant pins the determinism half
-// of the brownout contract: degraded batch extraction is byte-identical
+// of the brownout contract: degraded extraction is byte-identical
 // at any worker count, for every forced level.
 func TestDegradedExtractionWorkerCountInvariant(t *testing.T) {
 	sources := make([]string, 10)
 	for i := range sources {
 		sources[i] = sampleSource(t, i)
 	}
-	ctxs := make([]context.Context, len(sources))
-	for i := range ctxs {
-		ctxs[i] = context.Background()
-	}
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-		ref, refLevels, refErrs := stylometry.ExtractEachDegraded(ctxs, sources, lvl,
+		ref, refLevels, refErrs := stylometry.ExtractEachDegraded(sources, lvl,
 			stylometry.ExtractConfig{Workers: 1})
 		for _, workers := range []int{2, 4} {
-			got, gotLevels, gotErrs := stylometry.ExtractEachDegraded(ctxs, sources, lvl,
+			got, gotLevels, gotErrs := stylometry.ExtractEachDegraded(sources, lvl,
 				stylometry.ExtractConfig{Workers: workers})
 			if !reflect.DeepEqual(refLevels, gotLevels) {
 				t.Fatalf("level %v: degrade levels differ between workers=1 and workers=%d", lvl, workers)

@@ -130,13 +130,13 @@ func TestBrownoutRecoversOnClearedQueue(t *testing.T) {
 }
 
 // TestBrownoutForcesBatchLevel pins the batcher integration: with the
-// controller already browned out, every batch extracts at the forced
-// floor and reports it per job.
+// controller already browned out, every extraction runs at the forced
+// floor and the job reports it.
 func TestBrownoutForcesBatchLevel(t *testing.T) {
 	h := newBrownoutHarness(25*time.Millisecond, 100*time.Millisecond)
 	h.window(500 * time.Millisecond)
 	// Closing the overloaded window steps up to 1 and starts a healthy
-	// window, so the batch's own Observe below cannot trigger another
+	// window, so the job's own Observe below cannot trigger another
 	// decision mid-test.
 	h.b.Observe(2 * time.Millisecond)
 	if h.b.Level() != stylometry.DegradeNoSemantic {
@@ -145,19 +145,12 @@ func TestBrownoutForcesBatchLevel(t *testing.T) {
 
 	var sawForce stylometry.DegradeLevel
 	b := NewBatcher(BatchConfig{
-		MaxBatch: 4, QueueDepth: 16,
+		Workers: 1, QueueDepth: 16,
 		Brownout: h.b,
-		extractCtxFn: func(ctxs []context.Context, sources []string,
-			force stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
+		extractFn: func(_ context.Context, _ string,
+			force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
 			sawForce = force
-			feats := make([]stylometry.Features, len(sources))
-			levels := make([]stylometry.DegradeLevel, len(sources))
-			errs := make([]error, len(sources))
-			for i := range sources {
-				feats[i] = stylometry.Features{"x": 1}
-				levels[i] = force
-			}
-			return feats, levels, errs
+			return stylometry.Features{"x": 1}, force, nil
 		},
 	})
 	defer b.Close()
@@ -167,7 +160,7 @@ func TestBrownoutForcesBatchLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sawForce != stylometry.DegradeNoSemantic {
-		t.Fatalf("batch ran with force %v, want brownout floor %v", sawForce, stylometry.DegradeNoSemantic)
+		t.Fatalf("extraction ran with force %v, want brownout floor %v", sawForce, stylometry.DegradeNoSemantic)
 	}
 	if lvl != stylometry.DegradeNoSemantic {
 		t.Fatalf("job answered level %v, want %v", lvl, stylometry.DegradeNoSemantic)

@@ -20,7 +20,7 @@ func TestServeDegradesNeverDrops(t *testing.T) {
 	defer fault.Disable()
 	for _, seed := range []int64{31, 32, 33} {
 		ts, _, _, _ := newTestServer(t, BatchConfig{
-			MaxBatch: 4, QueueDepth: 8, Workers: 1,
+			QueueDepth: 8, Workers: 1,
 		})
 		src := sampleSource(t, 0)
 

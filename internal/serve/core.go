@@ -122,12 +122,12 @@ func (c *Core) WriteJSON(w http.ResponseWriter, status int, v any) {
 func (c *Core) WriteError(w http.ResponseWriter, status int, msg, reqID string) {
 	switch status {
 	case http.StatusTooManyRequests:
-		// Closed-loop clients should back off; micro-batch turnaround
-		// is milliseconds, so one second is conservative.
+		// Closed-loop clients should back off; a queued extraction
+		// turns around in milliseconds, so one second is conservative.
 		w.Header().Set("Retry-After", "1")
 	case http.StatusServiceUnavailable:
 		// 503s are transient by contract here — a draining replica, a
-		// lost forwarded job, a contained batch failure — so tell
+		// lost forwarded job, a contained extraction failure — so tell
 		// clients when to come back instead of letting them hammer.
 		w.Header().Set("Retry-After", "1")
 	}

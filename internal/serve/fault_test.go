@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"gptattr/internal/fault"
 	"gptattr/internal/stylometry"
@@ -47,7 +47,7 @@ func (l *logCapture) containing(sub string) []string {
 // response — success, client error, saturation — carries X-Request-Id,
 // and error bodies echo the same ID in request_id.
 func TestRequestIDOnEveryResponse(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
+	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1})
 
 	// Success path: header present and unique per request.
 	seen := map[string]bool{}
@@ -82,14 +82,14 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 }
 
 // TestSaturationRejectionTraceable saturates a depth-1 queue behind a
-// wedged batch and asserts the 429 carries the request ID in header,
+// wedged worker and asserts the 429 carries the request ID in header,
 // body, and the batcher's own log line — one grep ties all three.
 func TestSaturationRejectionTraceable(t *testing.T) {
 	ex := newBlockingExtractor()
 	logs := &logCapture{}
 	ts, _, b, _ := newTestServer(t, BatchConfig{
-		MaxBatch: 1, QueueDepth: 1,
-		extractCtxFn: level0(ex.fn), Logf: logs.logf,
+		Workers: 1, QueueDepth: 1,
+		extractFn: level0(ex.fn), Logf: logs.logf,
 	})
 
 	src := sampleSource(t, 0)
@@ -105,12 +105,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 	go post()
 	<-ex.entered
 	go post()
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueLen(t, b, 1)
 
 	// Third request must be rejected 429, traceably.
 	resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: src})
@@ -129,7 +124,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 		t.Fatalf("no batcher log line mentions rejected request %s; logs: %q", id, logs.all())
 	}
 
-	// Drain: release both wedged batches; the admitted requests finish.
+	// Drain: release both wedged extractions; the admitted requests finish.
 	ex.release <- struct{}{}
 	ex.release <- struct{}{}
 	for i := 0; i < 2; i++ {
@@ -144,7 +139,7 @@ func TestSaturationRejectionTraceable(t *testing.T) {
 // the client: 429 with Retry-After and a request_id, then recovery.
 func TestAdmitFaultDegradesTo429(t *testing.T) {
 	defer fault.Disable()
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
+	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1})
 
 	src := sampleSource(t, 0)
 	fault.Enable(11)
@@ -173,29 +168,19 @@ func TestAdmitFaultDegradesTo429(t *testing.T) {
 }
 
 // TestBatchPanicAnsweredNotDropped panics the extraction function for
-// one whole batch and asserts the contract: every job in the batch is
-// answered (ErrInternal → 503), the collector loop survives, and the
-// next batch extracts normally.
+// one job and asserts the contract: the job is answered (ErrInternal →
+// 503), the worker survives, and the next job extracts normally.
 func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 	logs := &logCapture{}
-	var calls int
-	var mu sync.Mutex
+	var calls atomic.Int32
 	b := NewBatcher(BatchConfig{
-		MaxBatch: 8, QueueDepth: 16,
+		Workers: 1, QueueDepth: 16,
 		Logf: logs.logf,
-		extractCtxFn: level0(func(sources []string) ([]stylometry.Features, []error) {
-			mu.Lock()
-			calls++
-			first := calls == 1
-			mu.Unlock()
-			if first {
+		extractFn: level0(func(string) (stylometry.Features, error) {
+			if calls.Add(1) == 1 {
 				panic("synthetic extraction defect")
 			}
-			out := make([]stylometry.Features, len(sources))
-			for i := range sources {
-				out[i] = stylometry.Features{"ok": 1}
-			}
-			return out, make([]error, len(sources))
+			return stylometry.Features{"ok": 1}, nil
 		}),
 	})
 	defer b.Close()
@@ -203,34 +188,34 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 	ctx := WithRequestID(context.Background(), "test-panic-1")
 	_, _, err := b.ExtractDegraded(ctx, "int main() {}")
 	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("panicked batch error = %v, want ErrInternal", err)
+		t.Fatalf("panicked extraction error = %v, want ErrInternal", err)
 	}
 	if !strings.Contains(err.Error(), "synthetic extraction defect") {
 		t.Fatalf("error %v does not carry the panic value", err)
 	}
 	if got := logs.containing("test-panic-1"); len(got) == 0 {
-		t.Fatalf("batch-failure log does not name the request; logs: %q", logs.all())
+		t.Fatalf("extraction-failure log does not name the request; logs: %q", logs.all())
 	}
 
-	// The loop survived: the next batch extracts normally.
+	// The worker survived: the next job extracts normally.
 	f, _, err := b.ExtractDegraded(context.Background(), "int main() {}")
 	if err != nil || f["ok"] != 1 {
-		t.Fatalf("batch after panic: f=%v err=%v", f, err)
+		t.Fatalf("extraction after panic: f=%v err=%v", f, err)
 	}
 }
 
-// TestBatchFaultRetriedTransparently arms a transient batch fault
+// TestBatchFaultRetriedTransparently arms a transient extraction fault
 // below the retry budget: callers never see it.
 func TestBatchFaultRetriedTransparently(t *testing.T) {
 	defer fault.Disable()
 	fault.Enable(12)
 	fault.Set(PointBatch, fault.Policy{Kind: fault.KindError, Limit: batchRetries - 1})
 
-	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
+	b := NewBatcher(BatchConfig{QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	f, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n")
 	if err != nil {
-		t.Fatalf("transient batch faults leaked to caller: %v", err)
+		t.Fatalf("transient extraction faults leaked to caller: %v", err)
 	}
 	if len(f) == 0 {
 		t.Fatal("no features extracted")
@@ -248,7 +233,7 @@ func TestBatchInjectedPanicRetried(t *testing.T) {
 	fault.Enable(13)
 	fault.Set(PointBatch, fault.Policy{Kind: fault.KindPanic, Limit: batchRetries - 1})
 
-	b := NewBatcher(BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
+	b := NewBatcher(BatchConfig{QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	if _, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n"); err != nil {
 		t.Fatalf("injected panic under retry budget leaked: %v", err)
@@ -260,7 +245,7 @@ func TestBatchInjectedPanicRetried(t *testing.T) {
 // half-swapped state, no downtime.
 func TestReloadFaultKeepsServing(t *testing.T) {
 	defer fault.Disable()
-	ts, _, _, reg := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1})
+	ts, _, _, reg := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1})
 
 	genBefore := reg.Current().Generation
 	fault.Enable(14)

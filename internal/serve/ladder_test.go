@@ -126,10 +126,10 @@ func TestRegistryLoadsLadderAtomically(t *testing.T) {
 // deterministically.
 func degradeForcingBatcher(lvl stylometry.DegradeLevel) *Batcher {
 	return NewBatcher(BatchConfig{
-		MaxBatch: 4, QueueDepth: 16,
-		extractCtxFn: func(ctxs []context.Context, sources []string,
-			_ stylometry.DegradeLevel) ([]stylometry.Features, []stylometry.DegradeLevel, []error) {
-			return stylometry.ExtractEachDegraded(ctxs, sources, lvl, stylometry.ExtractConfig{Workers: 1})
+		QueueDepth: 16,
+		extractFn: func(ctx context.Context, src string,
+			_ stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+			return stylometry.ExtractCached(ctx, src, lvl, nil)
 		},
 	})
 }

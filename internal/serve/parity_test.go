@@ -142,14 +142,16 @@ func diffDetect(got, want DetectResponse) error {
 
 // parityCase is one point of the serving-settings matrix.
 type parityCase struct {
-	cache    string // "none", "warm" (in-memory LRU) or "disk" (fresh cache on a warmed Dir)
-	maxBatch int
-	workers  int
-	floor    stylometry.DegradeLevel
+	cache string // "none", "warm" (in-memory LRU) or "disk" (fresh cache on a warmed Dir)
+	// batch is how many requests the client sends together: 1 sends
+	// them one at a time, 16 keeps every request in flight at once.
+	batch   int
+	workers int
+	floor   stylometry.DegradeLevel
 }
 
 func (c parityCase) String() string {
-	return fmt.Sprintf("cache=%s/batch=%d/workers=%d/floor=%d", c.cache, c.maxBatch, c.workers, c.floor)
+	return fmt.Sprintf("cache=%s/batch=%d/workers=%d/floor=%d", c.cache, c.batch, c.workers, c.floor)
 }
 
 // parityCache builds the case's feature cache. Warm and disk caches
@@ -200,10 +202,10 @@ type parityReply struct {
 
 // TestAnswerParityAcrossServingSettings pins that the HTTP answer for a
 // source is exactly the offline answer at the level the server reports,
-// whatever the cache state, batch size, worker count, or brownout
-// floor: the batcher, cache, JSON encoding and ladder lookup add no
-// drift. A cache hit must report level 0 (cached vectors are full); a
-// miss must report the forced floor.
+// whatever the cache state, client concurrency, worker count, or
+// brownout floor: the batcher, cache, JSON encoding and ladder lookup
+// add no drift. A cache hit must report level 0 (cached vectors are
+// full); a miss must report the forced floor.
 func TestAnswerParityAcrossServingSettings(t *testing.T) {
 	dir := ladderDir(t)
 	sources := paritySources(t)
@@ -216,10 +218,10 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 
 	var cases []parityCase
 	for _, cache := range []string{"none", "warm", "disk"} {
-		for _, maxBatch := range []int{1, 16} {
-			for _, workers := range []int{1, 2} {
+		for _, batch := range []int{1, 16} {
+			for _, workers := range []int{1, 2, 4} {
 				for floor := stylometry.DegradeNone; floor <= stylometry.MaxDegrade; floor++ {
-					cases = append(cases, parityCase{cache, maxBatch, workers, floor})
+					cases = append(cases, parityCase{cache, batch, workers, floor})
 				}
 			}
 		}
@@ -235,7 +237,7 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 			// from ever deciding: the floor stays where it is set.
 			br := NewBrownout(BrownoutConfig{Window: time.Hour})
 			br.level.Store(int32(c.floor))
-			b := NewBatcher(BatchConfig{MaxBatch: c.maxBatch, Workers: c.workers, Cache: fc, Brownout: br})
+			b := NewBatcher(BatchConfig{Workers: c.workers, Cache: fc, Brownout: br})
 			s, err := New(Config{Registry: reg, Batcher: b, Timeout: time.Minute})
 			if err != nil {
 				t.Fatal(err)
@@ -243,11 +245,13 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(func() { ts.Close(); b.Close() })
 
-			// Every request in flight at once, so MaxBatch 16 actually
-			// coalesces mixed hit/miss batches.
+			// Requests go out in groups of c.batch; with 16 every
+			// request is in flight at once, so every worker runs and
+			// hits and misses interleave on the queue.
 			replies := make([]parityReply, 0, 2*len(sources))
 			var mu sync.Mutex
 			var wg sync.WaitGroup
+			sent := 0
 			for i, src := range sources {
 				for _, ep := range []string{"attribute", "detect"} {
 					wg.Add(1)
@@ -263,6 +267,9 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 						replies = append(replies, r)
 						mu.Unlock()
 					}()
+					if sent++; sent%c.batch == 0 {
+						wg.Wait()
+					}
 				}
 			}
 			wg.Wait()

@@ -1,14 +1,14 @@
 // Package serve is the attribution inference service: a model
-// registry with lock-free lookup and hot reload, a micro-batching
-// extraction queue with bounded admission, and the HTTP layer that
+// registry with lock-free lookup and hot reload, a bounded extraction
+// queue served by a fixed pool of workers, and the HTTP layer that
 // exposes them (POST /v1/attribute, POST /v1/detect, GET /healthz,
 // GET /metrics, POST /v1/reload).
 //
 // The design split is: models are immutable once loaded and swapped
 // whole via atomic.Pointer (readers never block, reloads never drop
-// in-flight requests); feature extraction — the expensive step — is
-// coalesced into bounded batches that run on the stylometry worker
-// pool through the shared feature cache; admission control rejects
+// in-flight requests); feature extraction — the expensive step — runs
+// one source at a time on each of a fixed number of long-lived workers
+// through the shared feature cache; admission control rejects
 // early (429) instead of queueing without bound, and every request
 // carries a context deadline honoured end to end.
 package serve

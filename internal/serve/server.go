@@ -49,7 +49,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxInflight bounds concurrently served requests; overflow
 	// answers 429. 0 leaves admission to the backend (the replica's
-	// bounded batch queue); the router sets it because it has no
+	// bounded extraction queue); the router sets it because it has no
 	// queue of its own.
 	MaxInflight int
 	// Evade, when non-nil, enables the adversarial-evasion endpoints
@@ -179,12 +179,13 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/v1/evade/status", s.handleEvadeStatus)
 	}
 	if cfg.Batcher != nil {
-		// Batch-size observability: average batch = batched_requests_total
-		// / batches_total.
+		// Both counters count dispatched extractions (a worker takes
+		// one source at a time, so their ratio is 1); the names stay so
+		// dashboards and load tools that read them keep working.
 		batches, batched := met.Counter("batches_total"), met.Counter("batched_requests_total")
-		cfg.Batcher.onBatch = func(n int) {
+		cfg.Batcher.onExtract = func() {
 			batches.Inc()
-			batched.Add(uint64(n))
+			batched.Inc()
 		}
 	}
 	return s, nil

@@ -64,7 +64,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 func TestServerAttributeAndDetect(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, QueueDepth: 64, Workers: 2})
+	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 64, Workers: 2})
 
 	resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: sampleSource(t, 0)})
 	if resp.StatusCode != http.StatusOK {
@@ -214,7 +214,7 @@ func TestServerMetricsFeatcacheWarmth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 4, QueueDepth: 16, Workers: 1, Cache: cache})
+	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1, Cache: cache})
 	src := sampleSource(t, 0)
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: src})
@@ -241,13 +241,13 @@ func TestServerMetricsFeatcacheWarmth(t *testing.T) {
 }
 
 // TestServerSaturationOverHTTP drives the admission contract through
-// the HTTP layer: with the batch loop pinned and the queue full,
+// the HTTP layer: with the only worker pinned and the queue full,
 // exactly the overflow requests see 429 + Retry-After, and every
 // admitted request completes when the pin is released.
 func TestServerSaturationOverHTTP(t *testing.T) {
 	const K = 3
 	ex := newBlockingExtractor()
-	ts, s, b, _ := newTestServer(t, BatchConfig{MaxBatch: 1, QueueDepth: K, extractCtxFn: level0(ex.fn)})
+	ts, s, b, _ := newTestServer(t, BatchConfig{Workers: 1, QueueDepth: K, extractFn: level0(ex.fn)})
 
 	src := sampleSource(t, 0)
 	codes := make(chan int, 32)
@@ -267,12 +267,7 @@ func TestServerSaturationOverHTTP(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); do() }()
 	}
-	for deadline := time.Now().Add(2 * time.Second); b.QueueLen() < K; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want %d", b.QueueLen(), K)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueLen(t, b, K)
 
 	// Overflow: synchronous requests must bounce with 429 immediately.
 	const N = 4
@@ -311,7 +306,7 @@ func TestServerSaturationOverHTTP(t *testing.T) {
 // while models hot-swap via POST /v1/reload; every request must
 // succeed — a reload never drops in-flight or subsequent traffic.
 func TestServerReloadUnderLoad(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{MaxBatch: 8, QueueDepth: 128, Workers: 2})
+	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 128, Workers: 2})
 
 	src := sampleSource(t, 0)
 	stop := make(chan struct{})
@@ -374,7 +369,7 @@ func TestServerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(BatchConfig{MaxBatch: 1, QueueDepth: 8, extractCtxFn: level0(ex.fn)})
+	b := NewBatcher(BatchConfig{Workers: 1, QueueDepth: 8, extractFn: level0(ex.fn)})
 	s, err := New(Config{Registry: r, Batcher: b, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +386,7 @@ func TestServerDeadline(t *testing.T) {
 		b.Close()
 	})
 
-	// Wedge the loop.
+	// Wedge the only worker.
 	wedgeSrc := sampleSource(t, 0)
 	go tryPostJSON(ts.URL+"/v1/detect", AttributeRequest{Source: wedgeSrc})
 	<-ex.entered

@@ -76,7 +76,7 @@ func (e *ExtractError) Unwrap() error { return e.Err }
 // drew its index. The first failing source is reported as an
 // *ExtractError.
 func ExtractAll(sources []string, cfg ExtractConfig) ([]Features, error) {
-	out, _, errs := ExtractEachDegraded(nil, sources, DegradeNone, cfg)
+	out, _, errs := ExtractEachDegraded(sources, DegradeNone, cfg)
 	for i, err := range errs {
 		if err != nil {
 			return nil, &ExtractError{Index: i, Err: err}
@@ -87,33 +87,24 @@ func ExtractAll(sources []string, cfg ExtractConfig) ([]Features, error) {
 
 // ExtractEachDegraded is the batch entry point behind ExtractAll: it
 // computes features for every source on the same bounded worker pool
-// but reports per-source errors instead of failing the whole batch. A
-// serving layer coalescing independent requests into one batch needs
-// this — one malformed request must not poison its batch-mates.
-// out[i] is valid iff errs[i] is nil. It also takes per-source budgets
-// and a brownout floor: ctxs[i] (nil = no budget; ctxs itself may be nil)
-// bounds source i's extraction, and force is the admission
-// controller's current degrade level — every vector is extracted at
-// least that degraded. levels[i] reports each vector's actual level
-// (budget exhaustion can push it past force). Worker scheduling never
-// affects content: each slot is written only by the worker that drew
-// its index, and a degraded vector's features depend only on its
-// level.
-func ExtractEachDegraded(ctxs []context.Context, sources []string, force DegradeLevel,
+// but reports per-source errors instead of failing the whole run, so
+// one malformed source never costs its neighbours their answers.
+// out[i] is valid iff errs[i] is nil. force is the degrade floor:
+// every vector is extracted at least that degraded, and levels[i]
+// reports each vector's actual level. Each source goes through
+// ExtractCached. Worker scheduling never affects content: each slot is
+// written only by the worker that drew its index, and a degraded
+// vector's features depend only on its level.
+func ExtractEachDegraded(sources []string, force DegradeLevel,
 	cfg ExtractConfig) (out []Features, levels []DegradeLevel, errs []error) {
 	out = make([]Features, len(sources))
 	levels = make([]DegradeLevel, len(sources))
 	errs = make([]error, len(sources))
-	ctxAt := func(i int) context.Context {
-		if i < len(ctxs) && ctxs[i] != nil {
-			return ctxs[i]
-		}
-		return context.Background()
-	}
+	ctx := context.Background()
 	workers := cfg.workers(len(sources))
 	if workers == 1 {
 		for i, src := range sources {
-			out[i], levels[i], errs[i] = extractCached(ctxAt(i), src, force, cfg.Cache)
+			out[i], levels[i], errs[i] = ExtractCached(ctx, src, force, cfg.Cache)
 		}
 		return out, levels, errs
 	}
@@ -124,7 +115,7 @@ func ExtractEachDegraded(ctxs []context.Context, sources []string, force Degrade
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i], levels[i], errs[i] = extractCached(ctxAt(i), sources[i], force, cfg.Cache)
+				out[i], levels[i], errs[i] = ExtractCached(ctx, sources[i], force, cfg.Cache)
 			}
 		}()
 	}
@@ -179,13 +170,15 @@ func safeExtract(ctx context.Context, src string, force DegradeLevel) (f Feature
 	return ExtractDegraded(ctx, src, force)
 }
 
-// extractCached is the per-source serving path: cache lookup, then
-// supervised budgeted extraction. A cache hit is always a full
-// (level-0) vector regardless of the forced floor — the cached work is
-// already paid for, so the cache absorbs degradation; conversely only
-// full vectors are ever cached, so a brownout never poisons the cache
-// with partial vectors.
-func extractCached(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (Features, DegradeLevel, error) {
+// ExtractCached is the per-source serving path: cache lookup, then
+// supervised budgeted extraction (transient faults retried, panics
+// contained as *PanicError). ctx bounds the extraction: a budget that
+// expires mid-extraction sheds feature families instead of failing. A
+// cache hit is always a full (level-0) vector regardless of the forced
+// floor — the cached work is already paid for, so the cache absorbs
+// degradation; conversely only full vectors are ever cached, so a
+// brownout never poisons the cache with partial vectors.
+func ExtractCached(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (Features, DegradeLevel, error) {
 	if cache != nil {
 		if f, ok := cache.Get(src); ok {
 			return f, DegradeNone, nil

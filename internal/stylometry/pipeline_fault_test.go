@@ -60,7 +60,7 @@ func TestPanicContainedToOneSample(t *testing.T) {
 	fault.Enable(3)
 	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, After: 2, Limit: extractRetries})
 
-	out, _, errs := ExtractEachDegraded(nil, srcs, DegradeNone, ExtractConfig{Workers: 1})
+	out, _, errs := ExtractEachDegraded(srcs, DegradeNone, ExtractConfig{Workers: 1})
 	var failed []int
 	for i, err := range errs {
 		if err == nil {
