@@ -102,8 +102,10 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		fmt.Fprintf(stdout, "attrrouter: fault injection armed (seed %d): %s\n", *faultSeed, *faultSpec)
 	}
 
-	client := &http.Client{}
-	replicas, err := parseReplicas(*replicasSpec, client)
+	// Every admitted request may be forwarding to the same replica, so
+	// each replica's idle-connection pool is sized to the in-flight
+	// bound: no forward dials a fresh connection once the pool is warm.
+	replicas, err := parseReplicas(*replicasSpec, fleet.NewClient(*maxInflight))
 	if err != nil {
 		return err
 	}

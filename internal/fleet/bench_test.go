@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -83,10 +84,12 @@ func benchFleet(b *testing.B, n int, mutate func(*Config)) ([]*fakeReplica, *Rou
 	return fakes, rt
 }
 
-// BenchmarkRouterForward is the router's end-to-end overhead per
-// request: flip-gate RLock, ring pick, dispatch goroutine, one
-// loopback HTTP hop to a trivial replica, JSON decode. The replica
-// does no work, so this is ~pure routing cost.
+// BenchmarkRouterForward is a typed Router.Attribute call against a
+// trivial replica: the request encoded to JSON, then the pass-through
+// forward (flip-gate RLock, ring pick, dispatch goroutine, one
+// loopback HTTP hop, generation and degrade headers parsed), then the
+// answer decoded into an AttributeResponse. The serving path skips
+// both JSON steps; BenchmarkRouterPassThrough times it alone.
 func BenchmarkRouterForward(b *testing.B) {
 	_, rt := benchFleet(b, 3, func(c *Config) { c.NoHedge = true })
 	ctx := context.Background()
@@ -96,6 +99,32 @@ func BenchmarkRouterForward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := rt.Attribute(ctx, src); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterPassThrough is the router hop a served request
+// takes: ForwardInference with the client's body bytes, against a
+// trivial replica, returning the replica's answer bytes unchanged. It
+// is BenchmarkRouterForward minus the JSON encode and decode, so the
+// gap between the two is what the pass-through saves per request.
+func BenchmarkRouterPassThrough(b *testing.B) {
+	_, rt := benchFleet(b, 3, func(c *Config) { c.NoHedge = true })
+	ctx := context.Background()
+	src := "int bench() { return 0; }"
+	body, err := json.Marshal(serve.AttributeRequest{Source: src})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ans, err := rt.ForwardInference(ctx, "attribute", src, body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ans.Generation != 1 || len(ans.Body) == 0 {
+			b.Fatalf("answer %+v", ans)
 		}
 	}
 }

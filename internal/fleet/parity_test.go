@@ -70,7 +70,7 @@ func diffDetect(got, want serve.DetectResponse) error {
 // (stylometry.ExtractDegraded, then ProbaFeatures/DetectFeatures with
 // calibration) — same author or verdict, same degrade level and model
 // generation, bit-identical proba and confidence after the JSON round
-// trips.
+// trips. The router's body is the replica's, byte for byte.
 func TestAnswerParityThroughRouter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models and runs a replica fleet")
@@ -126,6 +126,7 @@ func TestAnswerParityThroughRouter(t *testing.T) {
 			Calibration: detector.Calibration(), ModelGeneration: models.Generation}
 
 		for _, ep := range []string{"attribute", "detect"} {
+			var routed []byte // the router's answer, compared byte for byte with the replica's
 			for _, target := range []struct{ name, url string }{
 				{"router", router.URL}, {"replica " + reps[i%2].name, reps[i%2].url()},
 			} {
@@ -136,6 +137,11 @@ func TestAnswerParityThroughRouter(t *testing.T) {
 				}
 				if status != http.StatusOK || header != "0" {
 					t.Fatalf("%s: status %d, %s %q: %s", tag, status, serve.DegradeHeader, header, body)
+				}
+				if routed == nil {
+					routed = body
+				} else if !bytes.Equal(body, routed) {
+					t.Errorf("%s: body %s differs from the router's %s", tag, body, routed)
 				}
 				if ep == "attribute" {
 					var got serve.AttributeResponse

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gptattr/internal/serve"
@@ -34,11 +35,37 @@ type Replica struct {
 	Client *http.Client
 }
 
-// NewReplica builds a replica handle. An empty client gets a default
-// with pooled connections; per-call deadlines come from contexts.
+// defaultIdlePerReplica is how many idle connections per replica the
+// client NewReplica builds by default keeps: attrrouter's default
+// -max-inflight, so every forward the router admits can reuse a
+// kept-alive connection.
+const defaultIdlePerReplica = 1024
+
+// defaultClient is shared by every replica built without a client,
+// so they share one connection pool, as zero-value clients would.
+var defaultClient = sync.OnceValue(func() *http.Client { return NewClient(defaultIdlePerReplica) })
+
+// NewClient builds the HTTP client for replica calls, keeping up to
+// idlePerReplica idle connections to each replica (<= 0 selects the
+// default). net/http's default keeps 2, so every forward beyond two
+// concurrent ones per replica would dial a fresh TCP connection and
+// leave a socket in TIME_WAIT when it was done; size it to the
+// router's in-flight bound instead.
+func NewClient(idlePerReplica int) *http.Client {
+	if idlePerReplica <= 0 {
+		idlePerReplica = defaultIdlePerReplica
+	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no fleet-wide cap; the per-replica one bounds it
+	t.MaxIdleConnsPerHost = idlePerReplica
+	return &http.Client{Transport: t}
+}
+
+// NewReplica builds a replica handle. A nil client selects a shared
+// default sized by NewClient; per-call deadlines come from contexts.
 func NewReplica(name, baseURL string, client *http.Client) *Replica {
 	if client == nil {
-		client = &http.Client{}
+		client = defaultClient()
 	}
 	return &Replica{Name: name, BaseURL: strings.TrimRight(baseURL, "/"), Client: client}
 }
@@ -48,9 +75,16 @@ func NewReplica(name, baseURL string, client *http.Client) *Replica {
 // non-nil only for transport failures, which make the request safe
 // and necessary to retry elsewhere.
 func (r *Replica) Forward(ctx context.Context, endpoint, reqID string, body []byte) (int, []byte, error) {
+	status, _, b, err := r.post(ctx, endpoint, reqID, body)
+	return status, b, err
+}
+
+// post is Forward that also returns the response headers, where a
+// replica's 200 carries its degrade level and model generation.
+func (r *Replica) post(ctx context.Context, endpoint, reqID string, body []byte) (int, http.Header, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.BaseURL+"/v1/"+endpoint, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if reqID != "" {
@@ -66,14 +100,14 @@ func (r *Replica) Forward(ctx context.Context, endpoint, reqID string, body []by
 	}
 	resp, err := r.Client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer func() { _ = resp.Body.Close() }() // body read to the limit below either way
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBody))
+	b, err := serve.ReadBody(io.LimitReader(resp.Body, maxReplicaBody), resp.ContentLength, maxReplicaBody)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return resp.StatusCode, b, nil
+	return resp.StatusCode, resp.Header, b, nil
 }
 
 // EvadeStatus polls one evasion job on this replica (the unprefixed

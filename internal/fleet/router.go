@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -455,6 +456,7 @@ var errBreakerOpen = errors.New("fleet: breaker open")
 type attemptResult struct {
 	name   string
 	status int
+	header http.Header
 	body   []byte
 	err    error // transport failure (safe to retry elsewhere)
 	hedged bool
@@ -499,29 +501,29 @@ func (rt *Router) attempt(ctx context.Context, name, endpoint, reqID string, bod
 		out <- attemptResult{name: name, err: err, hedged: hedged}
 		return
 	}
-	status, rbody, err := rt.reps[name].Forward(ctx, endpoint, reqID, body)
+	status, header, rbody, err := rt.reps[name].post(ctx, endpoint, reqID, body)
 	observe(err != nil, time.Since(start))
-	out <- attemptResult{name: name, status: status, body: rbody, err: err, hedged: hedged}
+	out <- attemptResult{name: name, status: status, header: header, body: rbody, err: err, hedged: hedged}
 }
 
 // forward dispatches one request to the fleet: consistent-hash pick,
 // hedge after HedgeDelay of silence, failover across remaining
 // replicas on transport errors. Exactly one replica answer is
 // returned per request — losing hedges are canceled and discarded —
-// and the expected fleet generation at dispatch rides along for the
-// mixed-version check.
-func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte) ([]byte, uint64, error) {
+// as its 200 headers and body, and the expected fleet generation at
+// dispatch rides along for the mixed-version check.
+func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte) (http.Header, []byte, uint64, error) {
 	rt.flip.RLock()
 	defer rt.flip.RUnlock()
 	expect := rt.fleetGen.Load()
 	reqID := serve.RequestIDFrom(ctx)
 	rt.ctr.forwards.Inc()
 	if err := fault.Hit(PointForward); err != nil {
-		return nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "router degraded: " + err.Error()}
+		return nil, nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "router degraded: " + err.Error()}
 	}
 	order := rt.pickOrder(key)
 	if len(order) == 0 {
-		return nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "no alive replicas"}
+		return nil, nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "no alive replicas"}
 	}
 	// Fail open when every candidate's breaker rejects: a request
 	// served badly beats a request not served, and the attempts double
@@ -539,7 +541,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attemptResult, len(order))
-	next, launched := 0, 0
+	next, launched := 1, 1 // order[0], the primary, runs on this goroutine below
 	launch := func(hedged bool) bool {
 		if next >= len(order) {
 			return false
@@ -550,59 +552,84 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 		go rt.attempt(actx, name, endpoint, reqID, body, hedged, bypass, results)
 		return true
 	}
-	launch(false)
 	var hedgeC <-chan time.Time
 	if !rt.cfg.NoHedge && len(order) > 1 {
 		timer := time.NewTimer(rt.cfg.HedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, 0, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= 0 {
-				// The budget is exhausted: a hedge could never finish,
-				// so don't spend a second replica's capacity on it.
-				continue
-			}
-			if launch(true) {
-				rt.ctr.hedges.Inc()
-			}
-		case res := <-results:
-			launched--
-			if res.err != nil {
-				if ctx.Err() != nil {
-					// The deadline, not the replica, killed the attempt.
-					return nil, 0, ctx.Err()
+	// settle waits for the answer that decides the request, hedging and
+	// failing over as attempts report.
+	settle := func() (http.Header, []byte, error) {
+		var lastErr error
+		for {
+			select {
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			case <-hedgeC:
+				hedgeC = nil
+				if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= 0 {
+					// The budget is exhausted: a hedge could never finish,
+					// so don't spend a second replica's capacity on it.
+					continue
 				}
-				lastErr = res.err
-				if errors.Is(res.err, errBreakerOpen) {
-					// Rejected locally; the replica was never touched,
-					// so its health record must not change.
-				} else {
-					rt.ctr.failovers.Inc()
-					rt.replicaDown(res.name, res.err)
+				if launch(true) {
+					rt.ctr.hedges.Inc()
 				}
-				if launched == 0 && !launch(res.hedged) {
-					return nil, 0, &serve.StatusError{Code: http.StatusServiceUnavailable,
-						Msg: fmt.Sprintf("all replicas failed (last: %v)", lastErr)}
+			case res := <-results:
+				launched--
+				if res.err != nil {
+					if ctx.Err() != nil {
+						// The deadline, not the replica, killed the attempt.
+						return nil, nil, ctx.Err()
+					}
+					lastErr = res.err
+					if errors.Is(res.err, errBreakerOpen) {
+						// Rejected locally; the replica was never touched,
+						// so its health record must not change.
+					} else {
+						rt.ctr.failovers.Inc()
+						rt.replicaDown(res.name, res.err)
+					}
+					if launched == 0 && !launch(res.hedged) {
+						return nil, nil, &serve.StatusError{Code: http.StatusServiceUnavailable,
+							Msg: fmt.Sprintf("all replicas failed (last: %v)", lastErr)}
+					}
+					continue
 				}
-				continue
+				if res.hedged {
+					rt.ctr.hedgeWins.Inc()
+				}
+				if res.status != http.StatusOK {
+					// The replica answered: its verdict passes through.
+					return nil, nil, &serve.StatusError{Code: res.status, Msg: errorBody(res.body)}
+				}
+				return res.header, res.body, nil
 			}
-			if res.hedged {
-				rt.ctr.hedgeWins.Inc()
-			}
-			if res.status != http.StatusOK {
-				// The replica answered: its verdict passes through.
-				return nil, 0, &serve.StatusError{Code: res.status, Msg: errorBody(res.body)}
-			}
-			return res.body, expect, nil
 		}
 	}
+	type settled struct {
+		header http.Header
+		body   []byte
+		err    error
+	}
+	done := make(chan settled, 1)
+	go func() {
+		// Settling cancels whatever is still running, the primary
+		// included, so the wait for it below ends promptly.
+		defer cancel()
+		h, b, err := settle()
+		done <- settled{h, b, err}
+	}()
+	// The primary attempt runs on the caller's goroutine, whose stack
+	// the HTTP server has already grown: a fresh goroutine would grow
+	// and copy its stack through net/http on every request.
+	rt.attempt(actx, order[0], endpoint, reqID, body, false, bypass, results)
+	out := <-done
+	if out.err != nil {
+		return nil, nil, 0, out.err
+	}
+	return out.header, out.body, expect, nil
 }
 
 // checkGen counts responses whose generation disagrees with the fleet
@@ -616,40 +643,65 @@ func (rt *Router) checkGen(got, expect uint64) {
 	}
 }
 
-// Attribute implements serve.Backend by forwarding to the fleet.
-func (rt *Router) Attribute(ctx context.Context, src string) (serve.AttributeResponse, error) {
-	var out serve.AttributeResponse
-	body, err := json.Marshal(serve.AttributeRequest{Source: src})
+// ForwardInference implements serve.Forwarder: the client's body goes
+// to the fleet verbatim, and the winning replica's 200 body comes back
+// unchanged. The degrade level and model generation are read from the
+// replica's X-Degrade-Level and X-Model-Generation headers, so the
+// router never decodes the answer; a 200 missing either is a 502.
+func (rt *Router) ForwardInference(ctx context.Context, endpoint, src string, body []byte) (serve.Answer, error) {
+	header, rbody, expect, err := rt.forward(ctx, endpoint, src, body)
 	if err != nil {
-		return out, err
+		return serve.Answer{}, err
 	}
-	rbody, expect, err := rt.forward(ctx, "attribute", src, body)
+	gen, err := strconv.ParseUint(header.Get(serve.GenerationHeader), 10, 64)
 	if err != nil {
-		return out, err
+		return serve.Answer{}, badReplicaResponse(serve.GenerationHeader, err)
 	}
-	if err := json.Unmarshal(rbody, &out); err != nil {
-		return out, &serve.StatusError{Code: http.StatusBadGateway, Msg: "bad replica response: " + err.Error()}
+	level, err := strconv.Atoi(header.Get(serve.DegradeHeader))
+	if err == nil && level < 0 {
+		err = fmt.Errorf("negative level %d", level)
 	}
-	rt.checkGen(out.ModelGeneration, expect)
-	return out, nil
+	if err != nil {
+		return serve.Answer{}, badReplicaResponse(serve.DegradeHeader, err)
+	}
+	rt.checkGen(gen, expect)
+	return serve.Answer{Body: rbody, Level: level, Generation: gen}, nil
 }
 
-// Detect implements serve.Backend by forwarding to the fleet.
+func badReplicaResponse(what string, err error) error {
+	return &serve.StatusError{Code: http.StatusBadGateway, Msg: "bad replica response: " + what + ": " + err.Error()}
+}
+
+// Attribute implements serve.Backend: ForwardInference, with the
+// request encoded and the answer decoded.
+func (rt *Router) Attribute(ctx context.Context, src string) (serve.AttributeResponse, error) {
+	var out serve.AttributeResponse
+	err := rt.forwardTyped(ctx, "attribute", src, &out)
+	return out, err
+}
+
+// Detect implements serve.Backend like Attribute.
 func (rt *Router) Detect(ctx context.Context, src string) (serve.DetectResponse, error) {
 	var out serve.DetectResponse
+	err := rt.forwardTyped(ctx, "detect", src, &out)
+	return out, err
+}
+
+// forwardTyped runs one typed request through ForwardInference and
+// decodes the answer into out.
+func (rt *Router) forwardTyped(ctx context.Context, endpoint, src string, out any) error {
 	body, err := json.Marshal(serve.AttributeRequest{Source: src})
 	if err != nil {
-		return out, err
+		return err
 	}
-	rbody, expect, err := rt.forward(ctx, "detect", src, body)
+	ans, err := rt.ForwardInference(ctx, endpoint, src, body)
 	if err != nil {
-		return out, err
+		return err
 	}
-	if err := json.Unmarshal(rbody, &out); err != nil {
-		return out, &serve.StatusError{Code: http.StatusBadGateway, Msg: "bad replica response: " + err.Error()}
+	if err := json.Unmarshal(ans.Body, out); err != nil {
+		return badReplicaResponse("body", err)
 	}
-	rt.checkGen(out.ModelGeneration, expect)
-	return out, nil
+	return nil
 }
 
 // Health implements serve.Backend: the fleet is ok while any replica

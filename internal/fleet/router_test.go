@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,8 @@ func (f *fakeReplica) handleInfer(w http.ResponseWriter, r *http.Request) {
 	f.seen[r.Header.Get(serve.RequestIDHeader)]++
 	f.perGen[gen]++
 	f.mu.Unlock()
+	w.Header().Set(serve.DegradeHeader, "0")
+	w.Header().Set(serve.GenerationHeader, strconv.FormatUint(gen, 10))
 	_ = json.NewEncoder(w).Encode(serve.AttributeResponse{
 		Author: f.name, Proba: map[string]float64{f.name: 1}, ModelGeneration: gen,
 	})

@@ -35,6 +35,27 @@ type Backend interface {
 	Observe(met *metrics.Registry)
 }
 
+// Answer is one encoded 200 inference answer: the JSON body
+// (newline-terminated) and the values of its X-Degrade-Level and
+// X-Model-Generation headers.
+type Answer struct {
+	Body       []byte
+	Level      int
+	Generation uint64
+}
+
+// Forwarder is the optional pass-through face of a Backend. When the
+// backend implements it, Server hands it the client's request body
+// verbatim, plus the source decoded from it (for placement), and
+// writes the returned answer bytes unchanged: the fleet router's hop
+// then does no JSON work on a 200 beyond the one request decode.
+type Forwarder interface {
+	// ForwardInference answers one request to /v1/<endpoint>
+	// ("attribute" or "detect"). Errors map to statuses like the
+	// typed Backend methods' errors.
+	ForwardInference(ctx context.Context, endpoint, src string, body []byte) (Answer, error)
+}
+
 // Stager is the optional two-phase reload face of a Backend. The
 // replica registry implements it so a fleet coordinator can stage a
 // new model generation everywhere before any replica starts serving

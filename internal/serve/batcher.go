@@ -47,8 +47,9 @@ type BatchConfig struct {
 	// Workers is the number of long-lived extraction workers, each
 	// extracting one queued source at a time (0 = GOMAXPROCS).
 	Workers int
-	// Cache is the shared feature cache consulted before extraction
-	// (nil = uncached).
+	// Cache is the shared feature cache (nil = uncached). It is
+	// consulted once per request, at admission: a hit is answered
+	// there without queueing, and a worker fills it after a miss.
 	Cache stylometry.FeatureCache
 	// Logf, when non-nil, receives operational log lines (saturation
 	// rejections, contained extraction panics) carrying request IDs.
@@ -57,10 +58,11 @@ type BatchConfig struct {
 	// workers feed it every job's queue delay and honour its current
 	// degrade level as the forced floor for each extraction.
 	Brownout *Brownout
-	// extractFn overrides the per-source extraction: the job's context
-	// plus the brownout floor in, features and degrade level out.
-	// Tests use it to block extractions deterministically and force
-	// degrade levels. Nil means stylometry.ExtractCached on Cache.
+	// extractFn overrides the per-source extraction of a cache miss:
+	// the job's context plus the brownout floor in, features and
+	// degrade level out. Tests use it to block extractions
+	// deterministically and force degrade levels. Nil means
+	// stylometry.ExtractAndCache on Cache.
 	extractFn func(ctx context.Context, src string,
 		force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error)
 }
@@ -76,7 +78,7 @@ func (c BatchConfig) withDefaults() BatchConfig {
 		cache := c.Cache
 		c.extractFn = func(ctx context.Context, src string,
 			force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
-			return stylometry.ExtractCached(ctx, src, force, cache)
+			return stylometry.ExtractAndCache(ctx, src, force, cache)
 		}
 	}
 	return c
@@ -141,17 +143,28 @@ func (b *Batcher) Brownout() *Brownout { return b.cfg.Brownout }
 // oracle and to stamp X-Degrade-Level. The level reflects both the
 // request's own budget (a deadline that expires mid-extraction sheds
 // the semantic family instead of failing) and the brownout floor in
-// force when the extraction started. It fails fast with ErrSaturated
+// force when the extraction started. A featcache hit is answered at
+// admission, at level 0, without queueing: it holds no worker, so a
+// full queue does not reject it and its (zero) queue delay never
+// reaches the Brownout controller. It fails fast with ErrSaturated
 // when the queue is full, ErrClosed when draining, or ctx.Err() when
 // the caller's deadline expires first.
 func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.Features, stylometry.DegradeLevel, error) {
-	j := &job{src: src, id: RequestIDFrom(ctx), ctx: ctx, enq: time.Now(), done: make(chan jobResult, 1)}
+	id := RequestIDFrom(ctx)
 	if err := fault.Hit(PointAdmit); err != nil {
 		// An injected admission fault degrades exactly like
 		// saturation: the client gets 429 + Retry-After, traceably.
-		b.logf("serve: admission fault, rejecting request %s: %v", j.id, err)
-		return nil, 0, fmt.Errorf("%w (request %s): %v", ErrSaturated, j.id, err)
+		b.logf("serve: admission fault, rejecting request %s: %v", id, err)
+		return nil, 0, fmt.Errorf("%w (request %s): %v", ErrSaturated, id, err)
 	}
+	if b.cfg.Cache != nil && !b.isClosed() {
+		// The one lookup this request gets: a miss is extracted and
+		// stored by a worker without a second Get.
+		if f, ok := b.cfg.Cache.Get(src); ok {
+			return f, stylometry.DegradeNone, nil
+		}
+	}
+	j := &job{src: src, id: id, ctx: ctx, enq: time.Now(), done: make(chan jobResult, 1)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -174,6 +187,13 @@ func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.F
 		// cache); the caller just stops waiting.
 		return nil, 0, ctx.Err()
 	}
+}
+
+// isClosed reports whether Close has stopped admission.
+func (b *Batcher) isClosed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closed
 }
 
 // Close stops admission and drains: every already-admitted job is

@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"gptattr/internal/fault"
 	"gptattr/internal/stylometry"
 )
 
@@ -304,5 +306,94 @@ func TestBatcherRealExtraction(t *testing.T) {
 		if !reflect.DeepEqual(feats[i], want) {
 			t.Errorf("source %d: served features differ from direct extraction", i)
 		}
+	}
+}
+
+// countingCache is an in-memory FeatureCache that counts lookups.
+type countingCache struct {
+	mu   sync.Mutex
+	m    map[string]stylometry.Features
+	gets int
+}
+
+func (c *countingCache) Get(src string) (stylometry.Features, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets++
+	f, ok := c.m[src]
+	return f, ok
+}
+
+func (c *countingCache) Put(src string, f stylometry.Features) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[src] = f
+}
+
+// TestBatcherCacheHitAnsweredAtAdmission pins admission-time cache
+// hits: with the only worker blocked and the queue full, a cached
+// source is still answered at level 0 (it never queues), an uncached
+// one is rejected with ErrSaturated, an armed serve.admit fault
+// rejects even a hit, and a closed batcher answers ErrClosed before
+// looking anything up. The cache sees one lookup per admitted request.
+func TestBatcherCacheHitAnsweredAtAdmission(t *testing.T) {
+	defer fault.Disable()
+	const K = 2
+	cached := stylometry.Features{"len": 6}
+	cache := &countingCache{m: map[string]stylometry.Features{"cached": cached}}
+	ex := newBlockingExtractor()
+	b := NewBatcher(BatchConfig{Workers: 1, QueueDepth: K, Cache: cache, extractFn: level0(ex.fn)})
+
+	results := make(chan error, 1+K)
+	launch := func(src string) {
+		go func() {
+			_, _, err := b.ExtractDegraded(context.Background(), src)
+			results <- err
+		}()
+	}
+	launch("blocker")
+	<-ex.entered
+	for i := 0; i < K; i++ {
+		launch(fmt.Sprintf("queued-%d", i))
+	}
+	waitQueueLen(t, b, K)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	f, lvl, err := b.ExtractDegraded(ctx, "cached")
+	if err != nil || lvl != stylometry.DegradeNone || !reflect.DeepEqual(f, cached) {
+		t.Fatalf("cached source under saturation: %v at level %v, err %v; want the cached vector at level 0", f, lvl, err)
+	}
+	if _, _, err := b.ExtractDegraded(ctx, "uncached"); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("uncached source under saturation: err %v, want ErrSaturated", err)
+	}
+	fault.Enable(1)
+	fault.Set(PointAdmit, fault.Policy{Kind: fault.KindError, Limit: 1})
+	if _, _, err := b.ExtractDegraded(ctx, "cached"); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("cached source with serve.admit armed: err %v, want ErrSaturated", err)
+	}
+	fault.Disable()
+
+	for i := 0; i < 1+K; i++ {
+		ex.release <- struct{}{}
+	}
+	for i := 0; i < 1+K; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted request failed: %v", err)
+		}
+	}
+	b.Close()
+	if _, _, err := b.ExtractDegraded(ctx, "cached"); !errors.Is(err, ErrClosed) {
+		t.Errorf("cached source after Close: err %v, want ErrClosed", err)
+	}
+	for _, src := range ex.sources() {
+		if src == "cached" {
+			t.Error("a cache hit reached an extraction worker")
+		}
+	}
+	// blocker, two queued, cached, uncached: the fault-rejected and
+	// post-Close requests never reach the cache.
+	if cache.gets != 3+K {
+		t.Errorf("cache lookups = %d, want %d (one per request that passed admission)", cache.gets, 3+K)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -136,28 +137,70 @@ func (c *Core) WriteError(w http.ResponseWriter, status int, msg, reqID string) 
 
 // DecodeSource parses the request body for the inference endpoints,
 // answering the error itself (and returning ok=false) when the method,
-// encoding, size, or content is unacceptable.
-func (c *Core) DecodeSource(w http.ResponseWriter, r *http.Request, reqID string) (string, bool) {
+// encoding, size, or content is unacceptable. It also returns the raw
+// body, which a pass-through backend (the fleet router) forwards
+// verbatim instead of re-encoding the source.
+func (c *Core) DecodeSource(w http.ResponseWriter, r *http.Request, reqID string) (string, []byte, bool) {
+	var req AttributeRequest
+	body, ok := c.decodeBody(w, r, reqID, &req)
+	if !ok {
+		return "", nil, false
+	}
+	if req.Source == "" {
+		c.WriteError(w, http.StatusBadRequest, "empty source", reqID)
+		return "", nil, false
+	}
+	return req.Source, body, true
+}
+
+// decodeBody reads a POST body of at most MaxBodyBytes and decodes it
+// as one JSON value into v, answering the error itself (405, 413, or
+// 400; ok=false) when the method, size, or encoding is unacceptable.
+// The whole body must be that one value: trailing bytes after it are
+// a 400, so a body forwarded verbatim means the same thing to every
+// hop that decodes it.
+func (c *Core) decodeBody(w http.ResponseWriter, r *http.Request, reqID string, v any) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		c.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
-		return "", false
+		return nil, false
 	}
-	var req AttributeRequest
-	body := http.MaxBytesReader(w, r.Body, c.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, c.maxBodyBytes), r.ContentLength, c.maxBodyBytes)
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		c.WriteError(w, status, "bad request body: "+err.Error(), reqID)
-		return "", false
+		return nil, false
 	}
-	if req.Source == "" {
-		c.WriteError(w, http.StatusBadRequest, "empty source", reqID)
-		return "", false
+	return body, true
+}
+
+// ReadBody reads r to EOF. declared is the body's announced length
+// (an HTTP Content-Length, -1 when unknown); clamped to [0, limit], it
+// presizes the buffer, so a body of announced size is read without
+// regrowing and copying. r must enforce limit itself.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	// io.ReadAll's loop, from a presized buffer; the spare 512 bytes
+	// let the read that reports EOF land without growing it.
+	b := make([]byte, 0, max(0, min(declared, limit))+512)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
-	return req.Source, true
 }
 
 // StatusError carries an explicit HTTP status through a Backend. The

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -266,18 +265,7 @@ func (s *Server) CloseEvade() {
 // error itself (and returning ok=false) when it is unacceptable.
 func (s *Server) decodeEvade(w http.ResponseWriter, r *http.Request, reqID string) (EvadeRequest, bool) {
 	var req EvadeRequest
-	if r.Method != http.MethodPost {
-		s.core.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
-		return req, false
-	}
-	body := http.MaxBytesReader(w, r.Body, s.core.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.core.WriteError(w, status, "bad request body: "+err.Error(), reqID)
+	if _, ok := s.core.decodeBody(w, r, reqID, &req); !ok {
 		return req, false
 	}
 	if req.Source == "" {

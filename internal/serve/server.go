@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -20,6 +21,12 @@ const RequestIDHeader = "X-Request-Id"
 // stylometry.DegradeLevel). Clients and the fleet router read it to
 // tell a browned-out answer from a full one without parsing the body.
 const DegradeHeader = "X-Degrade-Level"
+
+// GenerationHeader reports, on every 2xx inference answer, the model
+// generation that computed it (the body's model_generation). The fleet
+// router reads it for the mixed-generation check, so it can pass the
+// replica's body through without decoding it.
+const GenerationHeader = "X-Model-Generation"
 
 // BudgetHeader carries the client's remaining time budget in whole
 // milliseconds. Each hop clamps its own per-request deadline to the
@@ -63,10 +70,11 @@ type Config struct {
 // Server is the HTTP attribution service: transport plumbing from
 // Core, inference from a pluggable Backend.
 type Server struct {
-	core    *Core
-	backend Backend
-	evader  Evader // nil unless the backend serves /v1/evade
-	mux     *http.ServeMux
+	core      *Core
+	backend   Backend
+	forwarder Forwarder // nil unless the backend passes encoded answers through
+	evader    Evader    // nil unless the backend serves /v1/evade
+	mux       *http.ServeMux
 
 	// Metric handles resolved once in New, so the request path does no
 	// registry lookups.
@@ -168,6 +176,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/reload", s.handleReload)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.forwarder, _ = backend.(Forwarder)
 	if _, ok := backend.(Stager); ok {
 		s.mux.HandleFunc("/v1/reload/stage", s.handleStage)
 		s.mux.HandleFunc("/v1/reload/commit", s.handleCommit)
@@ -202,10 +211,12 @@ func (s *Server) Metrics() *metrics.Registry { return s.core.Metrics() }
 func (s *Server) Core() *Core { return s.core }
 
 // handleInference is the shared endpoint body: count, admit, decode,
-// call the backend, map the outcome. call runs the endpoint-specific
-// backend method and returns the response value to encode.
-func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics,
-	call func(ctx context.Context, src string) (any, int, error)) {
+// get the encoded answer, write it. A Forwarder backend gets the
+// client's body bytes and returns the replica's answer bytes; any
+// other backend is called through local, the endpoint's typed method.
+// Either way the 200 answer leaves through the one write below.
+func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics, endpoint string,
+	local func(ctx context.Context, src string) (Answer, error)) {
 	em.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -216,37 +227,66 @@ func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *end
 		return
 	}
 	defer s.core.Release()
-	src, ok := s.core.DecodeSource(w, r, reqID)
+	src, body, ok := s.core.DecodeSource(w, r, reqID)
 	if !ok {
 		return
 	}
 	ctx, cancel := s.core.RequestContextFor(r, reqID)
 	defer cancel()
-	resp, level, err := call(ctx, src)
+	var ans Answer
+	var err error
+	if s.forwarder != nil {
+		ans, err = s.forwarder.ForwardInference(ctx, endpoint, src, body)
+	} else {
+		ans, err = local(ctx, src)
+	}
 	if err != nil {
 		s.core.FailBackend(w, err, reqID)
 		return
 	}
-	if level > 0 {
+	if ans.Level > 0 {
 		em.degraded.Inc()
 	}
-	w.Header().Set(DegradeHeader, strconv.Itoa(level))
+	h := w.Header()
+	h.Set(DegradeHeader, strconv.Itoa(ans.Level))
+	h.Set(GenerationHeader, strconv.FormatUint(ans.Generation, 10))
+	h.Set("Content-Type", "application/json")
+	// A declared length spares the answer chunked framing and lets the
+	// router read it into a presized buffer.
+	h.Set("Content-Length", strconv.Itoa(len(ans.Body)))
 	em.observe(start)
-	s.core.WriteJSON(w, http.StatusOK, resp)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(ans.Body) // a client gone mid-write has nothing left to tell
 }
 
 func (s *Server) handleAttribute(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, &s.attribute, func(ctx context.Context, src string) (any, int, error) {
+	s.handleInference(w, r, &s.attribute, "attribute", func(ctx context.Context, src string) (Answer, error) {
 		resp, err := s.backend.Attribute(ctx, src)
-		return resp, resp.DegradeLevel, err
+		if err != nil {
+			return Answer{}, err
+		}
+		return encodeAnswer(resp, resp.DegradeLevel, resp.ModelGeneration)
 	})
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, &s.detect, func(ctx context.Context, src string) (any, int, error) {
+	s.handleInference(w, r, &s.detect, "detect", func(ctx context.Context, src string) (Answer, error) {
 		resp, err := s.backend.Detect(ctx, src)
-		return resp, resp.DegradeLevel, err
+		if err != nil {
+			return Answer{}, err
+		}
+		return encodeAnswer(resp, resp.DegradeLevel, resp.ModelGeneration)
 	})
+}
+
+// encodeAnswer renders a typed response as the JSON line an
+// Encoder.Encode would write.
+func encodeAnswer(resp any, level int, gen uint64) (Answer, error) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return Answer{}, &StatusError{Code: http.StatusInternalServerError, Msg: "encode answer: " + err.Error()}
+	}
+	return Answer{Body: append(body, '\n'), Level: level, Generation: gen}, nil
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -388,7 +388,15 @@ func TestServerDeadline(t *testing.T) {
 
 	// Wedge the only worker.
 	wedgeSrc := sampleSource(t, 0)
-	go tryPostJSON(ts.URL+"/v1/detect", AttributeRequest{Source: wedgeSrc})
+	wedged := make(chan int, 1)
+	go func() {
+		resp, _, err := tryPostJSON(ts.URL+"/v1/detect", AttributeRequest{Source: wedgeSrc})
+		if err != nil {
+			wedged <- -1
+			return
+		}
+		wedged <- resp.StatusCode
+	}()
 	<-ex.entered
 
 	start := time.Now()
@@ -400,7 +408,11 @@ func TestServerDeadline(t *testing.T) {
 		t.Errorf("deadline response took %v", d)
 	}
 	// Both the wedged request and the queued one exceed the 50ms
-	// deadline.
+	// deadline. The wedged one is answered on its own connection, so
+	// wait for its answer before reading the counter.
+	if code := <-wedged; code != http.StatusGatewayTimeout {
+		t.Errorf("wedged request: status %d, want 504", code)
+	}
 	if got := s.Metrics().Counter("deadline_exceeded_total").Value(); got != 2 {
 		t.Errorf("deadline_exceeded_total = %d, want 2", got)
 	}

@@ -184,6 +184,15 @@ func ExtractCached(ctx context.Context, src string, force DegradeLevel, cache Fe
 			return f, DegradeNone, nil
 		}
 	}
+	return ExtractAndCache(ctx, src, force, cache)
+}
+
+// ExtractAndCache is ExtractCached after a miss: supervised budgeted
+// extraction, then a full (level-0) vector is stored in cache (when
+// non-nil). It never looks src up, so a caller that already consulted
+// the cache — the serving batcher answers hits at admission — keeps
+// the cache's hit and miss counts at one lookup per request.
+func ExtractAndCache(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (Features, DegradeLevel, error) {
 	var f Features
 	level := force
 	err := fault.Retry(extractRetries, extractBackoff, func() error {
