@@ -87,7 +87,7 @@ const ChatGPTLabel = "ChatGPT"
 // score it (Tables VIII and IX).
 func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 	approach Approach, cfg Config) (*AttributionResult, error) {
-	transFeats, err := extractAll(transformed, cfg)
+	transFeats, err := ExtractAll(transformed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 		return nil, fmt.Errorf("attrib: empty ChatGPT set")
 	}
 
-	humanFeats, err := extractAll(human, cfg)
+	humanFeats, err := ExtractAll(human, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func EvaluateBinary(human, transformed *corpus.Corpus, cfg Config) (*BinaryResul
 	})
 
 	combined := corpus.Merge(humanKept, gptKept)
-	feats, err := extractAll(combined, cfg)
+	feats, err := ExtractAll(combined, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func (c *Classifier) EvaluateOn(human, gpt *corpus.Corpus) (float64, error) {
 		if len(cc.Samples) == 0 {
 			return 0, fmt.Errorf("attrib: empty evaluation corpus")
 		}
-		feats, err := ExtractAll(cc, 0)
+		feats, err := ExtractAll(cc, Config{})
 		if err != nil {
 			return 0, err
 		}

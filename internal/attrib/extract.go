@@ -63,20 +63,17 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// ExtractAll computes stylometry features for every sample, in
-// parallel, preserving order.
-func ExtractAll(c *corpus.Corpus, workers int) ([]stylometry.Features, error) {
-	return ExtractAllCached(c, workers, nil)
-}
-
-// ExtractAllCached is ExtractAll with an optional feature cache
-// consulted before extraction.
-func ExtractAllCached(c *corpus.Corpus, workers int, cache stylometry.FeatureCache) ([]stylometry.Features, error) {
+// ExtractAll computes stylometry features for every sample of c, in
+// parallel on cfg's worker bound, through cfg.Cache when set,
+// preserving order. A failing sample is reported with its
+// author/challenge provenance.
+func ExtractAll(c *corpus.Corpus, cfg Config) ([]stylometry.Features, error) {
 	sources := make([]string, len(c.Samples))
 	for i, s := range c.Samples {
 		sources[i] = s.Source
 	}
-	out, err := stylometry.ExtractAll(sources, stylometry.ExtractConfig{Workers: workers, Cache: cache})
+	out, _, err := stylometry.ExtractAll(sources, stylometry.DegradeNone,
+		stylometry.ExtractConfig{Workers: cfg.workers(), Cache: cfg.Cache})
 	if err != nil {
 		var ee *stylometry.ExtractError
 		if errors.As(err, &ee) {
@@ -87,11 +84,6 @@ func ExtractAllCached(c *corpus.Corpus, workers int, cache stylometry.FeatureCac
 		return nil, err
 	}
 	return out, nil
-}
-
-// extractAll applies the config's worker bound and cache.
-func extractAll(c *corpus.Corpus, cfg Config) ([]stylometry.Features, error) {
-	return ExtractAllCached(c, cfg.workers(), cfg.Cache)
 }
 
 // challengeIndex maps "C1".."C8" to a fold group id.

@@ -72,7 +72,7 @@ func oracleTask(human *corpus.Corpus, cfg Config) (task, []string, error) {
 	for i, l := range labels {
 		index[l] = i
 	}
-	feats, err := extractAll(human, cfg)
+	feats, err := ExtractAll(human, cfg)
 	if err != nil {
 		return task{}, nil, err
 	}
@@ -87,7 +87,7 @@ func detectorTask(human, transformed *corpus.Corpus, cfg Config) (task, error) {
 	if len(combined.Samples) == 0 {
 		return task{}, fmt.Errorf("attrib: empty detector corpus")
 	}
-	feats, err := extractAll(combined, cfg)
+	feats, err := ExtractAll(combined, cfg)
 	if err != nil {
 		return task{}, err
 	}

@@ -114,7 +114,7 @@ func (o *Oracle) ProbaFeatures(f stylometry.Features) (map[string]float64, strin
 func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []stylometry.Features) ([]string, error) {
 	var err error
 	if feats == nil {
-		feats, err = ExtractAll(c, 0)
+		feats, err = ExtractAll(c, Config{})
 		if err != nil {
 			return nil, err
 		}

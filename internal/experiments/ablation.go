@@ -23,7 +23,7 @@ func (s *Suite) AblationFeatureFamilies() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	feats, err := attrib.ExtractAll(yd.Human, 0)
+	feats, err := attrib.ExtractAll(yd.Human, attrib.Config{})
 	if err != nil {
 		return "", err
 	}
@@ -171,7 +171,7 @@ func (s *Suite) AblationClassifier() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	feats, err := attrib.ExtractAll(yd.Human, 0)
+	feats, err := attrib.ExtractAll(yd.Human, attrib.Config{})
 	if err != nil {
 		return "", err
 	}

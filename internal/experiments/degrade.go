@@ -54,12 +54,12 @@ func (s *Suite) ExtensionDegradeLadder() (string, error) {
 			return "", err
 		}
 		if !ok {
-			feats, _, errs := stylometry.ExtractEachDegraded(sources, lvl,
+			feats, _, err := stylometry.ExtractAll(sources, lvl,
 				stylometry.ExtractConfig{Workers: s.workers()})
-			for i, ferr := range errs {
-				if ferr != nil {
-					return "", fmt.Errorf("degradeladder: level %v sample %d: %w", lvl, i, ferr)
-				}
+			if err != nil {
+				return "", fmt.Errorf("degradeladder: level %v: %w", lvl, err)
+			}
+			for i := range feats {
 				want := ev.Samples[i].Author
 				if ladder[lvl].PredictFeatures(feats[i]) == want {
 					u.MatchedCorrect++

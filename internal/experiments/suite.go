@@ -254,7 +254,7 @@ func (s *Suite) buildYear(year int) (*YearData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: year %d oracle: %w", year, err)
 	}
-	transFeats, err := attrib.ExtractAllCached(yd.Transformed, s.scale.Workers, s.cache)
+	transFeats, err := attrib.ExtractAll(yd.Transformed, s.attribConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: year %d features: %w", year, err)
 	}

@@ -21,7 +21,7 @@ type SpecEntry struct {
 // kind is one of error, latency, partial, panic. Options: p=0.5
 // (probability), every=3, after=2, limit=4, latency=5ms. Example:
 //
-//	featcache.disk.read=error:every=3:limit=2,serve.batch=latency:latency=20ms:p=0.5
+//	featcache.disk.read=error:every=3:limit=2,stylometry.extract=latency:latency=20ms:p=0.5
 func ParseSpec(spec string) ([]SpecEntry, error) {
 	var out []SpecEntry
 	for _, part := range strings.Split(spec, ",") {

@@ -104,7 +104,7 @@ func BenchmarkRouterForward(b *testing.B) {
 }
 
 // BenchmarkRouterPassThrough is the router hop a served request
-// takes: ForwardInference with the client's body bytes, against a
+// takes: Infer with the client's body bytes, against a
 // trivial replica, returning the replica's answer bytes unchanged. It
 // is BenchmarkRouterForward minus the JSON encode and decode, so the
 // gap between the two is what the pass-through saves per request.
@@ -119,7 +119,7 @@ func BenchmarkRouterPassThrough(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans, err := rt.ForwardInference(ctx, "attribute", src, body)
+		ans, err := rt.Infer(ctx, "attribute", src, body)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"gptattr/internal/fault"
 	"gptattr/internal/serve"
 	"gptattr/internal/serve/metrics"
+	"gptattr/internal/stylometry"
 )
 
 // Chaos schedule for the fleet e2e, expressed as fault points so the
@@ -375,4 +377,39 @@ func TestFleetE2EChaos(t *testing.T) {
 		met.Counter("fleet_hedge_wins_total").Value(),
 		met.Counter("fleet_failovers_total").Value(),
 		met.Counter("fleet_restores_total").Value())
+}
+
+// TestRouterPassesExtractionFailure503 arms the replica's extraction
+// fault point with no limit, so the replica's retry budget runs out:
+// the replica answers 503, and the router passes that 503 — with
+// Retry-After and the replica's message — through to the client
+// rather than reporting the source as rejected.
+func TestRouterPassesExtractionFailure503(t *testing.T) {
+	defer fault.Disable()
+	rep := startE2EReplica(t, "r1")
+	url, _ := routerServer(t, rep.url())
+	body, err := json.Marshal(serve.AttributeRequest{Source: sampleSource(t, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []fault.Kind{fault.KindPanic, fault.KindError} {
+		fault.Enable(16)
+		fault.Set(stylometry.PointExtract, fault.Policy{Kind: kind})
+		resp, rb := postRaw(t, http.MethodPost, url+"/v1/attribute", "", body)
+		fault.Disable()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%v: status %d, want 503: %s", kind, resp.StatusCode, rb)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%v: 503 missing Retry-After", kind)
+		}
+		var er serve.ErrorResponse
+		if err := json.Unmarshal(rb, &er); err != nil || !strings.Contains(er.Error, "extraction failed") {
+			t.Errorf("%v: error body %s, want the replica's extraction-failure message", kind, rb)
+		}
+	}
+	resp, rb := postRaw(t, http.MethodPost, url+"/v1/attribute", "", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the fault lifts: status %d: %s", resp.StatusCode, rb)
+	}
 }

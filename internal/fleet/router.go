@@ -643,12 +643,12 @@ func (rt *Router) checkGen(got, expect uint64) {
 	}
 }
 
-// ForwardInference implements serve.Forwarder: the client's body goes
+// Infer implements serve.Backend: the client's body goes
 // to the fleet verbatim, and the winning replica's 200 body comes back
 // unchanged. The degrade level and model generation are read from the
 // replica's X-Degrade-Level and X-Model-Generation headers, so the
 // router never decodes the answer; a 200 missing either is a 502.
-func (rt *Router) ForwardInference(ctx context.Context, endpoint, src string, body []byte) (serve.Answer, error) {
+func (rt *Router) Infer(ctx context.Context, endpoint, src string, body []byte) (serve.Answer, error) {
 	header, rbody, expect, err := rt.forward(ctx, endpoint, src, body)
 	if err != nil {
 		return serve.Answer{}, err
@@ -672,29 +672,29 @@ func badReplicaResponse(what string, err error) error {
 	return &serve.StatusError{Code: http.StatusBadGateway, Msg: "bad replica response: " + what + ": " + err.Error()}
 }
 
-// Attribute implements serve.Backend: ForwardInference, with the
-// request encoded and the answer decoded.
+// Attribute is the typed face of Infer for in-process callers: the
+// request is encoded and the answer decoded.
 func (rt *Router) Attribute(ctx context.Context, src string) (serve.AttributeResponse, error) {
 	var out serve.AttributeResponse
 	err := rt.forwardTyped(ctx, "attribute", src, &out)
 	return out, err
 }
 
-// Detect implements serve.Backend like Attribute.
+// Detect is the typed face of Infer like Attribute.
 func (rt *Router) Detect(ctx context.Context, src string) (serve.DetectResponse, error) {
 	var out serve.DetectResponse
 	err := rt.forwardTyped(ctx, "detect", src, &out)
 	return out, err
 }
 
-// forwardTyped runs one typed request through ForwardInference and
+// forwardTyped runs one typed request through Infer and
 // decodes the answer into out.
 func (rt *Router) forwardTyped(ctx context.Context, endpoint, src string, out any) error {
 	body, err := json.Marshal(serve.AttributeRequest{Source: src})
 	if err != nil {
 		return err
 	}
-	ans, err := rt.ForwardInference(ctx, endpoint, src, body)
+	ans, err := rt.Infer(ctx, endpoint, src, body)
 	if err != nil {
 		return err
 	}

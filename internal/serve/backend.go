@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"time"
 
 	"gptattr/internal/arena"
@@ -21,10 +23,12 @@ import (
 // that already knows the exact status (the router passing a replica's
 // answer through) wraps it in a *StatusError.
 type Backend interface {
-	// Attribute runs multi-author attribution on one source.
-	Attribute(ctx context.Context, src string) (AttributeResponse, error)
-	// Detect runs the ChatGPT-vs-human classifier on one source.
-	Detect(ctx context.Context, src string) (DetectResponse, error)
+	// Infer answers one request to /v1/<endpoint> ("attribute" or
+	// "detect") as encoded answer bytes, which Server writes
+	// unchanged. src is the source decoded from the request; body is
+	// the client's request body verbatim, so a pass-through backend
+	// (the fleet router) forwards it without re-encoding.
+	Infer(ctx context.Context, endpoint, src string, body []byte) (Answer, error)
 	// Health reports the backend's serving state for GET /healthz.
 	Health() HealthResponse
 	// Reload swaps in the next model generation (POST /v1/reload,
@@ -42,18 +46,6 @@ type Answer struct {
 	Body       []byte
 	Level      int
 	Generation uint64
-}
-
-// Forwarder is the optional pass-through face of a Backend. When the
-// backend implements it, Server hands it the client's request body
-// verbatim, plus the source decoded from it (for placement), and
-// writes the returned answer bytes unchanged: the fleet router's hop
-// then does no JSON work on a 200 beyond the one request decode.
-type Forwarder interface {
-	// ForwardInference answers one request to /v1/<endpoint>
-	// ("attribute" or "detect"). Errors map to statuses like the
-	// typed Backend methods' errors.
-	ForwardInference(ctx context.Context, endpoint, src string, body []byte) (Answer, error)
 }
 
 // Stager is the optional two-phase reload face of a Backend. The
@@ -93,19 +85,29 @@ func NewLocalBackend(reg *Registry, b *Batcher) *LocalBackend {
 	return &LocalBackend{reg: reg, batcher: b}
 }
 
-// Attribute implements Backend. A vector degraded by budget expiry or
-// brownout pressure is scored by the ladder rung trained on exactly
-// its surviving feature families; the reported confidence is the top
-// vote share discounted by that rung's out-of-bag calibration, so a
-// degraded answer advertises how much trust it has actually earned.
-func (l *LocalBackend) Attribute(ctx context.Context, src string) (AttributeResponse, error) {
+// Infer implements Backend on this process's models; the request
+// body is not needed.
+func (l *LocalBackend) Infer(ctx context.Context, endpoint, src string, _ []byte) (Answer, error) {
+	if endpoint == "detect" {
+		return l.detect(ctx, src)
+	}
+	return l.attribute(ctx, src)
+}
+
+// attribute runs multi-author attribution on one source. A vector
+// degraded by budget expiry or brownout pressure is scored by the
+// ladder rung trained on exactly its surviving feature families; the
+// reported confidence is the top vote share discounted by that rung's
+// out-of-bag calibration, so a degraded answer advertises how much
+// trust it has actually earned.
+func (l *LocalBackend) attribute(ctx context.Context, src string) (Answer, error) {
 	models := l.reg.Current()
 	if o, _ := models.OracleFor(stylometry.DegradeNone); o == nil {
-		return AttributeResponse{}, ErrNoOracle
+		return Answer{}, ErrNoOracle
 	}
 	feats, lvl, err := l.batcher.ExtractDegraded(ctx, src)
 	if err != nil {
-		return AttributeResponse{}, err
+		return Answer{}, err
 	}
 	oracle, eff := models.OracleFor(lvl)
 	proba, best := oracle.ProbaFeatures(feats)
@@ -113,31 +115,41 @@ func (l *LocalBackend) Attribute(ctx context.Context, src string) (AttributeResp
 	if c := oracle.Calibration(); c > 0 {
 		conf *= c
 	}
-	return AttributeResponse{
+	return encodeAnswer(AttributeResponse{
 		Author: best, Proba: proba, Confidence: conf,
 		DegradeLevel: int(eff), Calibration: oracle.Calibration(),
 		ModelGeneration: models.Generation,
-	}, nil
+	}, int(eff), models.Generation)
 }
 
-// Detect implements Backend. Degraded vectors route to the matching
-// detector rung, same as Attribute.
-func (l *LocalBackend) Detect(ctx context.Context, src string) (DetectResponse, error) {
+// detect runs the ChatGPT-vs-human classifier on one source. Degraded
+// vectors route to the matching detector rung, same as attribute.
+func (l *LocalBackend) detect(ctx context.Context, src string) (Answer, error) {
 	models := l.reg.Current()
 	if d, _ := models.DetectorFor(stylometry.DegradeNone); d == nil {
-		return DetectResponse{}, ErrNoDetector
+		return Answer{}, ErrNoDetector
 	}
 	feats, lvl, err := l.batcher.ExtractDegraded(ctx, src)
 	if err != nil {
-		return DetectResponse{}, err
+		return Answer{}, err
 	}
 	detector, eff := models.DetectorFor(lvl)
 	verdict, conf := detector.DetectFeatures(feats)
-	return DetectResponse{
+	return encodeAnswer(DetectResponse{
 		ChatGPT: verdict, Confidence: conf,
 		DegradeLevel: int(eff), Calibration: detector.Calibration(),
 		ModelGeneration: models.Generation,
-	}, nil
+	}, int(eff), models.Generation)
+}
+
+// encodeAnswer renders a typed response as the JSON line an
+// Encoder.Encode would write.
+func encodeAnswer(resp any, level int, gen uint64) (Answer, error) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return Answer{}, &StatusError{Code: http.StatusInternalServerError, Msg: "encode answer: " + err.Error()}
+	}
+	return Answer{Body: append(body, '\n'), Level: level, Generation: gen}, nil
 }
 
 // Health implements Backend.

@@ -20,24 +20,17 @@ var (
 	// ErrClosed means the batcher is draining for shutdown (503).
 	ErrClosed = errors.New("serve: batcher closed")
 	// ErrInternal means the extraction machinery itself failed (a
-	// contained panic or an unrecovered injected fault); the HTTP
-	// layer answers 503 so clients retry elsewhere. The request is
-	// answered, never dropped.
+	// contained panic, or a transient fault that outlived
+	// stylometry's retry budget); the HTTP layer answers 503 so
+	// clients retry elsewhere. The request is answered, never dropped.
 	ErrInternal = errors.New("serve: internal extraction failure")
 )
 
-// Fault-injection points on the serving path (see internal/fault).
-// An admission fault rejects exactly like saturation (429); a batch
-// fault delays or fails one job's extraction — the job still gets an
-// answer.
-const (
-	PointAdmit = "serve.admit"
-	PointBatch = "serve.batch"
-)
-
-// batchRetries bounds the retry supervisor around transient extraction
-// faults (no backoff: jobs are holding their latency budgets).
-const batchRetries = 3
+// PointAdmit is the serving path's admission fault point (see
+// internal/fault): an injected fault rejects exactly like saturation
+// (429). Extraction faults are injected at stylometry.PointExtract,
+// inside the one supervisor the workers call.
+const PointAdmit = "serve.admit"
 
 // BatchConfig tunes the extraction queue and its workers.
 type BatchConfig struct {
@@ -62,7 +55,7 @@ type BatchConfig struct {
 	// the job's context plus the brownout floor in, features and
 	// degrade level out. Tests use it to block extractions
 	// deterministically and force degrade levels. Nil means
-	// stylometry.ExtractAndCache on Cache.
+	// stylometry.ExtractSupervised on Cache.
 	extractFn func(ctx context.Context, src string,
 		force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error)
 }
@@ -78,7 +71,7 @@ func (c BatchConfig) withDefaults() BatchConfig {
 		cache := c.Cache
 		c.extractFn = func(ctx context.Context, src string,
 			force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
-			return stylometry.ExtractAndCache(ctx, src, force, cache)
+			return stylometry.ExtractSupervised(ctx, src, force, cache)
 		}
 	}
 	return c
@@ -226,11 +219,14 @@ func (b *Batcher) logf(format string, args ...any) {
 
 // run extracts one job and answers it. A job whose deadline already
 // passed is answered with its context error without paying for
-// extraction. The extraction itself is supervised: injected transient
-// faults are retried a bounded number of times, and a panic — from
-// injection or a real defect in the extraction stack — is contained
-// and answered as ErrInternal, keeping the worker alive. No admitted
-// request is ever dropped on the floor.
+// extraction. Otherwise the job gets exactly one call to the
+// supervised extraction (stylometry.ExtractSupervised, which retries
+// transient faults and contains panics). Its supervision failures — a
+// contained panic, or a transient fault that outlived the retry
+// budget — are answered ErrInternal (503), not as a verdict on the
+// source; a panic that escapes the extraction function is contained
+// here the same way, keeping the worker alive. No admitted request is
+// ever dropped on the floor.
 func (b *Batcher) run(j *job) {
 	// Every admitted job's queue delay is overload signal — expired
 	// jobs most of all — so the controller observes before the
@@ -247,31 +243,29 @@ func (b *Batcher) run(j *job) {
 	if b.onExtract != nil {
 		b.onExtract()
 	}
-	var res jobResult
-	err := fault.Retry(batchRetries, 0, func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if pv, ok := r.(fault.PanicValue); ok {
-					// Injected panics are transient: retry.
-					err = &fault.InjectedError{Point: pv.Point}
-					return
-				}
-				err = fmt.Errorf("extraction panicked: %v", r)
+	res := b.extract(j, force)
+	if res.err != nil {
+		var pe *stylometry.PanicError
+		if errors.As(res.err, &pe) || fault.IsTransient(res.err) {
+			id := j.id
+			if id == "" {
+				id = "-"
 			}
-		}()
-		if err := fault.Hit(PointBatch); err != nil {
-			return err
+			b.logf("serve: extraction failed, answering 503: %v (request %s)", res.err, id)
+			res = jobResult{err: fmt.Errorf("%w: %v", ErrInternal, res.err)}
 		}
-		res.f, res.level, res.err = b.cfg.extractFn(j.ctx, j.src, force)
-		return nil
-	})
-	if err != nil {
-		id := j.id
-		if id == "" {
-			id = "-"
-		}
-		b.logf("serve: extraction failed, answering 503: %v (request %s)", err, id)
-		res = jobResult{err: fmt.Errorf("%w: %v", ErrInternal, err)}
 	}
 	j.done <- res
+}
+
+// extract calls the extraction function once, containing a panic that
+// escapes it as a *stylometry.PanicError.
+func (b *Batcher) extract(j *job, force stylometry.DegradeLevel) (res jobResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = jobResult{err: &stylometry.PanicError{Value: fmt.Sprint(r)}}
+		}
+	}()
+	res.f, res.level, res.err = b.cfg.extractFn(j.ctx, j.src, force)
+	return res
 }

@@ -185,18 +185,18 @@ func TestDegradedExtractionWorkerCountInvariant(t *testing.T) {
 		sources[i] = sampleSource(t, i)
 	}
 	for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-		ref, refLevels, refErrs := stylometry.ExtractEachDegraded(sources, lvl,
+		ref, refLevels, refErr := stylometry.ExtractAll(sources, lvl,
 			stylometry.ExtractConfig{Workers: 1})
 		for _, workers := range []int{2, 4} {
-			got, gotLevels, gotErrs := stylometry.ExtractEachDegraded(sources, lvl,
+			got, gotLevels, gotErr := stylometry.ExtractAll(sources, lvl,
 				stylometry.ExtractConfig{Workers: workers})
 			if !reflect.DeepEqual(refLevels, gotLevels) {
 				t.Fatalf("level %v: degrade levels differ between workers=1 and workers=%d", lvl, workers)
 			}
+			if (refErr == nil) != (gotErr == nil) {
+				t.Fatalf("level %v: error mismatch across worker counts: %v vs %v", lvl, refErr, gotErr)
+			}
 			for i := range sources {
-				if (refErrs[i] == nil) != (gotErrs[i] == nil) {
-					t.Fatalf("level %v source %d: error mismatch across worker counts", lvl, i)
-				}
 				if !reflect.DeepEqual(ref[i], got[i]) {
 					t.Fatalf("level %v source %d: features differ between workers=1 and workers=%d", lvl, i, workers)
 				}

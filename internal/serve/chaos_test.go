@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"gptattr/internal/fault"
+	"gptattr/internal/stylometry"
 )
 
 // TestServeDegradesNeverDrops is the serving half of the chaos
-// contract: under a seeded storm of admission faults, batch faults,
-// and batch latency, every one of N concurrent requests receives an
-// HTTP answer from the degradation set {200, 429, 503, 504} — none
-// hangs, none is dropped — and the server returns to full health the
-// moment the storm lifts. Three seeds vary which requests the faults
-// land on.
+// contract: under a seeded storm of admission faults and extraction
+// faults, every one of N concurrent requests receives an HTTP answer
+// from the degradation set {200, 429, 503, 504} — none hangs, none is
+// dropped, and an extraction that exhausts its retries is never
+// answered as a rejected source — and the server returns to full
+// health the moment the storm lifts. Three seeds vary which requests
+// the faults land on.
 func TestServeDegradesNeverDrops(t *testing.T) {
 	defer fault.Disable()
 	for _, seed := range []int64{31, 32, 33} {
@@ -26,7 +28,7 @@ func TestServeDegradesNeverDrops(t *testing.T) {
 
 		fault.Enable(seed)
 		fault.Set(PointAdmit, fault.Policy{Kind: fault.KindError, Prob: 0.2})
-		fault.Set(PointBatch, fault.Policy{Kind: fault.KindError, Prob: 0.3})
+		fault.Set(stylometry.PointExtract, fault.Policy{Kind: fault.KindError, Prob: 0.3})
 
 		const requests = 48
 		statuses := make(chan int, requests)

@@ -205,11 +205,11 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 }
 
 // TestBatchFaultRetriedTransparently arms a transient extraction fault
-// below the retry budget: callers never see it.
+// below stylometry's retry budget: callers never see it.
 func TestBatchFaultRetriedTransparently(t *testing.T) {
 	defer fault.Disable()
 	fault.Enable(12)
-	fault.Set(PointBatch, fault.Policy{Kind: fault.KindError, Limit: batchRetries - 1})
+	fault.Set(stylometry.PointExtract, fault.Policy{Kind: fault.KindError, Limit: stylometry.ExtractRetries - 1})
 
 	b := NewBatcher(BatchConfig{QueueDepth: 16, Workers: 1})
 	defer b.Close()
@@ -220,8 +220,8 @@ func TestBatchFaultRetriedTransparently(t *testing.T) {
 	if len(f) == 0 {
 		t.Fatal("no features extracted")
 	}
-	if st := fault.Stats()[PointBatch]; st.Fires != uint64(batchRetries-1) {
-		t.Fatalf("fires = %d, want %d", st.Fires, batchRetries-1)
+	if st := fault.Stats()[stylometry.PointExtract]; st.Fires != uint64(stylometry.ExtractRetries-1) {
+		t.Fatalf("fires = %d, want %d", st.Fires, stylometry.ExtractRetries-1)
 	}
 }
 
@@ -231,12 +231,50 @@ func TestBatchFaultRetriedTransparently(t *testing.T) {
 func TestBatchInjectedPanicRetried(t *testing.T) {
 	defer fault.Disable()
 	fault.Enable(13)
-	fault.Set(PointBatch, fault.Policy{Kind: fault.KindPanic, Limit: batchRetries - 1})
+	fault.Set(stylometry.PointExtract, fault.Policy{Kind: fault.KindPanic, Limit: stylometry.ExtractRetries - 1})
 
 	b := NewBatcher(BatchConfig{QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	if _, _, err := b.ExtractDegraded(context.Background(), "int main() { return 0; }\n"); err != nil {
 		t.Fatalf("injected panic under retry budget leaked: %v", err)
+	}
+}
+
+// TestExhaustedExtractionFaultAnswers503 arms the extraction fault
+// point with no limit, so every attempt fails and the retry budget runs
+// out. That is a server fault, not a verdict on the source: the client
+// gets 503 with Retry-After (never 422 "source rejected"), and
+// batch_failures_total counts it once. Then the server recovers.
+func TestExhaustedExtractionFaultAnswers503(t *testing.T) {
+	defer fault.Disable()
+	for _, kind := range []fault.Kind{fault.KindPanic, fault.KindError} {
+		t.Run(kind.String(), func(t *testing.T) {
+			ts, s, _, _ := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1})
+			failures := s.Metrics().Counter("batch_failures_total")
+			src := sampleSource(t, 0)
+
+			fault.Enable(15)
+			fault.Set(stylometry.PointExtract, fault.Policy{Kind: kind})
+			resp, body := postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: src})
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("exhausted %v fault: %d %s, want 503", kind, resp.StatusCode, body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("503 missing Retry-After")
+			}
+			if got := failures.Value(); got != 1 {
+				t.Errorf("batch_failures_total = %d, want 1", got)
+			}
+			if st := fault.Stats()[stylometry.PointExtract]; st.Fires != stylometry.ExtractRetries {
+				t.Errorf("fires = %d, want the whole retry budget %d", st.Fires, stylometry.ExtractRetries)
+			}
+
+			fault.Disable()
+			resp, body = postJSON(t, ts.URL+"/v1/attribute", AttributeRequest{Source: src})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("after the fault lifts: %d %s, want 200", resp.StatusCode, body)
+			}
+		})
 	}
 }
 

@@ -129,7 +129,7 @@ func degradeForcingBatcher(lvl stylometry.DegradeLevel) *Batcher {
 		QueueDepth: 16,
 		extractFn: func(ctx context.Context, src string,
 			_ stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
-			return stylometry.ExtractCached(ctx, src, lvl, nil)
+			return stylometry.ExtractSupervised(ctx, src, lvl, nil)
 		},
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gptattr/internal/fault"
 	"gptattr/internal/featcache"
 	"gptattr/internal/stylometry"
 )
@@ -148,10 +149,18 @@ type parityCase struct {
 	batch   int
 	workers int
 	floor   stylometry.DegradeLevel
+	// faults, when non-empty, arms stylometry.PointExtract with each
+	// kind in turn for one pass over the sources, firing on the first
+	// ExtractRetries-1 attempts: always under the retry budget.
+	faults []fault.Kind
 }
 
 func (c parityCase) String() string {
-	return fmt.Sprintf("cache=%s/batch=%d/workers=%d/floor=%d", c.cache, c.batch, c.workers, c.floor)
+	name := fmt.Sprintf("cache=%s/batch=%d/workers=%d/floor=%d", c.cache, c.batch, c.workers, c.floor)
+	for _, k := range c.faults {
+		name += "/fault=" + k.String()
+	}
+	return name
 }
 
 // parityCache builds the case's feature cache. Warm and disk caches
@@ -203,9 +212,10 @@ type parityReply struct {
 // TestAnswerParityAcrossServingSettings pins that the HTTP answer for a
 // source is exactly the offline answer at the level the server reports,
 // whatever the cache state, client concurrency, worker count, or
-// brownout floor: the batcher, cache, JSON encoding and ladder lookup
-// add no drift. A cache hit must report level 0 (cached vectors are
-// full); a miss must report the forced floor.
+// brownout floor, and with extraction faults the retry budget absorbs:
+// the batcher, cache, supervisor, JSON encoding and ladder lookup add
+// no drift. A cache hit must report level 0 (cached vectors are full);
+// a miss must report the forced floor.
 func TestAnswerParityAcrossServingSettings(t *testing.T) {
 	dir := ladderDir(t)
 	sources := paritySources(t)
@@ -221,11 +231,14 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 		for _, batch := range []int{1, 16} {
 			for _, workers := range []int{1, 2, 4} {
 				for floor := stylometry.DegradeNone; floor <= stylometry.MaxDegrade; floor++ {
-					cases = append(cases, parityCase{cache, batch, workers, floor})
+					cases = append(cases, parityCase{cache: cache, batch: batch, workers: workers, floor: floor})
 				}
 			}
 		}
 	}
+	cases = append(cases, parityCase{cache: "none", batch: 16, workers: 2,
+		faults: []fault.Kind{fault.KindError, fault.KindPanic}})
+	defer fault.Disable()
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {
 			cache := parityCache(t, c.cache, sources)
@@ -248,31 +261,45 @@ func TestAnswerParityAcrossServingSettings(t *testing.T) {
 			// Requests go out in groups of c.batch; with 16 every
 			// request is in flight at once, so every worker runs and
 			// hits and misses interleave on the queue.
-			replies := make([]parityReply, 0, 2*len(sources))
+			var replies []parityReply
 			var mu sync.Mutex
-			var wg sync.WaitGroup
-			sent := 0
-			for i, src := range sources {
-				for _, ep := range []string{"attribute", "detect"} {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						r := parityReply{src: i, endpoint: ep}
-						resp, body, err := tryPostJSON(ts.URL+"/v1/"+ep, AttributeRequest{Source: src})
-						if err == nil {
-							r.status, r.header, r.body = resp.StatusCode, resp.Header.Get(DegradeHeader), body
+			send := func() {
+				var wg sync.WaitGroup
+				sent := 0
+				for i, src := range sources {
+					for _, ep := range []string{"attribute", "detect"} {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							r := parityReply{src: i, endpoint: ep}
+							resp, body, err := tryPostJSON(ts.URL+"/v1/"+ep, AttributeRequest{Source: src})
+							if err == nil {
+								r.status, r.header, r.body = resp.StatusCode, resp.Header.Get(DegradeHeader), body
+							}
+							r.err = err
+							mu.Lock()
+							replies = append(replies, r)
+							mu.Unlock()
+						}()
+						if sent++; sent%c.batch == 0 {
+							wg.Wait()
 						}
-						r.err = err
-						mu.Lock()
-						replies = append(replies, r)
-						mu.Unlock()
-					}()
-					if sent++; sent%c.batch == 0 {
-						wg.Wait()
 					}
 				}
+				wg.Wait()
 			}
-			wg.Wait()
+			if len(c.faults) == 0 {
+				send()
+			}
+			for i, kind := range c.faults {
+				fault.Enable(int64(41 + i))
+				fault.Set(stylometry.PointExtract, fault.Policy{Kind: kind, Limit: stylometry.ExtractRetries - 1})
+				send()
+				if st := fault.Stats()[stylometry.PointExtract]; st.Fires != stylometry.ExtractRetries-1 {
+					t.Errorf("%v fault fired %d times, want %d", kind, st.Fires, stylometry.ExtractRetries-1)
+				}
+				fault.Disable()
+			}
 
 			// The hit/miss expectations below hold only if the cache
 			// really served the warmed sources, from the layer the case

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -70,11 +68,10 @@ type Config struct {
 // Server is the HTTP attribution service: transport plumbing from
 // Core, inference from a pluggable Backend.
 type Server struct {
-	core      *Core
-	backend   Backend
-	forwarder Forwarder // nil unless the backend passes encoded answers through
-	evader    Evader    // nil unless the backend serves /v1/evade
-	mux       *http.ServeMux
+	core    *Core
+	backend Backend
+	evader  Evader // nil unless the backend serves /v1/evade
+	mux     *http.ServeMux
 
 	// Metric handles resolved once in New, so the request path does no
 	// registry lookups.
@@ -176,7 +173,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/reload", s.handleReload)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.forwarder, _ = backend.(Forwarder)
 	if _, ok := backend.(Stager); ok {
 		s.mux.HandleFunc("/v1/reload/stage", s.handleStage)
 		s.mux.HandleFunc("/v1/reload/commit", s.handleCommit)
@@ -211,12 +207,8 @@ func (s *Server) Metrics() *metrics.Registry { return s.core.Metrics() }
 func (s *Server) Core() *Core { return s.core }
 
 // handleInference is the shared endpoint body: count, admit, decode,
-// get the encoded answer, write it. A Forwarder backend gets the
-// client's body bytes and returns the replica's answer bytes; any
-// other backend is called through local, the endpoint's typed method.
-// Either way the 200 answer leaves through the one write below.
-func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics, endpoint string,
-	local func(ctx context.Context, src string) (Answer, error)) {
+// get the encoded answer from the backend, write it unchanged.
+func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics, endpoint string) {
 	em.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -233,13 +225,7 @@ func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *end
 	}
 	ctx, cancel := s.core.RequestContextFor(r, reqID)
 	defer cancel()
-	var ans Answer
-	var err error
-	if s.forwarder != nil {
-		ans, err = s.forwarder.ForwardInference(ctx, endpoint, src, body)
-	} else {
-		ans, err = local(ctx, src)
-	}
+	ans, err := s.backend.Infer(ctx, endpoint, src, body)
 	if err != nil {
 		s.core.FailBackend(w, err, reqID)
 		return
@@ -260,33 +246,11 @@ func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *end
 }
 
 func (s *Server) handleAttribute(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, &s.attribute, "attribute", func(ctx context.Context, src string) (Answer, error) {
-		resp, err := s.backend.Attribute(ctx, src)
-		if err != nil {
-			return Answer{}, err
-		}
-		return encodeAnswer(resp, resp.DegradeLevel, resp.ModelGeneration)
-	})
+	s.handleInference(w, r, &s.attribute, "attribute")
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	s.handleInference(w, r, &s.detect, "detect", func(ctx context.Context, src string) (Answer, error) {
-		resp, err := s.backend.Detect(ctx, src)
-		if err != nil {
-			return Answer{}, err
-		}
-		return encodeAnswer(resp, resp.DegradeLevel, resp.ModelGeneration)
-	})
-}
-
-// encodeAnswer renders a typed response as the JSON line an
-// Encoder.Encode would write.
-func encodeAnswer(resp any, level int, gen uint64) (Answer, error) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return Answer{}, &StatusError{Code: http.StatusInternalServerError, Msg: "encode answer: " + err.Error()}
-	}
-	return Answer{Body: append(body, '\n'), Level: level, Generation: gen}, nil
+	s.handleInference(w, r, &s.detect, "detect")
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

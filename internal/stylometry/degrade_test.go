@@ -117,9 +117,9 @@ func TestExtractDegradedCacheDiscipline(t *testing.T) {
 	cache := &mapCache{m: make(map[string]Features)}
 
 	// A forced-surface extraction must not populate the cache.
-	out, levels, errs := ExtractEachDegraded([]string{sampleA}, DegradeSurface, ExtractConfig{Workers: 1, Cache: cache})
-	if errs[0] != nil {
-		t.Fatalf("ExtractEachDegraded: %v", errs[0])
+	out, levels, err := ExtractAll([]string{sampleA}, DegradeSurface, ExtractConfig{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatalf("ExtractAll: %v", err)
 	}
 	if levels[0] != DegradeSurface {
 		t.Fatalf("level = %v, want %v", levels[0], DegradeSurface)
@@ -135,15 +135,15 @@ func TestExtractDegradedCacheDiscipline(t *testing.T) {
 
 	// A full extraction caches; a later forced-degraded request then
 	// hits and gets the full vector back at level 0.
-	if _, levels, errs = ExtractEachDegraded([]string{sampleA}, DegradeNone, ExtractConfig{Workers: 1, Cache: cache}); errs[0] != nil {
-		t.Fatalf("full extraction: %v", errs[0])
+	if _, levels, err = ExtractAll([]string{sampleA}, DegradeNone, ExtractConfig{Workers: 1, Cache: cache}); err != nil {
+		t.Fatalf("full extraction: %v", err)
 	}
 	if levels[0] != DegradeNone || len(cache.m) != 1 {
 		t.Fatalf("full extraction: level %v, %d cached", levels[0], len(cache.m))
 	}
-	_, levels, errs = ExtractEachDegraded([]string{sampleA}, DegradeSurface, ExtractConfig{Workers: 1, Cache: cache})
-	if errs[0] != nil || levels[0] != DegradeNone {
-		t.Fatalf("cache hit under forced floor: level %v err %v, want level 0", levels[0], errs[0])
+	_, levels, err = ExtractAll([]string{sampleA}, DegradeSurface, ExtractConfig{Workers: 1, Cache: cache})
+	if err != nil || levels[0] != DegradeNone {
+		t.Fatalf("cache hit under forced floor: level %v err %v, want level 0", levels[0], err)
 	}
 }
 

@@ -46,11 +46,11 @@ func FuzzExtractPipeline(f *testing.F) {
 		}
 
 		sources := []string{src, src + "\n"}
-		seq, err := stylometry.ExtractAll(sources, stylometry.ExtractConfig{Workers: 1})
+		seq, _, err := stylometry.ExtractAll(sources, stylometry.DegradeNone, stylometry.ExtractConfig{Workers: 1})
 		if err != nil {
 			return
 		}
-		par, err := stylometry.ExtractAll(sources, stylometry.ExtractConfig{Workers: 2})
+		par, _, err := stylometry.ExtractAll(sources, stylometry.DegradeNone, stylometry.ExtractConfig{Workers: 2})
 		if err != nil {
 			t.Fatalf("parallel extraction failed where sequential succeeded: %v", err)
 		}

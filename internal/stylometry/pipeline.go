@@ -12,16 +12,19 @@ import (
 	"gptattr/internal/ml"
 )
 
-// PointExtract is the fault-injection point on the per-sample
-// extraction path (see internal/fault). Injected transient errors and
-// injected panics are absorbed by the bounded retry supervisor;
-// non-injected panics are contained into per-sample errors.
+// PointExtract is the fault-injection point on the per-source
+// extraction path (see internal/fault). ExtractSupervised hits it once
+// per attempt: injected transient errors and injected panics are
+// absorbed by its bounded retry supervisor; non-injected panics are
+// contained into per-source errors.
 const PointExtract = "stylometry.extract"
 
-// extractRetries and extractBackoff bound the retry-with-backoff
-// supervisor around transient extraction faults.
+// ExtractRetries bounds the attempts ExtractSupervised makes at one
+// source: fewer consecutive transient faults than this are absorbed.
+// extractBackoff is the sleep before the second attempt (doubling
+// after).
 const (
-	extractRetries = 3
+	ExtractRetries = 3
 	extractBackoff = time.Millisecond
 )
 
@@ -71,51 +74,35 @@ func (e *ExtractError) Error() string {
 func (e *ExtractError) Unwrap() error { return e.Err }
 
 // ExtractAll computes features for every source on a bounded worker
-// pool, preserving input order. Results are deterministic for any
-// worker count: each output slot is written only by the worker that
-// drew its index. The first failing source is reported as an
-// *ExtractError.
-func ExtractAll(sources []string, cfg ExtractConfig) ([]Features, error) {
-	out, _, errs := ExtractEachDegraded(sources, DegradeNone, cfg)
-	for i, err := range errs {
-		if err != nil {
-			return nil, &ExtractError{Index: i, Err: err}
-		}
-	}
-	return out, nil
-}
-
-// ExtractEachDegraded is the batch entry point behind ExtractAll: it
-// computes features for every source on the same bounded worker pool
-// but reports per-source errors instead of failing the whole run, so
-// one malformed source never costs its neighbours their answers.
-// out[i] is valid iff errs[i] is nil. force is the degrade floor:
-// every vector is extracted at least that degraded, and levels[i]
-// reports each vector's actual level. Each source goes through
-// ExtractCached. Worker scheduling never affects content: each slot is
-// written only by the worker that drew its index, and a degraded
-// vector's features depend only on its level.
-func ExtractEachDegraded(sources []string, force DegradeLevel,
-	cfg ExtractConfig) (out []Features, levels []DegradeLevel, errs []error) {
+// pool, preserving input order. force is the degrade floor: every
+// vector is extracted at least that degraded, and levels[i] reports
+// each vector's actual level. A source is looked up in cfg.Cache
+// first — a hit is a full (level-0) vector whatever the floor — and
+// otherwise goes through ExtractSupervised. Every source is attempted,
+// so one malformed source never costs its neighbours their features;
+// the lowest-index failure is reported as an *ExtractError, and out[i]
+// is valid for every other source. Worker scheduling never affects
+// content: each slot is written only by the worker that drew its
+// index, and a degraded vector's features depend only on its level.
+func ExtractAll(sources []string, force DegradeLevel, cfg ExtractConfig) (out []Features, levels []DegradeLevel, err error) {
 	out = make([]Features, len(sources))
 	levels = make([]DegradeLevel, len(sources))
-	errs = make([]error, len(sources))
+	errs := make([]error, len(sources))
 	ctx := context.Background()
-	workers := cfg.workers(len(sources))
-	if workers == 1 {
-		for i, src := range sources {
-			out[i], levels[i], errs[i] = ExtractCached(ctx, src, force, cfg.Cache)
-		}
-		return out, levels, errs
-	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := cfg.workers(len(sources)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i], levels[i], errs[i] = ExtractCached(ctx, sources[i], force, cfg.Cache)
+				if cfg.Cache != nil {
+					if f, ok := cfg.Cache.Get(sources[i]); ok {
+						out[i] = f
+						continue
+					}
+				}
+				out[i], levels[i], errs[i] = ExtractSupervised(ctx, sources[i], force, cfg.Cache)
 			}
 		}()
 	}
@@ -124,14 +111,20 @@ func ExtractEachDegraded(sources []string, force DegradeLevel,
 	}
 	close(jobs)
 	wg.Wait()
-	return out, levels, errs
+	for i, err := range errs {
+		if err != nil {
+			return out, levels, &ExtractError{Index: i, Err: err}
+		}
+	}
+	return out, levels, nil
 }
 
-// PanicError is a panic contained by the extraction worker pool and
-// converted into a per-sample error. A panicking sample fails alone —
-// with provenance — instead of killing the whole run; ExtractAll
-// callers see it wrapped in an *ExtractError carrying the sample
-// index, and the attrib layer adds author/challenge provenance.
+// PanicError is a panic contained by ExtractSupervised and converted
+// into a per-source error. A panicking source fails alone — with
+// provenance — instead of killing the whole run; ExtractAll callers
+// see it wrapped in an *ExtractError carrying the source index, the
+// attrib layer adds author/challenge provenance, and the serving
+// batcher answers it 503.
 type PanicError struct {
 	// Value is the stringified panic value.
 	Value string
@@ -151,54 +144,38 @@ func (e *PanicError) Error() string {
 // Transient reports whether the panic was fault-injected (retryable).
 func (e *PanicError) Transient() bool { return e.injected }
 
-// safeExtract runs one extraction with panic containment: a panic —
-// injected or real — becomes an error instead of unwinding the worker
-// goroutine and killing the process.
-func safeExtract(ctx context.Context, src string, force DegradeLevel) (f Features, level DegradeLevel, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pv, ok := r.(fault.PanicValue); ok {
-				err = &PanicError{Value: pv.String(), injected: true}
-				return
+// ExtractSupervised is the one supervised per-source extraction:
+// budgeted extraction at the forced floor (ExtractDegraded), with each
+// attempt passing PointExtract first. Transient faults — injected
+// errors and injected panics — are retried up to ExtractRetries
+// attempts with backoff; any panic, injected or real, is contained as
+// a *PanicError instead of unwinding the caller's goroutine. A
+// transient fault that outlives the budget is returned as is, so
+// callers can tell a supervision failure (IsTransient, or a
+// *PanicError) from a source that does not extract.
+//
+// ctx bounds the extraction: a budget that expires mid-extraction
+// sheds feature families instead of failing. A full (level-0) vector
+// is stored in cache (when non-nil); degraded vectors never are, so a
+// brownout never poisons the cache with partial vectors. src is never
+// looked up: callers consult the cache first, once.
+func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (f Features, level DegradeLevel, err error) {
+	level = force
+	err = fault.Retry(ExtractRetries, extractBackoff, func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				if pv, ok := r.(fault.PanicValue); ok {
+					err = &PanicError{Value: pv.String(), injected: true}
+					return
+				}
+				err = &PanicError{Value: fmt.Sprint(r), Stack: debug.Stack()}
 			}
-			err = &PanicError{Value: fmt.Sprint(r), Stack: debug.Stack()}
+		}()
+		if err := fault.HitContext(ctx, PointExtract); err != nil {
+			return err
 		}
-	}()
-	if err := fault.HitContext(ctx, PointExtract); err != nil {
-		return nil, force, err
-	}
-	return ExtractDegraded(ctx, src, force)
-}
-
-// ExtractCached is the per-source serving path: cache lookup, then
-// supervised budgeted extraction (transient faults retried, panics
-// contained as *PanicError). ctx bounds the extraction: a budget that
-// expires mid-extraction sheds feature families instead of failing. A
-// cache hit is always a full (level-0) vector regardless of the forced
-// floor — the cached work is already paid for, so the cache absorbs
-// degradation; conversely only full vectors are ever cached, so a
-// brownout never poisons the cache with partial vectors.
-func ExtractCached(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (Features, DegradeLevel, error) {
-	if cache != nil {
-		if f, ok := cache.Get(src); ok {
-			return f, DegradeNone, nil
-		}
-	}
-	return ExtractAndCache(ctx, src, force, cache)
-}
-
-// ExtractAndCache is ExtractCached after a miss: supervised budgeted
-// extraction, then a full (level-0) vector is stored in cache (when
-// non-nil). It never looks src up, so a caller that already consulted
-// the cache — the serving batcher answers hits at admission — keeps
-// the cache's hit and miss counts at one lookup per request.
-func ExtractAndCache(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (Features, DegradeLevel, error) {
-	var f Features
-	level := force
-	err := fault.Retry(extractRetries, extractBackoff, func() error {
-		var rerr error
-		f, level, rerr = safeExtract(ctx, src, force)
-		return rerr
+		f, level, err = ExtractDegraded(ctx, src, force)
+		return err
 	})
 	if err != nil {
 		return nil, level, err
@@ -216,7 +193,7 @@ func ExtractAndCache(ctx context.Context, src string, force DegradeLevel, cache 
 // sorted, so the dataset is bit-identical at any worker count.
 func BuildDatasetWith(sources []string, labels []int, numClasses int,
 	cfg VectorizerConfig, ex ExtractConfig) (*ml.Dataset, *Vectorizer, error) {
-	docs, err := ExtractAll(sources, ex)
+	docs, _, err := ExtractAll(sources, DegradeNone, ex)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -23,14 +23,14 @@ func faultSources() []string {
 func TestExtractRetriesTransientFaults(t *testing.T) {
 	defer fault.Disable()
 	srcs := faultSources()
-	want, err := ExtractAll(srcs, ExtractConfig{Workers: 1})
+	want, _, err := ExtractAll(srcs, DegradeNone, ExtractConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fault.Enable(3)
-	fault.Set(PointExtract, fault.Policy{Kind: fault.KindError, Every: 2, Limit: extractRetries - 1})
-	got, err := ExtractAll(srcs, ExtractConfig{Workers: 1})
+	fault.Set(PointExtract, fault.Policy{Kind: fault.KindError, Every: 2, Limit: ExtractRetries - 1})
+	got, _, err := ExtractAll(srcs, DegradeNone, ExtractConfig{Workers: 1})
 	if err != nil {
 		t.Fatalf("faulted run failed: %v", err)
 	}
@@ -58,34 +58,21 @@ func TestPanicContainedToOneSample(t *testing.T) {
 	defer fault.Disable()
 	srcs := faultSources()
 	fault.Enable(3)
-	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, After: 2, Limit: extractRetries})
+	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, After: 2, Limit: ExtractRetries})
 
-	out, _, errs := ExtractEachDegraded(srcs, DegradeNone, ExtractConfig{Workers: 1})
-	var failed []int
-	for i, err := range errs {
-		if err == nil {
-			if len(out[i]) == 0 {
-				t.Errorf("sample %d: no error but empty features", i)
-			}
-			continue
-		}
-		failed = append(failed, i)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Errorf("sample %d: error %v is not a contained panic", i, err)
-		}
-	}
-	if len(failed) != 1 || failed[0] != 2 {
-		t.Fatalf("failed samples = %v, want exactly [2]", failed)
-	}
-
-	// ExtractAll surfaces the same containment with index provenance.
-	fault.Enable(3)
-	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, After: 2, Limit: extractRetries})
-	_, err := ExtractAll(srcs, ExtractConfig{Workers: 1})
+	out, _, err := ExtractAll(srcs, DegradeNone, ExtractConfig{Workers: 1})
 	var ee *ExtractError
 	if !errors.As(err, &ee) || ee.Index != 2 {
 		t.Fatalf("ExtractAll error = %v, want *ExtractError for index 2", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v is not a contained panic", err)
+	}
+	for i := range srcs {
+		if i != ee.Index && len(out[i]) == 0 {
+			t.Errorf("sample %d: batch-mate of the panicking sample has no features", i)
+		}
 	}
 }
 
@@ -95,8 +82,8 @@ func TestInjectedPanicAbsorbedByRetry(t *testing.T) {
 	defer fault.Disable()
 	srcs := faultSources()
 	fault.Enable(3)
-	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, Every: 3, Limit: extractRetries - 1})
-	_, err := ExtractAll(srcs, ExtractConfig{Workers: 2})
+	fault.Set(PointExtract, fault.Policy{Kind: fault.KindPanic, Every: 3, Limit: ExtractRetries - 1})
+	_, _, err := ExtractAll(srcs, DegradeNone, ExtractConfig{Workers: 2})
 	if err != nil {
 		t.Fatalf("retry did not absorb bounded injected panics: %v", err)
 	}
@@ -110,7 +97,7 @@ func TestInjectedPanicAbsorbedByRetry(t *testing.T) {
 // therefore never retried by the supervisor.
 func TestRealPanicIsNotRetried(t *testing.T) {
 	calls := 0
-	err := fault.Retry(extractRetries, 0, func() (err error) {
+	err := fault.Retry(ExtractRetries, 0, func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Value: "boom", Stack: []byte("stack")}
