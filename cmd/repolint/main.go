@@ -51,10 +51,18 @@
 //     loop that also honours its context) is exempted with a
 //     `// repolint:allow-sleep <reason>` comment on the same or
 //     preceding line.
-//   - An unexported non-method function in a non-test file must be
-//     referenced by some non-test file of its package. One that only
-//     the package's tests call is a reference implementation or a test
-//     helper: it belongs in a _test.go file, not in the shipped build.
+//   - Code only tests need does not ship. A function, method, or
+//     package-level const or var in a non-test file is flagged when
+//     no shipped (non-test) file needs it: an exported one under
+//     internal/ must be referenced by some shipped file anywhere
+//     (servebench/ and cmd/ included) or by another package's tests;
+//     an unexported one must be referenced by a shipped file of its
+//     own package. Methods match by name against any selector or
+//     interface method; names the standard library calls through an
+//     interface (String, Error, MarshalJSON, ...) are never flagged.
+//     Delete the code or move it into a _test.go file; a
+//     `// repolint:allow-testonly <reason>` comment on the same or
+//     preceding line as the name exempts a deliberate one.
 //   - Every Go file must be gofmt-clean (checked with go/format).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or parse errors.
@@ -114,6 +122,24 @@ const allowMapRangeDirective = "repolint:allow-maprange"
 // a package boundary as exempt from the interned-path rule.
 const allowFeatMapDirective = "repolint:allow-featmap"
 
+// allowTestOnlyDirective exempts a declaration that only tests call
+// from the test-only rule.
+const allowTestOnlyDirective = "repolint:allow-testonly"
+
+// stdMethods are method names the standard library calls through an
+// interface (fmt.Stringer, error, errors.Is/As, json and text
+// marshalers, http.Handler, sort and heap interfaces, io): no selector
+// in the repository names those calls, so the test-only rule never
+// flags them.
+var stdMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true,
+	"Error": true, "Unwrap": true, "Is": true, "As": true,
+	"MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true,
+	"Push": true, "Pop": true, "Read": true, "Write": true, "Close": true,
+}
+
 // featMapPkgs are the packages where feature maps may only be built at
 // annotated boundaries: extraction proper goes through FeatureVec.
 var featMapPkgs = []string{"internal/stylometry"}
@@ -170,7 +196,7 @@ func run(args []string, out *os.File) (int, error) {
 	}
 
 	voidClose := collectVoidClose(parsed)
-	findings = append(findings, checkTestOnlyFuncs(fset, files, parsed)...)
+	findings = append(findings, checkTestOnly(fset, *root, files, parsed)...)
 	for _, path := range files {
 		f := parsed[path]
 		rel, err := filepath.Rel(*root, path)
@@ -807,37 +833,75 @@ func checkCloseErrors(fset *token.FileSet, path string, f *ast.File, vc voidClos
 	return out
 }
 
-// checkTestOnlyFuncs flags unexported non-method functions declared in
-// a non-test file that no non-test file of the same package (directory)
-// references, while the package's tests do: code only tests call
-// belongs in a _test.go file. Function names are package-scoped, so a
-// name match is a reference; selector fields (x.name) are not counted,
-// and a function's references to itself do not keep it alive.
-func checkTestOnlyFuncs(fset *token.FileSet, files []string, parsed map[string]*ast.File) []finding {
+// checkTestOnly flags declarations in non-test files that no shipped
+// code needs: functions, methods, and package-level consts and vars.
+// Shipped code is every non-test file in the tree, servebench/ and
+// cmd/ included. One predicate decides:
+//
+//   - an exported declaration under internal/ is kept when some
+//     shipped file anywhere references it, or when another package's
+//     tests do (a shared fixture or reference oracle);
+//   - an unexported declaration anywhere is kept when a shipped file of
+//     its own package references it.
+//
+// Package-level names resolve by name within the package and through
+// import aliases across packages. Without type information a method
+// matches by name: any selector or interface method of that name in a
+// qualifying file keeps it, and so does a name the standard library
+// calls through an interface (stdMethods). A declaration's references
+// to itself (recursion, r.M() inside M) do not keep it alive.
+// A `// repolint:allow-testonly <reason>` comment on the same or
+// preceding line as the name exempts a finding.
+func checkTestOnly(fset *token.FileSet, root string, files []string, parsed map[string]*ast.File) []finding {
 	type decl struct {
-		dir, name string
-		pos       token.Position
+		dir, key, what string
+		exported       bool
+		pos            token.Position
 	}
-	var decls []decl
-	shipRefs := make(map[string]bool) // "<dir>.<name>" used by non-test code
-	testRefs := make(map[string]bool) // "<dir>.<name>" used by tests
+	// uses records, per referenced key, the directories whose shipped
+	// and test files reference it. Package-level keys are
+	// "<dir>.<name>"; method keys are ".<name>".
+	type uses struct{ ship, test map[string]bool }
+	refs := make(map[string]*uses)
+	ref := func(key, dir string, isTest bool) {
+		u := refs[key]
+		if u == nil {
+			u = &uses{make(map[string]bool), make(map[string]bool)}
+			refs[key] = u
+		}
+		if isTest {
+			u.test[dir] = true
+		} else {
+			u.ship[dir] = true
+		}
+	}
+	relDirs := make(map[string]string) // slash path relative to root -> dir
 	for _, path := range files {
 		dir := filepath.Dir(path)
-		isTest := strings.HasSuffix(path, "_test.go")
-		refs := shipRefs
-		if isTest {
-			refs = testRefs
+		if rel, err := filepath.Rel(root, dir); err == nil {
+			relDirs[filepath.ToSlash(rel)] = dir
 		}
-		self := "" // the enclosing function's own name
+	}
+	var decls []decl
+	for _, path := range files {
+		f := parsed[path]
+		dir := filepath.Dir(path)
+		isTest := strings.HasSuffix(path, "_test.go")
+		imports := importDirs(f, relDirs)
+		var selfFunc, selfRecv, selfMethod string
 		var mark func(n ast.Node) bool
 		mark = func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.FuncDecl:
 				// The declared name is not a use of itself.
-				self = ""
+				selfFunc, selfRecv, selfMethod = "", "", ""
 				if v.Recv == nil {
-					self = v.Name.Name
+					selfFunc = v.Name.Name
 				} else {
+					selfMethod = v.Name.Name
+					if names := v.Recv.List[0].Names; len(names) > 0 {
+						selfRecv = names[0].Name
+					}
 					ast.Inspect(v.Recv, mark)
 				}
 				ast.Inspect(v.Type, mark)
@@ -845,37 +909,166 @@ func checkTestOnlyFuncs(fset *token.FileSet, files []string, parsed map[string]*
 					ast.Inspect(v.Body, mark)
 				}
 				return false
+			case *ast.Field:
+				// Field, parameter and result names declare, not use.
+				ast.Inspect(v.Type, mark)
+				return false
+			case *ast.ValueSpec:
+				if v.Type != nil {
+					ast.Inspect(v.Type, mark)
+				}
+				for _, val := range v.Values {
+					ast.Inspect(val, mark)
+				}
+				return false
+			case *ast.InterfaceType:
+				// A method an interface names can be called through it.
+				for _, m := range v.Methods.List {
+					for _, name := range m.Names {
+						ref("."+name.Name, dir, isTest)
+					}
+					ast.Inspect(m.Type, mark)
+				}
+				return false
 			case *ast.SelectorExpr:
+				if x, ok := v.X.(*ast.Ident); ok {
+					// Obj != nil: a local shadows the package name.
+					if target, ok := imports[x.Name]; ok && x.Obj == nil {
+						if target != "" {
+							ref(target+"."+v.Sel.Name, dir, isTest)
+						}
+						return false
+					}
+					if x.Name == selfRecv && v.Sel.Name == selfMethod {
+						return false
+					}
+				}
+				ref("."+v.Sel.Name, dir, isTest)
 				ast.Inspect(v.X, mark)
 				return false
 			case *ast.Ident:
-				if v.Name != self {
-					refs[dir+"."+v.Name] = true
+				if v.Name != selfFunc {
+					ref(dir+"."+v.Name, dir, isTest)
 				}
 			}
 			return true
 		}
-		for _, d := range parsed[path].Decls {
-			self = ""
-			ast.Inspect(d, mark)
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || isTest || fd.Recv != nil || ast.IsExported(fd.Name.Name) {
-				continue
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			rel = path
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		allowed := directiveLines(fset, f, allowTestOnlyDirective)
+		add := func(name *ast.Ident, key, what string) {
+			exported := ast.IsExported(name.Name)
+			pos := fset.Position(name.Pos())
+			if isTest || (exported && !internal) || allowed[pos.Line] || allowed[pos.Line-1] {
+				return
 			}
-			switch fd.Name.Name {
+			switch name.Name {
 			case "main", "init", "_":
-				continue
+				return
 			}
-			decls = append(decls, decl{dir, fd.Name.Name, fset.Position(fd.Name.Pos())})
+			decls = append(decls, decl{dir, key, what, exported, pos})
+		}
+		for _, d := range f.Decls {
+			selfFunc, selfRecv, selfMethod = "", "", ""
+			ast.Inspect(d, mark)
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, dir+"."+d.Name.Name, "function "+d.Name.Name)
+				} else if !stdMethods[d.Name.Name] {
+					add(d.Name, "."+d.Name.Name, "method "+recvTypeName(d.Recv)+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.CONST && d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						add(name, dir+"."+name.Name, d.Tok.String()+" "+name.Name)
+					}
+				}
+			}
 		}
 	}
 	var out []finding
 	for _, d := range decls {
-		key := d.dir + "." + d.name
-		if !shipRefs[key] && testRefs[key] {
-			out = append(out, finding{d.pos,
-				fmt.Sprintf("unexported function %s is referenced only by tests (move it into a _test.go file)", d.name)})
+		u := refs[d.key]
+		if u == nil {
+			u = &uses{}
+		}
+		kept := u.ship[d.dir]
+		if d.exported {
+			kept = len(u.ship) > 0
+			for dir := range u.test {
+				kept = kept || dir != d.dir
+			}
+		}
+		if kept {
+			continue
+		}
+		vis := "unexported"
+		if d.exported {
+			vis = "exported"
+		}
+		if u.test[d.dir] {
+			out = append(out, finding{d.pos, fmt.Sprintf("%s %s is referenced only by tests (move it into a _test.go file, or annotate with // %s <reason>)", vis, d.what, allowTestOnlyDirective)})
+		} else {
+			out = append(out, finding{d.pos, fmt.Sprintf("%s %s is referenced by no shipped code or test (delete it)", vis, d.what)})
 		}
 	}
 	return out
+}
+
+// importDirs maps each of the file's import names to the repository
+// directory its path resolves to, or to "" for a package outside the
+// tree. A path resolves to the longest root-relative directory it ends
+// with, so "gptattr/internal/serve" from either module is internal/serve.
+func importDirs(f *ast.File, relDirs map[string]string) map[string]string {
+	out := make(map[string]string, len(f.Imports))
+	for _, imp := range f.Imports {
+		p, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			continue
+		}
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		dir := ""
+		for rest := p; rest != ""; {
+			if d, ok := relDirs[rest]; ok {
+				dir = d
+				break
+			}
+			i := strings.Index(rest, "/")
+			if i < 0 {
+				break
+			}
+			rest = rest[i+1:]
+		}
+		out[name] = dir
+	}
+	return out
+}
+
+// recvTypeName names a method receiver's type, without pointer or
+// type parameters.
+func recvTypeName(recv *ast.FieldList) string {
+	t := recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch v := t.(type) {
+	case *ast.IndexExpr:
+		t = v.X
+	case *ast.IndexListExpr:
+		t = v.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
 }

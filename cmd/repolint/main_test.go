@@ -64,6 +64,8 @@ func TestTimeNowAllowedOutsidePipeline(t *testing.T) {
 import "time"
 
 func Stamp() int64 { return time.Now().Unix() }
+
+var _ = Stamp
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -95,6 +97,8 @@ import "math/rand"
 func Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
 
 func NewRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+var _, _ = Pick, NewRng
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -160,6 +164,8 @@ func save(path string) error {
 	}
 	return f.Close()
 }
+
+var _ = save
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -182,6 +188,8 @@ type batcherLike interface{ Close() }
 func shutdown(batcher batcherLike) {
 	batcher.Close()
 }
+
+var _ = shutdown
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -238,6 +246,8 @@ func grow(depth int) {
 		panic("negative depth")
 	}
 }
+
+var _ = grow
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -254,6 +264,8 @@ func mustPositive(n int) {
 		panic("n must be positive")
 	}
 }
+
+var _ = mustPositive
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -292,6 +304,8 @@ func publish(tmp, final string, data []byte) error {
 	_ = os.Remove(tmp) // cleanup best-effort
 	return os.Rename(tmp, final)
 }
+
+var _ = publish
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -327,6 +341,8 @@ func backoff() {
 	time.Sleep(50 * time.Millisecond)
 	time.Sleep(time.Millisecond) // repolint:allow-sleep settle before reprobe
 }
+
+var _ = backoff
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -341,6 +357,8 @@ func TestSleepAllowedOutsideServingPkgs(t *testing.T) {
 import "time"
 
 func stall(d time.Duration) { time.Sleep(d) }
+
+var _ = stall
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -575,9 +593,209 @@ func TestClamp(t *testing.T) {
 	}
 }
 `,
+		"cmd/tool/main.go": `package main
+
+import "gptattr/internal/ml"
+
+func main() { _ = ml.Pick(1) }
+`,
 	})
 	if code, out := lint(t, root); code != 0 {
 		t.Fatalf("functions called from shipped code must pass, exit %d:\n%s", code, out)
+	}
+}
+
+// TestTestOnlyExported covers the exported half of the test-only rule:
+// who counts as a caller of an exported declaration under internal/.
+func TestTestOnlyExported(t *testing.T) {
+	const lib = `package ml
+
+import "sort"
+
+// Span is the shipped entry point the fixtures share.
+func Span(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)-1] - xs[0]
+}
+`
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string // finding substring; "" means the tree is clean
+	}{
+		{
+			name: "own tests only",
+			files: map[string]string{
+				"internal/ml/ref.go": `package ml
+
+func Median(xs []float64) float64 { return xs[len(xs)/2] }
+`,
+				"internal/ml/ref_test.go": `package ml
+
+import "testing"
+
+func TestMedian(t *testing.T) {
+	if Median([]float64{1, 2, 3}) != 2 {
+		t.Fatal("median")
+	}
+}
+`,
+			},
+			want: "exported function Median is referenced only by tests",
+		},
+		{
+			name: "another package's test",
+			files: map[string]string{
+				"internal/ml/ref.go": `package ml
+
+func Median(xs []float64) float64 { return xs[len(xs)/2] }
+`,
+				"internal/attrib/ref_test.go": `package attrib
+
+import (
+	"testing"
+
+	"gptattr/internal/ml"
+)
+
+func TestMedianOracle(t *testing.T) {
+	if ml.Median([]float64{1, 2, 3}) != 2 {
+		t.Fatal("median")
+	}
+}
+`,
+			},
+		},
+		{
+			name: "sibling servebench module, aliased import",
+			files: map[string]string{
+				"internal/ml/span.go": lib,
+				"servebench/main.go": `package main
+
+import stats "gptattr/internal/ml"
+
+func main() { _ = stats.Span([]float64{1, 2}) }
+`,
+			},
+		},
+		{
+			name: "method kept by a same-named selector elsewhere",
+			files: map[string]string{
+				"internal/ml/span.go": lib + `
+type Tree struct{ n int }
+
+func (t *Tree) Depth() int { return t.n }
+
+func (t *Tree) Leaves() int { return t.n + 1 }
+`,
+				"cmd/tool/main.go": `package main
+
+import "gptattr/internal/ml"
+
+type stack struct{ n int }
+
+func (s *stack) Depth() int { return s.n }
+
+func main() {
+	s := &stack{}
+	_, _ = s.Depth(), ml.Span(nil)
+}
+`,
+			},
+			want: "exported method Tree.Leaves is referenced by no shipped code or test",
+		},
+		{
+			name: "method kept by an interface that names it",
+			files: map[string]string{
+				"internal/ml/span.go": lib + `
+type Tree struct{ n int }
+
+func (t *Tree) Depth() int { return t.n }
+`,
+				"cmd/tool/main.go": `package main
+
+import "gptattr/internal/ml"
+
+type deep interface{ Depth() int }
+
+var _ deep = (*ml.Tree)(nil)
+
+func main() { _ = ml.Span(nil) }
+`,
+			},
+		},
+		{
+			name: "method recursion does not count",
+			files: map[string]string{
+				"internal/ml/span.go": lib + `
+type Tree struct{ n int }
+
+func (t *Tree) Walk(n int) int {
+	if n == 0 {
+		return t.n
+	}
+	return t.Walk(n - 1)
+}
+`,
+				"cmd/tool/main.go": `package main
+
+import "gptattr/internal/ml"
+
+func main() { _ = ml.Span(nil) }
+`,
+			},
+			want: "exported method Tree.Walk is referenced by no shipped code or test",
+		},
+		{
+			name: "unreferenced exported const",
+			files: map[string]string{
+				"internal/ml/span.go": lib + `
+// Version tags the layout.
+const Version = 3
+`,
+				"cmd/tool/main.go": `package main
+
+import "gptattr/internal/ml"
+
+func main() { _ = ml.Span(nil) }
+`,
+			},
+			want: "exported const Version is referenced by no shipped code or test",
+		},
+		{
+			name: "directive exempts",
+			files: map[string]string{
+				"internal/ml/ref.go": `package ml
+
+// Median is the next serving path.
+// repolint:allow-testonly pinned by TestMedian until the server calls it
+func Median(xs []float64) float64 { return xs[len(xs)/2] }
+`,
+				"internal/ml/ref_test.go": `package ml
+
+import "testing"
+
+func TestMedian(t *testing.T) {
+	if Median([]float64{1, 2, 3}) != 2 {
+		t.Fatal("median")
+	}
+}
+`,
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out := lint(t, writeTree(t, tc.files))
+			if tc.want == "" {
+				if code != 0 {
+					t.Fatalf("want a clean tree, exit %d:\n%s", code, out)
+				}
+				return
+			}
+			if code != 1 || !strings.Contains(out, tc.want) || !strings.Contains(out, "repolint: 1 finding(s)") {
+				t.Fatalf("want exactly one finding %q, exit %d:\n%s", tc.want, code, out)
+			}
+		})
 	}
 }
 
@@ -593,7 +811,7 @@ func TestUnformattedFileFlagged(t *testing.T) {
 
 func TestFormattedFileAllowed(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"internal/cpptok/scan.go": "package cpptok\n\nconst (\n\ta  byte = iota\n\tbb      // two\n)\n",
+		"internal/cpptok/scan.go": "package cpptok\n\nconst (\n\ta  byte = iota\n\tbb      // two\n)\n\nvar _ = []byte{a, bb}\n",
 	})
 	if code, out := lint(t, root); code != 0 {
 		t.Fatalf("gofmt-clean file must pass, exit %d:\n%s", code, out)
@@ -633,6 +851,8 @@ func Keys(m map[string]int) []string {
 	sort.Strings(out)
 	return out
 }
+
+var _ = Keys
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -649,6 +869,8 @@ func Merge(dst, src map[string]float64) {
 		dst[k] += v
 	}
 }
+
+var _ = Merge
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -711,6 +933,8 @@ func Sum(m map[string]int) []int {
 	}
 	return out
 }
+
+var _ = Sum
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -729,6 +953,8 @@ func Keys(m map[string]int) []string {
 	}
 	return out
 }
+
+var _ = Keys
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -786,6 +1012,8 @@ func Materialize() Features {
 	out := make(Features) // repolint:allow-featmap boundary materializer
 	return out
 }
+
+var _ = Materialize
 `,
 	})
 	if code, out := lint(t, root); code != 0 {
@@ -798,6 +1026,8 @@ func TestFeatMapAllowedOutsideStylometry(t *testing.T) {
 		"internal/attrib/table.go": `package attrib
 
 func Table() map[string]float64 { return make(map[string]float64) }
+
+var _ = Table
 `,
 	})
 	if code, out := lint(t, root); code != 0 {

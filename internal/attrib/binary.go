@@ -195,6 +195,7 @@ func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
 // callers that extract through stylometry.Scratch.ExtractVec and want
 // the whole request to stay off the allocator. fv is read-only and
 // may be reused immediately after return.
+// repolint:allow-testonly the vec-core serving path; TestEndToEndVecAllocs pins it until attrserve calls it
 func (c *Classifier) DetectVec(fv *stylometry.FeatureVec) (bool, float64) {
 	return c.detect(nil, fv)
 }

@@ -76,6 +76,7 @@ func (o *Oracle) PredictFeatures(f stylometry.Features) string {
 // serving path (extract into the vec, vectorize columns directly,
 // vote on pooled rows). fv is read-only and may be reused by the
 // caller immediately after return.
+// repolint:allow-testonly the vec-core serving path; TestEndToEndVecAllocs pins it until attrserve calls it
 func (o *Oracle) PredictVec(fv *stylometry.FeatureVec) string {
 	return o.vote(nil, fv)
 }

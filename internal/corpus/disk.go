@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -13,8 +11,8 @@ import (
 //
 //	root/gcj<year>/<author>/<challenge>[_<setting>_<round>].cc
 //
-// Transformed samples encode their setting in the filename so Load can
-// reconstruct full provenance.
+// Transformed samples encode their setting and round in the filename,
+// so the layout carries full provenance.
 func Save(c *Corpus, root string) error {
 	for i, s := range c.Samples {
 		dir := filepath.Join(root, fmt.Sprintf("gcj%d", s.Year), sanitize(s.Author))
@@ -31,67 +29,6 @@ func Save(c *Corpus, root string) error {
 		}
 	}
 	return nil
-}
-
-// Load reads a corpus previously written by Save.
-func Load(root string) (*Corpus, error) {
-	out := &Corpus{}
-	yearDirs, err := os.ReadDir(root)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: read root: %w", err)
-	}
-	sort.Slice(yearDirs, func(i, j int) bool { return yearDirs[i].Name() < yearDirs[j].Name() })
-	for _, yd := range yearDirs {
-		if !yd.IsDir() || !strings.HasPrefix(yd.Name(), "gcj") {
-			continue
-		}
-		year, err := strconv.Atoi(strings.TrimPrefix(yd.Name(), "gcj"))
-		if err != nil {
-			continue
-		}
-		authorDirs, err := os.ReadDir(filepath.Join(root, yd.Name()))
-		if err != nil {
-			return nil, err
-		}
-		sort.Slice(authorDirs, func(i, j int) bool { return authorDirs[i].Name() < authorDirs[j].Name() })
-		for _, ad := range authorDirs {
-			if !ad.IsDir() {
-				continue
-			}
-			files, err := os.ReadDir(filepath.Join(root, yd.Name(), ad.Name()))
-			if err != nil {
-				return nil, err
-			}
-			sort.Slice(files, func(i, j int) bool { return files[i].Name() < files[j].Name() })
-			for _, f := range files {
-				if f.IsDir() || !strings.HasSuffix(f.Name(), ".cc") {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(root, yd.Name(), ad.Name(), f.Name()))
-				if err != nil {
-					return nil, err
-				}
-				s := Sample{
-					Source: string(data),
-					Author: ad.Name(),
-					Year:   year,
-					Origin: OriginHuman,
-				}
-				base := strings.TrimSuffix(f.Name(), ".cc")
-				parts := strings.Split(base, "_")
-				s.Challenge = parts[0]
-				if len(parts) == 3 {
-					s.Setting = settingFromSlug(parts[1])
-					s.Origin = OriginGPTTransformed
-					if r, err := strconv.Atoi(parts[2]); err == nil {
-						s.Round = r
-					}
-				}
-				out.Samples = append(out.Samples, s)
-			}
-		}
-	}
-	return out, nil
 }
 
 func sanitize(s string) string {
@@ -117,20 +54,5 @@ func settingSlug(s Setting) string {
 		return "humC"
 	default:
 		return "none"
-	}
-}
-
-func settingFromSlug(s string) Setting {
-	switch s {
-	case "gptN":
-		return SettingGPTNCT
-	case "gptC":
-		return SettingGPTCT
-	case "humN":
-		return SettingHumNCT
-	case "humC":
-		return SettingHumCT
-	default:
-		return SettingNone
 	}
 }

@@ -1,10 +1,92 @@
 package corpus
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// Load reads a corpus previously written by Save: the oracle for
+// Save's round trip.
+func Load(root string) (*Corpus, error) {
+	out := &Corpus{}
+	yearDirs, err := os.ReadDir(root)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: read root: %w", err)
+	}
+	sort.Slice(yearDirs, func(i, j int) bool { return yearDirs[i].Name() < yearDirs[j].Name() })
+	for _, yd := range yearDirs {
+		if !yd.IsDir() || !strings.HasPrefix(yd.Name(), "gcj") {
+			continue
+		}
+		year, err := strconv.Atoi(strings.TrimPrefix(yd.Name(), "gcj"))
+		if err != nil {
+			continue
+		}
+		authorDirs, err := os.ReadDir(filepath.Join(root, yd.Name()))
+		if err != nil {
+			return nil, err
+		}
+		sort.Slice(authorDirs, func(i, j int) bool { return authorDirs[i].Name() < authorDirs[j].Name() })
+		for _, ad := range authorDirs {
+			if !ad.IsDir() {
+				continue
+			}
+			files, err := os.ReadDir(filepath.Join(root, yd.Name(), ad.Name()))
+			if err != nil {
+				return nil, err
+			}
+			sort.Slice(files, func(i, j int) bool { return files[i].Name() < files[j].Name() })
+			for _, f := range files {
+				if f.IsDir() || !strings.HasSuffix(f.Name(), ".cc") {
+					continue
+				}
+				data, err := os.ReadFile(filepath.Join(root, yd.Name(), ad.Name(), f.Name()))
+				if err != nil {
+					return nil, err
+				}
+				s := Sample{
+					Source: string(data),
+					Author: ad.Name(),
+					Year:   year,
+					Origin: OriginHuman,
+				}
+				base := strings.TrimSuffix(f.Name(), ".cc")
+				parts := strings.Split(base, "_")
+				s.Challenge = parts[0]
+				if len(parts) == 3 {
+					s.Setting = settingFromSlug(parts[1])
+					s.Origin = OriginGPTTransformed
+					if r, err := strconv.Atoi(parts[2]); err == nil {
+						s.Round = r
+					}
+				}
+				out.Samples = append(out.Samples, s)
+			}
+		}
+	}
+	return out, nil
+}
+
+// settingFromSlug inverts settingSlug.
+func settingFromSlug(s string) Setting {
+	switch s {
+	case "gptN":
+		return SettingGPTNCT
+	case "gptC":
+		return SettingGPTCT
+	case "humN":
+		return SettingHumNCT
+	case "humC":
+		return SettingHumCT
+	default:
+		return SettingNone
+	}
+}
 
 func TestSaveSanitizesAuthorNames(t *testing.T) {
 	dir := t.TempDir()

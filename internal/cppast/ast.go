@@ -639,19 +639,6 @@ func walk(n Node, depth int, fn func(Node, int) bool) {
 	})
 }
 
-// MaxDepth returns the maximum node depth in the tree rooted at root
-// (the root itself is at depth 0). It returns 0 for a nil root.
-func MaxDepth(root Node) int {
-	max := 0
-	Walk(root, func(_ Node, d int) bool {
-		if d > max {
-			max = d
-		}
-		return true
-	})
-	return max
-}
-
 // CountKinds returns the number of nodes of each kind in the tree.
 func CountKinds(root Node) map[string]int {
 	out := make(map[string]int)

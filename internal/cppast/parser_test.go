@@ -380,6 +380,19 @@ func TestParseReferenceParams(t *testing.T) {
 	}
 }
 
+// MaxDepth returns the maximum node depth in the tree rooted at root
+// (the root itself is at depth 0). It returns 0 for a nil root.
+func MaxDepth(root Node) int {
+	max := 0
+	Walk(root, func(_ Node, d int) bool {
+		if d > max {
+			max = d
+		}
+		return true
+	})
+	return max
+}
+
 func TestMaxDepthAndWalk(t *testing.T) {
 	tu := MustParse("int main() { if (a) { while (b) { x = y + z * w; } } }")
 	d := MaxDepth(tu)

@@ -19,9 +19,6 @@ const (
 	RuleConstCond   = "SA005-const-cond"
 )
 
-// Rules lists every rule ID the engine can emit, in ID order.
-var Rules = []string{RuleUninitRead, RuleDeadStore, RuleUnreachable, RuleUnusedDecl, RuleConstCond}
-
 // Diagnostic is one finding with a stable rule ID and source position.
 type Diagnostic struct {
 	Rule string `json:"rule"`

@@ -7,13 +7,6 @@ import (
 )
 
 func TestValueHelpers(t *testing.T) {
-	if !IntVal(3).IsNumeric() || !FloatVal(2.5).IsNumeric() ||
-		!BoolVal(true).IsNumeric() || !CharVal('x').IsNumeric() {
-		t.Error("numeric kinds misreported")
-	}
-	if StringVal("s").IsNumeric() {
-		t.Error("string reported numeric")
-	}
 	if !StringVal("x").Truthy() || StringVal("").Truthy() {
 		t.Error("string truthiness wrong")
 	}

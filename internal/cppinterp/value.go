@@ -97,16 +97,6 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// IsNumeric reports whether the value participates in arithmetic.
-func (v Value) IsNumeric() bool {
-	switch v.Kind {
-	case KindInt, KindFloat, KindChar, KindBool:
-		return true
-	default:
-		return false
-	}
-}
-
 // coerce converts v to the declared kind k (e.g. initializing an int
 // from a double truncates).
 func coerce(v Value, k ValueKind) Value {

@@ -6,7 +6,6 @@
 package cppprint
 
 import (
-	"strconv"
 	"strings"
 
 	"gptattr/internal/cppast"
@@ -537,6 +536,3 @@ func (p *printer) castOperand(e cppast.Node) string {
 		return "(" + p.expr(e, 0) + ")"
 	}
 }
-
-// Quote renders an int as a C++ literal (helper for transforms).
-func Quote(i int) string { return strconv.Itoa(i) }

@@ -211,12 +211,6 @@ func TestPrintUnknownPreserved(t *testing.T) {
 	}
 }
 
-func TestPrintQuote(t *testing.T) {
-	if Quote(42) != "42" {
-		t.Error("Quote broken")
-	}
-}
-
 func ExamplePrint() {
 	tu := cppast.MustParse("int main(){int x=1;if(x) x++;return x;}")
 	fmt.Println(Print(tu, Config{IndentWidth: 2}))

@@ -674,14 +674,3 @@ func StripCommentsInPlace(toks []Token) []Token {
 	}
 	return out
 }
-
-// Idents returns the text of every identifier token, in order.
-func Idents(toks []Token) []string {
-	var out []string
-	for _, t := range toks {
-		if t.Kind == KindIdent {
-			out = append(out, t.Text)
-		}
-	}
-	return out
-}

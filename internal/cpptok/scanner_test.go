@@ -243,30 +243,6 @@ func TestStripComments(t *testing.T) {
 	}
 }
 
-func TestIdents(t *testing.T) {
-	got := Idents(MustScan("int foo = bar + baz(qux);"))
-	want := []string{"foo", "bar", "baz", "qux"}
-	if len(got) != len(want) {
-		t.Fatalf("Idents = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Idents[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestKeywordsCopyIsIndependent(t *testing.T) {
-	m := Keywords()
-	m["notakeyword"] = true
-	if IsKeyword("notakeyword") {
-		t.Error("mutating Keywords() copy affected the scanner's keyword set")
-	}
-	if !IsKeyword("while") {
-		t.Error("IsKeyword(while) = false")
-	}
-}
-
 // TestScanNeverPanics feeds arbitrary strings to the scanner and checks
 // it terminates with an EOF token and sane positions.
 func TestScanNeverPanics(t *testing.T) {

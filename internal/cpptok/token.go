@@ -109,19 +109,6 @@ var cppKeywords = map[string]bool{
 	"wchar_t": true, "while": true, "xor": true, "xor_eq": true,
 }
 
-// IsKeyword reports whether s is a C++ keyword.
-func IsKeyword(s string) bool { return cppKeywords[s] }
-
-// Keywords returns the recognized keyword set. The returned map is a
-// copy; callers may mutate it freely.
-func Keywords() map[string]bool {
-	out := make(map[string]bool, len(cppKeywords))
-	for k, v := range cppKeywords {
-		out[k] = v
-	}
-	return out
-}
-
 // controlKeywords are the branching/looping keywords used by stylometric
 // features ("ln(numKeyword/length)" in Caliskan-Islam et al.).
 var controlKeywords = []string{"do", "if", "else", "switch", "for", "while"}

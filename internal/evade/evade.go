@@ -40,9 +40,6 @@ var actions = buildActionSpace()
 // immutable table — callers must not modify it.
 func ActionSpace() []Action { return actions }
 
-// NumActions returns the size of the shared move table.
-func NumActions() int { return len(actions) }
-
 func buildActionSpace() []Action {
 	var out []Action
 	for _, n := range []style.Naming{

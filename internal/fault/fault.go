@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,9 +208,6 @@ func (r *Registry) Clear() {
 	r.active.Store(false)
 }
 
-// Active reports whether any point is armed.
-func (r *Registry) Active() bool { return r.active.Load() }
-
 // Stats snapshots per-point hit/fire counters for every armed point.
 func (r *Registry) Stats() map[string]PointStats {
 	r.mu.Lock()
@@ -220,18 +216,6 @@ func (r *Registry) Stats() map[string]PointStats {
 	for name, pt := range r.points {
 		out[name] = PointStats{Hits: pt.hits, Fires: pt.fires}
 	}
-	return out
-}
-
-// Points lists armed point names, sorted.
-func (r *Registry) Points() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.points))
-	for name := range r.points {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -368,9 +352,6 @@ func Disable() { def.Load().Clear() }
 // Set arms one point on the default registry.
 func Set(name string, p Policy) { def.Load().Set(name, p) }
 
-// Active reports whether the default registry has armed points.
-func Active() bool { return def.Load().Active() }
-
 // Hit consults one point on the default registry.
 func Hit(name string) error { return def.Load().Hit(name) }
 
@@ -383,6 +364,3 @@ func Data(name string, b []byte) ([]byte, error) { return def.Load().Data(name, 
 
 // Stats snapshots the default registry's per-point counters.
 func Stats() map[string]PointStats { return def.Load().Stats() }
-
-// Points lists the default registry's armed points.
-func Points() []string { return def.Load().Points() }

@@ -10,7 +10,7 @@ import (
 
 func TestDisarmedHitIsNil(t *testing.T) {
 	r := NewRegistry(1)
-	if r.Active() {
+	if r.active.Load() {
 		t.Fatal("fresh registry reports active")
 	}
 	if err := r.Hit("anything"); err != nil {
@@ -203,22 +203,22 @@ func TestConcurrentHitsAreCountedExactly(t *testing.T) {
 
 func TestDefaultRegistryEnableDisable(t *testing.T) {
 	defer Disable()
-	if Active() {
+	if def.Load().active.Load() {
 		t.Fatal("default registry active before Enable")
 	}
 	Enable(42)
 	Set("d", Policy{Kind: KindError, Every: 1})
-	if !Active() {
+	if !def.Load().active.Load() {
 		t.Fatal("default registry inactive after Set")
 	}
 	if Hit("d") == nil {
 		t.Fatal("armed default point did not fire")
 	}
-	if got := Points(); len(got) != 1 || got[0] != "d" {
-		t.Fatalf("Points() = %v", got)
+	if got := Stats(); len(got) != 1 || got["d"].Hits != 1 {
+		t.Fatalf("Stats() = %v, want only point d, hit once", got)
 	}
 	Disable()
-	if Active() || Hit("d") != nil {
+	if def.Load().active.Load() || Hit("d") != nil {
 		t.Fatal("Disable left the registry armed")
 	}
 }
@@ -269,7 +269,7 @@ func TestEnableSpec(t *testing.T) {
 		t.Fatal("hit 2 did not fire")
 	}
 	Disable()
-	if got, err := EnableSpec(9, ""); err != nil || got != nil || Active() {
-		t.Fatalf("empty EnableSpec armed the registry: %v %v active=%v", got, err, Active())
+	if got, err := EnableSpec(9, ""); err != nil || got != nil || def.Load().active.Load() {
+		t.Fatalf("empty EnableSpec armed the registry: %v %v active=%v", got, err, def.Load().active.Load())
 	}
 }

@@ -45,8 +45,8 @@ const (
 
 // ExtractorFingerprint identifies the current feature-extraction
 // algorithm. Bump it whenever stylometry.Extract changes the feature
-// set, so stale on-disk entries are never reused. v2 added the
-// semantic feature group (stylometry.SemanticVersion 1).
+// set (the semantic group included), so stale on-disk entries are
+// never reused. v2 added the semantic feature group.
 const ExtractorFingerprint = "caliskan-islam+semstats/v2"
 
 // Key returns the content address of one (fingerprint, source) pair.

@@ -54,7 +54,7 @@ type BreakerConfig struct {
 	// (default 3).
 	Probes int
 	// OnChange, when non-nil, observes every state transition (the
-	// router wires logging, metrics, and the health tracker here).
+	// router wires logging and metrics here).
 	OnChange func(from, to BreakerState)
 	// now overrides the clock in tests.
 	now func() time.Time

@@ -47,7 +47,6 @@ type replicaHealth struct {
 	staged   uint64
 	oracle   bool
 	detector bool
-	breaker  string
 }
 
 // NewTracker builds a tracker that declares a replica dead after
@@ -122,25 +121,6 @@ func (t *Tracker) MarkDead(name string) bool {
 	return wasAlive
 }
 
-// SetBreaker records a replica's circuit-breaker position (the Router
-// pushes every transition here so status reads need no breaker lock).
-func (t *Tracker) SetBreaker(name, state string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.state(name).breaker = state
-}
-
-// BreakerState reports the last recorded breaker position ("closed"
-// before any transition).
-func (t *Tracker) BreakerState(name string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.state(name).breaker; s != "" {
-		return s
-	}
-	return "closed"
-}
-
 // MarkAlive returns a replica to service (after the Router healed it).
 func (t *Tracker) MarkAlive(name string) {
 	t.mu.Lock()
@@ -148,20 +128,6 @@ func (t *Tracker) MarkAlive(name string) {
 	s := t.state(name)
 	s.alive = true
 	s.fails = 0
-}
-
-// Alive reports the tracked aliveness.
-func (t *Tracker) Alive(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state(name).alive
-}
-
-// Generation reports the last probed generation.
-func (t *Tracker) Generation(name string) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state(name).gen
 }
 
 // ModelsSeen reports whether any tracked replica has reported an
@@ -182,10 +148,6 @@ func (t *Tracker) Statuses() []ReplicaStatus {
 	defer t.mu.Unlock()
 	out := make([]ReplicaStatus, 0, len(t.states))
 	for name, s := range t.states {
-		breaker := s.breaker
-		if breaker == "" {
-			breaker = "closed"
-		}
 		out = append(out, ReplicaStatus{
 			Name:                name,
 			Alive:               s.alive,
@@ -194,7 +156,6 @@ func (t *Tracker) Statuses() []ReplicaStatus {
 			Oracle:              s.oracle,
 			Detector:            s.detector,
 			ConsecutiveFailures: s.fails,
-			Breaker:             breaker,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -74,8 +73,8 @@ func pointHash(name string, i int) uint64 {
 }
 
 // ValidName reports whether name can be a ring member: non-empty,
-// printable, no whitespace — the constraint that keeps Snapshot's
-// space-separated line format unambiguous.
+// printable, no whitespace, so a name stays one token in log lines and
+// status output.
 func ValidName(name string) bool {
 	if name == "" {
 		return false
@@ -150,18 +149,6 @@ func (r *Ring) IsAlive(name string) bool {
 	return r.members[name]
 }
 
-// Members lists every member, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for name := range r.members {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Alive lists the alive members, sorted.
 func (r *Ring) Alive() []string {
 	r.mu.RLock()
@@ -209,62 +196,4 @@ func (r *Ring) Owners(key []byte, n int) []string {
 		out = append(out, p.name)
 	}
 	return out
-}
-
-// Snapshot serializes the ring's logical state (vnode count, members,
-// aliveness) canonically: equal rings render identical snapshots, and
-// ParseSnapshot rebuilds an identical ring, because point layout is a
-// pure function of this state.
-func (r *Ring) Snapshot() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "ring/v1 vnodes=%d\n", r.vnodes)
-	names := make([]string, 0, len(r.members))
-	for name := range r.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		state := "dead"
-		if r.members[name] {
-			state = "alive"
-		}
-		fmt.Fprintf(&b, "member %s %s\n", name, state)
-	}
-	return b.String()
-}
-
-// ParseSnapshot rebuilds a ring from Snapshot output.
-func ParseSnapshot(s string) (*Ring, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("fleet: empty ring snapshot")
-	}
-	var vnodes int
-	if _, err := fmt.Sscanf(lines[0], "ring/v1 vnodes=%d", &vnodes); err != nil {
-		return nil, fmt.Errorf("fleet: bad snapshot header %q: %v", lines[0], err)
-	}
-	if vnodes <= 0 {
-		return nil, fmt.Errorf("fleet: bad snapshot vnodes %d", vnodes)
-	}
-	r := NewRing(vnodes)
-	for _, line := range lines[1:] {
-		fields := strings.Split(line, " ")
-		if len(fields) != 3 || fields[0] != "member" {
-			return nil, fmt.Errorf("fleet: bad snapshot line %q", line)
-		}
-		name := fields[1]
-		if !r.Add(name) {
-			return nil, fmt.Errorf("fleet: invalid or duplicate snapshot member %q", name)
-		}
-		switch fields[2] {
-		case "alive":
-		case "dead":
-			r.SetAlive(name, false)
-		default:
-			return nil, fmt.Errorf("fleet: bad snapshot state %q", fields[2])
-		}
-	}
-	return r, nil
 }

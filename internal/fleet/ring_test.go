@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -184,43 +183,5 @@ func TestRingInvalidAndDuplicateNames(t *testing.T) {
 	}
 	if !r.Add("ok") || r.Add("ok") {
 		t.Error("duplicate Add not rejected")
-	}
-}
-
-func TestRingSnapshotRoundTrip(t *testing.T) {
-	r := ringOf(t, "a", "b", "c")
-	r.SetAlive("b", false)
-	snap := r.Snapshot()
-	if !strings.HasPrefix(snap, "ring/v1 vnodes=64\n") {
-		t.Fatalf("snapshot header: %q", snap)
-	}
-	r2, err := ParseSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.Snapshot(); got != snap {
-		t.Fatalf("round-trip snapshot differs:\n%q\n%q", got, snap)
-	}
-	for _, k := range sampleKeys(500) {
-		a, aok := r.Owner(k)
-		b, bok := r2.Owner(k)
-		if a != b || aok != bok {
-			t.Fatalf("key %q: owner %q/%v vs rebuilt %q/%v", k, a, aok, b, bok)
-		}
-	}
-}
-
-func TestParseSnapshotRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"ring/v2 vnodes=64\n",
-		"ring/v1 vnodes=0\n",
-		"ring/v1 vnodes=64\nmember a alive\nmember a dead\n", // duplicate
-		"ring/v1 vnodes=64\nmember a sideways\n",
-		"ring/v1 vnodes=64\nbogus line\n",
-	} {
-		if _, err := ParseSnapshot(bad); err == nil {
-			t.Errorf("ParseSnapshot(%q) accepted garbage", bad)
-		}
 	}
 }

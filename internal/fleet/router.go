@@ -247,11 +247,10 @@ func New(cfg Config) (*Router, error) {
 }
 
 // newBreaker builds one replica's breaker, wiring transitions into the
-// log, the metrics registry, and the health tracker.
+// log and the metrics registry.
 func (rt *Router) newBreaker(name string) *Breaker {
 	cfg := rt.cfg.Breaker
 	cfg.OnChange = func(from, to BreakerState) {
-		rt.tracker.SetBreaker(name, to.String())
 		switch to {
 		case BreakerOpen:
 			rt.ctr.breakerOpens.Inc()
@@ -264,9 +263,6 @@ func (rt *Router) newBreaker(name string) *Breaker {
 	}
 	return NewBreaker(cfg)
 }
-
-// Breaker exposes one replica's breaker (status pages and tests).
-func (rt *Router) Breaker(name string) *Breaker { return rt.breakers[name] }
 
 func (rt *Router) logf(format string, args ...any) {
 	if rt.cfg.Logf != nil {

@@ -10,7 +10,6 @@ package ml
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 )
 
@@ -42,10 +41,6 @@ func (d *Dataset) columns() *colMatrix {
 	d.colOnce.Do(func() { d.colmat = newColMatrix(d) })
 	return d.colmat
 }
-
-// Col returns the contiguous column view of feature f from the
-// column-major mirror (read-only).
-func (d *Dataset) Col(f int) []float64 { return d.columns().col(f) }
 
 // ErrEmptyDataset is returned when fitting on no samples.
 var ErrEmptyDataset = errors.New("ml: empty dataset")
@@ -128,20 +123,4 @@ func (d *Dataset) SelectColumns(cols []int) *Dataset {
 		sub.X[i] = nr
 	}
 	return sub
-}
-
-// TrainTestSplit shuffles sample indices with the given rng and splits
-// them so that testFrac of the data lands in the test set.
-func TrainTestSplit(n int, testFrac float64, rng *rand.Rand) (train, test []int) {
-	idx := rng.Perm(n)
-	cut := int(float64(n) * testFrac)
-	if cut < 1 {
-		cut = 1
-	}
-	if cut >= n {
-		cut = n - 1
-	}
-	test = append(test, idx[:cut]...)
-	train = append(train, idx[cut:]...)
-	return train, test
 }

@@ -170,13 +170,6 @@ func (f *Forest) Predict(x []float64) int {
 	return best
 }
 
-// PredictProba returns vote fractions per class.
-func (f *Forest) PredictProba(x []float64) []float64 {
-	out := make([]float64, f.numClasses)
-	f.PredictProbaInto(x, out)
-	return out
-}
-
 // PredictProbaInto writes vote fractions per class into out (len must
 // be NumClasses) without allocating: votes accumulate directly in out
 // and are scaled in place.

@@ -52,9 +52,10 @@ func FuzzDecodeForest(f *testing.F) {
 		if class < 0 || class >= g.NumClasses() {
 			t.Fatalf("predicted class %d outside %d classes", class, g.NumClasses())
 		}
-		proba := g.PredictProba(x)
-		if len(proba) != g.NumClasses() {
-			t.Fatalf("proba has %d entries, want %d", len(proba), g.NumClasses())
+		proba := make([]float64, g.NumClasses())
+		g.PredictProbaInto(x, proba)
+		if proba[class] == 0 {
+			t.Fatalf("predicted class %d has no votes: %v", class, proba)
 		}
 	})
 }

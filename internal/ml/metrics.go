@@ -1,7 +1,5 @@
 package ml
 
-import "fmt"
-
 // Accuracy returns the fraction of predictions matching truth.
 func Accuracy(pred, truth []int) float64 {
 	if len(pred) == 0 || len(pred) != len(truth) {
@@ -14,91 +12,4 @@ func Accuracy(pred, truth []int) float64 {
 		}
 	}
 	return float64(hits) / float64(len(pred))
-}
-
-// ConfusionMatrix counts [truth][pred] occurrences.
-func ConfusionMatrix(pred, truth []int, numClasses int) [][]int {
-	m := make([][]int, numClasses)
-	for i := range m {
-		m[i] = make([]int, numClasses)
-	}
-	for i := range pred {
-		if truth[i] >= 0 && truth[i] < numClasses && pred[i] >= 0 && pred[i] < numClasses {
-			m[truth[i]][pred[i]]++
-		}
-	}
-	return m
-}
-
-// ClassMetrics holds per-class precision/recall/F1.
-type ClassMetrics struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-	Support   int
-}
-
-// PerClassMetrics derives precision/recall/F1 from a confusion matrix.
-func PerClassMetrics(cm [][]int) []ClassMetrics {
-	n := len(cm)
-	out := make([]ClassMetrics, n)
-	for c := 0; c < n; c++ {
-		tp := cm[c][c]
-		fp, fn, support := 0, 0, 0
-		for o := 0; o < n; o++ {
-			if o != c {
-				fp += cm[o][c]
-				fn += cm[c][o]
-			}
-			support += cm[c][o]
-		}
-		var p, r float64
-		if tp+fp > 0 {
-			p = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			r = float64(tp) / float64(tp+fn)
-		}
-		f1 := 0.0
-		if p+r > 0 {
-			f1 = 2 * p * r / (p + r)
-		}
-		out[c] = ClassMetrics{Precision: p, Recall: r, F1: f1, Support: support}
-	}
-	return out
-}
-
-// MacroF1 averages per-class F1 over classes with support.
-func MacroF1(cm [][]int) float64 {
-	ms := PerClassMetrics(cm)
-	sum, n := 0.0, 0
-	for _, m := range ms {
-		if m.Support > 0 {
-			sum += m.F1
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// ClassAccuracy returns the recall of one class (the paper's
-// "target-label accuracy": how often samples of the target class are
-// classified as that class).
-func ClassAccuracy(pred, truth []int, class int) (float64, error) {
-	total, hits := 0, 0
-	for i := range truth {
-		if truth[i] == class {
-			total++
-			if pred[i] == class {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("ml: class %d has no samples", class)
-	}
-	return float64(hits) / float64(total), nil
 }

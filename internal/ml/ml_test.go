@@ -158,8 +158,9 @@ func TestForestProbaSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FitForest: %v", err)
 	}
+	p := make([]float64, f.NumClasses())
 	for _, x := range d.X[:10] {
-		p := f.PredictProba(x)
+		f.PredictProbaInto(x, p)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -185,30 +186,6 @@ func TestMetrics(t *testing.T) {
 	truth := []int{0, 1, 1, 1, 2, 2, 0}
 	if got := Accuracy(pred, truth); math.Abs(got-5.0/7.0) > 1e-12 {
 		t.Errorf("Accuracy = %v, want %v", got, 5.0/7.0)
-	}
-	cm := ConfusionMatrix(pred, truth, 3)
-	if cm[1][0] != 1 || cm[1][1] != 2 || cm[0][0] != 1 || cm[0][2] != 1 {
-		t.Errorf("confusion matrix wrong: %v", cm)
-	}
-	ms := PerClassMetrics(cm)
-	if math.Abs(ms[1].Recall-2.0/3.0) > 1e-12 {
-		t.Errorf("class 1 recall = %v, want 2/3", ms[1].Recall)
-	}
-	if math.Abs(ms[1].Precision-1.0) > 1e-12 {
-		t.Errorf("class 1 precision = %v, want 1", ms[1].Precision)
-	}
-	if f1 := MacroF1(cm); f1 <= 0 || f1 > 1 {
-		t.Errorf("MacroF1 = %v out of range", f1)
-	}
-	acc, err := ClassAccuracy(pred, truth, 2)
-	if err != nil {
-		t.Fatalf("ClassAccuracy: %v", err)
-	}
-	if acc != 1.0 {
-		t.Errorf("class 2 accuracy = %v, want 1", acc)
-	}
-	if _, err := ClassAccuracy(pred, truth, 9); err == nil {
-		t.Error("ClassAccuracy for absent class succeeded")
 	}
 }
 
@@ -431,20 +408,5 @@ func TestSubsetAndSelectColumns(t *testing.T) {
 	}
 	if c.FeatureNames[0] != "c" || c.FeatureNames[1] != "a" {
 		t.Errorf("feature names not remapped: %v", c.FeatureNames)
-	}
-}
-
-func TestTrainTestSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	train, test := TrainTestSplit(100, 0.25, rng)
-	if len(test) != 25 || len(train) != 75 {
-		t.Errorf("split sizes = %d/%d, want 75/25", len(train), len(test))
-	}
-	seen := make(map[int]bool)
-	for _, i := range append(append([]int{}, train...), test...) {
-		if seen[i] {
-			t.Fatalf("index %d duplicated", i)
-		}
-		seen[i] = true
 	}
 }

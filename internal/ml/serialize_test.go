@@ -23,11 +23,13 @@ func TestForestEncodeDecodeRoundTrip(t *testing.T) {
 	if g.NumTrees() != f.NumTrees() {
 		t.Fatalf("trees = %d, want %d", g.NumTrees(), f.NumTrees())
 	}
+	pa, pb := make([]float64, f.NumClasses()), make([]float64, g.NumClasses())
 	for i, x := range d.X {
 		if f.Predict(x) != g.Predict(x) {
 			t.Fatalf("sample %d: prediction diverged after round trip", i)
 		}
-		pa, pb := f.PredictProba(x), g.PredictProba(x)
+		f.PredictProbaInto(x, pa)
+		g.PredictProbaInto(x, pb)
 		for c := range pa {
 			if pa[c] != pb[c] {
 				t.Fatalf("sample %d class %d: proba diverged", i, c)

@@ -40,23 +40,6 @@ type Tree struct {
 	numClasses int
 }
 
-// FitTree grows a tree on the rows of d indexed by idx (all rows when
-// idx is nil; duplicate indices — bootstrap samples — are fine). The
-// rng drives feature subsampling; it may be nil when cfg.MTry is 0.
-func FitTree(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	ctx := newTrainCtx(d)
-	if idx == nil {
-		idx = make([]int, len(d.X))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	return newTreeBuilder(ctx).fit(idx, cfg, rng), nil
-}
-
 // smallNode is the node size at or below which split search gathers
 // the member (value, class) pairs into scratch and insertion-sorts
 // them instead of consulting maintained orders or histograms. Feature
@@ -735,27 +718,4 @@ func (t *Tree) Predict(x []float64) int {
 			i = n.right
 		}
 	}
-}
-
-// NumNodes returns the node count (diagnostics).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// Depth returns the maximum depth of the fitted tree (root = 0).
-func (t *Tree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	var rec func(i int32) int
-	rec = func(i int32) int {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return 0
-		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return rec(0)
 }

@@ -48,9 +48,6 @@ func NewCore(met *metrics.Registry, timeout time.Duration, maxBodyBytes int64, m
 // Metrics returns the registry the core reports into.
 func (c *Core) Metrics() *metrics.Registry { return c.met }
 
-// Timeout returns the per-request deadline.
-func (c *Core) Timeout() time.Duration { return c.timeout }
-
 // Begin stamps the request ID on the response and returns it. An
 // inbound X-Request-Id is propagated unchanged — that is what lets
 // one ID trace a request across the router→replica hop — and a

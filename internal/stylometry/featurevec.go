@@ -86,11 +86,6 @@ func (fv *FeatureVec) Add(id ScalarID, v float64) {
 	fv.present[id] = true
 }
 
-// Get returns the scalar's value and whether it has been written.
-func (fv *FeatureVec) Get(id ScalarID) (float64, bool) {
-	return fv.scalars[id], fv.present[id]
-}
-
 // AddWord, AddLeaf, and AddShape accumulate open-vocabulary terms;
 // each reports whether the term is new to this document.
 func (fv *FeatureVec) AddWord(text string, v float64) bool { return fv.words.add(fv, text, v) }

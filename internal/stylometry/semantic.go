@@ -6,12 +6,6 @@ import (
 	"gptattr/internal/cppast"
 )
 
-// SemanticVersion tags the semantic feature group's layout. It is part
-// of the featcache extractor fingerprint (see internal/featcache), so
-// bumping it when the group's features change invalidates stale cached
-// vectors instead of silently mixing schemas.
-const SemanticVersion = 1
-
 // semanticFeaturesCtxVec appends the semstats-derived feature group:
 // CFG shape, loop nesting, def-use/live-range distributions, call-graph
 // position, and alpha-normalized expression-shape grams. Every feature

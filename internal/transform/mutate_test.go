@@ -3,6 +3,7 @@ package transform
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gptattr/internal/challenge"
@@ -117,4 +118,54 @@ func TestTransformPipelineNeverMutatesSemantics(t *testing.T) {
 				trial, c.Key(), err, src, printed)
 		}
 	}
+}
+
+// MutateSemantics applies one random semantics-changing mutation to the
+// tree (operator swap, off-by-one constant, comparison flip) and
+// reports whether a mutation site was found. It exists as the negative
+// control for the behaviour verifier: a pipeline that silently altered
+// semantics the way these mutations do must be caught by Verify.
+func MutateSemantics(tu *cppast.TranslationUnit, rng *rand.Rand) bool {
+	var sites []func()
+	cppast.Walk(tu, func(n cppast.Node, _ int) bool {
+		switch e := n.(type) {
+		case *cppast.BinaryExpr:
+			switch e.Op {
+			case "+":
+				e := e
+				sites = append(sites, func() { e.Op = "-" })
+			case "-":
+				e := e
+				sites = append(sites, func() { e.Op = "+" })
+			case "*":
+				e := e
+				sites = append(sites, func() { e.Op = "+" })
+			case "<":
+				e := e
+				sites = append(sites, func() { e.Op = "<=" })
+			case "<=":
+				e := e
+				sites = append(sites, func() { e.Op = "<" })
+			case ">":
+				e := e
+				sites = append(sites, func() { e.Op = ">=" })
+			case ">=":
+				e := e
+				sites = append(sites, func() { e.Op = ">" })
+			}
+		case *cppast.Lit:
+			if e.LitKind == "int" {
+				if v, err := strconv.ParseInt(e.Text, 10, 64); err == nil {
+					e := e
+					sites = append(sites, func() { e.Text = strconv.FormatInt(v+1, 10) })
+				}
+			}
+		}
+		return true
+	})
+	if len(sites) == 0 {
+		return false
+	}
+	sites[rng.Intn(len(sites))]()
+	return true
 }
