@@ -150,11 +150,11 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, r *http.Request) {
-		reqID := srv.Core().Begin(w, r)
+		reqID := srv.Begin(w, r)
 		if r.Method != http.MethodGet {
 			// Same error envelope as every other endpoint: JSON body
 			// with the error and the request ID, not a bare status.
-			srv.Core().WriteError(w, http.StatusMethodNotAllowed, "GET required", reqID)
+			srv.WriteError(w, http.StatusMethodNotAllowed, "GET required", reqID)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -203,14 +203,6 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Stats reports the manager's current occupancy: queued+running jobs
-// and retained terminal jobs.
-func (m *Manager) Stats() (active, finished int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.jobs) - len(m.terminal), len(m.terminal)
-}
-
 // Close drains gracefully: no new submits are accepted, running
 // searches are cancelled (they finish as JobDone with Truncated
 // best-so-far results, or JobCanceled when they had not started

@@ -287,3 +287,11 @@ func TestManagerConcurrentSubmitters(t *testing.T) {
 	}
 	t.Logf("completed %d, saturated %d", okCount, satCount)
 }
+
+// Stats reports the manager's current occupancy: queued+running jobs
+// and retained terminal jobs.
+func (m *Manager) Stats() (active, finished int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.jobs) - len(m.terminal), len(m.terminal)
+}

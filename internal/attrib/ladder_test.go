@@ -151,3 +151,11 @@ func TestTrainBinaryLadder(t *testing.T) {
 		}
 	}
 }
+
+// Level reports the degrade-ladder position the model was trained for
+// (0 for models trained on the full feature set).
+func (m *model) Level() stylometry.DegradeLevel { return m.level }
+
+// Families reports the feature families the model was trained on
+// (nil = unrestricted).
+func (m *model) Families() []stylometry.FeatureFamily { return m.families }

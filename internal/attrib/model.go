@@ -39,17 +39,9 @@ type model struct {
 	scratch sync.Pool
 }
 
-// Level reports the degrade-ladder position the model was trained for
-// (0 for models trained on the full feature set).
-func (m *model) Level() stylometry.DegradeLevel { return m.level }
-
 // Calibration reports the training-time out-of-bag accuracy estimate
 // (0 = unknown; legacy models persisted before calibration existed).
 func (m *model) Calibration() float64 { return m.calib }
-
-// Families reports the feature families the model was trained on
-// (nil = unrestricted).
-func (m *model) Families() []stylometry.FeatureFamily { return m.families }
 
 // task is one training problem: a corpus, its pre-extracted features,
 // and the class of each sample.

@@ -46,15 +46,15 @@ func (rt *Router) EvadeSubmit(ctx context.Context, req serve.EvadeRequest) (serv
 		return out, &serve.StatusError{Code: http.StatusServiceUnavailable, Msg: "no alive replicas"}
 	}
 	name := order[0]
-	ctr := rt.inflight[name]
-	ctr.Add(1)
-	defer ctr.Add(-1)
+	m := rt.members[name]
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
 	if err := fault.Hit(PointForwardReplica(name)); err != nil {
 		rt.replicaDown(name, err)
 		return out, &serve.StatusError{Code: http.StatusServiceUnavailable,
 			Msg: fmt.Sprintf("evasion owner %s unavailable: %v", name, err)}
 	}
-	status, rbody, err := rt.reps[name].Forward(ctx, "evade", serve.RequestIDFrom(ctx), body)
+	status, rbody, err := m.rep.Forward(ctx, "evade", serve.RequestIDFrom(ctx), body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return out, ctx.Err()
@@ -84,11 +84,11 @@ func (rt *Router) EvadeStatus(ctx context.Context, id string, wait bool) (serve.
 		return out, &serve.StatusError{Code: http.StatusBadRequest,
 			Msg: fmt.Sprintf("malformed fleet job id %q (want replica/job)", id)}
 	}
-	rep, exists := rt.reps[name]
+	m, exists := rt.members[name]
 	if !exists {
 		return out, &serve.StatusError{Code: http.StatusNotFound, Msg: "unknown replica " + name}
 	}
-	status, rbody, err := rep.EvadeStatus(ctx, jobID, wait, serve.RequestIDFrom(ctx))
+	status, rbody, err := m.rep.EvadeStatus(ctx, jobID, wait, serve.RequestIDFrom(ctx))
 	if err != nil {
 		if ctx.Err() != nil {
 			return out, ctx.Err()

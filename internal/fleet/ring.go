@@ -113,29 +113,15 @@ func (r *Ring) Add(name string) bool {
 	return true
 }
 
-// Remove deletes a member and its points. Reports false when absent.
-func (r *Ring) Remove(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[name]; !ok {
-		return false
-	}
-	delete(r.members, name)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.name != name {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return true
-}
-
-// SetAlive flips a member's aliveness. Reports false when absent.
+// SetAlive sets a member's aliveness and reports whether it changed
+// (false when absent). The check and the write share one lock, so of
+// concurrent callers taking a member down exactly one sees the change:
+// that caller logs and counts the transition.
 func (r *Ring) SetAlive(name string, alive bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.members[name]; !ok {
+	was, ok := r.members[name]
+	if !ok || was == alive {
 		return false
 	}
 	r.members[name] = alive

@@ -5,6 +5,26 @@ import (
 	"testing"
 )
 
+// Remove deletes a member and its points. Reports false when absent.
+// The router's membership is fixed at construction, so only the ring's
+// own tests and FuzzRing remove members.
+func (r *Ring) Remove(name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.members[name]; !ok {
+		return false
+	}
+	delete(r.members, name)
+	kept := r.points[:0]
+	for _, p := range r.points {
+		if p.name != name {
+			kept = append(kept, p)
+		}
+	}
+	r.points = kept
+	return true
+}
+
 func ringOf(t *testing.T, names ...string) *Ring {
 	t.Helper()
 	r := NewRing(DefaultVnodes)
@@ -107,6 +127,27 @@ func TestRingRemoveMovesOnlyLostKeys(t *testing.T) {
 		}
 		if before[i] == "d" && after == "d" {
 			t.Fatalf("key %q still owned by removed member", k)
+		}
+	}
+}
+
+// TestRingSetAliveReportsChange pins the transition report the router
+// uses to log and count a replica leaving rotation exactly once.
+func TestRingSetAliveReportsChange(t *testing.T) {
+	r := ringOf(t, "a")
+	for i, step := range []struct {
+		name  string
+		alive bool
+		want  bool
+	}{
+		{"a", true, false}, // already alive
+		{"a", false, true},
+		{"a", false, false}, // already dead
+		{"a", true, true},
+		{"zz", false, false}, // absent
+	} {
+		if got := r.SetAlive(step.name, step.alive); got != step.want {
+			t.Errorf("step %d: SetAlive(%q, %v) = %v, want %v", i, step.name, step.alive, got, step.want)
 		}
 	}
 }

@@ -5,9 +5,13 @@
 // reloads that never expose a mixed-generation window.
 //
 // The router plugs into internal/serve as a Backend: the HTTP layer,
-// admission, metrics, and request-ID plumbing are the same code the
-// replicas run, so a request is traceable by one X-Request-Id from
+// admission, metrics, and request-ID plumbing are the same serve.Server
+// the replicas run, so a request is traceable by one X-Request-Id from
 // the client through the router to the replica that served it.
+//
+// The router keeps one record per replica (its handle, in-flight
+// count, circuit breaker, consecutive-failure count and last probe
+// report); whether a replica is in rotation lives only in the Ring.
 //
 // Consistency across reloads is a drain-and-flip: phase one stages
 // the next model generation on every replica while the old generation
@@ -63,6 +67,15 @@ func PointForwardReplica(name string) string { return "fleet.forward." + name }
 // a lagging replica through before giving up on it.
 const healMaxCycles = 64
 
+// p2cSlack is the power-of-two-choices threshold: when the primary's
+// router-side in-flight count exceeds the runner-up's by more than
+// this, the hot key is served by the runner-up.
+const p2cSlack = 4
+
+// reloadTimeout budgets one coordinated reload, or one of its phases,
+// driven through the Backend methods.
+const reloadTimeout = 30 * time.Second
+
 // Config wires a Router together.
 type Config struct {
 	// Replicas is the fixed fleet membership (required, names unique).
@@ -74,11 +87,6 @@ type Config struct {
 	// (default 25ms). NoHedge disables hedging entirely.
 	HedgeDelay time.Duration
 	NoHedge    bool
-	// P2CSlack is the power-of-two-choices threshold: when the
-	// primary's router-side in-flight count exceeds the runner-up's
-	// by more than this, the hot key is served by the runner-up
-	// (default 4).
-	P2CSlack int64
 	// DeadAfter is the consecutive probe failures before a replica
 	// leaves the rotation (default 2); forward-path connection
 	// failures take it out immediately.
@@ -88,8 +96,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s).
 	ProbeTimeout time.Duration
-	// ReloadTimeout budgets one coordinated reload (default 30s).
-	ReloadTimeout time.Duration
 	// Breaker tunes the per-replica circuit breakers (zero values
 	// select the BreakerConfig defaults). Breakers shed load from
 	// replicas that answer badly — slow or erroring — before failure
@@ -111,17 +117,11 @@ func (c Config) withDefaults() Config {
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 25 * time.Millisecond
 	}
-	if c.P2CSlack <= 0 {
-		c.P2CSlack = 4
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 2
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.ReloadTimeout <= 0 {
-		c.ReloadTimeout = 30 * time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -146,18 +146,102 @@ type FleetStatus struct {
 	BreakerRejects uint64 `json:"breaker_rejects"`
 }
 
+// ReplicaStatus is one replica's row in the fleet status report.
+type ReplicaStatus struct {
+	Name string `json:"name"`
+	URL  string `json:"url"`
+	// Alive is the routing view: dead replicas keep their ring points
+	// but receive no traffic.
+	Alive bool `json:"alive"`
+	// Generation/StagedGeneration are from the last successful probe.
+	Generation       uint64 `json:"generation"`
+	StagedGeneration uint64 `json:"staged_generation,omitempty"`
+	Oracle           bool   `json:"oracle"`
+	Detector         bool   `json:"detector"`
+	// ConsecutiveFailures counts failed probes since the last success;
+	// a forward-path death counts as one.
+	ConsecutiveFailures int `json:"consecutive_failures,omitempty"`
+	// Inflight is the router's outstanding request count against this
+	// replica (the power-of-two-choices load signal).
+	Inflight int64 `json:"inflight"`
+	// Breaker is the circuit-breaker position ("closed", "open",
+	// "half-open"); BreakerFailureRate its windowed failure fraction.
+	Breaker            string  `json:"breaker,omitempty"`
+	BreakerFailureRate float64 `json:"breaker_failure_rate,omitempty"`
+}
+
+// member is the router's record of one replica. Aliveness is not here:
+// the Ring holds it, and Ring.SetAlive decides each transition.
+type member struct {
+	rep      *Replica
+	inflight atomic.Int64 // outstanding forwards: the P2C load signal
+	breaker  *Breaker
+
+	mu    sync.Mutex
+	fails int // consecutive failed probes; a forward-path death counts as one
+	// The last successful probe's report.
+	gen, staged      uint64
+	oracle, detector bool
+}
+
+// probed records a successful probe: failures reset, report kept.
+func (m *member) probed(h serve.HealthResponse) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.fails = 0
+	m.gen, m.staged = h.ModelGeneration, h.StagedGeneration
+	m.oracle, m.detector = h.Oracle, h.Detector
+}
+
+// probeFailed counts one failed probe and returns the new count.
+func (m *member) probeFailed() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.fails++
+	return m.fails
+}
+
+// died records a transport-level death, which counts as one failure
+// unless probes have already counted some.
+func (m *member) died() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fails == 0 {
+		m.fails = 1
+	}
+}
+
+// restored resets the failure count as the replica rejoins the ring.
+func (m *member) restored() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.fails = 0
+}
+
+// status renders the member's status row.
+func (m *member) status(alive bool) ReplicaStatus {
+	m.mu.Lock()
+	rs := ReplicaStatus{
+		Name: m.rep.Name, URL: m.rep.BaseURL, Alive: alive,
+		Generation: m.gen, StagedGeneration: m.staged,
+		Oracle: m.oracle, Detector: m.detector,
+		ConsecutiveFailures: m.fails,
+	}
+	m.mu.Unlock()
+	rs.Inflight = m.inflight.Load()
+	rs.Breaker = m.breaker.State().String()
+	rs.BreakerFailureRate = m.breaker.FailureRate()
+	return rs
+}
+
 // Router implements serve.Backend over the replica fleet.
 type Router struct {
 	cfg     Config
 	ring    *Ring
-	reps    map[string]*Replica
+	members map[string]*member
 	names   []string // sorted, for deterministic iteration
-	tracker *Tracker
 	met     *metrics.Registry
 	ctr     counters
-
-	inflight map[string]*atomic.Int64
-	breakers map[string]*Breaker
 
 	// fleetGen is the generation every in-rotation replica serves;
 	// forwards read it at dispatch, the flip writes it.
@@ -219,12 +303,9 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		ring:     NewRing(cfg.Vnodes),
-		reps:     make(map[string]*Replica, len(cfg.Replicas)),
-		tracker:  NewTracker(cfg.DeadAfter),
+		members:  make(map[string]*member, len(cfg.Replicas)),
 		met:      cfg.Metrics,
 		ctr:      newCounters(cfg.Metrics),
-		inflight: make(map[string]*atomic.Int64, len(cfg.Replicas)),
-		breakers: make(map[string]*Breaker, len(cfg.Replicas)),
 		stop:     make(chan struct{}),
 		pollDone: make(chan struct{}),
 	}
@@ -232,14 +313,11 @@ func New(cfg Config) (*Router, error) {
 		if !ValidName(rep.Name) {
 			return nil, fmt.Errorf("fleet: invalid replica name %q", rep.Name)
 		}
-		if _, dup := rt.reps[rep.Name]; dup {
+		if _, dup := rt.members[rep.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate replica name %q", rep.Name)
 		}
-		rt.reps[rep.Name] = rep
+		rt.members[rep.Name] = &member{rep: rep, breaker: rt.newBreaker(rep.Name)}
 		rt.ring.Add(rep.Name)
-		rt.tracker.Track(rep.Name)
-		rt.inflight[rep.Name] = &atomic.Int64{}
-		rt.breakers[rep.Name] = rt.newBreaker(rep.Name)
 		rt.names = append(rt.names, rep.Name)
 	}
 	sort.Strings(rt.names)
@@ -282,8 +360,7 @@ func (rt *Router) Sync(ctx context.Context) error {
 	for _, name := range rt.names {
 		h, err := rt.probe(ctx, name)
 		if err != nil {
-			rt.tracker.MarkDead(name)
-			rt.ring.SetAlive(name, false)
+			rt.takeDown(name)
 			rt.logf("fleet: replica %s unreachable at startup: %v", name, err)
 			continue
 		}
@@ -301,8 +378,7 @@ func (rt *Router) Sync(ctx context.Context) error {
 			continue
 		}
 		if err := rt.heal(ctx, name, maxGen); err != nil {
-			rt.tracker.MarkDead(name)
-			rt.ring.SetAlive(name, false)
+			rt.takeDown(name)
 			rt.logf("fleet: replica %s stuck at generation %d, out of rotation: %v", name, gen, err)
 		}
 	}
@@ -347,23 +423,25 @@ func (rt *Router) Close() {
 func (rt *Router) probe(ctx context.Context, name string) (serve.HealthResponse, error) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	h, err := rt.reps[name].Healthz(pctx)
+	m := rt.members[name]
+	h, err := m.rep.Healthz(pctx)
 	if err != nil {
 		return h, err
 	}
-	rt.tracker.ObserveSuccess(name, h.ModelGeneration, h.StagedGeneration, h.Oracle, h.Detector)
+	m.probed(h)
 	return h, nil
 }
 
 // ProbeAll health-checks every replica once: alive replicas failing
-// past the threshold leave the rotation; dead replicas that answer
-// are healed to the fleet generation and restored.
+// DeadAfter consecutive probes leave the rotation; dead replicas that
+// answer are healed to the fleet generation and restored.
 func (rt *Router) ProbeAll(ctx context.Context) {
 	for _, name := range rt.names {
 		_, err := rt.probe(ctx, name)
 		if err != nil {
-			if rt.tracker.ObserveFailure(name) {
-				rt.ring.SetAlive(name, false)
+			// SetAlive reports the alive→dead flip itself, so a replica
+			// already out of rotation is not logged again.
+			if rt.members[name].probeFailed() >= rt.cfg.DeadAfter && rt.ring.SetAlive(name, false) {
 				rt.logf("fleet: replica %s out of rotation after failed probes: %v", name, err)
 			}
 			continue
@@ -387,7 +465,7 @@ func (rt *Router) tryRestore(ctx context.Context, name string) {
 			return
 		}
 	}
-	rt.tracker.MarkAlive(name)
+	rt.members[name].restored()
 	rt.ring.SetAlive(name, true)
 	rt.ctr.restores.Inc()
 	rt.logf("fleet: replica %s restored at generation %d", name, target)
@@ -396,35 +474,41 @@ func (rt *Router) tryRestore(ctx context.Context, name string) {
 // heal drives one replica through stage+commit cycles until its
 // serving generation reaches target. Callers hold reloadMu.
 func (rt *Router) heal(ctx context.Context, name string, target uint64) error {
-	rep := rt.reps[name]
+	m := rt.members[name]
 	for i := 0; i < healMaxCycles; i++ {
-		h, err := rep.Healthz(ctx)
+		h, err := m.rep.Healthz(ctx)
 		if err != nil {
 			return err
 		}
 		switch {
 		case h.ModelGeneration == target:
-			rt.tracker.ObserveSuccess(name, h.ModelGeneration, h.StagedGeneration, h.Oracle, h.Detector)
+			m.probed(h)
 			return nil
 		case h.ModelGeneration > target:
 			return fmt.Errorf("fleet: %s at generation %d, ahead of fleet generation %d (out-of-band reload?)",
 				name, h.ModelGeneration, target)
 		}
-		if _, err := rep.Stage(ctx); err != nil {
+		if _, err := m.rep.Stage(ctx); err != nil {
 			return err
 		}
-		if _, err := rep.Commit(ctx); err != nil {
+		if _, err := m.rep.Commit(ctx); err != nil {
 			return err
 		}
 	}
 	return fmt.Errorf("fleet: %s did not reach generation %d within %d reload cycles", name, target, healMaxCycles)
 }
 
+// takeDown takes a replica out of rotation at once after a
+// transport-level failure, reporting whether it was in rotation.
+func (rt *Router) takeDown(name string) bool {
+	rt.members[name].died()
+	return rt.ring.SetAlive(name, false)
+}
+
 // replicaDown takes a replica out of rotation after a forward-path
 // transport failure; the probe loop restores it when it answers again.
 func (rt *Router) replicaDown(name string, err error) {
-	if rt.tracker.MarkDead(name) {
-		rt.ring.SetAlive(name, false)
+	if rt.takeDown(name) {
 		rt.logf("fleet: replica %s out of rotation (forward failed: %v)", name, err)
 	}
 }
@@ -435,7 +519,7 @@ func (rt *Router) replicaDown(name string, err error) {
 func (rt *Router) pickOrder(key string) []string {
 	order := rt.ring.Owners([]byte(key), len(rt.names))
 	if len(order) >= 2 {
-		if rt.inflight[order[0]].Load()-rt.inflight[order[1]].Load() > rt.cfg.P2CSlack {
+		if rt.members[order[0]].inflight.Load()-rt.members[order[1]].inflight.Load() > p2cSlack {
 			order[0], order[1] = order[1], order[0]
 			rt.ctr.p2cDemotions.Inc()
 		}
@@ -465,10 +549,10 @@ type attemptResult struct {
 // a context killed mid-flight returns the probe slot instead of
 // blaming the replica.
 func (rt *Router) attempt(ctx context.Context, name, endpoint, reqID string, body []byte, hedged, bypass bool, out chan<- attemptResult) {
-	ctr := rt.inflight[name]
-	ctr.Add(1)
-	defer ctr.Add(-1)
-	br := rt.breakers[name]
+	m := rt.members[name]
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
+	br := m.breaker
 	observed := false
 	if !bypass {
 		if !br.Allow() {
@@ -497,7 +581,7 @@ func (rt *Router) attempt(ctx context.Context, name, endpoint, reqID string, bod
 		out <- attemptResult{name: name, err: err, hedged: hedged}
 		return
 	}
-	status, header, rbody, err := rt.reps[name].post(ctx, endpoint, reqID, body)
+	status, header, rbody, err := m.rep.post(ctx, endpoint, reqID, body)
 	observe(err != nil, time.Since(start))
 	out <- attemptResult{name: name, status: status, header: header, body: rbody, err: err, hedged: hedged}
 }
@@ -526,7 +610,7 @@ func (rt *Router) forward(ctx context.Context, endpoint, key string, body []byte
 	// as recovery signal.
 	bypass := true
 	for _, name := range order {
-		if rt.breakers[name].Admissible() {
+		if rt.members[name].breaker.Admissible() {
 			bypass = false
 			break
 		}
@@ -703,7 +787,15 @@ func (rt *Router) forwardTyped(ctx context.Context, endpoint, src string, out an
 // Health implements serve.Backend: the fleet is ok while any replica
 // is in rotation.
 func (rt *Router) Health() serve.HealthResponse {
-	oracle, detector := rt.tracker.ModelsSeen()
+	// A model counts as loaded while any replica's last successful
+	// probe reported it.
+	var oracle, detector bool
+	for _, name := range rt.names {
+		m := rt.members[name]
+		m.mu.Lock()
+		oracle, detector = oracle || m.oracle, detector || m.detector
+		m.mu.Unlock()
+	}
 	status := "ok"
 	if len(rt.ring.Alive()) == 0 {
 		status = "degraded"
@@ -718,14 +810,14 @@ func (rt *Router) Health() serve.HealthResponse {
 
 // Reload implements serve.Backend as a full coordinated reload.
 func (rt *Router) Reload() (uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ReloadTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), reloadTimeout)
 	defer cancel()
 	return rt.CoordinatedReload(ctx)
 }
 
 // Stage implements serve.Stager: phase one only, fleet-wide.
 func (rt *Router) Stage() (uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ReloadTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), reloadTimeout)
 	defer cancel()
 	rt.reloadMu.Lock()
 	defer rt.reloadMu.Unlock()
@@ -734,7 +826,7 @@ func (rt *Router) Stage() (uint64, error) {
 
 // Commit implements serve.Stager: phase two only, fleet-wide.
 func (rt *Router) Commit() (uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ReloadTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), reloadTimeout)
 	defer cancel()
 	rt.reloadMu.Lock()
 	defer rt.reloadMu.Unlock()
@@ -754,6 +846,24 @@ func (rt *Router) CoordinatedReload(ctx context.Context) (uint64, error) {
 	return rt.commitPhase(ctx)
 }
 
+// fanOut calls op on every in-rotation replica in parallel and returns
+// their names with each call's generation and error, index-aligned.
+func (rt *Router) fanOut(ctx context.Context, op func(*Replica, context.Context) (uint64, error)) ([]string, []uint64, []error) {
+	alive := rt.ring.Alive()
+	gens := make([]uint64, len(alive))
+	errs := make([]error, len(alive))
+	var wg sync.WaitGroup
+	for i, name := range alive {
+		wg.Add(1)
+		go func(i int, rep *Replica) {
+			defer wg.Done()
+			gens[i], errs[i] = op(rep, ctx)
+		}(i, rt.members[name].rep)
+	}
+	wg.Wait()
+	return alive, gens, errs
+}
+
 // stagePhase stages the next generation on every in-rotation replica,
 // aborting wholesale on any failure (staged generations elsewhere
 // stay unpublished and are replaced by the next stage). Returns the
@@ -762,21 +872,10 @@ func (rt *Router) stagePhase(ctx context.Context) (uint64, error) {
 	if err := fault.Hit(PointReloadStage); err != nil {
 		return 0, fmt.Errorf("fleet: reload aborted before stage: %w", err)
 	}
-	alive := rt.ring.Alive()
+	alive, gens, errs := rt.fanOut(ctx, (*Replica).Stage)
 	if len(alive) == 0 {
 		return 0, fmt.Errorf("fleet: no alive replicas to stage")
 	}
-	gens := make([]uint64, len(alive))
-	errs := make([]error, len(alive))
-	var wg sync.WaitGroup
-	for i, name := range alive {
-		wg.Add(1)
-		go func(i int, rep *Replica) {
-			defer wg.Done()
-			gens[i], errs[i] = rep.Stage(ctx)
-		}(i, rt.reps[name])
-	}
-	wg.Wait()
 	var maxStaged uint64
 	for i, err := range errs {
 		if err != nil {
@@ -801,21 +900,10 @@ func (rt *Router) commitPhase(ctx context.Context) (uint64, error) {
 	}
 	rt.flip.Lock()
 	defer rt.flip.Unlock()
-	alive := rt.ring.Alive()
+	alive, gens, errs := rt.fanOut(ctx, (*Replica).Commit)
 	if len(alive) == 0 {
 		return 0, fmt.Errorf("fleet: no alive replicas to commit")
 	}
-	gens := make([]uint64, len(alive))
-	errs := make([]error, len(alive))
-	var wg sync.WaitGroup
-	for i, name := range alive {
-		wg.Add(1)
-		go func(i int, rep *Replica) {
-			defer wg.Done()
-			gens[i], errs[i] = rep.Commit(ctx)
-		}(i, rt.reps[name])
-	}
-	wg.Wait()
 	var newGen uint64
 	committed := 0
 	var lastErr error
@@ -839,8 +927,7 @@ func (rt *Router) commitPhase(ctx context.Context) (uint64, error) {
 			continue
 		}
 		if err := rt.heal(ctx, name, newGen); err != nil {
-			rt.tracker.MarkDead(name)
-			rt.ring.SetAlive(name, false)
+			rt.takeDown(name)
 			rt.logf("fleet: replica %s missed the flip to generation %d, out of rotation: %v", name, newGen, err)
 		}
 	}
@@ -863,16 +950,9 @@ func (rt *Router) Observe(met *metrics.Registry) {
 
 // Status reports the fleet view for GET /fleet/status.
 func (rt *Router) Status() FleetStatus {
-	sts := rt.tracker.Statuses()
-	for i := range sts {
-		name := sts[i].Name
-		sts[i].URL = rt.reps[name].BaseURL
-		sts[i].Inflight = rt.inflight[name].Load()
-		sts[i].Alive = rt.ring.IsAlive(name) // the ring is routing truth
-		if br := rt.breakers[name]; br != nil {
-			sts[i].Breaker = br.State().String()
-			sts[i].BreakerFailureRate = br.FailureRate()
-		}
+	sts := make([]ReplicaStatus, len(rt.names))
+	for i, name := range rt.names {
+		sts[i] = rt.members[name].status(rt.ring.IsAlive(name))
 	}
 	return FleetStatus{
 		Generation:     rt.fleetGen.Load(),

@@ -34,8 +34,10 @@ type fakeReplica struct {
 	gen     uint64
 	staged  uint64
 	delay   time.Duration
-	seen    map[string]int // request ID -> inference responses served
-	perGen  map[uint64]int // inference responses served per generation
+	// noDetector makes /healthz report no detector loaded.
+	noDetector bool
+	seen       map[string]int // request ID -> inference responses served
+	perGen     map[uint64]int // inference responses served per generation
 
 	srvMu sync.Mutex
 	srv   *http.Server
@@ -149,7 +151,7 @@ func (f *fakeReplica) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	h := serve.HealthResponse{
 		Status: "ok", ModelGeneration: f.gen, StagedGeneration: f.staged,
-		Oracle: true, Detector: true,
+		Oracle: true, Detector: !f.noDetector,
 	}
 	f.mu.Unlock()
 	_ = json.NewEncoder(w).Encode(h)
@@ -468,10 +470,7 @@ func TestRestartedReplicaHealsToFleetGeneration(t *testing.T) {
 // slow owner until the power-of-two-choices delta trips and the
 // runner-up takes the overflow.
 func TestRouterP2CDemotion(t *testing.T) {
-	fakes, rt, met := newTestFleet(t, 3, func(c *Config) {
-		c.NoHedge = true
-		c.P2CSlack = 3
-	})
+	fakes, rt, met := newTestFleet(t, 3, func(c *Config) { c.NoHedge = true })
 	src := "int hot() { return 0; }"
 	owner, _ := rt.ring.Owner([]byte(src))
 	for _, f := range fakes {

@@ -123,13 +123,6 @@ func NewModel(cfg Config) *Model {
 	return m
 }
 
-// Styles exposes the repertoire (copy).
-func (m *Model) Styles() []style.Profile {
-	out := make([]style.Profile, len(m.styles))
-	copy(out, m.styles)
-	return out
-}
-
 // NearestStyle detects the input's style profile and returns the
 // closest house style with its distance.
 func (m *Model) NearestStyle(src string) (int, float64) {

@@ -216,3 +216,10 @@ func TestConfigDefaults(t *testing.T) {
 		t.Error("defaults not applied")
 	}
 }
+
+// Styles exposes the repertoire (copy).
+func (m *Model) Styles() []style.Profile {
+	out := make([]style.Profile, len(m.styles))
+	copy(out, m.styles)
+	return out
+}

@@ -212,44 +212,3 @@ type Program struct {
 	// Out is the per-case result.
 	Out Output
 }
-
-// Vars returns every variable name declared anywhere in the program,
-// in first-appearance order — renderers use this to build their naming
-// maps.
-func (p *Program) Vars() []string {
-	var order []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			order = append(order, name)
-		}
-	}
-	var walkStmts func([]Stmt)
-	walkStmts = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch n := s.(type) {
-			case Decl:
-				add(n.Name)
-			case DeclArray:
-				add(n.Name)
-			case DeclVec:
-				add(n.Name)
-			case ReadDecl:
-				for _, rv := range n.Vars {
-					add(rv.Name)
-				}
-			case CountLoop:
-				add(n.Var)
-				walkStmts(n.Body)
-			case WhileLoop:
-				walkStmts(n.Body)
-			case If:
-				walkStmts(n.Then)
-				walkStmts(n.Else)
-			}
-		}
-	}
-	walkStmts(p.Body)
-	return order
-}

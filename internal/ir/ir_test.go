@@ -229,19 +229,6 @@ func TestSynthesizeErrors(t *testing.T) {
 	}
 }
 
-func TestProgramVars(t *testing.T) {
-	vars := horseRace().Vars()
-	want := []string{"dist", "count", "best", "i", "pos", "speed"}
-	if len(vars) != len(want) {
-		t.Fatalf("Vars = %v, want %v", vars, want)
-	}
-	for i := range want {
-		if vars[i] != want[i] {
-			t.Errorf("Vars[%d] = %q, want %q", i, vars[i], want[i])
-		}
-	}
-}
-
 func TestFormatCaseLine(t *testing.T) {
 	if got := FormatCaseLine(3, 2.5, 0, TFloat, 6); got != "Case #3: 2.500000\n" {
 		t.Errorf("float line = %q", got)

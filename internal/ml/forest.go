@@ -142,9 +142,6 @@ func fitForest(d *Dataset, cfg ForestConfig, oob bool) (*Forest, [][]int32, erro
 	return f, oobVotes, nil
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // VotesInto tallies per-class vote counts for one sample into votes
 // (len must be NumClasses) without allocating.
 func (f *Forest) VotesInto(x []float64, votes []int) {
@@ -154,20 +151,6 @@ func (f *Forest) VotesInto(x []float64, votes []int) {
 	for _, t := range f.trees {
 		votes[t.Predict(x)]++
 	}
-}
-
-// Predict returns the majority-vote class for one sample; ties break
-// toward the lower class index, deterministically.
-func (f *Forest) Predict(x []float64) int {
-	best, bestVotes := 0, -1
-	votes := make([]int, f.numClasses)
-	f.VotesInto(x, votes)
-	for c, v := range votes {
-		if v > bestVotes {
-			best, bestVotes = c, v
-		}
-	}
-	return best
 }
 
 // PredictProbaInto writes vote fractions per class into out (len must

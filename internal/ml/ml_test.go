@@ -410,3 +410,20 @@ func TestSubsetAndSelectColumns(t *testing.T) {
 		t.Errorf("feature names not remapped: %v", c.FeatureNames)
 	}
 }
+
+// NumTrees returns the ensemble size.
+func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// Predict returns the majority-vote class for one sample; ties break
+// toward the lower class index, deterministically.
+func (f *Forest) Predict(x []float64) int {
+	best, bestVotes := 0, -1
+	votes := make([]int, f.numClasses)
+	f.VotesInto(x, votes)
+	for c, v := range votes {
+		if v > bestVotes {
+			best, bestVotes = c, v
+		}
+	}
+	return best
+}

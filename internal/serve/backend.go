@@ -19,7 +19,7 @@ import (
 // (LocalBackend: registry + batcher) and the fleet router
 // (internal/fleet: consistent-hash forwarding over N replicas).
 //
-// Backend errors map to HTTP statuses via Core.FailBackend; a backend
+// Backend errors map to HTTP statuses via Server.failBackend; a backend
 // that already knows the exact status (the router passing a replica's
 // answer through) wraps it in a *StatusError.
 type Backend interface {

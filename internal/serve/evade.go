@@ -265,21 +265,21 @@ func (s *Server) CloseEvade() {
 // error itself (and returning ok=false) when it is unacceptable.
 func (s *Server) decodeEvade(w http.ResponseWriter, r *http.Request, reqID string) (EvadeRequest, bool) {
 	var req EvadeRequest
-	if _, ok := s.core.decodeBody(w, r, reqID, &req); !ok {
+	if _, ok := s.decodeBody(w, r, reqID, &req); !ok {
 		return req, false
 	}
 	if req.Source == "" {
-		s.core.WriteError(w, http.StatusBadRequest, "empty source", reqID)
+		s.WriteError(w, http.StatusBadRequest, "empty source", reqID)
 		return req, false
 	}
 	if req.TrueAuthor == "" {
-		s.core.WriteError(w, http.StatusBadRequest, "true_author is required", reqID)
+		s.WriteError(w, http.StatusBadRequest, "true_author is required", reqID)
 		return req, false
 	}
 	switch arena.Strategy(req.Strategy) {
 	case "", arena.StrategyMCTS, arena.StrategyBeam:
 	default:
-		s.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown strategy %q", req.Strategy), reqID)
+		s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown strategy %q", req.Strategy), reqID)
 		return req, false
 	}
 	return req, true
@@ -294,20 +294,20 @@ func (s *Server) handleEvade(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 	start := time.Now()
 
-	reqID := s.core.Begin(w, r)
-	if !s.core.Admit(w, reqID) {
+	reqID := s.Begin(w, r)
+	if !s.admit(w, reqID) {
 		return
 	}
-	defer s.core.Release()
+	defer s.release()
 	req, ok := s.decodeEvade(w, r, reqID)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.core.RequestContext(r.Context(), reqID)
+	ctx, cancel := s.requestContext(r.Context(), reqID)
 	defer cancel()
 	resp, err := s.evader.EvadeSubmit(ctx, req)
 	if err != nil {
-		s.core.FailBackend(w, err, reqID)
+		s.failBackend(w, err, reqID)
 		return
 	}
 	s.evade.observe(start)
@@ -315,30 +315,30 @@ func (s *Server) handleEvade(w http.ResponseWriter, r *http.Request) {
 	if evadeTerminal(resp.State) {
 		status = http.StatusOK
 	}
-	s.core.WriteJSON(w, status, resp)
+	s.writeJSON(w, status, resp)
 }
 
 // handleEvadeStatus answers GET /v1/evade/status?id=...&wait=true.
 func (s *Server) handleEvadeStatus(w http.ResponseWriter, r *http.Request) {
-	met := s.core.Metrics()
+	met := s.met
 	met.Counter("evade_status_requests_total").Inc()
-	reqID := s.core.Begin(w, r)
+	reqID := s.Begin(w, r)
 	if r.Method != http.MethodGet {
-		s.core.WriteError(w, http.StatusMethodNotAllowed, "GET required", reqID)
+		s.WriteError(w, http.StatusMethodNotAllowed, "GET required", reqID)
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		s.core.WriteError(w, http.StatusBadRequest, "id is required", reqID)
+		s.WriteError(w, http.StatusBadRequest, "id is required", reqID)
 		return
 	}
 	wait := r.URL.Query().Get("wait") == "true"
-	ctx, cancel := s.core.RequestContext(r.Context(), reqID)
+	ctx, cancel := s.requestContext(r.Context(), reqID)
 	defer cancel()
 	resp, err := s.evader.EvadeStatus(ctx, id, wait)
 	if err != nil {
-		s.core.FailBackend(w, err, reqID)
+		s.failBackend(w, err, reqID)
 		return
 	}
-	s.core.WriteJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }

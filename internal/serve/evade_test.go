@@ -188,7 +188,7 @@ func TestEvadeExactSaturation(t *testing.T) {
 			t.Error("429 without Retry-After")
 		}
 	}
-	if got := s.Metrics().Counter("rejected_total").Value(); got != overflow {
+	if got := s.met.Counter("rejected_total").Value(); got != overflow {
 		t.Errorf("rejected_total = %d, want %d", got, overflow)
 	}
 	// Release: every accepted job completes; capacity frees again.
@@ -220,7 +220,7 @@ func TestEvadeWaitDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("wedged wait: status %d, want 504 (%s)", resp.StatusCode, body)
 	}
-	if got := s.Metrics().Counter("deadline_exceeded_total").Value(); got != 1 {
+	if got := s.met.Counter("deadline_exceeded_total").Value(); got != 1 {
 		t.Errorf("deadline_exceeded_total = %d, want 1", got)
 	}
 	<-started

@@ -250,7 +250,7 @@ func TestExhaustedExtractionFaultAnswers503(t *testing.T) {
 	for _, kind := range []fault.Kind{fault.KindPanic, fault.KindError} {
 		t.Run(kind.String(), func(t *testing.T) {
 			ts, s, _, _ := newTestServer(t, BatchConfig{QueueDepth: 16, Workers: 1})
-			failures := s.Metrics().Counter("batch_failures_total")
+			failures := s.met.Counter("batch_failures_total")
 			src := sampleSource(t, 0)
 
 			fault.Enable(15)

@@ -300,7 +300,7 @@ func TestRequestContextForBudgetClamp(t *testing.T) {
 		if budget != "" {
 			req.Header.Set(BudgetHeader, budget)
 		}
-		ctx, cancel := s.Core().RequestContextFor(req, "test")
+		ctx, cancel := s.requestContextFor(req, "test")
 		defer cancel()
 		dl, ok := ctx.Deadline()
 		if !ok {
@@ -323,5 +323,12 @@ func TestRequestContextForBudgetClamp(t *testing.T) {
 	}
 	if d := deadlineFor("-5"); d < 5*time.Second {
 		t.Errorf("negative budget gave %v, want the configured timeout", d)
+	}
+	// Budgets too large to multiply into a Duration must not wrap
+	// negative into an already-expired deadline.
+	for _, huge := range []string{"10000000000000", "9223372036854775807"} {
+		if d := deadlineFor(huge); d < 5*time.Second || d > 10*time.Second {
+			t.Errorf("budget %s gave %v, want the configured 10s", huge, d)
+		}
 	}
 }

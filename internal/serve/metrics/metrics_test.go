@@ -12,8 +12,9 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
@@ -94,7 +95,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 
 func TestRegistryTextRendering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("requests_total").Add(12)
+	r.Counter("requests_total").Raise(12)
 	r.Gauge("inflight").Set(3)
 	for i := 0; i < 10; i++ {
 		r.Histogram("latency").Observe(10 * time.Millisecond)

@@ -11,6 +11,11 @@
 // through the shared feature cache; admission control rejects
 // early (429) instead of queueing without bound, and every request
 // carries a context deadline honoured end to end.
+//
+// Server owns the HTTP plumbing (request IDs, admission, deadlines,
+// body decoding, the error envelope, metrics) and answers inference
+// through a Backend: LocalBackend on a replica, or the fleet router
+// (internal/fleet), which serves the same surface over N replicas.
 package serve
 
 import (

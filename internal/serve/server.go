@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"gptattr/internal/serve/metrics"
@@ -65,13 +70,24 @@ type Config struct {
 	Evade *EvadeOptions
 }
 
-// Server is the HTTP attribution service: transport plumbing from
-// Core, inference from a pluggable Backend.
+// Server is the HTTP attribution service over a pluggable Backend. It
+// owns the request plumbing every HTTP face shares — the replica
+// (LocalBackend) and the fleet router (internal/fleet) alike: request-ID
+// minting and propagation, per-request deadlines, bounded body
+// decoding, metrics, bounded in-flight admission, and the JSON error
+// envelope with its status mapping. Because both binaries run this one
+// Server, they agree on admission semantics (429 + Retry-After, 504 on
+// deadline) and traceability (X-Request-Id) by construction.
 type Server struct {
-	core    *Core
 	backend Backend
 	evader  Evader // nil unless the backend serves /v1/evade
 	mux     *http.ServeMux
+
+	met          *metrics.Registry
+	timeout      time.Duration
+	maxBodyBytes int64
+	maxInflight  int64        // 0 = unbounded (admission then lives in the backend's queue)
+	admitted     atomic.Int64 // requests holding an admit slot
 
 	// Metric handles resolved once in New, so the request path does no
 	// registry lookups.
@@ -160,13 +176,22 @@ func New(cfg Config) (*Server, error) {
 		}
 		backend = lb
 	}
-	core := NewCore(cfg.Metrics, cfg.Timeout, cfg.MaxBodyBytes, cfg.MaxInflight)
-	met := core.Metrics()
+	met := cfg.Metrics
+	if met == nil {
+		met = metrics.NewRegistry()
+	}
 	s := &Server{
-		core: core, backend: backend, mux: http.NewServeMux(),
+		backend: backend, mux: http.NewServeMux(),
+		met: met, timeout: cfg.Timeout, maxBodyBytes: cfg.MaxBodyBytes, maxInflight: int64(cfg.MaxInflight),
 		inflight:  met.Gauge("inflight"),
 		attribute: newEndpointMetrics(met, "attribute", true),
 		detect:    newEndpointMetrics(met, "detect", true),
+	}
+	if s.timeout <= 0 {
+		s.timeout = 10 * time.Second
+	}
+	if s.maxBodyBytes <= 0 {
+		s.maxBodyBytes = 1 << 20
 	}
 	s.mux.HandleFunc("/v1/attribute", s.handleAttribute)
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
@@ -199,13 +224,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the routing handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns the metrics registry the server reports into.
-func (s *Server) Metrics() *metrics.Registry { return s.core.Metrics() }
-
-// Core exposes the shared transport plumbing (tests and the router
-// binary reuse its helpers).
-func (s *Server) Core() *Core { return s.core }
-
 // handleInference is the shared endpoint body: count, admit, decode,
 // get the encoded answer from the backend, write it unchanged.
 func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *endpointMetrics, endpoint string) {
@@ -214,20 +232,20 @@ func (s *Server) handleInference(w http.ResponseWriter, r *http.Request, em *end
 	defer s.inflight.Add(-1)
 	start := time.Now()
 
-	reqID := s.core.Begin(w, r)
-	if !s.core.Admit(w, reqID) {
+	reqID := s.Begin(w, r)
+	if !s.admit(w, reqID) {
 		return
 	}
-	defer s.core.Release()
-	src, body, ok := s.core.DecodeSource(w, r, reqID)
+	defer s.release()
+	src, body, ok := s.decodeSource(w, r, reqID)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.core.RequestContextFor(r, reqID)
+	ctx, cancel := s.requestContextFor(r, reqID)
 	defer cancel()
 	ans, err := s.backend.Infer(ctx, endpoint, src, body)
 	if err != nil {
-		s.core.FailBackend(w, err, reqID)
+		s.failBackend(w, err, reqID)
 		return
 	}
 	if ans.Level > 0 {
@@ -254,60 +272,260 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	reqID := s.core.Begin(w, r)
+	reqID := s.Begin(w, r)
 	if r.Method != http.MethodPost {
-		s.core.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
+		s.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
 		return
 	}
 	gen, err := s.backend.Reload()
 	if err != nil {
 		// The previous generation is still serving.
-		s.core.WriteError(w, http.StatusInternalServerError, "reload failed: "+err.Error(), reqID)
+		s.WriteError(w, http.StatusInternalServerError, "reload failed: "+err.Error(), reqID)
 		return
 	}
-	s.core.Metrics().Counter("reloads_total").Inc()
-	s.core.WriteJSON(w, http.StatusOK, ReloadResponse{ModelGeneration: gen})
+	s.met.Counter("reloads_total").Inc()
+	s.writeJSON(w, http.StatusOK, ReloadResponse{ModelGeneration: gen})
 }
 
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	reqID := s.core.Begin(w, r)
+	reqID := s.Begin(w, r)
 	if r.Method != http.MethodPost {
-		s.core.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
+		s.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
 		return
 	}
 	gen, err := s.backend.(Stager).Stage()
 	if err != nil {
-		s.core.WriteError(w, http.StatusInternalServerError, "stage failed: "+err.Error(), reqID)
+		s.WriteError(w, http.StatusInternalServerError, "stage failed: "+err.Error(), reqID)
 		return
 	}
-	s.core.Metrics().Counter("stages_total").Inc()
-	s.core.WriteJSON(w, http.StatusOK, StageResponse{StagedGeneration: gen})
+	s.met.Counter("stages_total").Inc()
+	s.writeJSON(w, http.StatusOK, StageResponse{StagedGeneration: gen})
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	reqID := s.core.Begin(w, r)
+	reqID := s.Begin(w, r)
 	if r.Method != http.MethodPost {
-		s.core.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
+		s.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
 		return
 	}
 	gen, err := s.backend.(Stager).Commit()
 	if err != nil {
 		// 409: nothing staged (or the staged generation was torn away);
 		// the serving generation is untouched.
-		s.core.WriteError(w, http.StatusConflict, "commit failed: "+err.Error(), reqID)
+		s.WriteError(w, http.StatusConflict, "commit failed: "+err.Error(), reqID)
 		return
 	}
-	s.core.Metrics().Counter("reloads_total").Inc()
-	s.core.WriteJSON(w, http.StatusOK, ReloadResponse{ModelGeneration: gen})
+	s.met.Counter("reloads_total").Inc()
+	s.writeJSON(w, http.StatusOK, ReloadResponse{ModelGeneration: gen})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.core.WriteJSON(w, http.StatusOK, s.backend.Health())
+	s.writeJSON(w, http.StatusOK, s.backend.Health())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	met := s.core.Metrics()
+	met := s.met
 	s.backend.Observe(met)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	met.WriteText(w)
+}
+
+// Begin stamps the request ID on the response and returns it. An
+// inbound X-Request-Id is propagated unchanged — that is what lets
+// one ID trace a request across the router→replica hop — and a
+// request arriving without one gets a freshly minted ID.
+func (s *Server) Begin(w http.ResponseWriter, r *http.Request) string {
+	id := r.Header.Get(RequestIDHeader)
+	if id == "" {
+		id = newRequestID()
+	}
+	w.Header().Set(RequestIDHeader, id)
+	return id
+}
+
+// admit reserves one in-flight slot when MaxInflight is bounded. On
+// overflow it answers 429 itself (counted in rejected_total) and
+// returns false; the caller must not release. A true return must be
+// paired with exactly one release.
+func (s *Server) admit(w http.ResponseWriter, reqID string) bool {
+	if s.maxInflight <= 0 {
+		return true
+	}
+	if s.admitted.Add(1) > s.maxInflight {
+		s.admitted.Add(-1)
+		s.met.Counter("rejected_total").Inc()
+		s.WriteError(w, http.StatusTooManyRequests, "server saturated, retry later", reqID)
+		return false
+	}
+	return true
+}
+
+// release returns an admit slot.
+func (s *Server) release() {
+	if s.maxInflight > 0 {
+		s.admitted.Add(-1)
+	}
+}
+
+// requestContext derives the per-request context: the configured
+// deadline plus the request ID for downstream log lines.
+func (s *Server) requestContext(parent context.Context, reqID string) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(WithRequestID(parent, reqID), s.timeout)
+}
+
+// requestContextFor is requestContext honouring an inbound
+// X-Request-Budget-Ms header: the deadline is the smaller of the
+// configured timeout and the client's remaining budget, so a shrunken
+// budget forwarded by the router actually shrinks the replica's
+// extraction budget (and with it, what the degrade ladder can afford).
+// Malformed or absent budgets fall back to the configured timeout.
+// The budget is compared in milliseconds before it becomes a Duration:
+// multiplying a huge one first would wrap negative and expire at once.
+func (s *Server) requestContextFor(r *http.Request, reqID string) (context.Context, context.CancelFunc) {
+	timeout := s.timeout
+	if ms, err := strconv.ParseInt(r.Header.Get(BudgetHeader), 10, 64); err == nil && ms > 0 && ms <= timeout.Milliseconds() {
+		timeout = min(timeout, time.Duration(ms)*time.Millisecond)
+	}
+	return context.WithTimeout(WithRequestID(r.Context(), reqID), timeout)
+}
+
+// writeJSON renders one JSON response.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers one failed request. The request ID rides along
+// in the body for the statuses a saturated or degraded server emits,
+// so incidents stay traceable from client logs alone.
+func (s *Server) WriteError(w http.ResponseWriter, status int, msg, reqID string) {
+	switch status {
+	case http.StatusTooManyRequests:
+		// Closed-loop clients should back off; a queued extraction
+		// turns around in milliseconds, so one second is conservative.
+		w.Header().Set("Retry-After", "1")
+	case http.StatusServiceUnavailable:
+		// 503s are transient by contract here — a draining replica, a
+		// lost forwarded job, a contained extraction failure — so tell
+		// clients when to come back instead of letting them hammer.
+		w.Header().Set("Retry-After", "1")
+	}
+	s.writeJSON(w, status, ErrorResponse{Error: msg, RequestID: reqID})
+}
+
+// decodeSource parses the request body for the inference endpoints,
+// answering the error itself (and returning ok=false) when the method,
+// encoding, size, or content is unacceptable. It also returns the raw
+// body, which a pass-through backend (the fleet router) forwards
+// verbatim instead of re-encoding the source.
+func (s *Server) decodeSource(w http.ResponseWriter, r *http.Request, reqID string) (string, []byte, bool) {
+	var req AttributeRequest
+	body, ok := s.decodeBody(w, r, reqID, &req)
+	if !ok {
+		return "", nil, false
+	}
+	if req.Source == "" {
+		s.WriteError(w, http.StatusBadRequest, "empty source", reqID)
+		return "", nil, false
+	}
+	return req.Source, body, true
+}
+
+// decodeBody reads a POST body of at most MaxBodyBytes and decodes it
+// as one JSON value into v, answering the error itself (405, 413, or
+// 400; ok=false) when the method, size, or encoding is unacceptable.
+// The whole body must be that one value: trailing bytes after it are
+// a 400, so a body forwarded verbatim means the same thing to every
+// hop that decodes it.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, reqID string, v any) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		s.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
+		return nil, false
+	}
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.maxBodyBytes), r.ContentLength, s.maxBodyBytes)
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.WriteError(w, status, "bad request body: "+err.Error(), reqID)
+		return nil, false
+	}
+	return body, true
+}
+
+// ReadBody reads r to EOF. declared is the body's announced length
+// (an HTTP Content-Length, -1 when unknown); clamped to [0, limit], it
+// presizes the buffer, so a body of announced size is read without
+// regrowing and copying. r must enforce limit itself.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	// io.ReadAll's loop, from a presized buffer; the spare 512 bytes
+	// let the read that reports EOF land without growing it.
+	b := make([]byte, 0, max(0, min(declared, limit))+512)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// StatusError carries an explicit HTTP status through a Backend. The
+// fleet router uses it to pass a replica's verdict (its 422, 429, …)
+// through to the client unchanged instead of re-deriving a status.
+type StatusError struct {
+	Code int
+	Msg  string
+}
+
+// Error renders the carried message.
+func (e *StatusError) Error() string { return e.Msg }
+
+// failBackend translates a Backend error into the HTTP answer,
+// bumping the same degradation counters for every transport:
+// rejected_total on 429, deadline_exceeded_total on 504,
+// batch_failures_total on internal extraction failures.
+func (s *Server) failBackend(w http.ResponseWriter, err error, reqID string) {
+	var status int
+	var msg string
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		status, msg = se.Code, se.Msg
+	case errors.Is(err, ErrNoOracle), errors.Is(err, ErrNoDetector):
+		status, msg = http.StatusServiceUnavailable, err.Error()
+	case errors.Is(err, ErrSaturated):
+		status, msg = http.StatusTooManyRequests, "server saturated, retry later"
+	case errors.Is(err, ErrClosed):
+		status, msg = http.StatusServiceUnavailable, "server shutting down"
+	case errors.Is(err, ErrInternal):
+		status, msg = http.StatusServiceUnavailable, "extraction failed, retry later: "+err.Error()
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		status, msg = http.StatusGatewayTimeout, "request deadline exceeded"
+	default:
+		// The source itself did not extract (e.g. not lexable C++).
+		status, msg = http.StatusUnprocessableEntity, "source rejected: "+err.Error()
+	}
+	switch status {
+	case http.StatusTooManyRequests:
+		s.met.Counter("rejected_total").Inc()
+	case http.StatusGatewayTimeout:
+		s.met.Counter("deadline_exceeded_total").Inc()
+	}
+	if errors.Is(err, ErrInternal) {
+		s.met.Counter("batch_failures_total").Inc()
+	}
+	s.WriteError(w, status, msg, reqID)
 }

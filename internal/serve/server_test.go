@@ -297,7 +297,7 @@ func TestServerSaturationOverHTTP(t *testing.T) {
 	if okCount != 1+K {
 		t.Errorf("admitted OKs = %d, want %d", okCount, 1+K)
 	}
-	if got := s.Metrics().Counter("rejected_total").Value(); got != N {
+	if got := s.met.Counter("rejected_total").Value(); got != N {
 		t.Errorf("rejected_total = %d, want %d", got, N)
 	}
 }
@@ -413,7 +413,7 @@ func TestServerDeadline(t *testing.T) {
 	if code := <-wedged; code != http.StatusGatewayTimeout {
 		t.Errorf("wedged request: status %d, want 504", code)
 	}
-	if got := s.Metrics().Counter("deadline_exceeded_total").Value(); got != 2 {
+	if got := s.met.Counter("deadline_exceeded_total").Value(); got != 2 {
 		t.Errorf("deadline_exceeded_total = %d, want 2", got)
 	}
 }
