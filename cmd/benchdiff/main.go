@@ -13,6 +13,9 @@
 // benchdiff therefore takes the BEST of -count runs per benchmark and
 // allows -tolerance (default 15%) over the target before failing.
 // Allocation counts are deterministic and get no wall-clock slack.
+// Wall-clock targets only mean something against the box that ran the
+// benchmarks, so the first output line names it: CPU model, NumCPU,
+// GOMAXPROCS and Go version.
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -109,6 +113,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	fmt.Fprintln(stdout, machineLine(benchOut))
 	best := parseBench(benchOut)
 	var failures []string
 	for name, b := range base.Benchmarks {
@@ -142,6 +147,32 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "benchdiff: all benchmarks within target")
 	return nil
+}
+
+// machineLine describes the box in one line. The CPU model comes from
+// go test's "cpu:" header when the benchmark output has one, else from
+// /proc/cpuinfo; the counts and Go version are this process's.
+func machineLine(benchOut []byte) string {
+	return fmt.Sprintf("machine: cpu=%q numcpu=%d gomaxprocs=%d go=%s",
+		cpuModel(benchOut), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+}
+
+func cpuModel(benchOut []byte) string {
+	for _, line := range strings.Split(string(benchOut), "\n") {
+		if v, ok := strings.CutPrefix(line, "cpu:"); ok {
+			return strings.TrimSpace(v)
+		}
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func safeRatio(num, den float64) float64 {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -135,5 +137,36 @@ BenchmarkRouterForward 	1000	  900 ns/op	  90000 B/op	  700 allocs/op
 `)
 	if err := run([]string{"-baseline", bp, "-input", ip}, &bytes.Buffer{}); err != nil {
 		t.Fatalf("alloc count gated without a target: %v", err)
+	}
+}
+
+// TestMachineLine pins the one line naming the box: it comes first,
+// takes the CPU model from go test's "cpu:" header when there is one,
+// and carries NumCPU, GOMAXPROCS and the Go version.
+func TestMachineLine(t *testing.T) {
+	bench := `
+goos: linux
+cpu: Example CPU @ 2.10GHz
+BenchmarkFitForest    	      30	  41000000 ns/op	  930000 B/op	     131 allocs/op
+BenchmarkPredictAll-4 	     400	   3300000 ns/op	   66000 B/op	       2 allocs/op
+PASS
+`
+	for _, tc := range []struct{ name, out, cpu string }{
+		{"cpu header", bench, `cpu="Example CPU @ 2.10GHz"`},
+		{"no cpu header", strings.Replace(bench, "cpu: Example CPU @ 2.10GHz\n", "", 1), "cpu="},
+	} {
+		bp, ip := writeFixture(t, tc.out)
+		var out bytes.Buffer
+		if err := run([]string{"-baseline", bp, "-input", ip}, &out); err != nil {
+			t.Fatalf("%s: run: %v\n%s", tc.name, err, out.String())
+		}
+		first, _, _ := strings.Cut(out.String(), "\n")
+		want := fmt.Sprintf(" numcpu=%d gomaxprocs=%d go=%s", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+		if !strings.HasPrefix(first, "machine: "+tc.cpu) || !strings.HasSuffix(first, want) {
+			t.Errorf("%s: first line %q, want machine: %s...%s", tc.name, first, tc.cpu, want)
+		}
+		if n := strings.Count(out.String(), "machine:"); n != 1 {
+			t.Errorf("%s: %d machine lines, want 1", tc.name, n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"gptattr/internal/stylometry"
@@ -45,37 +46,44 @@ func TestDetectFeaturesAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictVecMatchesFeatures pins the vec-form entry points to
-// their map-boundary twins: for any source, extracting into a scratch
-// vec and predicting directly must give the same answers as the
-// Features-map path.
-func TestPredictVecMatchesFeatures(t *testing.T) {
+// TestSparseMatchesFeatures pins the serving entry points to their
+// map-boundary twins: for any source, scoring the Sparse that
+// supervised extraction returns must give exactly the answers of the
+// Features-map path, at every degrade level.
+func TestSparseMatchesFeatures(t *testing.T) {
 	fx := fixture(t)
 	c, err := TrainBinary(fx.human, fx.transformed, fx.cfg)
 	if err != nil {
 		t.Fatalf("TrainBinary: %v", err)
 	}
-	sc := stylometry.NewScratch()
 	for _, s := range []string{fx.human.Samples[0].Source, fx.transformed.Samples[0].Source} {
-		if _, err := sc.ExtractVec(context.Background(), s, stylometry.DegradeNone); err != nil {
-			t.Fatalf("ExtractVec: %v", err)
-		}
-		f := sc.Vec().Features()
-		if got, want := fx.oracle.PredictVec(sc.Vec()), fx.oracle.PredictFeatures(f); got != want {
-			t.Errorf("PredictVec = %q, PredictFeatures = %q", got, want)
-		}
-		gv, cv := c.DetectVec(sc.Vec())
-		gf, cf := c.DetectFeatures(f)
-		if gv != gf || cv != cf {
-			t.Errorf("DetectVec = (%v, %v), DetectFeatures = (%v, %v)", gv, cv, gf, cf)
+		for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
+			sp, _, err := stylometry.ExtractSupervised(context.Background(), s, lvl, nil)
+			if err != nil {
+				t.Fatalf("ExtractSupervised: %v", err)
+			}
+			f := sp.Features()
+			ps, bs := fx.oracle.ProbaSparse(sp)
+			pf, bf := fx.oracle.ProbaFeatures(f)
+			if bs != bf || !reflect.DeepEqual(ps, pf) {
+				t.Errorf("level %v: ProbaSparse = %v %v, ProbaFeatures = %v %v", lvl, bs, ps, bf, pf)
+			}
+			gs, cs := c.DetectSparse(sp)
+			gf, cf := c.DetectFeatures(f)
+			if gs != gf || cs != cf {
+				t.Errorf("level %v: DetectSparse = (%v, %v), DetectFeatures = (%v, %v)", lvl, gs, cs, gf, cf)
+			}
 		}
 	}
 }
 
-// TestEndToEndVecAllocs pins the full serving request — budgeted
-// extraction through a pooled stylometry scratch, then attribution
-// and detection straight off the FeatureVec — at zero steady-state
-// allocations. This is the number the batcher's throughput rests on.
+// TestEndToEndVecAllocs pins the allocations of one uncached serving
+// request as attrserve runs it: supervised extraction through a pooled
+// stylometry scratch into a Sparse, then attribution and detection
+// straight off it. Extraction, vectorization and voting allocate
+// nothing; what remains is the Sparse itself (header, IDs, values,
+// names) and the oracle's label -> probability map (four allocations
+// for this fixture's 16 authors).
 func TestEndToEndVecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
@@ -87,23 +95,20 @@ func TestEndToEndVecAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := fx.human.Samples[0].Source
-	warm := stylometry.GetScratch()
-	if _, err := warm.ExtractVec(ctx, src, stylometry.DegradeNone); err != nil {
-		t.Fatalf("ExtractVec: %v", err)
-	}
-	fx.oracle.PredictVec(warm.Vec())
-	c.DetectVec(warm.Vec())
-	stylometry.PutScratch(warm)
-	a := testing.AllocsPerRun(200, func() {
-		sc := stylometry.GetScratch()
-		if _, err := sc.ExtractVec(ctx, src, stylometry.DegradeNone); err != nil {
+	request := func() {
+		sp, _, err := stylometry.ExtractSupervised(ctx, src, stylometry.DegradeNone, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		fx.oracle.PredictVec(sc.Vec())
-		c.DetectVec(sc.Vec())
-		stylometry.PutScratch(sc)
-	})
-	if a > 0.5 {
-		t.Errorf("extract+predict+detect allocates %.2f per request, want ~0", a)
+		fx.oracle.ProbaSparse(sp)
+		c.DetectSparse(sp)
+	}
+	request()
+	if a := testing.AllocsPerRun(200, request); a != endToEndAllocs {
+		t.Errorf("extract+proba+detect allocates %.2f per request, want %d", a, endToEndAllocs)
 	}
 }
+
+// endToEndAllocs is the measured allocation count TestEndToEndVecAllocs
+// pins.
+const endToEndAllocs = 8

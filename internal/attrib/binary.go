@@ -134,9 +134,8 @@ func TrainBinary(human, transformed *corpus.Corpus, cfg Config) (*Classifier, er
 }
 
 // detect returns the ChatGPT verdict and vote share for one reduced
-// source (see model.reduce).
-func (c *Classifier) detect(f stylometry.Features, fv *stylometry.FeatureVec) (bool, float64) {
-	s := c.reduce(f, fv)
+// source (see model.reduce) and returns s to the pool.
+func (c *Classifier) detect(s *vecScratch) (bool, float64) {
 	c.forest.PredictProbaInto(s.row, s.proba)
 	conf := s.proba[1]
 	c.scratch.Put(s)
@@ -184,18 +183,13 @@ func (c *Classifier) IsChatGPT(src string) (bool, float64, error) {
 	return verdict, conf, nil
 }
 
-// DetectFeatures classifies pre-extracted features (the serving path:
-// extraction is batched separately through the feature cache).
+// DetectFeatures classifies pre-extracted features.
 func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
-	return c.detect(f, nil)
+	return c.detect(c.reduce(f, nil))
 }
 
-// DetectVec classifies the contents of an extraction scratch's
-// FeatureVec directly — the map-free twin of DetectFeatures, for
-// callers that extract through stylometry.Scratch.ExtractVec and want
-// the whole request to stay off the allocator. fv is read-only and
-// may be reused immediately after return.
-// repolint:allow-testonly the vec-core serving path; TestEndToEndVecAllocs pins it until attrserve calls it
-func (c *Classifier) DetectVec(fv *stylometry.FeatureVec) (bool, float64) {
-	return c.detect(nil, fv)
+// DetectSparse classifies the compact form — the serving path, which
+// never builds a feature map. sp is only read.
+func (c *Classifier) DetectSparse(sp *stylometry.Sparse) (bool, float64) {
+	return c.detect(c.reduce(nil, sp))
 }

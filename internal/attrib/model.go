@@ -137,11 +137,11 @@ type vecScratch struct {
 }
 
 // reduce vectorizes one source into pooled scratch and leaves its
-// column-reduced row in s.row: from fv when it is non-nil (the map-free
-// path), else from f. The caller returns s to m.scratch when done.
-// Models are immutable once built, so the buffer sizes are fixed per
-// model and a pooled entry always fits.
-func (m *model) reduce(f stylometry.Features, fv *stylometry.FeatureVec) *vecScratch {
+// column-reduced row in s.row: from sp when it is non-nil (the serving
+// path, which never builds a map), else from f. The caller returns s
+// to m.scratch when done. Models are immutable once built, so the
+// buffer sizes are fixed per model and a pooled entry always fits.
+func (m *model) reduce(f stylometry.Features, sp *stylometry.Sparse) *vecScratch {
 	s, _ := m.scratch.Get().(*vecScratch)
 	if s == nil {
 		nClasses := m.forest.NumClasses()
@@ -152,8 +152,8 @@ func (m *model) reduce(f stylometry.Features, fv *stylometry.FeatureVec) *vecScr
 			proba: make([]float64, nClasses),
 		}
 	}
-	if fv != nil {
-		m.vec.VectorIntoVec(fv, s.full)
+	if sp != nil {
+		m.vec.VectorIntoSparse(sp, s.full)
 	} else {
 		m.vec.VectorInto(f, s.full)
 	}

@@ -39,21 +39,6 @@ func (o *Oracle) Labels() []string {
 	return out
 }
 
-// vote returns the label with the most tree votes for one reduced
-// source (see model.reduce).
-func (o *Oracle) vote(f stylometry.Features, fv *stylometry.FeatureVec) string {
-	s := o.reduce(f, fv)
-	o.forest.VotesInto(s.row, s.votes)
-	best := 0
-	for c, v := range s.votes {
-		if v > s.votes[best] {
-			best = c
-		}
-	}
-	o.scratch.Put(s)
-	return o.labels[best]
-}
-
 // Predict attributes one source to an author label.
 func (o *Oracle) Predict(src string) (string, error) {
 	f, err := stylometry.Extract(src)
@@ -63,22 +48,20 @@ func (o *Oracle) Predict(src string) (string, error) {
 	return o.PredictFeatures(f), nil
 }
 
-// PredictFeatures attributes pre-extracted features. This is the
-// serving path: extraction is batched separately (through the feature
-// cache) and the model only votes.
+// PredictFeatures attributes pre-extracted features: the label with
+// the most tree votes. The vectorization and voting run on pooled
+// scratch.
 func (o *Oracle) PredictFeatures(f stylometry.Features) string {
-	return o.vote(f, nil)
-}
-
-// PredictVec attributes the contents of an extraction scratch's
-// FeatureVec without ever materializing the map form: together with
-// stylometry.Scratch.ExtractVec it is the fully allocation-free
-// serving path (extract into the vec, vectorize columns directly,
-// vote on pooled rows). fv is read-only and may be reused by the
-// caller immediately after return.
-// repolint:allow-testonly the vec-core serving path; TestEndToEndVecAllocs pins it until attrserve calls it
-func (o *Oracle) PredictVec(fv *stylometry.FeatureVec) string {
-	return o.vote(nil, fv)
+	s := o.reduce(f, nil)
+	o.forest.VotesInto(s.row, s.votes)
+	best := 0
+	for c, v := range s.votes {
+		if v > s.votes[best] {
+			best = c
+		}
+	}
+	o.scratch.Put(s)
+	return o.labels[best]
 }
 
 // Proba returns the forest's vote share per author label for one
@@ -96,7 +79,19 @@ func (o *Oracle) Proba(src string) (map[string]float64, string, error) {
 // returned label map allocates; the vectorization and voting run on
 // pooled scratch.
 func (o *Oracle) ProbaFeatures(f stylometry.Features) (map[string]float64, string) {
-	s := o.reduce(f, nil)
+	return o.proba(o.reduce(f, nil))
+}
+
+// ProbaSparse is ProbaFeatures over the compact form. This is the
+// serving path: extraction and the feature cache hand the model a
+// Sparse, and no feature map is built. sp is only read.
+func (o *Oracle) ProbaSparse(sp *stylometry.Sparse) (map[string]float64, string) {
+	return o.proba(o.reduce(nil, sp))
+}
+
+// proba reads the per-label vote shares of one reduced source and
+// returns s to the pool.
+func (o *Oracle) proba(s *vecScratch) (map[string]float64, string) {
 	o.forest.PredictProbaInto(s.row, s.proba)
 	out := make(map[string]float64, len(o.labels))
 	best := 0

@@ -58,7 +58,7 @@ func TestTornWriteNeverLeavesTruncatedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c3.Get(src); !ok || got["AST_depth"] != 4 {
+	if got, ok := c3.Get(src); !ok || got.Features()["AST_depth"] != 4 {
 		t.Fatalf("recomputed entry unreadable: ok=%v got=%v", ok, got)
 	}
 }
@@ -84,7 +84,7 @@ func TestDiskFaultsRetriedThenRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := c2.Get("src")
-	if !ok || got["A"] != 3 {
+	if !ok || got.Features()["A"] != 3 {
 		t.Fatalf("entry lost under retried faults: ok=%v got=%v", ok, got)
 	}
 	st := fault.Stats()

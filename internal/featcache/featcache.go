@@ -1,5 +1,6 @@
 // Package featcache is a content-addressed cache of stylometric
-// feature vectors. Keys are SHA-256 digests over a feature-extractor
+// feature vectors, held in memory in their compact immutable form
+// (stylometry.Sparse). Keys are SHA-256 digests over a feature-extractor
 // fingerprint and the source bytes (length-prefixed, so no two
 // distinct (fingerprint, source) pairs collide by concatenation). The
 // cache layers an in-memory LRU over an optional on-disk store, so
@@ -75,12 +76,17 @@ type Options struct {
 	Fingerprint string
 }
 
-// Stats reports cache effectiveness counters.
+// Stats reports cache effectiveness counters and the in-memory
+// layer's size: Entries vectors holding Bytes bytes in their own
+// slices (stylometry.Sparse.Bytes; shared term-name strings are not
+// counted).
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	DiskHits  uint64
 	Evictions uint64
+	Entries   int
+	Bytes     int64
 }
 
 // Cache is an LRU feature cache with an optional disk layer.
@@ -95,7 +101,7 @@ type Cache struct {
 
 type entry struct {
 	key string
-	f   stylometry.Features
+	v   *stylometry.Sparse
 }
 
 // New builds a cache, creating the disk directory if configured.
@@ -114,27 +120,29 @@ func New(opts Options) (*Cache, error) {
 	return &Cache{opts: opts, ll: list.New(), items: make(map[string]*list.Element)}, nil
 }
 
-// Get returns the cached features for a source, consulting memory then
-// disk. The returned map is a private copy the caller may mutate.
-func (c *Cache) Get(src string) (stylometry.Features, bool) {
+// Get returns the cached vector for a source, consulting memory then
+// disk. The vector is shared with the cache, not copied: a Sparse is
+// immutable.
+func (c *Cache) Get(src string) (*stylometry.Sparse, bool) {
 	key := Key(c.opts.Fingerprint, src)
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		f := el.Value.(*entry).f
+		v := el.Value.(*entry).v
 		c.stats.Hits++
 		c.mu.Unlock()
-		return cloneFeatures(f), true
+		return v, true
 	}
 	c.mu.Unlock()
 	if c.opts.Dir != "" {
 		if f, ok := c.loadDisk(key); ok {
+			v := f.Sparse()
 			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.DiskHits++
-			c.insertLocked(key, f)
+			c.insertLocked(key, v)
 			c.mu.Unlock()
-			return cloneFeatures(f), true
+			return v, true
 		}
 	}
 	c.mu.Lock()
@@ -143,24 +151,18 @@ func (c *Cache) Get(src string) (stylometry.Features, bool) {
 	return nil, false
 }
 
-// Put stores the features for a source in memory and, when configured,
-// on disk. The map is copied; later caller mutations do not leak in.
-func (c *Cache) Put(src string, f stylometry.Features) {
+// Put stores the vector for a source in memory and, when configured,
+// on disk. A Features map is converted (a copy: later caller writes do
+// not leak in); a Sparse is stored as is.
+func (c *Cache) Put(src string, v stylometry.Vector) {
 	key := Key(c.opts.Fingerprint, src)
-	f = cloneFeatures(f)
+	sp := v.Sparse()
 	c.mu.Lock()
-	c.insertLocked(key, f)
+	c.insertLocked(key, sp)
 	c.mu.Unlock()
 	if c.opts.Dir != "" {
-		c.storeDisk(key, f)
+		c.storeDisk(key, sp)
 	}
-}
-
-// Len reports the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats returns a snapshot of the counters.
@@ -170,30 +172,25 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// insertLocked adds or refreshes an entry; c.mu must be held. Cached
-// maps are never mutated after insertion, so concurrent readers may
-// share them.
-func (c *Cache) insertLocked(key string, f stylometry.Features) {
+// insertLocked adds or refreshes an entry and keeps the size gauges
+// current; c.mu must be held.
+func (c *Cache) insertLocked(key string, v *stylometry.Sparse) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*entry).f = f
+		e := el.Value.(*entry)
+		c.stats.Bytes += int64(v.Bytes() - e.v.Bytes())
+		e.v = v
 		return
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, f: f})
+	c.items[key] = c.ll.PushFront(&entry{key: key, v: v})
+	c.stats.Bytes += int64(v.Bytes())
 	for c.ll.Len() > c.opts.MaxEntries {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*entry).key)
+		e := c.ll.Remove(c.ll.Back()).(*entry)
+		delete(c.items, e.key)
+		c.stats.Bytes -= int64(e.v.Bytes())
 		c.stats.Evictions++
 	}
-}
-
-func cloneFeatures(f stylometry.Features) stylometry.Features {
-	out := make(stylometry.Features, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
+	c.stats.Entries = c.ll.Len()
 }
 
 // diskPath shards entries by key prefix to keep directories small.
@@ -236,8 +233,8 @@ func (c *Cache) loadDisk(key string) (stylometry.Features, bool) {
 // optimization, not a store of record (and a surviving torn payload
 // is caught by the corrupt-entry delete+recompute backstop in
 // loadDisk).
-func (c *Cache) storeDisk(key string, f stylometry.Features) {
-	data, err := json.Marshal(f)
+func (c *Cache) storeDisk(key string, v *stylometry.Sparse) {
+	data, err := json.Marshal(v.Features())
 	if err != nil {
 		return
 	}

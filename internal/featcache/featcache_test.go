@@ -42,15 +42,19 @@ func TestMemoryCacheRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if got["A"] != 1 || got["B"] != 2.5 || len(got) != 2 {
-		t.Errorf("wrong features: %v", got)
+	if gf := got.Features(); gf["A"] != 1 || gf["B"] != 2.5 || len(gf) != 2 {
+		t.Errorf("wrong features: %v", gf)
 	}
-	// The cache must be insulated from caller mutations on both sides.
+	// Put copies a map, so the caller's later writes do not reach the
+	// entry; Get shares the immutable vector instead of cloning it.
 	f["A"] = 99
-	got["B"] = 99
+	delete(f, "B")
 	again, _ := c.Get("src")
-	if again["A"] != 1 || again["B"] != 2.5 {
-		t.Errorf("cache shares maps with callers: %v", again)
+	if again != got {
+		t.Error("Get copied the cached vector")
+	}
+	if af := again.Features(); af["A"] != 1 || af["B"] != 2.5 {
+		t.Errorf("cache shares maps with callers: %v", af)
 	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
@@ -73,8 +77,8 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Error("recently used entry was evicted")
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Errorf("Entries = %d, want 2", n)
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Errorf("Evictions = %d, want 1", ev)
@@ -98,7 +102,7 @@ func TestDiskLayerSurvivesNewCache(t *testing.T) {
 	if !ok {
 		t.Fatal("disk layer miss")
 	}
-	if got["A"] != 1.25 {
+	if got.Features()["A"] != 1.25 {
 		t.Errorf("disk features = %v", got)
 	}
 	if st := c2.Stats(); st.DiskHits != 1 {
@@ -153,7 +157,7 @@ func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 		f := stylometry.Features{"A": float64(gi), "B": 2}
 		c.Put(src, f)
 		got, ok := c.Get(src)
-		if !ok || got["A"] != float64(gi) {
+		if !ok || got.Features()["A"] != float64(gi) {
 			t.Fatalf("garbage %d: recomputed entry not served (ok=%v, got=%v)", gi, ok, got)
 		}
 		// A brand-new cache over the same dir must read the rewritten
@@ -163,7 +167,7 @@ func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ok = c2.Get(src)
-		if !ok || got["B"] != 2 {
+		if !ok || got.Features()["B"] != 2 {
 			t.Fatalf("garbage %d: rewritten disk entry unreadable (ok=%v, got=%v)", gi, ok, got)
 		}
 		if s := c2.Stats(); s.DiskHits != 1 {
@@ -184,14 +188,107 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				src := fmt.Sprintf("src-%d", i%10)
-				if f, ok := c.Get(src); ok {
-					if f["i"] != float64(i%10) {
+				if v, ok := c.Get(src); ok {
+					if f := v.Features(); f["i"] != float64(i%10) {
 						t.Errorf("wrong cached value for %s: %v", src, f)
 						return
 					}
 					continue
 				}
 				c.Put(src, stylometry.Features{"i": float64(i % 10)})
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSizeGauges pins Stats.Entries and Stats.Bytes: after every Put
+// they equal the count and the summed Sparse.Bytes of the entries in
+// memory, through inserts, a replacement and evictions.
+func TestSizeGauges(t *testing.T) {
+	const max = 4
+	c, err := New(Options{MaxEntries: max})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]*stylometry.Sparse{}
+	var order []string
+	check := func(step string) {
+		t.Helper()
+		want := 0
+		for _, v := range held {
+			want += v.Bytes()
+		}
+		if st := c.Stats(); st.Entries != len(held) || st.Bytes != int64(want) {
+			t.Errorf("%s: entries=%d bytes=%d, want %d and %d", step, st.Entries, st.Bytes, len(held), want)
+		}
+	}
+	put := func(src string, n int) {
+		f := stylometry.Features{"AvgLineLength": float64(n)}
+		for i := 0; i < n; i++ {
+			f[fmt.Sprintf("WordUnigram:w%d", i)] = 1
+		}
+		v := f.Sparse()
+		c.Put(src, v)
+		if _, ok := held[src]; !ok {
+			order = append(order, src)
+		}
+		held[src] = v
+		if len(order) > max {
+			delete(held, order[0])
+			order = order[1:]
+		}
+	}
+	check("empty")
+	for i := 0; i < max; i++ {
+		put(fmt.Sprintf("s%d", i), i+1)
+		check(fmt.Sprintf("insert %d", i))
+	}
+	put("s0", 40) // replace in place; s0 becomes most recent
+	order = append(order[1:], "s0")
+	check("replace")
+	before := c.Stats().Bytes
+	put("big-gone-soon", 1) // evicts s1
+	check("evict")
+	if after := c.Stats().Bytes; after >= before {
+		t.Errorf("evicting a larger entry for a smaller one: bytes %d -> %d, want a fall", before, after)
+	}
+}
+
+// TestConcurrentGetAndScore shares cached vectors between readers that
+// vectorize them and writers that replace entries; run under -race it
+// checks that a shared Sparse is only ever read.
+func TestConcurrentGetAndScore(t *testing.T) {
+	c, err := New(Options{MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(i int) stylometry.Features {
+		return stylometry.Features{"AvgLineLength": float64(i), "WordUnigram:x": float64(i % 3)}
+	}
+	vec := stylometry.NewVectorizer([]stylometry.Features{doc(1), doc(2)}, stylometry.VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			row := make([]float64, vec.NumFeatures())
+			want := make([]float64, vec.NumFeatures())
+			for i := 0; i < 200; i++ {
+				src := fmt.Sprintf("src-%d", i%12)
+				v, ok := c.Get(src)
+				if !ok {
+					c.Put(src, doc(i%12))
+					continue
+				}
+				vec.VectorIntoSparse(v, row)
+				vec.VectorInto(doc(i%12), want)
+				for j := range row {
+					if row[j] != want[j] {
+						t.Errorf("goroutine %d: %s column %d = %v, want %v", g, src, j, row[j], want[j])
+						return
+					}
+				}
 			}
 		}(g)
 	}

@@ -785,12 +785,15 @@ func (rt *Router) forwardTyped(ctx context.Context, endpoint, src string, out an
 }
 
 // Health implements serve.Backend: the fleet is ok while any replica
-// is in rotation.
+// is in rotation, and a model counts as loaded while the last
+// successful probe of some in-rotation replica reported it. A replica
+// out of rotation answers no request, so its flags do not count.
 func (rt *Router) Health() serve.HealthResponse {
-	// A model counts as loaded while any replica's last successful
-	// probe reported it.
 	var oracle, detector bool
 	for _, name := range rt.names {
+		if !rt.ring.IsAlive(name) {
+			continue
+		}
 		m := rt.members[name]
 		m.mu.Lock()
 		oracle, detector = oracle || m.oracle, detector || m.detector

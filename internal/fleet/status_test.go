@@ -73,7 +73,8 @@ func TestRouterStatusFollowsProbes(t *testing.T) {
 }
 
 // TestRouterHealthORsModelFlags pins that the fleet reports a model
-// loaded while any replica's last successful probe reported it.
+// loaded while the last successful probe of any in-rotation replica
+// reported it.
 func TestRouterHealthORsModelFlags(t *testing.T) {
 	fakes, rt, _ := newTestFleet(t, 2, func(c *Config) { c.NoHedge = true })
 	ctx := context.Background()
@@ -93,6 +94,23 @@ func TestRouterHealthORsModelFlags(t *testing.T) {
 	}
 	if h := rt.Health(); !h.Oracle || !h.Detector {
 		t.Errorf("one detector in the fleet: health oracle=%v detector=%v, want true/true", h.Oracle, h.Detector)
+	}
+
+	// Out of rotation, the only detector replica no longer counts.
+	fakes[0].kill()
+	for i := 0; i < rt.cfg.DeadAfter; i++ {
+		rt.ProbeAll(ctx)
+	}
+	if rt.ring.IsAlive(fakes[0].name) {
+		t.Fatalf("%s still in rotation after %d failed probes", fakes[0].name, rt.cfg.DeadAfter)
+	}
+	if h := rt.Health(); !h.Oracle || h.Detector {
+		t.Errorf("detector replica out of rotation: health oracle=%v detector=%v, want true/false", h.Oracle, h.Detector)
+	}
+	fakes[0].restart(false)
+	rt.ProbeAll(ctx)
+	if h := rt.Health(); !h.Oracle || !h.Detector {
+		t.Errorf("detector replica restored: health oracle=%v detector=%v, want true/true", h.Oracle, h.Detector)
 	}
 
 	setNoDetector(fakes[0])

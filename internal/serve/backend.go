@@ -105,12 +105,12 @@ func (l *LocalBackend) attribute(ctx context.Context, src string) (Answer, error
 	if o, _ := models.OracleFor(stylometry.DegradeNone); o == nil {
 		return Answer{}, ErrNoOracle
 	}
-	feats, lvl, err := l.batcher.ExtractDegraded(ctx, src)
+	v, lvl, err := l.batcher.ExtractDegraded(ctx, src)
 	if err != nil {
 		return Answer{}, err
 	}
 	oracle, eff := models.OracleFor(lvl)
-	proba, best := oracle.ProbaFeatures(feats)
+	proba, best := oracle.ProbaSparse(v)
 	conf := proba[best]
 	if c := oracle.Calibration(); c > 0 {
 		conf *= c
@@ -129,12 +129,12 @@ func (l *LocalBackend) detect(ctx context.Context, src string) (Answer, error) {
 	if d, _ := models.DetectorFor(stylometry.DegradeNone); d == nil {
 		return Answer{}, ErrNoDetector
 	}
-	feats, lvl, err := l.batcher.ExtractDegraded(ctx, src)
+	v, lvl, err := l.batcher.ExtractDegraded(ctx, src)
 	if err != nil {
 		return Answer{}, err
 	}
 	detector, eff := models.DetectorFor(lvl)
-	verdict, conf := detector.DetectFeatures(feats)
+	verdict, conf := detector.DetectSparse(v)
 	return encodeAnswer(DetectResponse{
 		ChatGPT: verdict, Confidence: conf,
 		DegradeLevel: int(eff), Calibration: detector.Calibration(),
@@ -202,6 +202,8 @@ func (l *LocalBackend) Observe(met *metrics.Registry) {
 		met.Counter("featcache_misses_total").Raise(st.Misses)
 		met.Counter("featcache_disk_hits_total").Raise(st.DiskHits)
 		met.Counter("featcache_evictions_total").Raise(st.Evictions)
+		met.Gauge("featcache_entries").Set(int64(st.Entries))
+		met.Gauge("featcache_bytes").Set(st.Bytes)
 	}
 }
 

@@ -52,12 +52,12 @@ type BatchConfig struct {
 	// degrade level as the forced floor for each extraction.
 	Brownout *Brownout
 	// extractFn overrides the per-source extraction of a cache miss:
-	// the job's context plus the brownout floor in, features and
-	// degrade level out. Tests use it to block extractions
+	// the job's context plus the brownout floor in, the compact vector
+	// and its degrade level out. Tests use it to block extractions
 	// deterministically and force degrade levels. Nil means
 	// stylometry.ExtractSupervised on Cache.
 	extractFn func(ctx context.Context, src string,
-		force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error)
+		force stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error)
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -70,7 +70,7 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	if c.extractFn == nil {
 		cache := c.Cache
 		c.extractFn = func(ctx context.Context, src string,
-			force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+			force stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
 			return stylometry.ExtractSupervised(ctx, src, force, cache)
 		}
 	}
@@ -87,7 +87,7 @@ type job struct {
 }
 
 type jobResult struct {
-	f     stylometry.Features
+	v     *stylometry.Sparse
 	level stylometry.DegradeLevel
 	err   error
 }
@@ -131,9 +131,9 @@ func (b *Batcher) QueueLen() int { return len(b.queue) }
 func (b *Batcher) Brownout() *Brownout { return b.cfg.Brownout }
 
 // ExtractDegraded admits one source, waits for a worker to extract it,
-// and returns the features plus the degrade level they were computed
-// at — the serving path uses the level to pick the matching fallback
-// oracle and to stamp X-Degrade-Level. The level reflects both the
+// and returns its compact vector plus the degrade level it was
+// computed at — the serving path uses the level to pick the matching
+// fallback oracle and to stamp X-Degrade-Level. The level reflects both the
 // request's own budget (a deadline that expires mid-extraction sheds
 // the semantic family instead of failing) and the brownout floor in
 // force when the extraction started. A featcache hit is answered at
@@ -142,7 +142,7 @@ func (b *Batcher) Brownout() *Brownout { return b.cfg.Brownout }
 // reaches the Brownout controller. It fails fast with ErrSaturated
 // when the queue is full, ErrClosed when draining, or ctx.Err() when
 // the caller's deadline expires first.
-func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.Features, stylometry.DegradeLevel, error) {
+func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
 	id := RequestIDFrom(ctx)
 	if err := fault.Hit(PointAdmit); err != nil {
 		// An injected admission fault degrades exactly like
@@ -153,8 +153,8 @@ func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.F
 	if b.cfg.Cache != nil && !b.isClosed() {
 		// The one lookup this request gets: a miss is extracted and
 		// stored by a worker without a second Get.
-		if f, ok := b.cfg.Cache.Get(src); ok {
-			return f, stylometry.DegradeNone, nil
+		if v, ok := b.cfg.Cache.Get(src); ok {
+			return v, stylometry.DegradeNone, nil
 		}
 	}
 	j := &job{src: src, id: id, ctx: ctx, enq: time.Now(), done: make(chan jobResult, 1)}
@@ -174,7 +174,7 @@ func (b *Batcher) ExtractDegraded(ctx context.Context, src string) (stylometry.F
 	}
 	select {
 	case res := <-j.done:
-		return res.f, res.level, res.err
+		return res.v, res.level, res.err
 	case <-ctx.Done():
 		// The worker may still compute this entry (and warm the
 		// cache); the caller just stops waiting.
@@ -266,6 +266,6 @@ func (b *Batcher) extract(j *job, force stylometry.DegradeLevel) (res jobResult)
 			res = jobResult{err: &stylometry.PanicError{Value: fmt.Sprint(r)}}
 		}
 	}()
-	res.f, res.level, res.err = b.cfg.extractFn(j.ctx, j.src, force)
+	res.v, res.level, res.err = b.cfg.extractFn(j.ctx, j.src, force)
 	return res
 }

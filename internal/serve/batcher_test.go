@@ -48,13 +48,16 @@ func (b *blockingExtractor) fn(src string) (stylometry.Features, error) {
 }
 
 // level0 adapts a plain per-source extractor to the extractFn hook: it
-// ignores the job's context and the brownout floor, and reports every
-// answer at level 0.
+// ignores the job's context and the brownout floor, converts the map
+// to the compact form, and reports every answer at level 0.
 func level0(fn func(src string) (stylometry.Features, error)) func(context.Context, string,
-	stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
-	return func(_ context.Context, src string, _ stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+	stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
+	return func(_ context.Context, src string, _ stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
 		f, err := fn(src)
-		return f, stylometry.DegradeNone, err
+		if err != nil {
+			return nil, stylometry.DegradeNone, err
+		}
+		return f.Sparse(), stylometry.DegradeNone, nil
 	}
 }
 
@@ -163,8 +166,8 @@ func TestBatcherSlowSourceHoldsOneWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request behind a blocked extraction: %v", err)
 	}
-	if f["len"] != float64(len("fast")) {
-		t.Fatalf("features %v, want len %d", f, len("fast"))
+	if got := f.Features(); got["len"] != float64(len("fast")) {
+		t.Fatalf("features %v, want len %d", got, len("fast"))
 	}
 	ex.release <- struct{}{}
 	if err := <-slow; err != nil {
@@ -282,7 +285,7 @@ func TestBatcherRealExtraction(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
-	feats := make([]stylometry.Features, 6)
+	feats := make([]*stylometry.Sparse, 6)
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -303,7 +306,7 @@ func TestBatcherRealExtraction(t *testing.T) {
 			t.Errorf("source %d: %v", i, errs[i])
 			continue
 		}
-		if !reflect.DeepEqual(feats[i], want) {
+		if !reflect.DeepEqual(feats[i].Features(), want) {
 			t.Errorf("source %d: served features differ from direct extraction", i)
 		}
 	}
@@ -312,22 +315,22 @@ func TestBatcherRealExtraction(t *testing.T) {
 // countingCache is an in-memory FeatureCache that counts lookups.
 type countingCache struct {
 	mu   sync.Mutex
-	m    map[string]stylometry.Features
+	m    map[string]*stylometry.Sparse
 	gets int
 }
 
-func (c *countingCache) Get(src string) (stylometry.Features, bool) {
+func (c *countingCache) Get(src string) (*stylometry.Sparse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gets++
-	f, ok := c.m[src]
-	return f, ok
+	v, ok := c.m[src]
+	return v, ok
 }
 
-func (c *countingCache) Put(src string, f stylometry.Features) {
+func (c *countingCache) Put(src string, v stylometry.Vector) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[src] = f
+	c.m[src] = v.Sparse()
 }
 
 // TestBatcherCacheHitAnsweredAtAdmission pins admission-time cache
@@ -339,8 +342,8 @@ func (c *countingCache) Put(src string, f stylometry.Features) {
 func TestBatcherCacheHitAnsweredAtAdmission(t *testing.T) {
 	defer fault.Disable()
 	const K = 2
-	cached := stylometry.Features{"len": 6}
-	cache := &countingCache{m: map[string]stylometry.Features{"cached": cached}}
+	cached := stylometry.Features{"len": 6}.Sparse()
+	cache := &countingCache{m: map[string]*stylometry.Sparse{"cached": cached}}
 	ex := newBlockingExtractor()
 	b := NewBatcher(BatchConfig{Workers: 1, QueueDepth: K, Cache: cache, extractFn: level0(ex.fn)})
 
@@ -361,7 +364,7 @@ func TestBatcherCacheHitAnsweredAtAdmission(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	f, lvl, err := b.ExtractDegraded(ctx, "cached")
-	if err != nil || lvl != stylometry.DegradeNone || !reflect.DeepEqual(f, cached) {
+	if err != nil || lvl != stylometry.DegradeNone || f != cached {
 		t.Fatalf("cached source under saturation: %v at level %v, err %v; want the cached vector at level 0", f, lvl, err)
 	}
 	if _, _, err := b.ExtractDegraded(ctx, "uncached"); !errors.Is(err, ErrSaturated) {

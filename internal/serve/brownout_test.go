@@ -148,9 +148,9 @@ func TestBrownoutForcesBatchLevel(t *testing.T) {
 		Workers: 1, QueueDepth: 16,
 		Brownout: h.b,
 		extractFn: func(_ context.Context, _ string,
-			force stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+			force stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
 			sawForce = force
-			return stylometry.Features{"x": 1}, force, nil
+			return stylometry.Features{"x": 1}.Sparse(), force, nil
 		},
 	})
 	defer b.Close()

@@ -199,7 +199,7 @@ func TestBatchPanicAnsweredNotDropped(t *testing.T) {
 
 	// The worker survived: the next job extracts normally.
 	f, _, err := b.ExtractDegraded(context.Background(), "int main() {}")
-	if err != nil || f["ok"] != 1 {
+	if err != nil || f.Features()["ok"] != 1 {
 		t.Fatalf("extraction after panic: f=%v err=%v", f, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestBatchFaultRetriedTransparently(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transient extraction faults leaked to caller: %v", err)
 	}
-	if len(f) == 0 {
+	if len(f.Features()) == 0 {
 		t.Fatal("no features extracted")
 	}
 	if st := fault.Stats()[stylometry.PointExtract]; st.Fires != uint64(stylometry.ExtractRetries-1) {

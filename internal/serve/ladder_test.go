@@ -128,7 +128,7 @@ func degradeForcingBatcher(lvl stylometry.DegradeLevel) *Batcher {
 	return NewBatcher(BatchConfig{
 		QueueDepth: 16,
 		extractFn: func(ctx context.Context, src string,
-			_ stylometry.DegradeLevel) (stylometry.Features, stylometry.DegradeLevel, error) {
+			_ stylometry.DegradeLevel) (*stylometry.Sparse, stylometry.DegradeLevel, error) {
 			return stylometry.ExtractSupervised(ctx, src, lvl, nil)
 		},
 	})

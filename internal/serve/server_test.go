@@ -208,7 +208,8 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 }
 
 // TestServerMetricsFeatcacheWarmth: /metrics exports the batcher's
-// feature-cache counters, so a repeated source shows up as a hit.
+// feature-cache counters, so a repeated source shows up as a hit, and
+// the size gauges, so the one cached vector shows up with its bytes.
 func TestServerMetricsFeatcacheWarmth(t *testing.T) {
 	cache, err := featcache.New(featcache.Options{MaxEntries: 16})
 	if err != nil {
@@ -233,6 +234,8 @@ func TestServerMetricsFeatcacheWarmth(t *testing.T) {
 		"featcache_misses_total 1\n",
 		"featcache_disk_hits_total 0\n",
 		"featcache_evictions_total 0\n",
+		"featcache_entries 1\n",
+		fmt.Sprintf("featcache_bytes %d\n", cache.Stats().Bytes),
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

@@ -6,11 +6,12 @@ import (
 )
 
 // TestExtractVecAllocs pins the steady-state serving contract: a full
-// extraction (every pass, DegradeNone) through a pooled Scratch plus
-// direct vectorization of the resulting FeatureVec performs zero
-// allocations per request once the scratch buffers and term-intern
-// tables are warm. This is the end-to-end budget the batcher relies
-// on — any regression here shows up as GC pressure under load.
+// extraction (every pass, DegradeNone) through a pooled Scratch
+// performs zero allocations once the scratch buffers and term-intern
+// tables are warm; snapshotting it into a Sparse allocates exactly the
+// Sparse (header, IDs, values, names); and vectorizing that Sparse
+// allocates nothing. This is the per-request budget the batcher
+// relies on — any regression here shows up as GC pressure under load.
 func TestExtractVecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
@@ -18,27 +19,37 @@ func TestExtractVecAllocs(t *testing.T) {
 	ctx := context.Background()
 
 	// Warm the pool and intern every term benchSrc produces, then build
-	// a vectorizer over its vocabulary so VectorIntoVec has columns.
+	// a vectorizer over its vocabulary so VectorIntoSparse has columns.
 	warm := GetScratch()
 	if _, err := warm.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	docs := []Features{warm.Vec().Features()}
+	sp := warm.Vec().Sparse()
 	PutScratch(warm)
 	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
 	row := make([]float64, v.NumFeatures())
 
-	a := testing.AllocsPerRun(100, func() {
+	if a := testing.AllocsPerRun(100, func() {
 		sc := GetScratch()
 		level, err := sc.ExtractVec(ctx, benchSrc, DegradeNone)
 		if err != nil || level != DegradeNone {
 			t.Fatalf("ExtractVec: level=%v err=%v", level, err)
 		}
-		v.VectorIntoVec(sc.Vec(), row)
 		PutScratch(sc)
-	})
-	if a > 0 {
-		t.Errorf("steady-state ExtractVec+VectorIntoVec allocates %.2f per request, want 0", a)
+	}); a > 0 {
+		t.Errorf("steady-state ExtractVec allocates %.2f per request, want 0", a)
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	if _, err := sc.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { sc.Vec().Sparse() }); a != 4 {
+		t.Errorf("FeatureVec.Sparse allocates %.2f per snapshot, want 4", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { v.VectorIntoSparse(sp, row) }); a > 0 {
+		t.Errorf("VectorIntoSparse allocates %.2f per call, want 0", a)
 	}
 }
 

@@ -114,7 +114,7 @@ func TestExtractDegradedBudgetExpiry(t *testing.T) {
 // vectors are never cached; cache hits answer full vectors even under
 // a forced floor.
 func TestExtractDegradedCacheDiscipline(t *testing.T) {
-	cache := &mapCache{m: make(map[string]Features)}
+	cache := &mapCache{m: make(map[string]*Sparse)}
 
 	// A forced-surface extraction must not populate the cache.
 	out, levels, err := ExtractAll([]string{sampleA}, DegradeSurface, ExtractConfig{Workers: 1, Cache: cache})
@@ -167,18 +167,18 @@ func TestDegradeLevelStrings(t *testing.T) {
 // mapCache is a minimal FeatureCache for tests.
 type mapCache struct {
 	mu sync.Mutex
-	m  map[string]Features
+	m  map[string]*Sparse
 }
 
-func (c *mapCache) Get(src string) (Features, bool) {
+func (c *mapCache) Get(src string) (*Sparse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.m[src]
-	return f, ok
+	sp, ok := c.m[src]
+	return sp, ok
 }
 
-func (c *mapCache) Put(src string, f Features) {
+func (c *mapCache) Put(src string, v Vector) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[src] = f
+	c.m[src] = v.Sparse()
 }

@@ -53,10 +53,10 @@ func ExtractDegraded(ctx context.Context, src string, force DegradeLevel) (Featu
 	return sc.vec.Features(), level, nil
 }
 
-// ExtractVec is the allocation-free core of ExtractDegraded: it runs
-// the same cheapest-first pass ladder with the same boundary checks,
-// but accumulates into the scratch's FeatureVec (read it with Vec())
-// instead of a map. The source is tokenized and surface-scanned in one
+// ExtractVec is the allocation-free core of ExtractDegraded and
+// ExtractSupervised: it runs the cheapest-first pass ladder with its
+// boundary checks, accumulating into the scratch's FeatureVec, which
+// those two then materialize as a map or snapshot as a Sparse. The source is tokenized and surface-scanned in one
 // fused pass, parsed once from the token buffer into the scratch's
 // arena, and every pass writes through interned feature IDs — in
 // steady state no allocation occurs at any degrade level.

@@ -127,8 +127,8 @@ func (fv *FeatureVec) NumSet() int {
 }
 
 // Features materializes the sparse map view. This is the package-
-// boundary form (training corpora, caches, JSON); serving paths keep
-// the vec and vectorize it directly via Vectorizer.VectorIntoVec.
+// boundary form (training corpora, JSON); serving paths snapshot the
+// vec with Sparse and vectorize that via Vectorizer.VectorIntoSparse.
 func (fv *FeatureVec) Features() Features {
 	out := make(Features, fv.NumSet()) // repolint:allow-featmap the boundary materializer itself
 	fv.mergeInto(out)
@@ -179,10 +179,6 @@ func NewScratch() *Scratch {
 	sc.vec.Reset()
 	return sc
 }
-
-// Vec exposes the scratch's accumulator (valid until the next extract
-// or PutScratch).
-func (sc *Scratch) Vec() *FeatureVec { return &sc.vec }
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 

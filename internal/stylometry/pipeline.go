@@ -28,14 +28,15 @@ const (
 	extractBackoff = time.Millisecond
 )
 
-// FeatureCache is a pluggable source->Features cache consulted before
+// FeatureCache is a pluggable source->Sparse cache consulted before
 // extraction (see internal/featcache for the content-addressed
 // implementation with an in-memory LRU and an optional on-disk layer).
-// Implementations must be safe for concurrent use and must return
-// feature maps the caller may treat as read-only.
+// Implementations must be safe for concurrent use. Get may share the
+// stored vector, since a Sparse is immutable; Put takes any Vector and
+// must not retain a mutable one (a Features map is copied).
 type FeatureCache interface {
-	Get(src string) (Features, bool)
-	Put(src string, f Features)
+	Get(src string) (*Sparse, bool)
+	Put(src string, v Vector)
 }
 
 // ExtractConfig controls parallel feature extraction.
@@ -78,7 +79,8 @@ func (e *ExtractError) Unwrap() error { return e.Err }
 // vector is extracted at least that degraded, and levels[i] reports
 // each vector's actual level. A source is looked up in cfg.Cache
 // first — a hit is a full (level-0) vector whatever the floor — and
-// otherwise goes through ExtractSupervised. Every source is attempted,
+// otherwise goes through ExtractSupervised; either way the map view is
+// built here, at the package boundary. Every source is attempted,
 // so one malformed source never costs its neighbours their features;
 // the lowest-index failure is reported as an *ExtractError, and out[i]
 // is valid for every other source. Worker scheduling never affects
@@ -96,13 +98,17 @@ func ExtractAll(sources []string, force DegradeLevel, cfg ExtractConfig) (out []
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				var sp *Sparse
+				hit := false
 				if cfg.Cache != nil {
-					if f, ok := cfg.Cache.Get(sources[i]); ok {
-						out[i] = f
-						continue
-					}
+					sp, hit = cfg.Cache.Get(sources[i])
 				}
-				out[i], levels[i], errs[i] = ExtractSupervised(ctx, sources[i], force, cfg.Cache)
+				if !hit {
+					sp, levels[i], errs[i] = ExtractSupervised(ctx, sources[i], force, cfg.Cache)
+				}
+				if sp != nil {
+					out[i] = sp.Features()
+				}
 			}
 		}()
 	}
@@ -145,8 +151,9 @@ func (e *PanicError) Error() string {
 func (e *PanicError) Transient() bool { return e.injected }
 
 // ExtractSupervised is the one supervised per-source extraction:
-// budgeted extraction at the forced floor (ExtractDegraded), with each
-// attempt passing PointExtract first. Transient faults — injected
+// budgeted extraction at the forced floor (Scratch.ExtractVec, as in
+// ExtractDegraded) snapshotted into a Sparse, with each attempt
+// passing PointExtract first. Transient faults — injected
 // errors and injected panics — are retried up to ExtractRetries
 // attempts with backoff; any panic, injected or real, is contained as
 // a *PanicError instead of unwinding the caller's goroutine. A
@@ -159,7 +166,7 @@ func (e *PanicError) Transient() bool { return e.injected }
 // is stored in cache (when non-nil); degraded vectors never are, so a
 // brownout never poisons the cache with partial vectors. src is never
 // looked up: callers consult the cache first, once.
-func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (f Features, level DegradeLevel, err error) {
+func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cache FeatureCache) (sp *Sparse, level DegradeLevel, err error) {
 	level = force
 	err = fault.Retry(ExtractRetries, extractBackoff, func() (err error) {
 		defer func() {
@@ -174,16 +181,21 @@ func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cach
 		if err := fault.HitContext(ctx, PointExtract); err != nil {
 			return err
 		}
-		f, level, err = ExtractDegraded(ctx, src, force)
-		return err
+		sc := GetScratch()
+		defer PutScratch(sc)
+		if level, err = sc.ExtractVec(ctx, src, force); err != nil {
+			return err
+		}
+		sp = sc.vec.Sparse()
+		return nil
 	})
 	if err != nil {
 		return nil, level, err
 	}
 	if cache != nil && level == DegradeNone {
-		cache.Put(src, f)
+		cache.Put(src, sp)
 	}
-	return f, level, nil
+	return sp, level, nil
 }
 
 // BuildDatasetWith extracts features for every source (in parallel,

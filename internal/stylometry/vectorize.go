@@ -39,8 +39,8 @@ type Vectorizer struct {
 	cfg   VectorizerConfig
 
 	// scalarCols/scalarIDF map the interned scalar vocabulary straight
-	// to columns (and TF-IDF weights) so VectorIntoVec never touches a
-	// feature-name string for fixed features. Built eagerly by
+	// to columns (and TF-IDF weights) so VectorIntoSparse never touches
+	// a feature-name string for fixed features. Built eagerly by
 	// NewVectorizer/UnmarshalJSON — never lazily, the vectorizer is
 	// shared across serving workers.
 	scalarCols []int32
@@ -179,61 +179,4 @@ func (v *Vectorizer) UnmarshalJSON(data []byte) error {
 	}
 	v.buildScalarTables()
 	return nil
-}
-
-// VectorIntoVec fills a caller-provided row (len must be NumFeatures)
-// straight from a FeatureVec, allocating nothing: present scalars go
-// through the precomputed ScalarID -> column table, term features
-// through one map probe on their interned names. This is the serving
-// path's vectorization — it produces exactly VectorInto(vec.Features(),
-// row) without ever materializing the map.
-func (v *Vectorizer) VectorIntoVec(fv *FeatureVec, row []float64) {
-	if len(row) != len(v.names) {
-		// repolint:allow-panic caller-contract violation (wrongly sized scratch), not a data fault the supervisors should absorb
-		panic(fmt.Sprintf("stylometry: VectorIntoVec row len %d, want %d", len(row), len(v.names)))
-	}
-	clear(row)
-	for id, p := range fv.present {
-		if !p {
-			continue
-		}
-		col := v.scalarCols[id]
-		if col < 0 {
-			continue
-		}
-		// scalarIDF is 1 when no reweighting applies; x*1.0 is exact.
-		row[col] = fv.scalars[id] * v.scalarIDF[id]
-	}
-	v.termRow(&fv.words, row)
-	v.termRow(&fv.leafs, row)
-	v.termRow(&fv.shapes, row)
-	for name, val := range fv.overflow {
-		i, ok := v.index[name]
-		if !ok {
-			continue
-		}
-		if v.cfg.UseTFIDF {
-			if w, ok := v.idf[name]; ok {
-				val *= w
-			}
-		}
-		row[i] = val
-	}
-}
-
-func (v *Vectorizer) termRow(ta *termAccum, row []float64) {
-	for _, id := range ta.touched {
-		name := ta.space.names[id]
-		i, ok := v.index[name]
-		if !ok {
-			continue
-		}
-		val := ta.vals[id]
-		if v.cfg.UseTFIDF {
-			if w, ok := v.idf[name]; ok {
-				val *= w
-			}
-		}
-		row[i] = val
-	}
 }
