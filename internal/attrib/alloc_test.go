@@ -2,33 +2,36 @@ package attrib
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"gptattr/internal/stylometry"
 )
 
-// TestPredictFeaturesAllocs pins the pooled-scratch serving path: once
-// the sync.Pool is warm, Oracle.PredictFeatures must be effectively
-// allocation-free (a GC draining the pool mid-run may add a stray
-// refill, hence the fractional bound over 200 runs).
-func TestPredictFeaturesAllocs(t *testing.T) {
+// TestProbaSparseAllocs pins the pooled-scratch oracle scorer: once
+// the sync.Pool is warm, vectorizing and voting allocate nothing, so
+// ProbaSparse allocates exactly its returned label map (a GC draining
+// the pool mid-run adds one refill over 200 runs, which the per-run
+// average truncates away).
+func TestProbaSparseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
 	}
 	fx := fixture(t)
-	f, err := stylometry.Extract(fx.human.Samples[0].Source)
+	sp, _, err := stylometry.ExtractSupervised(context.Background(), fx.human.Samples[0].Source, stylometry.DegradeNone, nil)
 	if err != nil {
-		t.Fatalf("Extract: %v", err)
+		t.Fatalf("ExtractSupervised: %v", err)
 	}
-	if a := testing.AllocsPerRun(200, func() { fx.oracle.PredictFeatures(f) }); a > 0.5 {
-		t.Errorf("PredictFeatures allocates %.2f per call, want ~0", a)
+	fx.oracle.ProbaSparse(sp)
+	if a := testing.AllocsPerRun(200, func() { fx.oracle.ProbaSparse(sp) }); a != labelMapAllocs {
+		t.Errorf("ProbaSparse allocates %.2f per call, want %d (the label map)", a, labelMapAllocs)
 	}
 }
 
-// TestDetectFeaturesAllocs does the same for the binary classifier's
-// serving entry point.
-func TestDetectFeaturesAllocs(t *testing.T) {
+// TestDetectSparseAllocs pins the detector scorer at zero allocations
+// on a warm pool.
+func TestDetectSparseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
 	}
@@ -37,41 +40,75 @@ func TestDetectFeaturesAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainBinary: %v", err)
 	}
-	f, err := stylometry.Extract(fx.transformed.Samples[0].Source)
+	sp, _, err := stylometry.ExtractSupervised(context.Background(), fx.transformed.Samples[0].Source, stylometry.DegradeNone, nil)
 	if err != nil {
-		t.Fatalf("Extract: %v", err)
+		t.Fatalf("ExtractSupervised: %v", err)
 	}
-	if a := testing.AllocsPerRun(200, func() { c.DetectFeatures(f) }); a > 0.5 {
-		t.Errorf("DetectFeatures allocates %.2f per call, want ~0", a)
+	c.DetectSparse(sp)
+	if a := testing.AllocsPerRun(200, func() { c.DetectSparse(sp) }); a != 0 {
+		t.Errorf("DetectSparse allocates %.2f per call, want 0", a)
 	}
 }
 
-// TestSparseMatchesFeatures pins the serving entry points to their
-// map-boundary twins: for any source, scoring the Sparse that
-// supervised extraction returns must give exactly the answers of the
-// Features-map path, at every degrade level.
+// refProba is the scorers' independent reference: a feature map
+// through the map vectorizer (Vectorizer.Vector), the selected
+// columns, then the forest's vote share per class.
+func refProba(m *model, f stylometry.Features) []float64 {
+	full := m.vec.Vector(f)
+	row := make([]float64, len(m.cols))
+	for i, c := range m.cols {
+		row[i] = full[c]
+	}
+	proba := make([]float64, m.forest.NumClasses())
+	m.forest.PredictProbaInto(row, proba)
+	return proba
+}
+
+// TestSparseMatchesFeatures pins the scorers to the reference: for any
+// source and degrade level, scoring the Sparse that supervised
+// extraction returns must give, bit for bit, the answers of the map
+// that ExtractDegraded materializes, scored through refProba. The
+// servebench adapters ProbaFeatures/DetectFeatures must agree too.
 func TestSparseMatchesFeatures(t *testing.T) {
 	fx := fixture(t)
 	c, err := TrainBinary(fx.human, fx.transformed, fx.cfg)
 	if err != nil {
 		t.Fatalf("TrainBinary: %v", err)
 	}
+	ctx := context.Background()
 	for _, s := range []string{fx.human.Samples[0].Source, fx.transformed.Samples[0].Source} {
 		for lvl := stylometry.DegradeNone; lvl <= stylometry.MaxDegrade; lvl++ {
-			sp, _, err := stylometry.ExtractSupervised(context.Background(), s, lvl, nil)
+			sp, _, err := stylometry.ExtractSupervised(ctx, s, lvl, nil)
 			if err != nil {
 				t.Fatalf("ExtractSupervised: %v", err)
 			}
-			f := sp.Features()
+			f, _, err := stylometry.ExtractDegraded(ctx, s, lvl)
+			if err != nil {
+				t.Fatalf("ExtractDegraded: %v", err)
+			}
+
+			ref := refProba(&fx.oracle.model, f)
+			want := make(map[string]float64, len(ref))
+			best := 0
+			for i, p := range ref {
+				want[fx.oracle.labels[i]] = p
+				if p > ref[best] {
+					best = i
+				}
+			}
 			ps, bs := fx.oracle.ProbaSparse(sp)
 			pf, bf := fx.oracle.ProbaFeatures(f)
-			if bs != bf || !reflect.DeepEqual(ps, pf) {
-				t.Errorf("level %v: ProbaSparse = %v %v, ProbaFeatures = %v %v", lvl, bs, ps, bf, pf)
+			if bs != fx.oracle.labels[best] || bf != bs || !reflect.DeepEqual(ps, want) || !reflect.DeepEqual(pf, want) {
+				t.Errorf("level %v: ProbaSparse = %v %v, ProbaFeatures = %v %v, reference = %v %v",
+					lvl, bs, ps, bf, pf, fx.oracle.labels[best], want)
 			}
+
+			conf := refProba(&c.model, f)[1]
 			gs, cs := c.DetectSparse(sp)
 			gf, cf := c.DetectFeatures(f)
-			if gs != gf || cs != cf {
-				t.Errorf("level %v: DetectSparse = (%v, %v), DetectFeatures = (%v, %v)", lvl, gs, cs, gf, cf)
+			if gs != (conf > 0.5) || gf != gs || math.Float64bits(cs) != math.Float64bits(conf) || math.Float64bits(cf) != math.Float64bits(conf) {
+				t.Errorf("level %v: DetectSparse = (%v, %v), DetectFeatures = (%v, %v), reference = (%v, %v)",
+					lvl, gs, cs, gf, cf, conf > 0.5, conf)
 			}
 		}
 	}
@@ -110,5 +147,9 @@ func TestEndToEndVecAllocs(t *testing.T) {
 }
 
 // endToEndAllocs is the measured allocation count TestEndToEndVecAllocs
-// pins.
-const endToEndAllocs = 8
+// pins; labelMapAllocs is the oracle's label map, the part of it
+// TestProbaSparseAllocs pins.
+const (
+	endToEndAllocs = 8
+	labelMapAllocs = 4
+)

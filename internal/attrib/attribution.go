@@ -99,7 +99,7 @@ func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 		// Keep only the initial response of each chain (round 1); when
 		// the corpus carries no round numbers, keep everything.
 		keep := &corpus.Corpus{}
-		var keepFeats []stylometry.Features
+		var keepFeats []*stylometry.Sparse
 		for i, s := range transformed.Samples {
 			if s.Round <= 1 {
 				keep.Samples = append(keep.Samples, s)
@@ -122,7 +122,7 @@ func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 		target, _ := stats.DominantLabel()
 		res.TargetLabel = target
 		keep := &corpus.Corpus{}
-		var keepFeats []stylometry.Features
+		var keepFeats []*stylometry.Sparse
 		for i, s := range transformed.Samples {
 			if stats.Predictions[i] == target {
 				keep.Samples = append(keep.Samples, s)
@@ -144,7 +144,7 @@ func EvaluateAttribution(human, transformed *corpus.Corpus, oracle *Oracle,
 
 	// Combined corpus: human authors + the ChatGPT set as one label.
 	combined := corpus.Merge(human, set)
-	combinedFeats := append(append([]stylometry.Features{}, humanFeats...), setFeats...)
+	combinedFeats := append(append([]*stylometry.Sparse{}, humanFeats...), setFeats...)
 
 	labels := human.Authors()
 	sort.Strings(labels)

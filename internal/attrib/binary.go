@@ -1,6 +1,7 @@
 package attrib
 
 import (
+	"context"
 	"fmt"
 
 	"gptattr/internal/corpus"
@@ -133,15 +134,6 @@ func TrainBinary(human, transformed *corpus.Corpus, cfg Config) (*Classifier, er
 	return c, nil
 }
 
-// detect returns the ChatGPT verdict and vote share for one reduced
-// source (see model.reduce) and returns s to the pool.
-func (c *Classifier) detect(s *vecScratch) (bool, float64) {
-	c.forest.PredictProbaInto(s.row, s.proba)
-	conf := s.proba[1]
-	c.scratch.Put(s)
-	return conf > 0.5, conf
-}
-
 // EvaluateOn scores the classifier on labelled corpora (human = class
 // 0, gpt = class 1) and returns the balanced accuracy.
 func (c *Classifier) EvaluateOn(human, gpt *corpus.Corpus) (float64, error) {
@@ -154,8 +146,8 @@ func (c *Classifier) EvaluateOn(human, gpt *corpus.Corpus) (float64, error) {
 			return 0, err
 		}
 		hits := 0
-		for _, f := range feats {
-			if gpt, _ := c.DetectFeatures(f); gpt == wantGPT {
+		for _, sp := range feats {
+			if gpt, _ := c.DetectSparse(sp); gpt == wantGPT {
 				hits++
 			}
 		}
@@ -173,23 +165,29 @@ func (c *Classifier) EvaluateOn(human, gpt *corpus.Corpus) (float64, error) {
 }
 
 // IsChatGPT predicts whether a source looks ChatGPT-made, with the
-// vote share as confidence.
+// vote share as confidence. Extraction is the serving path's
+// supervised one, as in Oracle.Proba.
 func (c *Classifier) IsChatGPT(src string) (bool, float64, error) {
-	f, err := stylometry.Extract(src)
+	sp, _, err := stylometry.ExtractSupervised(context.Background(), src, stylometry.DegradeNone, nil)
 	if err != nil {
 		return false, 0, err
 	}
-	verdict, conf := c.DetectFeatures(f)
+	verdict, conf := c.DetectSparse(sp)
 	return verdict, conf, nil
 }
 
-// DetectFeatures classifies pre-extracted features.
+// DetectFeatures is DetectSparse over a feature map. Only the frozen
+// servebench module calls it; everything else scores a Sparse.
 func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
-	return c.detect(c.reduce(f, nil))
+	return c.DetectSparse(f.Sparse())
 }
 
-// DetectSparse classifies the compact form — the serving path, which
-// never builds a feature map. sp is only read.
+// DetectSparse is the one detector scorer: the ChatGPT verdict and its
+// vote share. It allocates nothing on a warm pool. sp is only read.
 func (c *Classifier) DetectSparse(sp *stylometry.Sparse) (bool, float64) {
-	return c.detect(c.reduce(nil, sp))
+	s := c.reduce(sp)
+	c.forest.PredictProbaInto(s.row, s.proba)
+	conf := s.proba[1]
+	c.scratch.Put(s)
+	return conf > 0.5, conf
 }

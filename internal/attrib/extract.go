@@ -63,11 +63,11 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// ExtractAll computes stylometry features for every sample of c, in
+// ExtractAll computes stylometry vectors for every sample of c, in
 // parallel on cfg's worker bound, through cfg.Cache when set,
 // preserving order. A failing sample is reported with its
 // author/challenge provenance.
-func ExtractAll(c *corpus.Corpus, cfg Config) ([]stylometry.Features, error) {
+func ExtractAll(c *corpus.Corpus, cfg Config) ([]*stylometry.Sparse, error) {
 	sources := make([]string, len(c.Samples))
 	for i, s := range c.Samples {
 		sources[i] = s.Source
@@ -101,16 +101,15 @@ func challengeIndex(id string) int {
 	return 0
 }
 
-// buildDataset vectorizes a task's features with its label assignment
-// and challenge groups, then reduces by information gain.
+// buildDataset learns a vectorizer on a task's vectors, restricted to
+// cfg.Families, and vectorizes them with its label assignment and
+// challenge groups, then reduces by information gain. This is the
+// training boundary: the only place in this package that builds
+// feature maps.
 func buildDataset(t task, cfg Config) (*ml.Dataset, *stylometry.Vectorizer, []int) {
-	feats := t.feats
-	if len(cfg.Families) > 0 {
-		filtered := make([]stylometry.Features, len(feats))
-		for i, f := range feats {
-			filtered[i] = stylometry.FilterFamilies(f, cfg.Families)
-		}
-		feats = filtered
+	feats := make([]stylometry.Features, len(t.feats))
+	for i, sp := range t.feats {
+		feats[i] = sp.Features(cfg.Families...)
 	}
 	vec := stylometry.NewVectorizer(feats, stylometry.VectorizerConfig{MinDocFreq: cfg.MinDocFreq})
 	d := &ml.Dataset{NumClasses: t.numClasses, FeatureNames: vec.FeatureNames()}

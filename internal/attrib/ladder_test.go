@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gptattr/internal/corpus"
@@ -38,13 +39,12 @@ func TestTrainOracleLadder(t *testing.T) {
 			t.Errorf("ladder[%v].Calibration() = %v, want (0,1]", lvl, o.Calibration())
 		}
 		// Every rung must score a vector degraded to its level without
-		// indexing shed families: predict on filtered features.
-		full, err := stylometry.Extract(human.Samples[0].Source)
+		// indexing shed families.
+		degraded, _, err := stylometry.ExtractSupervised(context.Background(), human.Samples[0].Source, lvl, nil)
 		if err != nil {
-			t.Fatalf("Extract: %v", err)
+			t.Fatalf("ExtractSupervised: %v", err)
 		}
-		degraded := stylometry.FilterFamilies(full, lvl.Families())
-		if got := o.PredictFeatures(degraded); got == "" {
+		if _, got := o.ProbaSparse(degraded); got == "" {
 			t.Errorf("ladder[%v] produced empty prediction", lvl)
 		}
 	}
@@ -87,13 +87,12 @@ func TestLadderPersistRoundTrip(t *testing.T) {
 	if len(got.Families()) != len(o.Families()) {
 		t.Errorf("loaded %d families, want %d", len(got.Families()), len(o.Families()))
 	}
-	full, err := stylometry.Extract(human.Samples[1].Source)
+	degraded, _, err := stylometry.ExtractSupervised(context.Background(), human.Samples[1].Source, o.Level(), nil)
 	if err != nil {
-		t.Fatalf("Extract: %v", err)
+		t.Fatalf("ExtractSupervised: %v", err)
 	}
-	degraded := stylometry.FilterFamilies(full, o.Level().Families())
-	p1, b1 := o.ProbaFeatures(degraded)
-	p2, b2 := got.ProbaFeatures(degraded)
+	p1, b1 := o.ProbaSparse(degraded)
+	p2, b2 := got.ProbaSparse(degraded)
 	if b1 != b2 {
 		t.Fatalf("prediction changed across round trip: %s vs %s", b1, b2)
 	}
@@ -141,12 +140,11 @@ func TestTrainBinaryLadder(t *testing.T) {
 		if c.Level() != lvl {
 			t.Errorf("ladder[%v].Level() = %v", lvl, c.Level())
 		}
-		full, err := stylometry.Extract(fx.transformed.Samples[0].Source)
+		degraded, _, err := stylometry.ExtractSupervised(context.Background(), fx.transformed.Samples[0].Source, lvl, nil)
 		if err != nil {
-			t.Fatalf("Extract: %v", err)
+			t.Fatalf("ExtractSupervised: %v", err)
 		}
-		degraded := stylometry.FilterFamilies(full, lvl.Families())
-		if _, conf := c.DetectFeatures(degraded); conf < 0 || conf > 1 {
+		if _, conf := c.DetectSparse(degraded); conf < 0 || conf > 1 {
 			t.Errorf("ladder[%v] confidence %v out of range", lvl, conf)
 		}
 	}

@@ -43,11 +43,11 @@ type model struct {
 // (0 = unknown; legacy models persisted before calibration existed).
 func (m *model) Calibration() float64 { return m.calib }
 
-// task is one training problem: a corpus, its pre-extracted features,
+// task is one training problem: a corpus, its pre-extracted vectors,
 // and the class of each sample.
 type task struct {
 	c          *corpus.Corpus
-	feats      []stylometry.Features
+	feats      []*stylometry.Sparse
 	labelOf    func(corpus.Sample) int
 	numClasses int
 }
@@ -124,39 +124,30 @@ func (m *model) fit(t task, cfg Config, rung *stylometry.DegradeLevel) error {
 	return err
 }
 
-// vecScratch bundles the per-prediction buffers of a serving-path
-// model call: the full vectorizer row, the column-reduced model row,
-// and per-class votes/probabilities. Pooling these keeps the hot
-// request path allocation-free while remaining safe under the serve
-// batcher's concurrency.
+// vecScratch bundles the per-prediction buffers of a model call: the
+// full vectorizer row, the column-reduced model row, and per-class
+// probabilities. Pooling these keeps scoring allocation-free while
+// remaining safe under the serve batcher's concurrency.
 type vecScratch struct {
 	full  []float64
 	row   []float64
-	votes []int
 	proba []float64
 }
 
 // reduce vectorizes one source into pooled scratch and leaves its
-// column-reduced row in s.row: from sp when it is non-nil (the serving
-// path, which never builds a map), else from f. The caller returns s
-// to m.scratch when done. Models are immutable once built, so the
-// buffer sizes are fixed per model and a pooled entry always fits.
-func (m *model) reduce(f stylometry.Features, sp *stylometry.Sparse) *vecScratch {
+// column-reduced row in s.row. The caller returns s to m.scratch when
+// done. Models are immutable once built, so the buffer sizes are fixed
+// per model and a pooled entry always fits.
+func (m *model) reduce(sp *stylometry.Sparse) *vecScratch {
 	s, _ := m.scratch.Get().(*vecScratch)
 	if s == nil {
-		nClasses := m.forest.NumClasses()
 		s = &vecScratch{
 			full:  make([]float64, m.vec.NumFeatures()),
 			row:   make([]float64, len(m.cols)),
-			votes: make([]int, nClasses),
-			proba: make([]float64, nClasses),
+			proba: make([]float64, m.forest.NumClasses()),
 		}
 	}
-	if sp != nil {
-		m.vec.VectorIntoSparse(sp, s.full)
-	} else {
-		m.vec.VectorInto(f, s.full)
-	}
+	m.vec.VectorIntoSparse(sp, s.full)
 	for i, c := range m.cols {
 		s.row[i] = s.full[c]
 	}

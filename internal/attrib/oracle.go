@@ -1,6 +1,7 @@
 package attrib
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -39,59 +40,37 @@ func (o *Oracle) Labels() []string {
 	return out
 }
 
-// Predict attributes one source to an author label.
+// Predict attributes one source to an author label: Proba's best.
 func (o *Oracle) Predict(src string) (string, error) {
-	f, err := stylometry.Extract(src)
-	if err != nil {
-		return "", err
-	}
-	return o.PredictFeatures(f), nil
-}
-
-// PredictFeatures attributes pre-extracted features: the label with
-// the most tree votes. The vectorization and voting run on pooled
-// scratch.
-func (o *Oracle) PredictFeatures(f stylometry.Features) string {
-	s := o.reduce(f, nil)
-	o.forest.VotesInto(s.row, s.votes)
-	best := 0
-	for c, v := range s.votes {
-		if v > s.votes[best] {
-			best = c
-		}
-	}
-	o.scratch.Put(s)
-	return o.labels[best]
+	_, best, err := o.Proba(src)
+	return best, err
 }
 
 // Proba returns the forest's vote share per author label for one
-// source, alongside the predicted label.
+// source, alongside the predicted label. Extraction is the serving
+// path's supervised one (retries, panic containment, fault point), so
+// the offline oracle is the served oracle.
 func (o *Oracle) Proba(src string) (map[string]float64, string, error) {
-	f, err := stylometry.Extract(src)
+	sp, _, err := stylometry.ExtractSupervised(context.Background(), src, stylometry.DegradeNone, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	out, best := o.ProbaFeatures(f)
+	out, best := o.ProbaSparse(sp)
 	return out, best, nil
 }
 
-// ProbaFeatures is Proba over pre-extracted features. Only the
-// returned label map allocates; the vectorization and voting run on
-// pooled scratch.
+// ProbaFeatures is ProbaSparse over a feature map. Only the frozen
+// servebench module calls it; everything else scores a Sparse.
 func (o *Oracle) ProbaFeatures(f stylometry.Features) (map[string]float64, string) {
-	return o.proba(o.reduce(f, nil))
+	return o.ProbaSparse(f.Sparse())
 }
 
-// ProbaSparse is ProbaFeatures over the compact form. This is the
-// serving path: extraction and the feature cache hand the model a
-// Sparse, and no feature map is built. sp is only read.
+// ProbaSparse is the one oracle scorer: the vote share per author
+// label and the label with the most votes (ties go to the lower class
+// index). Only the returned label map allocates; the vectorization and
+// voting run on pooled scratch. sp is only read.
 func (o *Oracle) ProbaSparse(sp *stylometry.Sparse) (map[string]float64, string) {
-	return o.proba(o.reduce(nil, sp))
-}
-
-// proba reads the per-label vote shares of one reduced source and
-// returns s to the pool.
-func (o *Oracle) proba(s *vecScratch) (map[string]float64, string) {
+	s := o.reduce(sp)
 	o.forest.PredictProbaInto(s.row, s.proba)
 	out := make(map[string]float64, len(o.labels))
 	best := 0
@@ -106,8 +85,8 @@ func (o *Oracle) proba(s *vecScratch) (map[string]float64, string) {
 }
 
 // PredictCorpus attributes every sample, in order, reusing
-// pre-extracted features when provided (pass nil to extract here).
-func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []stylometry.Features) ([]string, error) {
+// pre-extracted vectors when provided (pass nil to extract here).
+func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []*stylometry.Sparse) ([]string, error) {
 	var err error
 	if feats == nil {
 		feats, err = ExtractAll(c, Config{})
@@ -119,8 +98,8 @@ func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []stylometry.Features) ([
 		return nil, fmt.Errorf("attrib: %d features for %d samples", len(feats), len(c.Samples))
 	}
 	rows := make([][]float64, len(feats))
-	for i, f := range feats {
-		s := o.reduce(f, nil)
+	for i, sp := range feats {
+		s := o.reduce(sp)
 		rows[i] = slices.Clone(s.row)
 		o.scratch.Put(s)
 	}

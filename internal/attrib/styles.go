@@ -24,7 +24,7 @@ type StyleStats struct {
 
 // AnalyzeStyles predicts labels for the transformed corpus and derives
 // the style-count and diversity statistics.
-func AnalyzeStyles(o *Oracle, transformed *corpus.Corpus, feats []stylometry.Features) (*StyleStats, error) {
+func AnalyzeStyles(o *Oracle, transformed *corpus.Corpus, feats []*stylometry.Sparse) (*StyleStats, error) {
 	preds, err := o.PredictCorpus(transformed, feats)
 	if err != nil {
 		return nil, err

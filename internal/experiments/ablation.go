@@ -23,7 +23,7 @@ func (s *Suite) AblationFeatureFamilies() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	feats, err := attrib.ExtractAll(yd.Human, attrib.Config{})
+	vecs, err := attrib.ExtractAll(yd.Human, attrib.Config{})
 	if err != nil {
 		return "", err
 	}
@@ -34,7 +34,12 @@ func (s *Suite) AblationFeatureFamilies() (string, error) {
 		index[a] = i
 	}
 
-	eval := func(docs []stylometry.Features) (float64, int, error) {
+	// eval trains on the vectors restricted to fams (all when empty).
+	eval := func(fams ...stylometry.FeatureFamily) (float64, int, error) {
+		docs := make([]stylometry.Features, len(vecs))
+		for i, sp := range vecs {
+			docs[i] = sp.Features(fams...)
+		}
 		vec := stylometry.NewVectorizer(docs, stylometry.VectorizerConfig{MinDocFreq: 2})
 		d := &ml.Dataset{NumClasses: len(authors)}
 		d.X = make([][]float64, len(docs))
@@ -64,17 +69,13 @@ func (s *Suite) AblationFeatureFamilies() (string, error) {
 	for _, fam := range []stylometry.FeatureFamily{
 		stylometry.FamilyLexical, stylometry.FamilyLayout, stylometry.FamilySyntactic,
 	} {
-		docs := make([]stylometry.Features, len(feats))
-		for i, f := range feats {
-			docs[i] = stylometry.FilterFamily(f, fam)
-		}
-		acc, nf, err := eval(docs)
+		acc, nf, err := eval(fam)
 		if err != nil {
 			return "", fmt.Errorf("experiments: ablation %s: %w", fam, err)
 		}
 		rows = append(rows, []string{fam.String(), itos(nf), pct(acc)})
 	}
-	acc, nf, err := eval(feats)
+	acc, nf, err := eval()
 	if err != nil {
 		return "", err
 	}
@@ -171,9 +172,13 @@ func (s *Suite) AblationClassifier() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	feats, err := attrib.ExtractAll(yd.Human, attrib.Config{})
+	vecs, err := attrib.ExtractAll(yd.Human, attrib.Config{})
 	if err != nil {
 		return "", err
+	}
+	feats := make([]stylometry.Features, len(vecs))
+	for i, sp := range vecs {
+		feats[i] = sp.Features()
 	}
 	authors := yd.Human.Authors()
 	sort.Strings(authors)

@@ -54,17 +54,17 @@ func (s *Suite) ExtensionDegradeLadder() (string, error) {
 			return "", err
 		}
 		if !ok {
-			feats, _, err := stylometry.ExtractAll(sources, lvl,
+			vecs, _, err := stylometry.ExtractAll(sources, lvl,
 				stylometry.ExtractConfig{Workers: s.workers()})
 			if err != nil {
 				return "", fmt.Errorf("degradeladder: level %v: %w", lvl, err)
 			}
-			for i := range feats {
+			for i, sp := range vecs {
 				want := ev.Samples[i].Author
-				if ladder[lvl].PredictFeatures(feats[i]) == want {
+				if _, got := ladder[lvl].ProbaSparse(sp); got == want {
 					u.MatchedCorrect++
 				}
-				if ladder[stylometry.DegradeNone].PredictFeatures(feats[i]) == want {
+				if _, got := ladder[stylometry.DegradeNone].ProbaSparse(sp); got == want {
 					u.BaseCorrect++
 				}
 				u.Total++

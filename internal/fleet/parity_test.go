@@ -67,8 +67,8 @@ func diffDetect(got, want serve.DetectResponse) error {
 // for every fixture source, human and ChatGPT-transformed, the answer
 // from /v1/attribute and /v1/detect through a Router-backed server
 // equals the direct replica answer and the offline answer
-// (stylometry.ExtractDegraded, then ProbaFeatures/DetectFeatures with
-// calibration) — same author or verdict, same degrade level and model
+// (Oracle.Proba and Classifier.IsChatGPT, the calls attr and gptdetect
+// make, with calibration) — same author or verdict, same degrade level and model
 // generation, bit-identical proba and confidence after the JSON round
 // trips. The router's body is the replica's, byte for byte.
 func TestAnswerParityThroughRouter(t *testing.T) {
@@ -110,18 +110,20 @@ func TestAnswerParityThroughRouter(t *testing.T) {
 		}
 	}
 	for i, src := range sources {
-		feats, lvl, err := stylometry.ExtractDegraded(context.Background(), src, stylometry.DegradeNone)
-		if err != nil || lvl != stylometry.DegradeNone {
-			t.Fatalf("source %d: offline extraction: level %v, err %v", i, lvl, err)
+		proba, best, err := oracle.Proba(src)
+		if err != nil {
+			t.Fatalf("source %d: offline attribution: %v", i, err)
 		}
-		proba, best := oracle.ProbaFeatures(feats)
 		conf := proba[best]
 		if c := oracle.Calibration(); c > 0 {
 			conf *= c
 		}
 		wantAttr := serve.AttributeResponse{Author: best, Proba: proba, Confidence: conf,
 			Calibration: oracle.Calibration(), ModelGeneration: models.Generation}
-		verdict, dconf := detector.DetectFeatures(feats)
+		verdict, dconf, err := detector.IsChatGPT(src)
+		if err != nil {
+			t.Fatalf("source %d: offline detection: %v", i, err)
+		}
 		wantDet := serve.DetectResponse{ChatGPT: verdict, Confidence: dconf,
 			Calibration: detector.Calibration(), ModelGeneration: models.Generation}
 

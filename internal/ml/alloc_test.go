@@ -35,13 +35,9 @@ func TestServingPathAllocs(t *testing.T) {
 		t.Fatalf("FitForest: %v", err)
 	}
 	row := d.X[0]
-	votes := make([]int, forest.NumClasses())
 	proba := make([]float64, forest.NumClasses())
 	out := make([]int, len(d.X))
 
-	if a := testing.AllocsPerRun(100, func() { forest.VotesInto(row, votes) }); a > 0 {
-		t.Errorf("VotesInto allocates %.2f per call, want 0", a)
-	}
 	if a := testing.AllocsPerRun(100, func() { forest.PredictProbaInto(row, proba) }); a > 0 {
 		t.Errorf("PredictProbaInto allocates %.2f per call, want 0", a)
 	}

@@ -142,17 +142,6 @@ func fitForest(d *Dataset, cfg ForestConfig, oob bool) (*Forest, [][]int32, erro
 	return f, oobVotes, nil
 }
 
-// VotesInto tallies per-class vote counts for one sample into votes
-// (len must be NumClasses) without allocating.
-func (f *Forest) VotesInto(x []float64, votes []int) {
-	for i := range votes {
-		votes[i] = 0
-	}
-	for _, t := range f.trees {
-		votes[t.Predict(x)]++
-	}
-}
-
 // PredictProbaInto writes vote fractions per class into out (len must
 // be NumClasses) without allocating: votes accumulate directly in out
 // and are scaled in place.

@@ -417,12 +417,12 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 // Predict returns the majority-vote class for one sample; ties break
 // toward the lower class index, deterministically.
 func (f *Forest) Predict(x []float64) int {
-	best, bestVotes := 0, -1
-	votes := make([]int, f.numClasses)
-	f.VotesInto(x, votes)
-	for c, v := range votes {
-		if v > bestVotes {
-			best, bestVotes = c, v
+	proba := make([]float64, f.numClasses)
+	f.PredictProbaInto(x, proba)
+	best := 0
+	for c, p := range proba {
+		if p > proba[best] {
+			best = c
 		}
 	}
 	return best

@@ -6,7 +6,7 @@ import (
 )
 
 // TestExtractVecAllocs pins the steady-state serving contract: a full
-// extraction (every pass, DegradeNone) through a pooled Scratch
+// extraction (every pass, DegradeNone) through a pooled scratch
 // performs zero allocations once the scratch buffers and term-intern
 // tables are warm; snapshotting it into a Sparse allocates exactly the
 // Sparse (header, IDs, values, names); and vectorizing that Sparse
@@ -20,29 +20,29 @@ func TestExtractVecAllocs(t *testing.T) {
 
 	// Warm the pool and intern every term benchSrc produces, then build
 	// a vectorizer over its vocabulary so VectorIntoSparse has columns.
-	warm := GetScratch()
-	if _, err := warm.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+	warm := getScratch()
+	if _, err := warm.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	docs := []Features{warm.Vec().Features()}
 	sp := warm.Vec().Sparse()
-	PutScratch(warm)
+	putScratch(warm)
 	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
 	row := make([]float64, v.NumFeatures())
 
 	if a := testing.AllocsPerRun(100, func() {
-		sc := GetScratch()
-		level, err := sc.ExtractVec(ctx, benchSrc, DegradeNone)
+		sc := getScratch()
+		level, err := sc.extractVec(ctx, benchSrc, DegradeNone)
 		if err != nil || level != DegradeNone {
 			t.Fatalf("ExtractVec: level=%v err=%v", level, err)
 		}
-		PutScratch(sc)
+		putScratch(sc)
 	}); a > 0 {
 		t.Errorf("steady-state ExtractVec allocates %.2f per request, want 0", a)
 	}
-	sc := GetScratch()
-	defer PutScratch(sc)
-	if _, err := sc.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	if _, err := sc.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(100, func() { sc.Vec().Sparse() }); a != 4 {

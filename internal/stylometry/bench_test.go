@@ -87,32 +87,32 @@ func BenchmarkVectorInto(b *testing.B) {
 }
 
 // BenchmarkExtractVec is the steady-state serving path: budgeted
-// extraction through a pooled Scratch straight into the interned
+// extraction through a pooled scratch straight into the interned
 // FeatureVec, no map materialization. This is what one attrserve
 // request costs after warmup; the trailing AllocsPerRun check hard-
 // gates the zero-allocation contract (benchdiff gates wall clock).
 func BenchmarkExtractVec(b *testing.B) {
 	ctx := context.Background()
-	warm := GetScratch()
-	if _, err := warm.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+	warm := getScratch()
+	if _, err := warm.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 		b.Fatal(err)
 	}
-	PutScratch(warm)
+	putScratch(warm)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := GetScratch()
-		if _, err := sc.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+		sc := getScratch()
+		if _, err := sc.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 			b.Fatal(err)
 		}
-		PutScratch(sc)
+		putScratch(sc)
 	}
 	b.StopTimer()
 	if !raceEnabled {
 		if n := testing.AllocsPerRun(100, func() {
-			sc := GetScratch()
-			sc.ExtractVec(ctx, benchSrc, DegradeNone)
-			PutScratch(sc)
+			sc := getScratch()
+			sc.extractVec(ctx, benchSrc, DegradeNone)
+			putScratch(sc)
 		}); n != 0 {
 			b.Fatalf("steady-state ExtractVec allocates %v per run, want 0", n)
 		}
@@ -126,11 +126,11 @@ func BenchmarkExtractDegraded(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc := GetScratch()
-		if _, err := sc.ExtractVec(ctx, benchSrc, DegradeSurface); err != nil {
+		sc := getScratch()
+		if _, err := sc.extractVec(ctx, benchSrc, DegradeSurface); err != nil {
 			b.Fatal(err)
 		}
-		PutScratch(sc)
+		putScratch(sc)
 	}
 }
 
@@ -143,8 +143,8 @@ func semanticFeatures(f Features, tu *cppast.TranslationUnit) {
 // semanticFeaturesCtx is the budgeted map-boundary form over the vec
 // engine: extraction proper goes through semanticFeaturesCtxVec.
 func semanticFeaturesCtx(ctx context.Context, f Features, tu *cppast.TranslationUnit) error {
-	sc := GetScratch()
-	defer PutScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	sc.vec.Reset()
 	if err := semanticFeaturesCtxVec(ctx, sc, tu); err != nil {
 		return err

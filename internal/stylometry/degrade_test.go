@@ -29,7 +29,7 @@ func TestDegradedEqualsFilteredFull(t *testing.T) {
 			if gotLvl != lvl {
 				t.Fatalf("ExtractDegraded(%v) reported level %v", lvl, gotLvl)
 			}
-			want := FilterFamilies(full, lvl.Families())
+			want := full.Sparse().Features(lvl.Families()...)
 			if len(got) != len(want) {
 				t.Errorf("level %v: %d features, want %d", lvl, len(got), len(want))
 			}
@@ -99,7 +99,7 @@ func TestExtractDegradedBudgetExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	want := FilterFamilies(full, DegradeNoSemantic.Families())
+	want := full.Sparse().Features(DegradeNoSemantic.Families()...)
 	if len(f) != len(want) {
 		t.Fatalf("degraded vector has %d features, want %d", len(f), len(want))
 	}
@@ -127,7 +127,7 @@ func TestExtractDegradedCacheDiscipline(t *testing.T) {
 	if len(cache.m) != 0 {
 		t.Fatalf("degraded vector was cached (%d entries)", len(cache.m))
 	}
-	for name := range out[0] {
+	for name := range out[0].Features() {
 		if fam := Family(name); fam == FamilySemantic || fam == FamilySyntactic {
 			t.Fatalf("surface vector carries %v feature %s", fam, name)
 		}

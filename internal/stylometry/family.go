@@ -66,37 +66,3 @@ func Family(name string) FeatureFamily {
 	}
 	return FamilyLexical
 }
-
-// FilterFamily returns a copy of the document restricted to one
-// feature family.
-func FilterFamily(doc Features, fam FeatureFamily) Features {
-	out := make(Features) // repolint:allow-featmap boundary copy for family-subset training
-	for name, v := range doc {
-		if Family(name) == fam {
-			out[name] = v
-		}
-	}
-	return out
-}
-
-// FilterFamilies returns a copy of the document restricted to the
-// given families. An empty list keeps everything.
-func FilterFamilies(doc Features, fams []FeatureFamily) Features {
-	if len(fams) == 0 {
-		out := make(Features, len(doc)) // repolint:allow-featmap boundary copy for family-subset training
-		for name, v := range doc {
-			out[name] = v
-		}
-		return out
-	}
-	out := make(Features) // repolint:allow-featmap boundary copy for family-subset training
-	for name, v := range doc {
-		for _, fam := range fams {
-			if Family(name) == fam {
-				out[name] = v
-				break
-			}
-		}
-	}
-	return out
-}

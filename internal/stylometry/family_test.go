@@ -52,17 +52,17 @@ func TestFilterFamily(t *testing.T) {
 		"LnTabDensity":  2,
 		"ASTNodeTF:For": 3,
 	}
-	lay := FilterFamily(doc, FamilyLayout)
+	lay := doc.Sparse().Features(FamilyLayout)
 	if len(lay) != 1 || lay["LnTabDensity"] != 2 {
 		t.Errorf("layout filter wrong: %v", lay)
 	}
-	syn := FilterFamily(doc, FamilySyntactic)
+	syn := doc.Sparse().Features(FamilySyntactic)
 	if len(syn) != 1 || syn["ASTNodeTF:For"] != 3 {
 		t.Errorf("syntactic filter wrong: %v", syn)
 	}
 	// Original untouched.
 	if len(doc) != 3 {
-		t.Error("FilterFamily mutated input")
+		t.Error("filtering mutated input")
 	}
 }
 

@@ -2,13 +2,14 @@
 // Caliskan-Islam et al. (USENIX Security 2015) from C++ source: lexical
 // features from the token stream, layout features from raw text, and
 // syntactic features from the cppast parse tree (node-kind term
-// frequencies, parent-child bigrams, depths). Documents become sparse
-// name->value maps; Vectorizer aligns a corpus into a dense ml.Dataset.
+// frequencies, parent-child bigrams, depths). Documents become compact
+// Sparse vectors, which models score directly; the name->value map
+// form (Features) is built where a Vectorizer is learned, to align a
+// corpus into a dense ml.Dataset.
 //
 // Internally extraction runs on an interned vocabulary: passes write
 // into a FeatureVec (dense scalar slab + interned term accumulators)
-// through a pooled Scratch, and the map form is materialized only at
-// package boundaries. See vocab.go and featurevec.go.
+// through a pooled scratch. See vocab.go and featurevec.go.
 package stylometry
 
 import (
@@ -37,30 +38,32 @@ func Extract(src string) (Features, error) {
 // cancellation check at each pass boundary, so budget exhaustion sheds
 // the expensive tail and still returns a valid vector — the brownout
 // contract is "a cheaper answer", never an error, once the source has
-// lexed. The per-family output is bit-identical to FilterFamilies of a
-// full extraction (pinned by TestDegradedEqualsFilteredFull): degraded
-// vectors are exactly what the family-subset oracles were trained on.
+// lexed. The per-family output is bit-identical to the family-filtered
+// map of a full extraction (pinned by TestDegradedEqualsFilteredFull):
+// degraded vectors are exactly what the family-subset oracles were
+// trained on.
 //
 // Only a budget that dies before any pass ran yields an error; the
 // err != nil ⇒ no vector contract of Extract is preserved.
 func ExtractDegraded(ctx context.Context, src string, force DegradeLevel) (Features, DegradeLevel, error) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	level, err := sc.ExtractVec(ctx, src, force)
+	sc := getScratch()
+	defer putScratch(sc)
+	level, err := sc.extractVec(ctx, src, force)
 	if err != nil {
 		return nil, level, err
 	}
 	return sc.vec.Features(), level, nil
 }
 
-// ExtractVec is the allocation-free core of ExtractDegraded and
+// extractVec is the allocation-free core of ExtractDegraded and
 // ExtractSupervised: it runs the cheapest-first pass ladder with its
 // boundary checks, accumulating into the scratch's FeatureVec, which
-// those two then materialize as a map or snapshot as a Sparse. The source is tokenized and surface-scanned in one
-// fused pass, parsed once from the token buffer into the scratch's
-// arena, and every pass writes through interned feature IDs — in
-// steady state no allocation occurs at any degrade level.
-func (sc *Scratch) ExtractVec(ctx context.Context, src string, force DegradeLevel) (DegradeLevel, error) {
+// those two then materialize as a map or snapshot as a Sparse. The
+// source is tokenized and surface-scanned in one fused pass, parsed
+// once from the token buffer into the scratch's arena, and every pass
+// writes through interned feature IDs — in steady state no allocation
+// occurs at any degrade level.
+func (sc *scratch) extractVec(ctx context.Context, src string, force DegradeLevel) (DegradeLevel, error) {
 	force = force.Clamp()
 	if strings.TrimSpace(src) == "" {
 		return force, fmt.Errorf("stylometry: empty source")

@@ -366,7 +366,7 @@ func refSyntacticFeatures(f Features, tu *cppast.TranslationUnit) {
 // refSemanticFeatures is the old map-writing semantic aggregation,
 // routed through the (unchanged) semstats result struct.
 func refSemanticFeatures(f Features, tu *cppast.TranslationUnit) {
-	sc := NewScratch()
+	sc := newScratch()
 	if err := semanticFeaturesCtxVec(context.Background(), sc, tu); err != nil {
 		return
 	}

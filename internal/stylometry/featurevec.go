@@ -12,7 +12,7 @@ import (
 // scalar slab addressed by ScalarID plus per-namespace term
 // accumulators addressed by interned term IDs. The hot path writes
 // only through integer indices; Features() materializes the sparse
-// map view at package boundaries. A FeatureVec is owned by a Scratch
+// map view at package boundaries. A FeatureVec is owned by a scratch
 // and recycled across extractions.
 type FeatureVec struct {
 	scalars []float64
@@ -156,13 +156,13 @@ func (ta *termAccum) appendTo(out Features) {
 	}
 }
 
-// Scratch bundles every reusable buffer of the extraction hot path:
+// scratch bundles every reusable buffer of the extraction hot path:
 // the token buffer, the AST arena, the feature accumulator with its
 // persistent term-intern tables, and the semantic-pass workspace.
-// One Scratch serves one extraction at a time; pool them with
-// GetScratch/PutScratch. Steady-state extraction through a pooled
-// Scratch performs no allocation (pinned by TestExtractVecAllocs).
-type Scratch struct {
+// One scratch serves one extraction at a time; pool them with
+// getScratch/putScratch. Steady-state extraction through a pooled
+// scratch performs no allocation (pinned by TestExtractVecAllocs).
+type scratch struct {
 	toks  []cpptok.Token
 	surf  cpptok.Surface
 	arena *cppast.Arena
@@ -170,9 +170,10 @@ type Scratch struct {
 	sem   *semstats.Scratch
 }
 
-// NewScratch builds an unpooled Scratch (tests, long-lived workers).
-func NewScratch() *Scratch {
-	sc := &Scratch{arena: cppast.NewArena(), sem: semstats.NewScratch()}
+// newScratch builds an unpooled scratch: the pool's constructor, and
+// tests that need a scratch of their own.
+func newScratch() *scratch {
+	sc := &scratch{arena: cppast.NewArena(), sem: semstats.NewScratch()}
 	sc.vec.words.space = &termSpace{prefix: "WordUnigram:"}
 	sc.vec.leafs.space = &termSpace{prefix: "LeafTF:"}
 	sc.vec.shapes.space = &termSpace{prefix: "SemShape:"}
@@ -180,14 +181,14 @@ func NewScratch() *Scratch {
 	return sc
 }
 
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
-// GetScratch fetches a pooled extraction scratch.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// getScratch fetches a pooled extraction scratch.
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// PutScratch returns a scratch to the pool. The caller must not retain
+// putScratch returns a scratch to the pool. The caller must not retain
 // the scratch, its FeatureVec, or any tree parsed through it.
-func PutScratch(sc *Scratch) {
+func putScratch(sc *scratch) {
 	// Drop token texts and the semantic workspace's AST references so
 	// the pool does not pin the last request's source string between
 	// uses.

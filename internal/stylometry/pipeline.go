@@ -79,15 +79,14 @@ func (e *ExtractError) Unwrap() error { return e.Err }
 // vector is extracted at least that degraded, and levels[i] reports
 // each vector's actual level. A source is looked up in cfg.Cache
 // first — a hit is a full (level-0) vector whatever the floor — and
-// otherwise goes through ExtractSupervised; either way the map view is
-// built here, at the package boundary. Every source is attempted,
+// otherwise goes through ExtractSupervised. Every source is attempted,
 // so one malformed source never costs its neighbours their features;
 // the lowest-index failure is reported as an *ExtractError, and out[i]
 // is valid for every other source. Worker scheduling never affects
 // content: each slot is written only by the worker that drew its
 // index, and a degraded vector's features depend only on its level.
-func ExtractAll(sources []string, force DegradeLevel, cfg ExtractConfig) (out []Features, levels []DegradeLevel, err error) {
-	out = make([]Features, len(sources))
+func ExtractAll(sources []string, force DegradeLevel, cfg ExtractConfig) (out []*Sparse, levels []DegradeLevel, err error) {
+	out = make([]*Sparse, len(sources))
 	levels = make([]DegradeLevel, len(sources))
 	errs := make([]error, len(sources))
 	ctx := context.Background()
@@ -98,16 +97,12 @@ func ExtractAll(sources []string, force DegradeLevel, cfg ExtractConfig) (out []
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				var sp *Sparse
 				hit := false
 				if cfg.Cache != nil {
-					sp, hit = cfg.Cache.Get(sources[i])
+					out[i], hit = cfg.Cache.Get(sources[i])
 				}
 				if !hit {
-					sp, levels[i], errs[i] = ExtractSupervised(ctx, sources[i], force, cfg.Cache)
-				}
-				if sp != nil {
-					out[i] = sp.Features()
+					out[i], levels[i], errs[i] = ExtractSupervised(ctx, sources[i], force, cfg.Cache)
 				}
 			}
 		}()
@@ -151,9 +146,9 @@ func (e *PanicError) Error() string {
 func (e *PanicError) Transient() bool { return e.injected }
 
 // ExtractSupervised is the one supervised per-source extraction:
-// budgeted extraction at the forced floor (Scratch.ExtractVec, as in
-// ExtractDegraded) snapshotted into a Sparse, with each attempt
-// passing PointExtract first. Transient faults — injected
+// budgeted extraction at the forced floor (as in ExtractDegraded)
+// snapshotted into a Sparse, with each attempt passing PointExtract
+// first. Transient faults — injected
 // errors and injected panics — are retried up to ExtractRetries
 // attempts with backoff; any panic, injected or real, is contained as
 // a *PanicError instead of unwinding the caller's goroutine. A
@@ -181,9 +176,9 @@ func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cach
 		if err := fault.HitContext(ctx, PointExtract); err != nil {
 			return err
 		}
-		sc := GetScratch()
-		defer PutScratch(sc)
-		if level, err = sc.ExtractVec(ctx, src, force); err != nil {
+		sc := getScratch()
+		defer putScratch(sc)
+		if level, err = sc.extractVec(ctx, src, force); err != nil {
 			return err
 		}
 		sp = sc.vec.Sparse()
@@ -200,14 +195,20 @@ func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cach
 
 // BuildDatasetWith extracts features for every source (in parallel,
 // through the optional cache), learns a vectorizer on them, and
-// assembles an ml.Dataset with the given labels. The vocabulary is
-// learned from the documents in input order and column names are
-// sorted, so the dataset is bit-identical at any worker count.
+// assembles an ml.Dataset with the given labels. Learning a vectorizer
+// is the training boundary, so the feature maps are built here. The
+// vocabulary is learned from the documents in input order and column
+// names are sorted, so the dataset is bit-identical at any worker
+// count.
 func BuildDatasetWith(sources []string, labels []int, numClasses int,
 	cfg VectorizerConfig, ex ExtractConfig) (*ml.Dataset, *Vectorizer, error) {
-	docs, _, err := ExtractAll(sources, DegradeNone, ex)
+	vecs, _, err := ExtractAll(sources, DegradeNone, ex)
 	if err != nil {
 		return nil, nil, err
+	}
+	docs := make([]Features, len(vecs))
+	for i, sp := range vecs {
+		docs[i] = sp.Features()
 	}
 	v := NewVectorizer(docs, cfg)
 	d := &ml.Dataset{

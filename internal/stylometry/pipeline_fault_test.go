@@ -38,12 +38,13 @@ func TestExtractRetriesTransientFaults(t *testing.T) {
 		t.Fatal("fault never fired")
 	}
 	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("sample %d: %d features, want %d", i, len(got[i]), len(want[i]))
+		g, w := got[i].Features(), want[i].Features()
+		if len(g) != len(w) {
+			t.Fatalf("sample %d: %d features, want %d", i, len(g), len(w))
 		}
-		for k, v := range want[i] {
-			if got[i][k] != v {
-				t.Fatalf("sample %d: feature %s = %v, want %v", i, k, got[i][k], v)
+		for k, v := range w {
+			if g[k] != v {
+				t.Fatalf("sample %d: feature %s = %v, want %v", i, k, g[k], v)
 			}
 		}
 	}
@@ -70,7 +71,7 @@ func TestPanicContainedToOneSample(t *testing.T) {
 		t.Fatalf("error %v is not a contained panic", err)
 	}
 	for i := range srcs {
-		if i != ee.Index && len(out[i]) == 0 {
+		if i != ee.Index && out[i] == nil {
 			t.Errorf("sample %d: batch-mate of the panicking sample has no features", i)
 		}
 	}

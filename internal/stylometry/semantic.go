@@ -22,7 +22,7 @@ import (
 // written — the family is all-or-nothing so the degraded vector's
 // content depends only on the level, never on how far the pass got
 // (determinism under latency storms).
-func semanticFeaturesCtxVec(ctx context.Context, sc *Scratch, tu *cppast.TranslationUnit) error {
+func semanticFeaturesCtxVec(ctx context.Context, sc *scratch, tu *cppast.TranslationUnit) error {
 	fv := &sc.vec
 	fs, err := sc.sem.AnalyzeContext(ctx, tu)
 	if err != nil {

@@ -107,7 +107,7 @@ func semBlock(t *testing.T, src string) stylometry.Features {
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	return stylometry.FilterFamily(f, stylometry.FamilySemantic)
+	return f.Sparse().Features(stylometry.FamilySemantic)
 }
 
 // diffFeatures returns a readable diff of two feature maps.

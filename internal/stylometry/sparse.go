@@ -46,7 +46,7 @@ func init() {
 
 // Sparse snapshots the accumulator, overflow terms included. The
 // result does not alias the scratch: it stays valid after the next
-// extraction or PutScratch.
+// extraction or putScratch.
 func (fv *FeatureVec) Sparse() *Sparse {
 	nScalars := 0
 	for _, p := range fv.present {
@@ -124,15 +124,22 @@ func (f Features) Sparse() *Sparse {
 func (s *Sparse) Sparse() *Sparse { return s }
 
 // Features materializes the map view, for training corpora, the disk
-// cache and JSON. The serving path scores s directly.
-func (s *Sparse) Features() Features {
+// cache and JSON; the serving path scores s directly. With fams
+// non-empty only features of those families are kept, so a
+// family-subset training corpus is built in this one copy.
+func (s *Sparse) Features(fams ...FeatureFamily) Features {
+	keep := func(name string) bool { return len(fams) == 0 || slices.Contains(fams, Family(name)) }
 	out := make(Features, len(s.vals)) // repolint:allow-featmap the boundary materializer for the compact form
 	for i, id := range s.ids {
-		out[scalarNames[id]] = s.vals[i]
+		if name := scalarNames[id]; keep(name) {
+			out[name] = s.vals[i]
+		}
 	}
 	terms := s.vals[len(s.ids):]
 	for i, name := range s.names {
-		out[name] = terms[i]
+		if keep(name) {
+			out[name] = terms[i]
+		}
 	}
 	return out
 }

@@ -24,13 +24,13 @@ func sameBits(a, b Features) bool {
 }
 
 // Vec exposes the scratch's accumulator (valid until the next extract
-// or PutScratch).
-func (sc *Scratch) Vec() *FeatureVec { return &sc.vec }
+// or putScratch).
+func (sc *scratch) Vec() *FeatureVec { return &sc.vec }
 
 // overflowScratch returns a scratch whose WordUnigram intern table is
 // full, so every identifier it has not seen lands in the overflow map.
-func overflowScratch() *Scratch {
-	sc := NewScratch()
+func overflowScratch() *scratch {
+	sc := newScratch()
 	for i := 0; i < maxTermIDs; i++ {
 		sc.vec.words.space.id(fmt.Sprintf("fill%d", i))
 	}
@@ -51,17 +51,17 @@ func sparseCases(t *testing.T) []sparseCase {
 	t.Helper()
 	ctx := context.Background()
 	var out []sparseCase
-	sc := NewScratch()
+	sc := newScratch()
 	for i, src := range goldenSources() {
 		for lvl := DegradeNone; lvl <= MaxDegrade; lvl++ {
-			if _, err := sc.ExtractVec(ctx, src, lvl); err != nil {
+			if _, err := sc.extractVec(ctx, src, lvl); err != nil {
 				continue // the empty/unlexable edge cases
 			}
 			out = append(out, sparseCase{fmt.Sprintf("golden %d at %v", i, lvl), sc.Vec().Features(), sc.Vec().Sparse()})
 		}
 	}
 	ov := overflowScratch()
-	if _, err := ov.ExtractVec(ctx, benchSrc, DegradeNone); err != nil {
+	if _, err := ov.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	if len(ov.vec.overflow) == 0 {

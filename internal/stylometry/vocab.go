@@ -15,7 +15,7 @@ import (
 //     ASTBigramTF block, since the AST kind set is closed), addressed
 //     by a ScalarID into a dense slab; or
 //   - an open-vocabulary term (WordUnigram/LeafTF/SemShape), interned
-//     through a persistent per-Scratch hash table so steady-state
+//     through a persistent per-scratch hash table so steady-state
 //     extraction never builds a feature-name string.
 //
 // The hot path accumulates by integer ID; the map[string]float64 form
@@ -257,7 +257,7 @@ const maxTermIDs = 1 << 16
 
 // termSpace interns one open-vocabulary term namespace: raw term text
 // (no prefix) -> dense ID, with the full prefixed feature name built
-// exactly once per distinct term. It lives in a Scratch and persists
+// exactly once per distinct term. It lives in a scratch and persists
 // across extractions, so steady-state lookups are a single map probe
 // with no allocation. Keys are cloned on first sight — term text
 // aliases request sources, which must not be pinned by the table.
