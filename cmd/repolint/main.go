@@ -196,6 +196,7 @@ func run(args []string, out *os.File) (int, error) {
 	}
 
 	voidClose := collectVoidClose(parsed)
+	mapFields := collectMapFields(files, parsed)
 	findings = append(findings, checkTestOnly(fset, *root, files, parsed)...)
 	for _, path := range files {
 		f := parsed[path]
@@ -206,7 +207,7 @@ func run(args []string, out *os.File) (int, error) {
 		isTest := strings.HasSuffix(path, "_test.go")
 		if !isTest && inDeterministicPkg(rel) {
 			findings = append(findings, checkDeterminism(fset, f)...)
-			findings = append(findings, checkMapRange(fset, f)...)
+			findings = append(findings, checkMapRange(fset, f, mapFields)...)
 		}
 		if !isTest && inSupervisedPkg(rel) {
 			findings = append(findings, checkPanics(fset, f)...)
@@ -464,10 +465,13 @@ func checkFeatMaps(fset *token.FileSet, f *ast.File) []finding {
 }
 
 // mapRangeSinkMethods are receiver methods whose call order is
-// observable in the output: writers and streaming encoders.
+// observable in the output: writers, streaming encoders, and the
+// feature vector's first-touch term accumulators (a term's first Add
+// fixes its position in the vector).
 var mapRangeSinkMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true,
 	"WriteRune": true, "Encode": true,
+	"AddShape": true, "AddWord": true, "AddLeaf": true,
 }
 
 // mapRangeFmtSinks are the fmt package functions that emit output.
@@ -483,7 +487,9 @@ var mapRangeFmtSinks = map[string]bool{
 // such a loop makes output depend on that order. Writing into another
 // map is commutative and not flagged, and an append whose target is
 // later passed to sort/slices is exempt (the sort erases the order).
-func checkMapRange(fset *token.FileSet, f *ast.File) []finding {
+// A range over a selector counts as a map range when the selected
+// name is a struct field declared with a map type (mapFields).
+func checkMapRange(fset *token.FileSet, f *ast.File, mapFields map[string]bool) []finding {
 	allowed := directiveLines(fset, f, allowMapRangeDirective)
 
 	// Map-typed objects: declared with a map type, assigned from
@@ -553,8 +559,16 @@ func checkMapRange(fset *token.FileSet, f *ast.File) []finding {
 		if !ok {
 			return true
 		}
-		id, ok := rng.X.(*ast.Ident)
-		if !ok || id.Obj == nil || !mapObjs[id.Obj] {
+		switch x := rng.X.(type) {
+		case *ast.Ident:
+			if x.Obj == nil || !mapObjs[x.Obj] {
+				return true
+			}
+		case *ast.SelectorExpr:
+			if !mapFields[x.Sel.Name] {
+				return true
+			}
+		default:
 			return true
 		}
 		pos := fset.Position(rng.Pos())
@@ -567,6 +581,33 @@ func checkMapRange(fset *token.FileSet, f *ast.File) []finding {
 		}
 		return true
 	})
+	return out
+}
+
+// collectMapFields returns the names of the struct fields that shipped
+// files declare with a map type. Shipped code can only range over
+// fields of shipped types, so test files are skipped.
+func collectMapFields(files []string, parsed map[string]*ast.File) map[string]bool {
+	out := make(map[string]bool)
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		ast.Inspect(parsed[path], func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fld := range st.Fields.List {
+				if isMapType(fld.Type) {
+					for _, name := range fld.Names {
+						out[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
 	return out
 }
 

@@ -962,6 +962,73 @@ var _ = Keys
 	}
 }
 
+// mapFieldTree is a two-package tree shaped like the semantic feature
+// pass: semstats declares a struct with a map-typed field, and
+// stylometry's loop body ranges over it. repolint parses without
+// type-checking, so the slices import may go unused.
+func mapFieldTree(t *testing.T, loop string) string {
+	t.Helper()
+	return writeTree(t, map[string]string{
+		"internal/semstats/stats.go": `package semstats
+
+type FuncStats struct {
+	Name      string
+	Blocks    []int
+	ExprGrams map[string]int
+}
+`,
+		"internal/stylometry/semantic.go": `package stylometry
+
+import (
+	"slices"
+
+	"gptattr/internal/semstats"
+)
+
+type FeatureVec struct{ n int }
+
+func (fv *FeatureVec) AddShape(text string, v float64) bool { fv.n++; return true }
+
+var grams []string
+
+func Fold(fv *FeatureVec, funcs []*semstats.FuncStats) {
+	for _, st := range funcs {
+` + loop + `
+	}
+}
+
+var _ = Fold
+`,
+	})
+}
+
+func TestMapRangeFieldIntoAccumulatorFlagged(t *testing.T) {
+	root := mapFieldTree(t, `		for gram, n := range st.ExprGrams {
+			fv.AddShape(gram, float64(n))
+		}`)
+	code, out := lint(t, root)
+	if code != 1 || !strings.Contains(out, "map iteration order feeds .AddShape") {
+		t.Fatalf("want maprange accumulator finding on a map field, exit %d:\n%s", code, out)
+	}
+}
+
+func TestMapRangeFieldSortedAllowed(t *testing.T) {
+	root := mapFieldTree(t, `		grams = grams[:0]
+		for gram := range st.ExprGrams {
+			grams = append(grams, gram)
+		}
+		slices.Sort(grams)
+		for _, gram := range grams {
+			fv.AddShape(gram, float64(st.ExprGrams[gram]))
+		}
+		for _, b := range st.Blocks {
+			fv.AddShape("b", float64(b))
+		}`)
+	if code, out := lint(t, root); code != 0 {
+		t.Fatalf("sorted keys and slice fields are order-safe, exit %d:\n%s", code, out)
+	}
+}
+
 func TestFeatMapConstructionFlagged(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/stylometry/pass.go": `package stylometry

@@ -58,50 +58,6 @@ type CFG struct {
 	Unsupported bool
 }
 
-// Reachable returns the set of blocks reachable from Entry.
-func (g *CFG) Reachable() map[*Block]bool {
-	seen := make(map[*Block]bool, len(g.Blocks))
-	stack := []*Block{g.Entry}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			if !seen[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-// postorder appends blocks reachable from b in DFS postorder.
-func postorder(b *Block, seen map[*Block]bool, out *[]*Block) {
-	if seen[b] {
-		return
-	}
-	seen[b] = true
-	for _, s := range b.Succs {
-		postorder(s, seen, out)
-	}
-	*out = append(*out, b)
-}
-
-// RPO returns the blocks reachable from Entry in reverse postorder —
-// the canonical iteration order for forward dataflow and for the
-// fingerprint serialization.
-func (g *CFG) RPO() []*Block {
-	var post []*Block
-	postorder(g.Entry, make(map[*Block]bool, len(g.Blocks)), &post)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 // loopCtx is the break/continue target pair of an enclosing loop or
 // switch (switch contributes only a break target).
 type loopCtx struct {

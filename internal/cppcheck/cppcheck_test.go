@@ -456,7 +456,7 @@ int main() {
 	if g.Unsupported {
 		t.Fatal("break/continue inside a loop are supported")
 	}
-	reach := g.Reachable()
+	reach := reachable(g)
 	if !reach[g.Exit] {
 		t.Fatal("exit must be reachable")
 	}
@@ -494,7 +494,7 @@ int main() {
 	if g.Unsupported {
 		t.Fatal("switch is supported")
 	}
-	if !g.Reachable()[g.Exit] {
+	if !reachable(g)[g.Exit] {
 		t.Fatal("exit must be reachable through the switch")
 	}
 }

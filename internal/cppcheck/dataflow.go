@@ -68,7 +68,8 @@ type funcAnalysis struct {
 	r    reaching
 	live liveness
 
-	// RPO scratch (g.RPO() allocates; the dataflow fixpoints reuse this).
+	// Reverse postorder of the blocks reachable from entry, and their
+	// marks by block ID (rpoScratch fills both).
 	rpoSeen []bool
 	rpo     []*Block
 
@@ -348,7 +349,10 @@ func (fa *funcAnalysis) callEvents(call *cppast.CallExpr) {
 	}
 }
 
-// rpoScratch is g.RPO() over reusable storage.
+// rpoScratch returns the blocks reachable from Entry in reverse
+// postorder — the iteration order of the forward dataflow and the
+// diagnostics — over reusable storage, leaving fa.rpoSeen marking
+// exactly those blocks.
 func (fa *funcAnalysis) rpoScratch() []*Block {
 	n := len(fa.g.Blocks)
 	if cap(fa.rpoSeen) < n {

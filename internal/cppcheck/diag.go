@@ -94,7 +94,7 @@ func (fa *funcAnalysis) checkUninitReads() []Diagnostic {
 	reported := make([]bool, len(fa.vars)) // one finding per variable
 	cur := make([]uint64, r.w)
 	var out []Diagnostic
-	for _, b := range fa.g.RPO() {
+	for _, b := range fa.rpoScratch() {
 		copy(cur, r.row(r.in, b))
 		for ei := fa.evOff[b.ID]; ei < fa.evOff[b.ID+1]; ei++ {
 			ev := fa.events[ei]
@@ -132,7 +132,7 @@ func (fa *funcAnalysis) checkDeadStores() []Diagnostic {
 	w := fa.live.w
 	live := make([]uint64, w)
 	var out []Diagnostic
-	for _, b := range fa.g.RPO() {
+	for _, b := range fa.rpoScratch() {
 		copy(live, liveOut[b.ID*w:(b.ID+1)*w])
 		evs := fa.eventsOf(b)
 		for i := len(evs) - 1; i >= 0; i-- {
@@ -162,15 +162,16 @@ func (fa *funcAnalysis) checkDeadStores() []Diagnostic {
 // can execute. Only region heads (unreachable blocks with no
 // unreachable predecessor) are reported, one finding per region.
 func (fa *funcAnalysis) checkUnreachable() []Diagnostic {
-	reach := fa.g.Reachable()
+	fa.rpoScratch()
+	reach := fa.rpoSeen // indexed by block ID
 	var out []Diagnostic
 	for _, b := range fa.g.Blocks {
-		if reach[b] || (len(b.Stmts) == 0 && b.Cond == nil) {
+		if reach[b.ID] || (len(b.Stmts) == 0 && b.Cond == nil) {
 			continue
 		}
 		head := true
 		for _, p := range b.Preds {
-			if !reach[p] {
+			if !reach[p.ID] {
 				head = false
 				break
 			}

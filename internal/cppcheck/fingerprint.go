@@ -28,6 +28,7 @@ import (
 // unequal or unavailable fingerprints imply nothing.
 func Fingerprint(tu *cppast.TranslationUnit) (string, bool) {
 	c := newCanon(tu)
+	var cp Compactor
 	var b strings.Builder
 	for _, d := range tu.Decls {
 		switch n := d.(type) {
@@ -53,7 +54,7 @@ func Fingerprint(tu *cppast.TranslationUnit) (string, bool) {
 			if g.Unsupported {
 				return "", false
 			}
-			body, ok := c.serializeCFG(g)
+			body, ok := c.serializeCFG(cp.Compact(g))
 			if !ok {
 				return "", false
 			}
@@ -220,117 +221,14 @@ func (c *canon) defUseSummary() string {
 
 // --- CFG serialization ---
 
-// cnode is a compacted CFG node used only during serialization.
-type cnode struct {
-	stmts    []cppast.Node
-	cond     cppast.Node
-	succs    []*cnode
-	isSwitch bool
-	caseVals []cppast.Node
-}
-
-// serializeCFG renders the function graph in canonical form: trivial
-// empty blocks dissolved, straight-line chains merged, blocks numbered
-// in reverse postorder. This is what makes for-loops and their
+// serializeCFG renders the function's compacted graph (see Compactor):
+// blocks numbered in reverse postorder, so for-loops and their
 // while-rewrites serialize identically.
-func (c *canon) serializeCFG(g *CFG) (string, bool) {
-	reach := g.Reachable()
-	nodes := make(map[*Block]*cnode)
-	for _, b := range g.Blocks {
-		if reach[b] {
-			nodes[b] = &cnode{stmts: b.Stmts, cond: b.Cond, isSwitch: b.IsSwitch, caseVals: b.CaseVals}
-		}
-	}
-	// Resolve edges, skipping trivial empty blocks.
-	var resolve func(b *Block, seen map[*Block]bool) *Block
-	resolve = func(b *Block, seen map[*Block]bool) *Block {
-		if len(b.Stmts) > 0 || b.Cond != nil || len(b.Succs) != 1 || b == g.Exit || seen[b] {
-			return b
-		}
-		seen[b] = true
-		return resolve(b.Succs[0], seen)
-	}
-	for b, n := range nodes {
-		for _, s := range b.Succs {
-			t := resolve(s, map[*Block]bool{})
-			n.succs = append(n.succs, nodes[t])
-		}
-	}
-	entry := nodes[resolve(g.Entry, map[*Block]bool{})]
-	exit := nodes[g.Exit]
-	// Merge straight-line chains: a node with one successor that has a
-	// single predecessor absorbs it.
-	preds := func() map[*cnode]int {
-		p := make(map[*cnode]int)
-		var walk func(n *cnode, seen map[*cnode]bool)
-		walk = func(n *cnode, seen map[*cnode]bool) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			for _, s := range n.succs {
-				p[s]++
-				walk(s, seen)
-			}
-		}
-		walk(entry, map[*cnode]bool{})
-		return p
-	}
-	for {
-		p := preds()
-		merged := false
-		var visit func(n *cnode, seen map[*cnode]bool)
-		visit = func(n *cnode, seen map[*cnode]bool) {
-			if seen[n] || merged {
-				return
-			}
-			seen[n] = true
-			if n.cond == nil && len(n.succs) == 1 {
-				s := n.succs[0]
-				if s != n && s != exit && s != entry && p[s] == 1 {
-					n.stmts = append(append([]cppast.Node{}, n.stmts...), s.stmts...)
-					n.cond = s.cond
-					n.succs = s.succs
-					n.isSwitch = s.isSwitch
-					n.caseVals = s.caseVals
-					merged = true
-					return
-				}
-			}
-			for _, s := range n.succs {
-				visit(s, seen)
-			}
-		}
-		visit(entry, map[*cnode]bool{})
-		if !merged {
-			break
-		}
-	}
-	// Reverse postorder numbering from the (possibly merged) entry.
-	var order []*cnode
-	var po func(n *cnode, seen map[*cnode]bool)
-	po = func(n *cnode, seen map[*cnode]bool) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, s := range n.succs {
-			po(s, seen)
-		}
-		order = append(order, n)
-	}
-	po(entry, map[*cnode]bool{})
-	idx := make(map[*cnode]int, len(order))
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, n := range order {
-		idx[n] = i
-	}
+func (c *canon) serializeCFG(nodes []CompactNode) (string, bool) {
 	var b strings.Builder
-	for i, n := range order {
+	for i, n := range nodes {
 		fmt.Fprintf(&b, "b%d:\n", i)
-		for _, s := range n.stmts {
+		for _, s := range n.Stmts {
 			line, ok := c.stmtText(s)
 			if !ok {
 				return "", false
@@ -340,33 +238,33 @@ func (c *canon) serializeCFG(g *CFG) (string, bool) {
 			}
 		}
 		switch {
-		case n.isSwitch:
+		case n.IsSwitch:
 			// Switch dispatch: the case values are behaviour, not shape —
 			// label every case edge with its canonical value so programs
 			// differing only in case labels never hash equal, and use a
 			// distinct opcode so a one-case switch can't collide with an
 			// if/else of the same shape.
-			targets := make([]string, len(n.succs))
-			for j, s := range n.succs {
+			targets := make([]string, len(n.Succs))
+			for j, s := range n.Succs {
 				switch {
-				case j >= len(n.caseVals):
-					targets[j] = fmt.Sprintf("nomatch->b%d", idx[s])
-				case n.caseVals[j] == nil:
-					targets[j] = fmt.Sprintf("default->b%d", idx[s])
+				case j >= len(n.CaseVals):
+					targets[j] = fmt.Sprintf("nomatch->b%d", s)
+				case n.CaseVals[j] == nil:
+					targets[j] = fmt.Sprintf("default->b%d", s)
 				default:
-					targets[j] = fmt.Sprintf("%s->b%d", c.exprText(n.caseVals[j], false), idx[s])
+					targets[j] = fmt.Sprintf("%s->b%d", c.exprText(n.CaseVals[j], false), s)
 				}
 			}
-			fmt.Fprintf(&b, "  sw %s [%s]\n", c.exprText(n.cond, false), strings.Join(targets, ","))
-		case n.cond != nil:
-			targets := make([]string, len(n.succs))
-			for j, s := range n.succs {
-				targets[j] = fmt.Sprintf("b%d", idx[s])
+			fmt.Fprintf(&b, "  sw %s [%s]\n", c.exprText(n.Cond, false), strings.Join(targets, ","))
+		case n.Cond != nil:
+			targets := make([]string, len(n.Succs))
+			for j, s := range n.Succs {
+				targets[j] = fmt.Sprintf("b%d", s)
 			}
-			fmt.Fprintf(&b, "  br %s -> %s\n", c.exprText(n.cond, false), strings.Join(targets, ","))
-		case len(n.succs) == 1:
-			fmt.Fprintf(&b, "  -> b%d\n", idx[n.succs[0]])
-		case len(n.succs) == 0:
+			fmt.Fprintf(&b, "  br %s -> %s\n", c.exprText(n.Cond, false), strings.Join(targets, ","))
+		case len(n.Succs) == 1:
+			fmt.Fprintf(&b, "  -> b%d\n", n.Succs[0])
+		case len(n.Succs) == 0:
 			b.WriteString("  end\n")
 		default:
 			return "", false // condition-less fan-out: not canonical

@@ -169,8 +169,23 @@ func (c *FuncContext) Stats() *FuncStats {
 			sh.gram(b.Cond, false, grams)
 		}
 	}
-	st.ExprGrams = grams
+	st.Grams = gramList(grams)
 	return st
+}
+
+// gramList turns a gram count map into the FuncStats list form, in
+// sorted order (diffStats compares grams as a multiset).
+func gramList(grams map[string]int) []GramCount {
+	keys := make([]string, 0, len(grams))
+	for g := range grams {
+		keys = append(keys, g)
+	}
+	sort.Strings(keys)
+	out := make([]GramCount, len(keys))
+	for i, g := range keys {
+		out[i] = GramCount{Gram: g, N: grams[g]}
+	}
+	return out
 }
 
 // unitFuncNames converts the defined-function map to the set form the
@@ -183,6 +198,21 @@ func unitFuncNames(funcs map[string]*cppast.FuncDecl) map[string]bool {
 	return out
 }
 
+// node is one block of the reference compacted graph. Successor and
+// predecessor edges are indices into graph.nodes.
+type node struct {
+	stmts []cppast.Node
+	cond  cppast.Node
+	succs []int
+	preds []int
+}
+
+// graph is the reference compacted CFG in reverse postorder, nodes[0]
+// the entry: the map-based twin of cppcheck.Compactor's output.
+type graph struct {
+	nodes []*node
+}
+
 // cnode is the pointer-form working node used during compaction.
 type cnode struct {
 	stmts []cppast.Node
@@ -190,12 +220,32 @@ type cnode struct {
 	succs []*cnode
 }
 
+// reachable returns the set of blocks reachable from g.Entry.
+func reachable(g *cppcheck.CFG) map[*cppcheck.Block]bool {
+	seen := make(map[*cppcheck.Block]bool, len(g.Blocks))
+	stack := []*cppcheck.Block{g.Entry}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[b] {
+			continue
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			if !seen[s] {
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
 // compact reduces g to its canonical shape. Returns nil for a nil CFG.
 func compact(g *cppcheck.CFG) *graph {
 	if g == nil {
 		return nil
 	}
-	reach := g.Reachable()
+	reach := reachable(g)
 	nodes := make(map[*cppcheck.Block]*cnode, len(g.Blocks))
 	for _, b := range g.Blocks {
 		if reach[b] {

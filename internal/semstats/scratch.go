@@ -10,7 +10,7 @@ import (
 )
 
 // Scratch is the reusable workspace behind AnalyzeContext: CFG arena,
-// dataflow bitset workspace, graph-compaction slabs, loop and
+// dataflow bitset workspace, CFG compactor, loop and
 // call-graph state, shaper intern tables, and the FileStats/FuncStats
 // output storage itself. One Scratch analyzes one unit at a time;
 // steady state it allocates nothing (pinned in internal/stylometry's
@@ -21,13 +21,15 @@ import (
 // package-level Analyze/AnalyzeContext wrappers use a fresh Scratch
 // per call and therefore hand out independent results.
 type Scratch struct {
-	arena *cppcheck.CFGArena
-	df    *cppcheck.DataflowScratch
-	gs    graphScratch
-	idom  []int
-	loops loopScratch
-	sh    shaperScratch
-	cg    cgScratch
+	arena  *cppcheck.CFGArena
+	df     *cppcheck.DataflowScratch
+	cp     cppcheck.Compactor
+	idom   []int
+	emark  []int32 // edge-dedup epochs
+	eepoch int32
+	loops  loopScratch
+	sh     shaperScratch
+	cg     cgScratch
 
 	fnList    []*cppast.FuncDecl
 	funcs     map[string]*cppast.FuncDecl
@@ -35,7 +37,7 @@ type Scratch struct {
 	funcNames map[string]bool
 	seen      map[string]bool
 
-	statPool []*FuncStats // high-water; ExprGrams maps persist
+	statPool []*FuncStats // high-water; Grams slices persist
 	sused    int
 	fs       FileStats
 }
@@ -61,7 +63,7 @@ func NewScratch() *Scratch {
 func (s *Scratch) Release() {
 	s.arena.Release()
 	s.df.Release()
-	s.gs.release()
+	s.cp.Release()
 	s.fnList = s.fnList[:0]
 	clear(s.funcs)
 	clear(s.globals)
@@ -70,9 +72,8 @@ func (s *Scratch) Release() {
 	s.cg.release()
 	s.sh.release()
 	for _, st := range s.statPool {
-		grams := st.ExprGrams
-		clear(grams)
-		*st = FuncStats{ExprGrams: grams}
+		clear(st.Grams[:cap(st.Grams)])
+		*st = FuncStats{Grams: st.Grams[:0]}
 	}
 	s.fs = FileStats{Funcs: s.fs.Funcs[:0]}
 }
@@ -151,13 +152,7 @@ func (s *Scratch) AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit
 // fields (FanIn/FanOut/Recursive) are left zero; AnalyzeContext fills
 // them from the file-level pass.
 func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
-	grams := st.ExprGrams
-	if grams == nil {
-		grams = make(map[string]int)
-	} else {
-		clear(grams)
-	}
-	*st = FuncStats{Name: fn.Name}
+	*st = FuncStats{Name: fn.Name, Grams: st.Grams[:0]}
 	g := cppcheck.BuildCFGArena(fn, s.arena)
 	if g == nil {
 		return
@@ -165,15 +160,15 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	st.Unsupported = g.Unsupported
 
 	// CFG shape.
-	cg := s.gs.compactInto(g)
-	st.Blocks = len(cg.nodes)
-	st.Edges = s.gs.edgeCount(cg)
+	nodes := s.cp.Compact(g)
+	st.Blocks = len(nodes)
+	st.Edges = s.edgeCount(nodes)
 	succTotal := 0
-	for _, nd := range cg.nodes {
-		if len(nd.succs) >= 2 {
+	for _, nd := range nodes {
+		if len(nd.Succs) >= 2 {
 			st.Branches++
 		}
-		succTotal += len(nd.succs)
+		succTotal += len(nd.Succs)
 	}
 	if st.Blocks > 0 {
 		st.BranchFactor = float64(succTotal) / float64(st.Blocks)
@@ -181,8 +176,8 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	st.Cyclomatic = st.Edges - st.Blocks + 2
 
 	// Loop nesting.
-	s.idom = dominatorsInto(cg, s.idom)
-	s.loops.compute(cg, s.idom)
+	s.idom = dominatorsInto(nodes, s.idom)
+	s.loops.compute(nodes, s.idom)
 	s.loops.fill(st)
 
 	// Def-use chains and live-range widths (on the raw CFG: the
@@ -203,16 +198,16 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	}
 
 	// Expression shapes, walked over the raw blocks in build order.
-	s.sh.begin(fn, s.globals, s.funcNames)
+	s.sh.begin(fn, s.globals, s.funcNames, st.Grams)
 	for _, b := range g.Blocks {
 		for _, stm := range b.Stmts {
-			s.sh.stmtGrams(stm, grams)
+			s.sh.stmtGrams(stm)
 		}
 		if b.Cond != nil {
-			s.sh.gram(b.Cond, false, grams)
+			s.sh.gram(b.Cond, false)
 		}
 	}
-	st.ExprGrams = grams
+	st.Grams = s.sh.grams
 }
 
 // --- shaper scratch ---
@@ -236,19 +231,24 @@ const maxGramIntern = 1 << 16
 // The local set is reused across functions, and gram strings are
 // rendered into a byte buffer and interned, so steady-state gram
 // emission performs no allocation and repeated grams share one string.
-// The map-based reference shaper in the package tests pins the output.
+// Counts go into the function's Grams list in order of first
+// occurrence, indexed through idx. The map-based reference shaper in
+// the package tests pins the output.
 type shaperScratch struct {
 	locals  map[string]bool
 	globals map[string]bool
 	funcs   map[string]bool
 	buf     []byte
 	intern  map[string]string
+	idx     map[string]int32 // gram -> index into grams, this function
+	grams   []GramCount
 	walk    func(cppast.Node, int) bool
 }
 
 func (ss *shaperScratch) init() {
 	ss.locals = make(map[string]bool)
 	ss.intern = make(map[string]string)
+	ss.idx = make(map[string]int32)
 	ss.walk = func(n cppast.Node, _ int) bool {
 		if vd, ok := n.(*cppast.VarDecl); ok {
 			for _, d := range vd.Names {
@@ -261,14 +261,18 @@ func (ss *shaperScratch) init() {
 
 func (ss *shaperScratch) release() {
 	clear(ss.locals)
-	ss.globals, ss.funcs = nil, nil
+	clear(ss.idx)
+	ss.globals, ss.funcs, ss.grams = nil, nil, nil
 	// The intern table holds alpha-normalized shapes, not user text;
 	// keeping it across requests is the point.
 }
 
-func (ss *shaperScratch) begin(fn *cppast.FuncDecl, globals, funcs map[string]bool) {
+// begin prepares the shaper for fn, counting its grams into grams
+// (emptied first; its capacity is reused).
+func (ss *shaperScratch) begin(fn *cppast.FuncDecl, globals, funcs map[string]bool, grams []GramCount) {
 	clear(ss.locals)
-	ss.globals, ss.funcs = globals, funcs
+	clear(ss.idx)
+	ss.globals, ss.funcs, ss.grams = globals, funcs, grams[:0]
 	for _, p := range fn.Params {
 		if p.Name != "" {
 			ss.locals[p.Name] = true
@@ -278,7 +282,7 @@ func (ss *shaperScratch) begin(fn *cppast.FuncDecl, globals, funcs map[string]bo
 }
 
 // bump counts the gram currently in ss.buf, interning its string.
-func (ss *shaperScratch) bump(out map[string]int) {
+func (ss *shaperScratch) bump() {
 	key, ok := ss.intern[string(ss.buf)]
 	if !ok {
 		key = string(ss.buf)
@@ -286,7 +290,12 @@ func (ss *shaperScratch) bump(out map[string]int) {
 			ss.intern[key] = key
 		}
 	}
-	out[key]++
+	if i, ok := ss.idx[key]; ok {
+		ss.grams[i].N++
+		return
+	}
+	ss.idx[key] = int32(len(ss.grams))
+	ss.grams = append(ss.grams, GramCount{Gram: key, N: 1})
 }
 
 // appendLabel appends the one-token shape label of e.
@@ -333,17 +342,17 @@ func (ss *shaperScratch) appendLabel(b []byte, e cppast.Node) []byte {
 	}
 }
 
-// gram emits the one-level shape gram of e (parent label plus direct
-// child labels) into out, then recurses into the children. stmtCtx
+// gram counts the one-level shape gram of e (parent label plus direct
+// child labels), then recurses into the children. stmtCtx
 // marks value-discarding position, where x++ / ++x / x += 1 / x -= 1
 // all collapse to the same increment gram. Grams are built in the
 // byte buffer, never by string concatenation.
-func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
+func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool) {
 	switch n := e.(type) {
 	case nil, *cppast.Ident, *cppast.Lit:
 		// Leaves carry no shape of their own.
 	case *cppast.ParenExpr:
-		ss.gram(n.X, stmtCtx, out)
+		ss.gram(n.X, stmtCtx)
 	case *cppast.UnaryExpr:
 		if stmtCtx && (n.Op == "++" || n.Op == "--") {
 			op := "+="
@@ -355,8 +364,8 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 			ss.buf = append(ss.buf, ' ')
 			ss.buf = ss.appendLabel(ss.buf, n.X)
 			ss.buf = append(ss.buf, " lit:int)"...)
-			ss.bump(out)
-			ss.gram(n.X, false, out)
+			ss.bump()
+			ss.gram(n.X, false)
 			return
 		}
 		ss.buf = append(ss.buf[:0], "(u"...)
@@ -364,8 +373,8 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 		ss.buf = append(ss.buf, ' ')
 		ss.buf = ss.appendLabel(ss.buf, n.X)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.X, false, out)
+		ss.bump()
+		ss.gram(n.X, false)
 	case *cppast.BinaryExpr:
 		if stmtCtx && (n.Op == "+=" || n.Op == "-=") {
 			if lit, ok := n.R.(*cppast.Lit); ok && lit.LitKind == "int" && lit.Text == "1" {
@@ -374,8 +383,8 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 				ss.buf = append(ss.buf, ' ')
 				ss.buf = ss.appendLabel(ss.buf, n.L)
 				ss.buf = append(ss.buf, " lit:int)"...)
-				ss.bump(out)
-				ss.gram(n.L, false, out)
+				ss.bump()
+				ss.gram(n.L, false)
 				return
 			}
 		}
@@ -386,9 +395,9 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 		ss.buf = append(ss.buf, ' ')
 		ss.buf = ss.appendLabel(ss.buf, n.R)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.L, false, out)
-		ss.gram(n.R, false, out)
+		ss.bump()
+		ss.gram(n.L, false)
+		ss.gram(n.R, false)
 	case *cppast.TernaryExpr:
 		ss.buf = append(ss.buf[:0], "(?: "...)
 		ss.buf = ss.appendLabel(ss.buf, n.Cond)
@@ -397,10 +406,10 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 		ss.buf = append(ss.buf, ' ')
 		ss.buf = ss.appendLabel(ss.buf, n.Else)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.Cond, false, out)
-		ss.gram(n.Then, false, out)
-		ss.gram(n.Else, false, out)
+		ss.bump()
+		ss.gram(n.Cond, false)
+		ss.gram(n.Then, false)
+		ss.gram(n.Else, false)
 	case *cppast.CallExpr:
 		ss.buf = append(ss.buf[:0], '(')
 		ss.buf = ss.appendLabel(ss.buf, n)
@@ -409,9 +418,9 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 			ss.buf = ss.appendLabel(ss.buf, a)
 		}
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
+		ss.bump()
 		for _, a := range n.Args {
-			ss.gram(a, false, out)
+			ss.gram(a, false)
 		}
 	case *cppast.IndexExpr:
 		ss.buf = append(ss.buf[:0], "(idx "...)
@@ -419,51 +428,51 @@ func (ss *shaperScratch) gram(e cppast.Node, stmtCtx bool, out map[string]int) {
 		ss.buf = append(ss.buf, ' ')
 		ss.buf = ss.appendLabel(ss.buf, n.Index)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.X, false, out)
-		ss.gram(n.Index, false, out)
+		ss.bump()
+		ss.gram(n.X, false)
+		ss.gram(n.Index, false)
 	case *cppast.MemberExpr:
 		ss.buf = append(ss.buf[:0], "(."...)
 		ss.buf = append(ss.buf, n.Sel...)
 		ss.buf = append(ss.buf, ' ')
 		ss.buf = ss.appendLabel(ss.buf, n.X)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.X, false, out)
+		ss.bump()
+		ss.gram(n.X, false)
 	case *cppast.CastExpr:
 		ss.buf = append(ss.buf[:0], "(cast "...)
 		ss.buf = ss.appendLabel(ss.buf, n.X)
 		ss.buf = append(ss.buf, ')')
-		ss.bump(out)
-		ss.gram(n.X, false, out)
+		ss.bump()
+		ss.gram(n.X, false)
 	}
 }
 
 // stmtGrams emits grams for one simple (non-control-flow) statement.
-func (ss *shaperScratch) stmtGrams(st cppast.Node, out map[string]int) {
+func (ss *shaperScratch) stmtGrams(st cppast.Node) {
 	switch n := st.(type) {
 	case *cppast.VarDecl:
 		for _, d := range n.Names {
 			for _, dim := range d.ArrayLen {
-				ss.gram(dim, false, out)
+				ss.gram(dim, false)
 			}
 			if d.Init != nil {
 				ss.buf = append(ss.buf[:0], "(decl v "...)
 				ss.buf = ss.appendLabel(ss.buf, d.Init)
 				ss.buf = append(ss.buf, ')')
-				ss.bump(out)
-				ss.gram(d.Init, false, out)
+				ss.bump()
+				ss.gram(d.Init, false)
 			}
 		}
 	case *cppast.ExprStmt:
-		ss.gram(n.X, true, out)
+		ss.gram(n.X, true)
 	case *cppast.Return:
 		if n.Value != nil {
 			ss.buf = append(ss.buf[:0], "(ret "...)
 			ss.buf = ss.appendLabel(ss.buf, n.Value)
 			ss.buf = append(ss.buf, ')')
-			ss.bump(out)
-			ss.gram(n.Value, false, out)
+			ss.bump()
+			ss.gram(n.Value, false)
 		}
 	}
 }
@@ -536,14 +545,14 @@ func (c *cgScratch) build(fns []*cppast.FuncDecl) {
 			c.n++
 		}
 	}
-	c.fanIn = resizeI32z(c.fanIn, c.n)
+	c.fanIn = resizeI32(c.fanIn, c.n)
 	c.recursive = resizeBool(c.recursive, c.n)
 	c.built = resizeBool(c.built, c.n)
 	for len(c.callees) < c.n {
 		c.callees = append(c.callees, nil)
 	}
-	c.cmark = growI32(c.cmark, c.n)
-	c.smark = growI32(c.smark, c.n)
+	c.cmark = resizeI32(c.cmark, c.n)
+	c.smark = resizeI32(c.smark, c.n)
 	c.edges = 0
 	for _, f := range fns {
 		if f.Body == nil {

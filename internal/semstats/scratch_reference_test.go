@@ -12,10 +12,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"gptattr/internal/codegen"
 	"gptattr/internal/cppast"
+	"gptattr/internal/cppcheck"
 	"gptattr/internal/gpt"
 	"gptattr/internal/ir"
 	"gptattr/internal/style"
@@ -120,20 +123,33 @@ func diffStats(t *testing.T, tag string, want, got *FileStats) {
 					ftag, fnames[k], pair[0], bits(pair[0]), pair[1], bits(pair[1]))
 			}
 		}
-		if len(g.ExprGrams) != len(w.ExprGrams) {
-			t.Errorf("%s: %d grams, want %d", ftag, len(g.ExprGrams), len(w.ExprGrams))
+		gg, wg := gramMap(g.Grams), gramMap(w.Grams)
+		if len(gg) != len(g.Grams) {
+			t.Errorf("%s: a gram is listed twice", ftag)
 		}
-		for gram, n := range w.ExprGrams {
-			if g.ExprGrams[gram] != n {
-				t.Errorf("%s: gram %q = %d, want %d", ftag, gram, g.ExprGrams[gram], n)
+		if len(gg) != len(wg) {
+			t.Errorf("%s: %d grams, want %d", ftag, len(gg), len(wg))
+		}
+		for gram, n := range wg {
+			if gg[gram] != n {
+				t.Errorf("%s: gram %q = %d, want %d", ftag, gram, gg[gram], n)
 			}
 		}
-		for gram := range g.ExprGrams {
-			if _, ok := w.ExprGrams[gram]; !ok {
+		for gram := range gg {
+			if _, ok := wg[gram]; !ok {
 				t.Errorf("%s: extra gram %q", ftag, gram)
 			}
 		}
 	}
+}
+
+// gramMap turns a gram list into a count map.
+func gramMap(grams []GramCount) map[string]int {
+	out := make(map[string]int, len(grams))
+	for _, g := range grams {
+		out[g.Gram] = g.N
+	}
+	return out
 }
 
 // referenceCorpus mixes handwritten edge cases (unreachable code,
@@ -241,5 +257,55 @@ func TestScratchReleaseThenReuse(t *testing.T) {
 	diffStats(t, "post-release", refAnalyze(tu), second)
 	if fn(t, second, "main").Blocks != firstBlocks {
 		t.Errorf("Blocks changed across Release: %d then %d", firstBlocks, fn(t, second, "main").Blocks)
+	}
+}
+
+// TestCompactorMatchesReference pins cppcheck's one-sweep Compactor to
+// the reference compact() node for node: same order, statements,
+// branch condition and edge lists, reusing one Compactor across the
+// corpus and its deep shapes.
+func TestCompactorMatchesReference(t *testing.T) {
+	var cp cppcheck.Compactor
+	srcs := append(referenceCorpus(t), deepShapes(48)...)
+	for i, src := range srcs {
+		tu, err := cppast.Parse(src)
+		if err != nil {
+			t.Fatalf("src %d: parse: %v", i, err)
+		}
+		for _, f := range tu.Functions() {
+			g := cppcheck.BuildCFG(f)
+			if g == nil {
+				continue
+			}
+			want, got := compact(g), cp.Compact(g)
+			tag := fmt.Sprintf("src %d func %q", i, f.Name)
+			if len(got) != len(want.nodes) {
+				t.Fatalf("%s: %d nodes, want %d", tag, len(got), len(want.nodes))
+			}
+			for j, w := range want.nodes {
+				nd := got[j]
+				if !slices.Equal(nd.Stmts, w.stmts) || nd.Cond != w.cond ||
+					!slices.Equal(nd.Succs, w.succs) || !slices.Equal(nd.Preds, w.preds) {
+					t.Fatalf("%s: node %d differs from the reference", tag, j)
+				}
+			}
+		}
+	}
+}
+
+// deepShapes renders chain-heavy functions n levels deep: nested ifs
+// and whiles, an else-if chain, and straight-line statements split by
+// empty blocks.
+func deepShapes(n int) []string {
+	rep := func(s string) string { return strings.Repeat(s, n) }
+	var elseIf strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&elseIf, "if (x == %d) y = %d; else ", i, i)
+	}
+	return []string{
+		"int main() { int x = 1, y = 0; " + rep("if (x) { y++; ") + rep("} y--; ") + "return y; }",
+		"int main() { int x = 1, y = 0; " + rep("while (x) { y++; ") + "x = 0; " + rep("} ") + "return y; }",
+		"int main() { int x = 1, y = 0; " + elseIf.String() + "y = -1; return y; }",
+		"int main() { int y = 0; " + rep("{ y = y + 1; { } } ") + "for (;;) { } }",
 	}
 }

@@ -1,7 +1,8 @@
 // Package semstats is the static-analysis pass framework behind the
 // semantic stylometry feature group. It runs per-function passes over
-// internal/cppcheck's control-flow graphs — CFG compaction to a
-// canonical shape, dominator trees and natural-loop nesting, def-use
+// internal/cppcheck's control-flow graphs — shape metrics of the
+// compacted CFG (cppcheck.Compactor, the normal form the fingerprint
+// serializes), dominator trees and natural-loop nesting, def-use
 // chain and live-range statistics, a file-level call graph with
 // fan-in/fan-out and recursion detection, and alpha-normalized
 // expression-shape grams — and aggregates them into FuncStats/FileStats
@@ -74,9 +75,17 @@ type FuncStats struct {
 	FanIn     int  `json:"fan_in"`
 	Recursive bool `json:"recursive"`
 
-	// ExprGrams are the alpha-normalized expression-shape gram counts.
-	// Excluded from the JSON form: cmd/cppcheck -metrics prints scalars.
-	ExprGrams map[string]int `json:"-"`
+	// Grams are the alpha-normalized expression-shape grams with their
+	// counts, in order of first occurrence, so consumers see one order
+	// on every run. Excluded from the JSON form: cmd/cppcheck -metrics
+	// prints scalars.
+	Grams []GramCount `json:"-"`
+}
+
+// GramCount is one expression-shape gram and its occurrence count.
+type GramCount struct {
+	Gram string
+	N    int
 }
 
 // FileStats are the per-unit semantic statistics: one FuncStats per

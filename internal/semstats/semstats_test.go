@@ -212,9 +212,9 @@ int main() { int count; std::cin >> count; accumulated_sum = doubleIt(count) + 1
 	fa := analyze(t, a)
 	fb := analyze(t, b)
 	for i := range fa.Funcs {
-		if !reflect.DeepEqual(fa.Funcs[i].ExprGrams, fb.Funcs[i].ExprGrams) {
+		if !reflect.DeepEqual(fa.Funcs[i].Grams, fb.Funcs[i].Grams) {
 			t.Errorf("grams differ for func %d:\n a=%v\n b=%v",
-				i, fa.Funcs[i].ExprGrams, fb.Funcs[i].ExprGrams)
+				i, fa.Funcs[i].Grams, fb.Funcs[i].Grams)
 		}
 	}
 }

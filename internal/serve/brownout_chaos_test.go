@@ -197,7 +197,7 @@ func TestDegradedExtractionWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("level %v: error mismatch across worker counts: %v vs %v", lvl, refErr, gotErr)
 			}
 			for i := range sources {
-				if !reflect.DeepEqual(ref[i].Features(), got[i].Features()) {
+				if !reflect.DeepEqual(ref[i], got[i]) {
 					t.Fatalf("level %v source %d: features differ between workers=1 and workers=%d", lvl, i, workers)
 				}
 			}

@@ -54,10 +54,8 @@ func FuzzExtractPipeline(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parallel extraction failed where sequential succeeded: %v", err)
 		}
-		for i := range seq {
-			if !reflect.DeepEqual(seq[i].Features(), par[i].Features()) {
-				t.Fatal("workers=1 and workers=2 extracted different features")
-			}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatal("workers=1 and workers=2 extracted different features")
 		}
 
 		if _, _, err := stylometry.BuildDatasetWith(sources, []int{0, 1}, 2,

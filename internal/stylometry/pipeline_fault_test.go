@@ -2,6 +2,7 @@ package stylometry
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"gptattr/internal/fault"
@@ -38,14 +39,8 @@ func TestExtractRetriesTransientFaults(t *testing.T) {
 		t.Fatal("fault never fired")
 	}
 	for i := range want {
-		g, w := got[i].Features(), want[i].Features()
-		if len(g) != len(w) {
-			t.Fatalf("sample %d: %d features, want %d", i, len(g), len(w))
-		}
-		for k, v := range w {
-			if g[k] != v {
-				t.Fatalf("sample %d: feature %s = %v, want %v", i, k, g[k], v)
-			}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("sample %d: vector differs from the fault-free run", i)
 		}
 	}
 }

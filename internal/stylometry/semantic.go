@@ -69,8 +69,8 @@ func semanticFeaturesCtxVec(ctx context.Context, sc *scratch, tu *cppast.Transla
 		maxFanOut = maxi(maxFanOut, st.FanOut)
 		maxFanIn = maxi(maxFanIn, st.FanIn)
 		maxBlocks = maxi(maxBlocks, st.Blocks)
-		for gram, n := range st.ExprGrams {
-			fv.AddShape(gram, float64(n))
+		for _, g := range st.Grams {
+			fv.AddShape(g.Gram, float64(g.N))
 		}
 	}
 	nf := float64(len(fs.Funcs))

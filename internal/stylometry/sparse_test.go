@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -150,5 +151,42 @@ func TestSparseBytes(t *testing.T) {
 	want := cap(sp.ids)*2 + cap(sp.vals)*8 + cap(sp.names)*16
 	if got := sp.Bytes(); got != want || got < 2*2+3*8+16 {
 		t.Errorf("Bytes() = %d, want %d", got, want)
+	}
+}
+
+// TestSparseTermOrderDeterministic pins that one source always yields
+// the same Sparse value, term order included: the semantic shape grams
+// come out of a map, so they must be emitted in a fixed order.
+func TestSparseTermOrderDeterministic(t *testing.T) {
+	src := `int g;
+int f(int a, int b) { return a * b + g - (a % b); }
+int main() {
+    int x = 3, y = 4;
+    int z = f(x, y) + f(y, x) * 2;
+    while (z > 0) { z = z / 2; x += z; }
+    g = x > y ? x : y;
+    return g + z;
+}`
+	want, _, err := ExtractSupervised(context.Background(), src, DegradeNone, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := 0
+	for name := range want.Features() {
+		if strings.HasPrefix(name, "SemShape:") {
+			shapes++
+		}
+	}
+	if shapes < 8 {
+		t.Fatalf("source yields %d SemShape terms; the test needs several", shapes)
+	}
+	for i := 0; i < 20; i++ {
+		got, _, err := ExtractSupervised(context.Background(), src, DegradeNone, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("extraction %d: Sparse differs from the first extraction", i+1)
+		}
 	}
 }
