@@ -66,17 +66,27 @@ type funcAnalysis struct {
 	evOff  []int32          // len(g.Blocks)+1 offsets into events
 
 	r    reaching
-	live liveness
+	live dataflow // see liveness
 
-	// Reverse postorder of the blocks reachable from entry, and their
-	// marks by block ID (rpoScratch fills both).
+	// Reverse postorder of the blocks reachable from entry and their
+	// marks by block ID (rpoScratch fills both), and the liveness
+	// visiting order (backwardOrder).
 	rpoSeen []bool
 	rpo     []*Block
+	order   []*Block
+
+	// Per-variable block epochs, and the replay's current def.
+	cur []curDef
 
 	// Summary scratch.
 	useCnt []int32
 	counts []int32
-	cur    []uint64
+}
+
+// curDef is one variable's def state within the block being walked:
+// the site of its current def, valid when epoch is the block's.
+type curDef struct {
+	epoch, site int32
 }
 
 // assignOps maps C++ assignment operators to whether they read the
@@ -361,6 +371,9 @@ func (fa *funcAnalysis) rpoScratch() []*Block {
 		fa.rpoSeen = fa.rpoSeen[:n]
 		clear(fa.rpoSeen)
 	}
+	if cap(fa.rpo) < n {
+		fa.rpo = make([]*Block, 0, n)
+	}
 	fa.rpo = fa.rpo[:0]
 	fa.postorder(fa.g.Entry)
 	for i, j := 0, len(fa.rpo)-1; i < j; i, j = i+1, j-1 {
@@ -378,6 +391,27 @@ func (fa *funcAnalysis) postorder(b *Block) {
 		fa.postorder(s)
 	}
 	fa.rpo = append(fa.rpo, b)
+}
+
+// backwardOrder returns the order liveness visits blocks in: the
+// reachable blocks in postorder, so each follows its successors
+// outside loops, then the unreachable ones, whose live-out rows count
+// toward the widths too.
+func (fa *funcAnalysis) backwardOrder() []*Block {
+	rpo := fa.rpoScratch()
+	if cap(fa.order) < len(fa.g.Blocks) {
+		fa.order = make([]*Block, 0, len(fa.g.Blocks))
+	}
+	fa.order = fa.order[:0]
+	for i := len(rpo) - 1; i >= 0; i-- {
+		fa.order = append(fa.order, rpo[i])
+	}
+	for i := len(fa.g.Blocks) - 1; i >= 0; i-- {
+		if !fa.rpoSeen[i] {
+			fa.order = append(fa.order, fa.g.Blocks[i])
+		}
+	}
+	return fa.order
 }
 
 // --- bitset helpers ---
@@ -405,30 +439,95 @@ func resizeI32(s []int32, n int) []int32 {
 	return s
 }
 
+// --- the fixpoint ---
+
+// dataflow is one gen/kill bitset problem over a function's blocks,
+// one row of w words per block ID. Its solution satisfies, for every
+// visited block b,
+//
+//	join[b] = the union of fact[x] over b's neighbours x
+//	fact[b] = gen[b] | (join[b] &^ kill[b])
+//
+// where the neighbours are b's predecessors for a forward problem and
+// its successors for a backward one.
+type dataflow struct {
+	w                     int
+	gen, kill, join, fact []uint64
+}
+
+// reset zeroes every row for nb blocks of w words, reusing capacity.
+func (d *dataflow) reset(w, nb int) {
+	d.w = w
+	d.gen = resizeU64(d.gen, nb*w)
+	d.kill = resizeU64(d.kill, nb*w)
+	d.join = resizeU64(d.join, nb*w)
+	d.fact = resizeU64(d.fact, nb*w)
+}
+
+func (d *dataflow) row(s []uint64, id int) []uint64 {
+	return s[id*d.w : (id+1)*d.w]
+}
+
+// solve sweeps the blocks of order until a sweep changes no fact, and
+// returns the number of sweeps, the unchanged last one included. Facts
+// start empty and only grow, so the result is the problem's least
+// fixpoint whatever the order; the order sets only the sweep count.
+// Visiting every block after its neighbours outside loops (reverse
+// postorder forward, postorder backward) settles an acyclic graph in
+// one sweep, which the next confirms. Blocks outside order keep empty
+// rows.
+func (d *dataflow) solve(order []*Block, forward bool) int {
+	for sweeps := 1; ; sweeps++ {
+		changed := false
+		for _, b := range order {
+			nbrs := b.Succs
+			if forward {
+				nbrs = b.Preds
+			}
+			join := d.row(d.join, b.ID)
+			clear(join)
+			for _, x := range nbrs {
+				f := d.row(d.fact, x.ID)
+				for i := range join {
+					join[i] |= f[i]
+				}
+			}
+			fact, gen, kill := d.row(d.fact, b.ID), d.row(d.gen, b.ID), d.row(d.kill, b.ID)
+			for i := range fact {
+				if next := gen[i] | (join[i] &^ kill[i]); next != fact[i] {
+					fact[i] = next
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return sweeps
+		}
+	}
+}
+
 // --- reaching definitions ---
 
-// reaching runs forward reaching-definitions over def-site bitsets.
-// Def IDs number the real def events in block/event order; each
-// uninit-declared non-parameter variable also gets a pseudo-def
-// numbered after the real ones, reaching from Entry until killed.
+// reaching is the forward reaching-definitions problem over def-site
+// bitsets: join rows are the defs reaching a block's entry, fact rows
+// those leaving it. Def IDs number the real def events in block/event
+// order; each uninit-declared non-parameter variable also gets a
+// pseudo-def numbered after the real ones, generated by Entry.
 type reaching struct {
+	dataflow
 	nReal int // real def sites
-	nAll  int // real + pseudo
-	w     int // bitset words per row
 
 	siteEv   []int32   // site id -> flat event index
 	eventDef []int32   // flat event index -> site id, -1 for uses
 	defsOf   [][]int32 // vid -> site ids (real in stream order, pseudo last)
 	uninitID []int32   // vid -> pseudo site id, -1 when none
-
-	gen, kill, in, out []uint64 // len(g.Blocks) rows of w words
 }
 
-func (r *reaching) row(s []uint64, b *Block) []uint64 {
-	return s[b.ID*r.w : (b.ID+1)*r.w]
-}
-
-func (fa *funcAnalysis) reachingDefs() *reaching {
+// reachingDefs numbers the def sites, solves reaching definitions over
+// the reachable blocks into fa.r and returns the sweep count.
+// Unreachable blocks keep empty rows: their dead defs must not leak
+// into live joins.
+func (fa *funcAnalysis) reachingDefs() int {
 	r := &fa.r
 	nv := len(fa.vars)
 	// Re-expose retained rows up to cap before growing: truncating and
@@ -464,75 +563,74 @@ func (fa *funcAnalysis) reachingDefs() *reaching {
 			n++
 		}
 	}
-	r.nAll = n
-	r.w = (n + 63) / 64
-	if r.w == 0 {
-		r.w = 1
-	}
-	total := len(fa.g.Blocks) * r.w
-	r.gen = resizeU64(r.gen, total)
-	r.kill = resizeU64(r.kill, total)
-	r.in = resizeU64(r.in, total)
-	r.out = resizeU64(r.out, total)
+	r.reset(max((n+63)/64, 1), len(fa.g.Blocks))
 
-	// gen/kill per block: a def kills every def of its variable
-	// (including the pseudo-def) and generates itself.
-	for bi, b := range fa.g.Blocks {
-		g := r.row(r.gen, b)
-		k := r.row(r.kill, b)
-		for ei := fa.evOff[bi]; ei < fa.evOff[bi+1]; ei++ {
+	// Only a block's last def of each variable leaves the block, and
+	// it kills every def of that variable, the pseudo-def included.
+	// Walking each block backwards meets that def first.
+	fa.resetCur()
+	for bi := range fa.g.Blocks {
+		ep := int32(bi + 1)
+		gen, kill := r.row(r.gen, bi), r.row(r.kill, bi)
+		for ei := fa.evOff[bi+1] - 1; ei >= fa.evOff[bi]; ei-- {
 			ev := fa.events[ei]
-			if ev.kind != evDef {
+			if ev.kind != evDef || fa.cur[ev.vid].epoch == ep {
 				continue
 			}
+			fa.cur[ev.vid].epoch = ep
 			for _, id := range r.defsOf[ev.vid] {
-				clearBit(g, id)
-				setBit(k, id)
+				setBit(kill, id)
 			}
-			id := r.eventDef[ei]
-			setBit(g, id)
-			clearBit(k, id)
+			setBit(gen, r.eventDef[ei])
 		}
 	}
-	// Entry generates every uninit pseudo-def.
-	entryOut := r.row(r.out, fa.g.Entry)
-	for vid := range fa.vars {
-		if id := r.uninitID[vid]; id >= 0 {
-			setBit(entryOut, id)
+	entryGen := r.row(r.gen, fa.g.Entry.ID)
+	for _, id := range r.uninitID {
+		if id >= 0 {
+			setBit(entryGen, id)
 		}
 	}
-	// Fixpoint over reachable blocks only: unreachable blocks keep
-	// zero in-sets (their dead defs must not leak into live joins).
-	rpo := fa.rpoScratch()
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == fa.g.Entry {
-				continue
-			}
-			in := r.row(r.in, b)
-			for i := range in {
-				in[i] = 0
-			}
-			for _, p := range b.Preds {
-				po := r.row(r.out, p)
-				for i := range in {
-					in[i] |= po[i]
+	return r.solve(fa.rpoScratch(), true)
+}
+
+// resetCur zeroes one def state per variable, reusing capacity.
+func (fa *funcAnalysis) resetCur() {
+	if cap(fa.cur) < len(fa.vars) {
+		fa.cur = make([]curDef, len(fa.vars))
+	}
+	fa.cur = fa.cur[:len(fa.vars)]
+	clear(fa.cur)
+}
+
+// replay walks the blocks of order event by event against the solved
+// reaching definitions, calling hit with every def site, real or
+// pseudo, that reaches each use (in defsOf order). A use of a variable
+// its block has already defined is reached by that def alone, found in
+// O(1) through an epoch-stamped current def; any other use tests its
+// variable's defs against the block's join row, which the replay only
+// reads.
+func (fa *funcAnalysis) replay(order []*Block, hit func(site int32, use event)) {
+	r := &fa.r
+	fa.resetCur()
+	for i, b := range order {
+		ep := int32(i + 1)
+		in := r.row(r.join, b.ID)
+		for ei := fa.evOff[b.ID]; ei < fa.evOff[b.ID+1]; ei++ {
+			ev := fa.events[ei]
+			switch {
+			case ev.kind == evDef:
+				fa.cur[ev.vid] = curDef{epoch: ep, site: r.eventDef[ei]}
+			case fa.cur[ev.vid].epoch == ep:
+				hit(fa.cur[ev.vid].site, ev)
+			default:
+				for _, id := range r.defsOf[ev.vid] {
+					if hasBit(in, id) {
+						hit(id, ev)
+					}
 				}
 			}
-			out := r.row(r.out, b)
-			g := r.row(r.gen, b)
-			k := r.row(r.kill, b)
-			for i := range out {
-				next := (in[i] &^ k[i]) | g[i]
-				if next != out[i] {
-					out[i] = next
-					changed = true
-				}
-			}
 		}
 	}
-	return r
 }
 
 // DefUseEntry is one def-use chain link: a definition site and the
@@ -548,11 +646,13 @@ type DefUseEntry struct {
 // Entries follow block/event order; use lines are in discovery order.
 func DefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
 	fa := newFuncAnalysis(g, funcs)
-	r := fa.reachingDefs()
+	fa.reachingDefs()
+	r := &fa.r
 	uses := make([][]int, r.nReal)
-	cur := make([]uint64, r.w)
-	fa.scanChains(r, cur, func(site int32, line int32) {
-		uses[site] = append(uses[site], int(line))
+	fa.replay(g.Blocks, func(site int32, use event) {
+		if int(site) < r.nReal {
+			uses[site] = append(uses[site], int(use.line))
+		}
 	})
 	var out []DefUseEntry
 	for id := 0; id < r.nReal; id++ {
@@ -560,31 +660,6 @@ func DefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
 		out = append(out, DefUseEntry{Var: fa.vars[ev.vid].Name, DefLine: int(ev.line), UseLines: uses[id]})
 	}
 	return out
-}
-
-// scanChains replays every block's event stream against the reaching
-// sets, invoking hit for each (real def site, use line) pair in
-// discovery order. cur must hold r.w words of scratch.
-func (fa *funcAnalysis) scanChains(r *reaching, cur []uint64, hit func(site, line int32)) {
-	for _, b := range fa.g.Blocks {
-		copy(cur, r.row(r.in, b))
-		for ei := fa.evOff[b.ID]; ei < fa.evOff[b.ID+1]; ei++ {
-			ev := fa.events[ei]
-			switch ev.kind {
-			case evUse:
-				for _, id := range r.defsOf[ev.vid] {
-					if int(id) < r.nReal && hasBit(cur, id) {
-						hit(id, ev.line)
-					}
-				}
-			case evDef:
-				for _, id := range r.defsOf[ev.vid] {
-					clearBit(cur, id)
-				}
-				setBit(cur, r.eventDef[ei])
-			}
-		}
-	}
 }
 
 // VarLiveWidth reports the liveness footprint of one local variable:
@@ -611,12 +686,11 @@ func LiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
 // liveWidthCounts runs liveness and counts, per variable, the blocks
 // at whose exit it is live.
 func (fa *funcAnalysis) liveWidthCounts() []int32 {
-	lo := fa.liveness()
+	fa.liveness()
+	lv := &fa.live
 	fa.counts = resizeI32(fa.counts, len(fa.vars))
-	w := fa.live.w
 	for bi := range fa.g.Blocks {
-		row := lo[bi*w : (bi+1)*w]
-		for wi, word := range row {
+		for wi, word := range lv.row(lv.join, bi) {
 			for word != 0 {
 				vid := wi<<6 + bits.TrailingZeros64(word)
 				if vid < len(fa.vars) {
@@ -631,70 +705,28 @@ func (fa *funcAnalysis) liveWidthCounts() []int32 {
 
 // --- liveness ---
 
-// liveness holds the backward live-variable analysis rows, one bit per
-// variable (vid), one row per block.
-type liveness struct {
-	w                  int
-	use, def, in, out_ []uint64
-}
-
-// liveness runs backward live-variable analysis and returns the
-// live-out rows, len(g.Blocks) rows of fa.live.w words each, bit i =
-// vid i live at block exit.
-func (fa *funcAnalysis) liveness() []uint64 {
+// liveness solves backward live-variable analysis into fa.live — one
+// bit per variable (vid); gen rows are the uses a block reads before
+// defining, kill rows its defs, join rows the live-out sets — and
+// returns the sweep count.
+func (fa *funcAnalysis) liveness() int {
 	lv := &fa.live
-	lv.w = (len(fa.vars) + 63) / 64
-	if lv.w == 0 {
-		lv.w = 1
-	}
-	nb := len(fa.g.Blocks)
-	total := nb * lv.w
-	lv.use = resizeU64(lv.use, total)
-	lv.def = resizeU64(lv.def, total)
-	lv.in = resizeU64(lv.in, total)
-	lv.out_ = resizeU64(lv.out_, total)
+	lv.reset(max((len(fa.vars)+63)/64, 1), len(fa.g.Blocks))
 	for bi := range fa.g.Blocks {
-		u := lv.use[bi*lv.w : (bi+1)*lv.w]
-		d := lv.def[bi*lv.w : (bi+1)*lv.w]
+		use, def := lv.row(lv.gen, bi), lv.row(lv.kill, bi)
 		for ei := fa.evOff[bi]; ei < fa.evOff[bi+1]; ei++ {
 			ev := fa.events[ei]
 			switch ev.kind {
 			case evUse:
-				if !hasBit(d, ev.vid) {
-					setBit(u, ev.vid)
+				if !hasBit(def, ev.vid) {
+					setBit(use, ev.vid)
 				}
 			case evDef:
-				setBit(d, ev.vid)
+				setBit(def, ev.vid)
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := nb - 1; i >= 0; i-- {
-			b := fa.g.Blocks[i]
-			out := lv.out_[i*lv.w : (i+1)*lv.w]
-			for wi := range out {
-				out[wi] = 0
-			}
-			for _, s := range b.Succs {
-				si := lv.in[s.ID*lv.w : (s.ID+1)*lv.w]
-				for wi := range out {
-					out[wi] |= si[wi]
-				}
-			}
-			in := lv.in[i*lv.w : (i+1)*lv.w]
-			u := lv.use[i*lv.w : (i+1)*lv.w]
-			d := lv.def[i*lv.w : (i+1)*lv.w]
-			for wi := range in {
-				next := u[wi] | (out[wi] &^ d[wi])
-				if next != in[wi] {
-					in[wi] = next
-					changed = true
-				}
-			}
-		}
-	}
-	return lv.out_
+	return lv.solve(fa.backwardOrder(), false)
 }
 
 // --- summary path (semstats) ---
@@ -730,6 +762,7 @@ func (ds *DataflowScratch) Release() {
 	ds.fa.g = nil
 	ds.fa.funcs = nil
 	ds.fa.rpo = ds.fa.rpo[:0]
+	ds.fa.order = ds.fa.order[:0]
 }
 
 // Summary computes both dataflow summaries of g over reused storage.
@@ -737,14 +770,16 @@ func (ds *DataflowScratch) Release() {
 func (ds *DataflowScratch) Summary(g *CFG, funcs map[string]*cppast.FuncDecl) DataflowSummary {
 	fa := &ds.fa
 	fa.init(g, funcs)
-	r := fa.reachingDefs()
-	fa.useCnt = resizeI32(fa.useCnt, r.nReal)
-	fa.cur = resizeU64(fa.cur, r.w)
-	fa.scanChains(r, fa.cur, func(site, _ int32) {
-		fa.useCnt[site]++
+	fa.reachingDefs()
+	nReal := fa.r.nReal
+	fa.useCnt = resizeI32(fa.useCnt, nReal)
+	fa.replay(g.Blocks, func(site int32, _ event) {
+		if int(site) < nReal {
+			fa.useCnt[site]++
+		}
 	})
 	var sum DataflowSummary
-	sum.Chains = r.nReal
+	sum.Chains = nReal
 	for _, n := range fa.useCnt {
 		sum.ChainUses += int(n)
 		if int(n) > sum.MaxChainLen {

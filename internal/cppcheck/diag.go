@@ -90,36 +90,23 @@ func (fa *funcAnalysis) valueRuleApplies(vid int32) bool {
 // checkUninitReads reports reads possibly reached by the synthetic
 // uninitialized definition of an initializer-less scalar declaration.
 func (fa *funcAnalysis) checkUninitReads() []Diagnostic {
-	r := fa.reachingDefs()
+	fa.reachingDefs()
 	reported := make([]bool, len(fa.vars)) // one finding per variable
-	cur := make([]uint64, r.w)
 	var out []Diagnostic
-	for _, b := range fa.rpoScratch() {
-		copy(cur, r.row(r.in, b))
-		for ei := fa.evOff[b.ID]; ei < fa.evOff[b.ID+1]; ei++ {
-			ev := fa.events[ei]
-			switch ev.kind {
-			case evUse:
-				id := r.uninitID[ev.vid]
-				if id >= 0 && hasBit(cur, id) && fa.valueRuleApplies(ev.vid) && !reported[ev.vid] {
-					reported[ev.vid] = true
-					name := fa.vars[ev.vid].Name
-					out = append(out, Diagnostic{
-						Rule: RuleUninitRead,
-						Func: fa.g.Fn.Name,
-						Line: int(ev.line),
-						Var:  name,
-						Msg:  fmt.Sprintf("variable %q may be read before initialization", name),
-					})
-				}
-			case evDef:
-				for _, id := range r.defsOf[ev.vid] {
-					clearBit(cur, id)
-				}
-				setBit(cur, r.eventDef[ei])
-			}
+	fa.replay(fa.rpoScratch(), func(site int32, use event) {
+		if site != fa.r.uninitID[use.vid] || reported[use.vid] || !fa.valueRuleApplies(use.vid) {
+			return
 		}
-	}
+		reported[use.vid] = true
+		name := fa.vars[use.vid].Name
+		out = append(out, Diagnostic{
+			Rule: RuleUninitRead,
+			Func: fa.g.Fn.Name,
+			Line: int(use.line),
+			Var:  name,
+			Msg:  fmt.Sprintf("variable %q may be read before initialization", name),
+		})
+	})
 	return out
 }
 
@@ -128,12 +115,12 @@ func (fa *funcAnalysis) checkUninitReads() []Diagnostic {
 // exits before any use. Declarator initializers are exempt (defensive
 // zero-initialization is idiomatic, not a bug).
 func (fa *funcAnalysis) checkDeadStores() []Diagnostic {
-	liveOut := fa.liveness()
-	w := fa.live.w
-	live := make([]uint64, w)
+	fa.liveness()
+	lv := &fa.live
+	live := make([]uint64, lv.w)
 	var out []Diagnostic
 	for _, b := range fa.rpoScratch() {
-		copy(live, liveOut[b.ID*w:(b.ID+1)*w])
+		copy(live, lv.row(lv.join, b.ID))
 		evs := fa.eventsOf(b)
 		for i := len(evs) - 1; i >= 0; i-- {
 			ev := evs[i]

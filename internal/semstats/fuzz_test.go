@@ -1,6 +1,7 @@
 package semstats
 
 import (
+	"context"
 	"testing"
 
 	"gptattr/internal/cppast"
@@ -15,10 +16,14 @@ import (
 //     strictly smaller RPO index, so idom chains terminate at the entry;
 //   - every node of the compact graph is dominated by the entry;
 //   - every natural loop contains its header, the header dominates the
-//     whole body, and nesting depths are at least 1.
+//     whole body, and nesting depths are at least 1;
+//   - the graph is reducible in the sense the shipped loop pass relies
+//     on: an edge u -> h has h <= u exactly when h dominates u;
+//   - the shipped Scratch agrees with the reference pipeline, loop
+//     numbers (BackEdges, Loops, MaxLoopDepth, LoopsAtDepth) included.
 //
 // Seed inputs live in testdata/fuzz/FuzzDominators (the committed
-// regression corpus).
+// regression corpus), beside the f.Add inputs and 16-deep shapes.
 func FuzzDominators(f *testing.F) {
 	f.Add("int main() { return 0; }")
 	f.Add("int main() { for (int i = 0; i < 10; i++) { if (i % 2) continue; } return 0; }")
@@ -27,11 +32,20 @@ func FuzzDominators(f *testing.F) {
 int main() { switch (f(3)) { case 1: return 1; default: return 0; } }`)
 	f.Add("int main() { for (;;) { } }")
 	f.Add("int main() { int x; goto done; }")
+	for _, s := range deepShapes(16) {
+		f.Add(s)
+	}
+	sc := NewScratch()
 	f.Fuzz(func(t *testing.T, src string) {
 		tu, err := cppast.Parse(src)
 		if err != nil || tu == nil {
 			return
 		}
+		got, err := sc.AnalyzeContext(context.Background(), tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffStats(t, "scratch", refAnalyze(tu), got)
 		for _, fd := range tu.Functions() {
 			if fd.Body == nil {
 				continue
@@ -51,6 +65,13 @@ int main() { switch (f(3)) { case 1: return 1; default: return 0; } }`)
 				}
 				if !dominates(idom, 0, i) {
 					t.Fatalf("entry does not dominate node %d", i)
+				}
+			}
+			for u, nd := range g.nodes {
+				for _, h := range nd.succs {
+					if (h <= u) != dominates(idom, h, u) {
+						t.Fatalf("edge %d->%d: h <= u is %v, dominance %v", u, h, h <= u, !(h <= u))
+					}
 				}
 			}
 			loops, back := c.loopNest()

@@ -39,132 +39,85 @@ func (s *Scratch) edgeCount(nodes []cppcheck.CompactNode) int {
 	return n
 }
 
-// dominatorsInto computes the immediate-dominator array of the
-// compacted graph into a reused idom slice, with the
-// Cooper-Harvey-Kennedy iterative algorithm. Nodes are already
-// numbered in reverse postorder, so after the first sweep every node's
-// stored idom is strictly smaller than the node itself (its DFS tree
-// parent precedes it), which keeps intersect finite. idom[0] == 0: the
-// entry dominates itself.
-func dominatorsInto(nodes []cppcheck.CompactNode, idom []int) []int {
+// loopScratch recycles the loop-nesting pass state. Every CFG the
+// builder emits is reducible (there is no goto, and switch cases are
+// flat), so in the compacted graph's reverse-postorder numbering an
+// edge u -> h is a back edge exactly when h <= u, and then h dominates
+// u and heads a natural loop; back edges sharing a header form one
+// loop. Nesting comes from a union-find forest: headers are taken from
+// the highest index down, and each collapses the body it reaches
+// backwards from its latches into itself. An inner loop's header is
+// dominated by every enclosing header, so it has the larger index: it
+// is already one node when its innermost enclosing loop walks, and
+// that loop becomes its parent. Storage is O(nodes + edges).
+type loopScratch struct {
+	rep    []int32 // union-find parent: a node's root is its outermost collapsed header so far
+	parent []int32 // header -> innermost enclosing header, -1 outermost
+	depth  []int32 // header -> nesting depth (1 = outermost), 0 off headers
+	stack  []int32
+}
+
+func (ls *loopScratch) find(x int32) int32 {
+	root := x
+	for ls.rep[root] != root {
+		root = ls.rep[root]
+	}
+	for ls.rep[x] != root {
+		ls.rep[x], x = root, ls.rep[x]
+	}
+	return root
+}
+
+// fill writes the loop-nesting numbers of the compacted graph into st:
+// back edges, loops, and each loop's depth, the number of loops whose
+// body holds its header.
+func (ls *loopScratch) fill(nodes []cppcheck.CompactNode, st *FuncStats) {
 	n := len(nodes)
-	if cap(idom) < n {
-		idom = make([]int, n)
+	ls.rep = resizeI32(ls.rep, n)
+	ls.parent = resizeI32(ls.parent, n)
+	ls.depth = resizeI32(ls.depth, n)
+	for i := range ls.rep {
+		ls.rep[i] = int32(i)
+		ls.parent[i] = -1
 	}
-	idom = idom[:n]
-	for i := range idom {
-		idom[i] = -1
-	}
-	if n == 0 {
-		return idom
-	}
-	idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for b := 1; b < n; b++ {
-			newIdom := -1
-			for _, p := range nodes[b].Preds {
-				if idom[p] < 0 {
-					continue
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(idom, p, newIdom)
-				}
-			}
-			if newIdom >= 0 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
+	for h := n - 1; h >= 0; h-- {
+		ls.stack = ls.stack[:0]
+		for _, u := range nodes[h].Preds {
+			if u >= h {
+				st.BackEdges++
+				ls.stack = append(ls.stack, int32(u))
 			}
 		}
-	}
-	return idom
-}
-
-// loopScratch recycles the natural-loop pass state. compute finds the
-// back edges (u -> h where h dominates u) of the compacted graph and
-// collects their natural-loop bodies, merging back edges that share a
-// header into one loop. Loops are discovered in back-edge order
-// instead of sorted-header order; every consumed output (counts, depth
-// histogram) is order-independent.
-type loopScratch struct {
-	headerLoop []int32 // node -> loop index, -1
-	headers    []int32
-	bodies     [][]bool
-	nLoops     int
-	backEdges  int
-	stack      []int32
-}
-
-func (ls *loopScratch) compute(nodes []cppcheck.CompactNode, idom []int) {
-	n := len(nodes)
-	ls.nLoops, ls.backEdges = 0, 0
-	ls.headerLoop = resizeI32(ls.headerLoop, n)
-	for i := range ls.headerLoop {
-		ls.headerLoop[i] = -1
-	}
-	for u, nd := range nodes {
-		for _, h := range nd.Succs {
-			if !dominates(idom, h, u) {
+		if len(ls.stack) == 0 {
+			continue
+		}
+		st.Loops++
+		ls.depth[h] = 1
+		for len(ls.stack) > 0 {
+			y := ls.find(ls.stack[len(ls.stack)-1])
+			ls.stack = ls.stack[:len(ls.stack)-1]
+			if y == int32(h) {
 				continue
 			}
-			ls.backEdges++
-			li := ls.headerLoop[h]
-			if li < 0 {
-				li = int32(ls.nLoops)
-				ls.headerLoop[h] = li
-				if ls.nLoops < len(ls.bodies) {
-					ls.bodies[ls.nLoops] = resizeBool(ls.bodies[ls.nLoops], n)
-					ls.headers[ls.nLoops] = int32(h)
-				} else {
-					ls.bodies = append(ls.bodies, make([]bool, n))
-					ls.headers = append(ls.headers, int32(h))
-				}
-				ls.bodies[li][h] = true
-				ls.nLoops++
-			}
-			body := ls.bodies[li]
-			// Walk predecessors back from the latch; the header caps
-			// the walk because it is already in the body.
-			ls.stack = append(ls.stack[:0], int32(u))
-			for len(ls.stack) > 0 {
-				x := ls.stack[len(ls.stack)-1]
-				ls.stack = ls.stack[:len(ls.stack)-1]
-				if body[x] {
-					continue
-				}
-				body[x] = true
-				for _, p := range nodes[x].Preds {
-					ls.stack = append(ls.stack, int32(p))
-				}
+			// y is a body node or an inner loop collapsed into its
+			// header; only a header has predecessors outside its loop.
+			ls.rep[y] = int32(h)
+			ls.parent[y] = int32(h)
+			for _, p := range nodes[y].Preds {
+				ls.stack = append(ls.stack, int32(p))
 			}
 		}
 	}
-}
-
-// fill writes the loop-nesting numbers into st: a loop's depth
-// (1 = outermost) is the number of loop bodies containing its header.
-func (ls *loopScratch) fill(st *FuncStats) {
-	st.BackEdges = ls.backEdges
-	st.Loops = ls.nLoops
-	for i := 0; i < ls.nLoops; i++ {
-		d := 0
-		for j := 0; j < ls.nLoops; j++ {
-			if ls.bodies[j][ls.headers[i]] {
-				d++
-			}
+	// A parent header has the smaller index, so its depth is final.
+	for h := range ls.depth {
+		if ls.depth[h] == 0 {
+			continue
 		}
-		if d > st.MaxLoopDepth {
-			st.MaxLoopDepth = d
+		if p := ls.parent[h]; p >= 0 {
+			ls.depth[h] = ls.depth[p] + 1
 		}
-		switch {
-		case d <= 1:
-			st.LoopsAtDepth[0]++
-		case d == 2:
-			st.LoopsAtDepth[1]++
-		default:
-			st.LoopsAtDepth[2]++
-		}
+		d := int(ls.depth[h])
+		st.MaxLoopDepth = max(st.MaxLoopDepth, d)
+		st.LoopsAtDepth[min(d, 3)-1]++
 	}
 }

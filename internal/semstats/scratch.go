@@ -24,7 +24,6 @@ type Scratch struct {
 	arena  *cppcheck.CFGArena
 	df     *cppcheck.DataflowScratch
 	cp     cppcheck.Compactor
-	idom   []int
 	emark  []int32 // edge-dedup epochs
 	eepoch int32
 	loops  loopScratch
@@ -176,9 +175,7 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	st.Cyclomatic = st.Edges - st.Blocks + 2
 
 	// Loop nesting.
-	s.idom = dominatorsInto(nodes, s.idom)
-	s.loops.compute(nodes, s.idom)
-	s.loops.fill(st)
+	s.loops.fill(nodes, st)
 
 	// Def-use chains and live-range widths (on the raw CFG: the
 	// dataflow passes own it), straight to their aggregate form.

@@ -2,11 +2,11 @@
 // semantic stylometry feature group. It runs per-function passes over
 // internal/cppcheck's control-flow graphs — shape metrics of the
 // compacted CFG (cppcheck.Compactor, the normal form the fingerprint
-// serializes), dominator trees and natural-loop nesting, def-use
-// chain and live-range statistics, a file-level call graph with
-// fan-in/fan-out and recursion detection, and alpha-normalized
-// expression-shape grams — and aggregates them into FuncStats/FileStats
-// records that internal/stylometry folds into its feature vectors and
+// serializes), natural-loop nesting, def-use chain and live-range
+// statistics, a file-level call graph with fan-in/fan-out and
+// recursion detection, and alpha-normalized expression-shape grams —
+// and aggregates them into FuncStats/FileStats records that
+// internal/stylometry folds into its feature vectors and
 // cmd/cppcheck -metrics prints directly.
 //
 // One pipeline ships: Scratch.AnalyzeContext, which runs every pass for

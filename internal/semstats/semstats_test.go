@@ -1,6 +1,7 @@
 package semstats
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -93,6 +94,30 @@ func TestLoopNestingDepthProfile(t *testing.T) {
 	}
 	if want := [3]int{2, 1, 1}; st.LoopsAtDepth != want {
 		t.Errorf("LoopsAtDepth = %v, want %v", st.LoopsAtDepth, want)
+	}
+}
+
+// TestLoopScratchRetainsLinearCapacity pins the loop pass's retained
+// storage to O(nodes): after a 512-deep nested while, the loop scratch
+// holds at most 8 int32 per compacted node. A per-loop body row would
+// hold O(nodes²).
+func TestLoopScratchRetainsLinearCapacity(t *testing.T) {
+	tu, err := cppast.Parse(deepShapes(512)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	fs, err := sc.AnalyzeContext(context.Background(), tu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fn(t, fs, "main")
+	if st.Loops != 512 || st.MaxLoopDepth != 512 || st.BackEdges != 512 {
+		t.Fatalf("Loops, MaxLoopDepth, BackEdges = %d, %d, %d, want 512 each", st.Loops, st.MaxLoopDepth, st.BackEdges)
+	}
+	ls := &sc.loops
+	if held := cap(ls.rep) + cap(ls.parent) + cap(ls.depth) + cap(ls.stack); held > 8*st.Blocks {
+		t.Errorf("loop scratch holds %d int32 for %d nodes, want <= 8 per node", held, st.Blocks)
 	}
 }
 

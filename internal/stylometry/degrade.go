@@ -18,7 +18,7 @@ const (
 	// syntactic + semantic.
 	DegradeNone DegradeLevel = iota
 	// DegradeNoSemantic sheds the semstats-derived semantic family
-	// (CFG/dominator/dataflow passes — the expensive tail).
+	// (CFG, loop and dataflow passes — the expensive tail).
 	DegradeNoSemantic
 	// DegradeSurface additionally sheds the syntactic family (AST
 	// walks), leaving layout + lexical. The source is still tokenized
