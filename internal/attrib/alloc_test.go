@@ -9,11 +9,12 @@ import (
 	"gptattr/internal/stylometry"
 )
 
-// TestProbaSparseAllocs pins the pooled-scratch oracle scorer: once
-// the sync.Pool is warm, vectorizing and voting allocate nothing, so
-// ProbaSparse allocates exactly its returned label map (a GC draining
-// the pool mid-run adds one refill over 200 runs, which the per-run
-// average truncates away).
+// TestProbaSparseAllocs pins the pooled-scratch scorer: once the sync.Pool
+// is warm, vectorizing and voting into the caller's scores allocate
+// nothing. ProbaSparse, the offline wrapper, allocates exactly its
+// scores slice and its returned label map (a GC draining the pool
+// mid-run adds one refill over 200 runs, which the per-run average
+// truncates away).
 func TestProbaSparseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
@@ -23,9 +24,13 @@ func TestProbaSparseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtractSupervised: %v", err)
 	}
-	fx.oracle.ProbaSparse(sp)
+	proba := make([]float64, len(fx.oracle.labels))
+	fx.oracle.ScoreInto(sp, proba)
+	if a := testing.AllocsPerRun(200, func() { fx.oracle.ScoreInto(sp, proba) }); a != 0 {
+		t.Errorf("ScoreInto allocates %.2f per call, want 0", a)
+	}
 	if a := testing.AllocsPerRun(200, func() { fx.oracle.ProbaSparse(sp) }); a != labelMapAllocs {
-		t.Errorf("ProbaSparse allocates %.2f per call, want %d (the label map)", a, labelMapAllocs)
+		t.Errorf("ProbaSparse allocates %.2f per call, want %d (the scores and the label map)", a, labelMapAllocs)
 	}
 }
 
@@ -116,11 +121,11 @@ func TestSparseMatchesFeatures(t *testing.T) {
 
 // TestEndToEndVecAllocs pins the allocations of one uncached serving
 // request as attrserve runs it: supervised extraction through a pooled
-// stylometry scratch into a Sparse, then attribution and detection
-// straight off it. Extraction, vectorization and voting allocate
-// nothing; what remains is the Sparse itself (header, IDs, values,
-// names) and the oracle's label -> probability map (four allocations
-// for this fixture's 16 authors).
+// stylometry scratch into a Sparse, then attribution into the caller's
+// per-class scores and detection straight off it. Extraction,
+// vectorization and voting allocate nothing; what remains is the
+// Sparse itself (header, IDs, values, names). No label-keyed map is
+// built: that is ProbaSparse's, for offline callers.
 func TestEndToEndVecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are meaningless")
@@ -132,24 +137,26 @@ func TestEndToEndVecAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := fx.human.Samples[0].Source
+	proba := make([]float64, len(fx.oracle.labels))
 	request := func() {
 		sp, _, err := stylometry.ExtractSupervised(ctx, src, stylometry.DegradeNone, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx.oracle.ProbaSparse(sp)
+		fx.oracle.ScoreInto(sp, proba)
 		c.DetectSparse(sp)
 	}
 	request()
 	if a := testing.AllocsPerRun(200, request); a != endToEndAllocs {
-		t.Errorf("extract+proba+detect allocates %.2f per request, want %d", a, endToEndAllocs)
+		t.Errorf("extract+score+detect allocates %.2f per request, want %d", a, endToEndAllocs)
 	}
 }
 
 // endToEndAllocs is the measured allocation count TestEndToEndVecAllocs
-// pins; labelMapAllocs is the oracle's label map, the part of it
-// TestProbaSparseAllocs pins.
+// pins; labelMapAllocs is ProbaSparse's scores slice plus its label ->
+// probability map (four allocations for this fixture's 16 authors),
+// which TestProbaSparseAllocs pins.
 const (
-	endToEndAllocs = 8
-	labelMapAllocs = 4
+	endToEndAllocs = 4
+	labelMapAllocs = 5
 )

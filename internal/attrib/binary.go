@@ -185,9 +185,7 @@ func (c *Classifier) DetectFeatures(f stylometry.Features) (bool, float64) {
 // DetectSparse is the one detector scorer: the ChatGPT verdict and its
 // vote share. It allocates nothing on a warm pool. sp is only read.
 func (c *Classifier) DetectSparse(sp *stylometry.Sparse) (bool, float64) {
-	s := c.reduce(sp)
-	c.forest.PredictProbaInto(s.row, s.proba)
-	conf := s.proba[1]
-	c.scratch.Put(s)
-	return conf > 0.5, conf
+	var proba [2]float64
+	c.ScoreInto(sp, proba[:])
+	return proba[1] > 0.5, proba[1]
 }

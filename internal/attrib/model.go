@@ -125,13 +125,12 @@ func (m *model) fit(t task, cfg Config, rung *stylometry.DegradeLevel) error {
 }
 
 // vecScratch bundles the per-prediction buffers of a model call: the
-// full vectorizer row, the column-reduced model row, and per-class
-// probabilities. Pooling these keeps scoring allocation-free while
-// remaining safe under the serve batcher's concurrency.
+// full vectorizer row and the column-reduced model row. Pooling these
+// keeps scoring allocation-free while remaining safe under the serve
+// batcher's concurrency.
 type vecScratch struct {
-	full  []float64
-	row   []float64
-	proba []float64
+	full []float64
+	row  []float64
 }
 
 // reduce vectorizes one source into pooled scratch and leaves its
@@ -142,9 +141,8 @@ func (m *model) reduce(sp *stylometry.Sparse) *vecScratch {
 	s, _ := m.scratch.Get().(*vecScratch)
 	if s == nil {
 		s = &vecScratch{
-			full:  make([]float64, m.vec.NumFeatures()),
-			row:   make([]float64, len(m.cols)),
-			proba: make([]float64, m.forest.NumClasses()),
+			full: make([]float64, m.vec.NumFeatures()),
+			row:  make([]float64, len(m.cols)),
 		}
 	}
 	m.vec.VectorIntoSparse(sp, s.full)
@@ -152,4 +150,23 @@ func (m *model) reduce(sp *stylometry.Sparse) *vecScratch {
 		s.row[i] = s.full[c]
 	}
 	return s
+}
+
+// ScoreInto is the one scorer both models share: it writes each
+// class's vote share into proba, which must hold one entry per class
+// (an Oracle's class i is Labels()[i]; a Classifier's class 1 is
+// ChatGPT), and returns the class with the most votes, ties going to
+// the lower class index. Vectorization and voting run on pooled
+// scratch, so it allocates nothing on a warm pool. sp is only read.
+func (m *model) ScoreInto(sp *stylometry.Sparse, proba []float64) int {
+	s := m.reduce(sp)
+	m.forest.PredictProbaInto(s.row, proba)
+	m.scratch.Put(s)
+	best := 0
+	for i, p := range proba {
+		if p > proba[best] {
+			best = i
+		}
+	}
+	return best
 }

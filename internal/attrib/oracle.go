@@ -65,22 +65,17 @@ func (o *Oracle) ProbaFeatures(f stylometry.Features) (map[string]float64, strin
 	return o.ProbaSparse(f.Sparse())
 }
 
-// ProbaSparse is the one oracle scorer: the vote share per author
-// label and the label with the most votes (ties go to the lower class
-// index). Only the returned label map allocates; the vectorization and
-// voting run on pooled scratch. sp is only read.
+// ProbaSparse is ScoreInto with the vote shares keyed by author label,
+// for offline callers: the vote share per label and the label with the
+// most votes. It allocates the scores and the map; the serving path
+// calls ScoreInto and never builds the map. sp is only read.
 func (o *Oracle) ProbaSparse(sp *stylometry.Sparse) (map[string]float64, string) {
-	s := o.reduce(sp)
-	o.forest.PredictProbaInto(s.row, s.proba)
+	proba := make([]float64, len(o.labels))
+	best := o.ScoreInto(sp, proba)
 	out := make(map[string]float64, len(o.labels))
-	best := 0
-	for i, p := range s.proba {
+	for i, p := range proba {
 		out[o.labels[i]] = p
-		if p > s.proba[best] {
-			best = i
-		}
 	}
-	o.scratch.Put(s)
 	return out, o.labels[best]
 }
 

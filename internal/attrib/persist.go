@@ -125,6 +125,15 @@ func LoadOracle(r io.Reader) (*Oracle, error) {
 		return nil, fmt.Errorf("attrib: forest has %d classes for %d labels",
 			o.forest.NumClasses(), len(labels))
 	}
+	// Each class must have its own label: a repeated one would merge
+	// two classes in every label-keyed answer.
+	seen := make(map[string]bool, len(labels))
+	for _, l := range labels {
+		if seen[l] {
+			return nil, fmt.Errorf("attrib: duplicate label %q in oracle header", l)
+		}
+		seen[l] = true
+	}
 	o.labels = labels
 	return o, nil
 }

@@ -3,6 +3,7 @@ package attrib
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -141,5 +142,39 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	}
 	if _, err := LoadOracle(strings.NewReader(`{"kind":"oracle"}`)); err == nil {
 		t.Error("headerless oracle accepted")
+	}
+}
+
+// duplicateLabel rewrites a saved oracle so its header names the first
+// author label twice (in place of the second).
+func duplicateLabel(t *testing.T, saved []byte, labels []string) []byte {
+	t.Helper()
+	at := bytes.Index(saved, []byte(`"labels":[`))
+	if at < 0 {
+		t.Fatal("labels not found in saved header")
+	}
+	q := func(s string) []byte { return []byte(strconv.Quote(s)) }
+	head, rest := saved[:at], saved[at:]
+	dup := bytes.Replace(rest, q(labels[1]), q(labels[0]), 1)
+	if bytes.Equal(dup, rest) {
+		t.Fatalf("label %q not found in saved header", labels[1])
+	}
+	return append(append([]byte(nil), head...), dup...)
+}
+
+// TestLoadRejectsDuplicateLabels: a header that names one label twice
+// would merge two classes in every label-keyed answer, so the confidence
+// could read a share other than the one that picked the author. It must
+// fail to load.
+func TestLoadRejectsDuplicateLabels(t *testing.T) {
+	fx := fixture(t)
+	var buf bytes.Buffer
+	if err := fx.oracle.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	labels := fx.oracle.Labels()
+	_, err := LoadOracle(bytes.NewReader(duplicateLabel(t, buf.Bytes(), labels)))
+	if err == nil || !strings.Contains(err.Error(), "duplicate label") {
+		t.Fatalf("LoadOracle of a duplicate-label header: err = %v, want a duplicate label error", err)
 	}
 }

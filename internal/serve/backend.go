@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http"
 	"time"
 
 	"gptattr/internal/arena"
@@ -109,17 +107,17 @@ func (l *LocalBackend) attribute(ctx context.Context, src string) (Answer, error
 	if err != nil {
 		return Answer{}, err
 	}
-	oracle, eff := models.OracleFor(lvl)
-	proba, best := oracle.ProbaSparse(v)
+	i, eff := rungFor(&models.Oracles, lvl)
+	oracle, labels := models.Oracles[i], models.labels[i]
+	ps := labels.scores.Get().(*[]float64)
+	defer labels.scores.Put(ps)
+	proba := *ps
+	best := oracle.ScoreInto(v, proba)
 	conf := proba[best]
 	if c := oracle.Calibration(); c > 0 {
 		conf *= c
 	}
-	return encodeAnswer(AttributeResponse{
-		Author: best, Proba: proba, Confidence: conf,
-		DegradeLevel: int(eff), Calibration: oracle.Calibration(),
-		ModelGeneration: models.Generation,
-	}, int(eff), models.Generation)
+	return labels.encodeAttribute(best, proba, conf, int(eff), oracle.Calibration(), models.Generation)
 }
 
 // detect runs the ChatGPT-vs-human classifier on one source. Degraded
@@ -135,21 +133,7 @@ func (l *LocalBackend) detect(ctx context.Context, src string) (Answer, error) {
 	}
 	detector, eff := models.DetectorFor(lvl)
 	verdict, conf := detector.DetectSparse(v)
-	return encodeAnswer(DetectResponse{
-		ChatGPT: verdict, Confidence: conf,
-		DegradeLevel: int(eff), Calibration: detector.Calibration(),
-		ModelGeneration: models.Generation,
-	}, int(eff), models.Generation)
-}
-
-// encodeAnswer renders a typed response as the JSON line an
-// Encoder.Encode would write.
-func encodeAnswer(resp any, level int, gen uint64) (Answer, error) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return Answer{}, &StatusError{Code: http.StatusInternalServerError, Msg: "encode answer: " + err.Error()}
-	}
-	return Answer{Body: append(body, '\n'), Level: level, Generation: gen}, nil
+	return encodeDetect(verdict, conf, int(eff), detector.Calibration(), models.Generation)
 }
 
 // Health implements Backend.

@@ -265,7 +265,7 @@ func (s *Server) CloseEvade() {
 // error itself (and returning ok=false) when it is unacceptable.
 func (s *Server) decodeEvade(w http.ResponseWriter, r *http.Request, reqID string) (EvadeRequest, bool) {
 	var req EvadeRequest
-	if _, ok := s.decodeBody(w, r, reqID, &req); !ok {
+	if body, ok := s.readBody(w, r, reqID); !ok || !s.decodeBody(w, body, reqID, &req) {
 		return req, false
 	}
 	if req.Source == "" {

@@ -131,7 +131,7 @@ func trainLadders() {
 
 // ladderDir writes the full degrade ladder (all rungs of both models)
 // into a fresh model directory.
-func ladderDir(t *testing.T) string {
+func ladderDir(t testing.TB) string {
 	t.Helper()
 	ladOnce.Do(trainLadders)
 	if ladErr != nil {

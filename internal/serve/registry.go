@@ -86,6 +86,10 @@ type Models struct {
 	Detectors [stylometry.DegradeLevels]*attrib.Classifier
 	// Generation increments on every successful (re)load.
 	Generation uint64
+
+	// labels holds each oracle rung's answer-encoder table (nil where
+	// Oracles is nil), built with the generation and freed with it.
+	labels [stylometry.DegradeLevels]*labelTable
 }
 
 // OracleFor picks the rung that scores a vector degraded to lvl, and
@@ -98,29 +102,39 @@ type Models struct {
 // which Calibration()==0 on the base model already signals). The
 // effective level is the deeper of the vector's and the rung's.
 func (m *Models) OracleFor(lvl stylometry.DegradeLevel) (*attrib.Oracle, stylometry.DegradeLevel) {
-	return rungFor(&m.Oracles, lvl)
+	i, eff := rungFor(&m.Oracles, lvl)
+	if i < 0 {
+		return nil, eff
+	}
+	return m.Oracles[i], eff
 }
 
 // DetectorFor is OracleFor for the detector ladder.
 func (m *Models) DetectorFor(lvl stylometry.DegradeLevel) (*attrib.Classifier, stylometry.DegradeLevel) {
-	return rungFor(&m.Detectors, lvl)
+	i, eff := rungFor(&m.Detectors, lvl)
+	if i < 0 {
+		return nil, eff
+	}
+	return m.Detectors[i], eff
 }
 
-// rungFor is the ladder lookup behind OracleFor and DetectorFor.
-func rungFor[M comparable](ladder *[stylometry.DegradeLevels]M, lvl stylometry.DegradeLevel) (M, stylometry.DegradeLevel) {
+// rungFor is the ladder lookup behind OracleFor and DetectorFor: the
+// index of the rung that scores lvl (-1 when the ladder is empty) and
+// the answer's effective level.
+func rungFor[M comparable](ladder *[stylometry.DegradeLevels]M, lvl stylometry.DegradeLevel) (int, stylometry.DegradeLevel) {
 	var none M
 	lvl = lvl.Clamp()
 	for l := lvl; l <= stylometry.MaxDegrade; l++ {
 		if ladder[l] != none {
-			return ladder[l], l
+			return int(l), l
 		}
 	}
 	for l := lvl - 1; l >= stylometry.DegradeNone; l-- {
 		if ladder[l] != none {
-			return ladder[l], lvl
+			return int(l), lvl
 		}
 	}
-	return none, lvl
+	return -1, lvl
 }
 
 // Registry loads serialized models from a directory and serves the
@@ -241,6 +255,9 @@ func (r *Registry) read() (*Models, error) {
 		}
 		if m.Detectors[lvl], err = loadRung(r.dir, DetectorFile, lvl, attrib.LoadClassifier); err != nil {
 			return nil, err
+		}
+		if o := m.Oracles[lvl]; o != nil {
+			m.labels[lvl] = newLabelTable(o.Labels())
 		}
 	}
 	m.Oracle = m.Oracles[stylometry.DegradeNone]

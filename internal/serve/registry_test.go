@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -134,5 +140,47 @@ func TestRegistryHotSwapUnderLoad(t *testing.T) {
 	wg.Wait()
 	if gen := r.Current().Generation; gen != 6 {
 		t.Errorf("generation = %d, want 6 (1 initial + 5 reloads)", gen)
+	}
+}
+
+// TestRegistryRejectsDuplicateLabels: an oracle whose header names one
+// author twice fails to load, and a reload onto it leaves the previous
+// generation serving.
+func TestRegistryRejectsDuplicateLabels(t *testing.T) {
+	dir := modelDir(t)
+	r, err := NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := r.Current()
+	labels := old.Oracle.Labels()
+	at := bytes.Index(oracleBytes, []byte(`"labels":[`))
+	if at < 0 {
+		t.Fatal("labels not found in the saved oracle header")
+	}
+	q := func(s string) []byte { return []byte(strconv.Quote(s)) }
+	dup := append(append([]byte(nil), oracleBytes[:at]...),
+		bytes.Replace(oracleBytes[at:], q(labels[1]), q(labels[0]), 1)...)
+	if err := os.WriteFile(filepath.Join(dir, OracleFile), dup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Load(); err == nil || !strings.Contains(err.Error(), "duplicate label") {
+		t.Fatalf("reload onto a duplicate-label oracle: err = %v, want a duplicate label error", err)
+	}
+	if r.Current() != old {
+		t.Fatal("failed reload replaced the live generation")
+	}
+	b := NewBatcher(BatchConfig{})
+	defer b.Close()
+	s, err := New(Config{Registry: r, Batcher: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(AttributeRequest{Source: sampleSource(t, 0)})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/attribute", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || rec.Header().Get(GenerationHeader) != strconv.FormatUint(old.Generation, 10) {
+		t.Fatalf("after the failed reload: status %d, generation %q, want 200 from generation %d: %s",
+			rec.Code, rec.Header().Get(GenerationHeader), old.Generation, rec.Body)
 	}
 }

@@ -381,10 +381,14 @@ func (s *Server) requestContext(parent context.Context, reqID string) (context.C
 // Malformed or absent budgets fall back to the configured timeout.
 // The budget is compared in milliseconds before it becomes a Duration:
 // multiplying a huge one first would wrap negative and expire at once.
+// An absent header is not parsed: the error ParseInt builds for it
+// would be an allocation on every budget-less request.
 func (s *Server) requestContextFor(r *http.Request, reqID string) (context.Context, context.CancelFunc) {
 	timeout := s.timeout
-	if ms, err := strconv.ParseInt(r.Header.Get(BudgetHeader), 10, 64); err == nil && ms > 0 && ms <= timeout.Milliseconds() {
-		timeout = min(timeout, time.Duration(ms)*time.Millisecond)
+	if b := r.Header.Get(BudgetHeader); b != "" {
+		if ms, err := strconv.ParseInt(b, 10, 64); err == nil && ms > 0 && ms <= timeout.Milliseconds() {
+			timeout = min(timeout, time.Duration(ms)*time.Millisecond)
+		}
 	}
 	return context.WithTimeout(WithRequestID(r.Context(), reqID), timeout)
 }
@@ -418,35 +422,50 @@ func (s *Server) WriteError(w http.ResponseWriter, status int, msg, reqID string
 // answering the error itself (and returning ok=false) when the method,
 // encoding, size, or content is unacceptable. It also returns the raw
 // body, which a pass-through backend (the fleet router) forwards
-// verbatim instead of re-encoding the source.
+// verbatim instead of re-encoding the source. A canonical body takes
+// parseSource's fast path; any other is decoded by json.Unmarshal, so
+// every error, status and message is encoding/json's.
 func (s *Server) decodeSource(w http.ResponseWriter, r *http.Request, reqID string) (string, []byte, bool) {
-	var req AttributeRequest
-	body, ok := s.decodeBody(w, r, reqID, &req)
+	body, ok := s.readBody(w, r, reqID)
 	if !ok {
 		return "", nil, false
 	}
-	if req.Source == "" {
+	src, fast := parseSource(body)
+	if !fast {
+		var req AttributeRequest
+		if !s.decodeBody(w, body, reqID, &req) {
+			return "", nil, false
+		}
+		src = req.Source
+	}
+	if src == "" {
 		s.WriteError(w, http.StatusBadRequest, "empty source", reqID)
 		return "", nil, false
 	}
-	return req.Source, body, true
+	return src, body, true
 }
 
-// decodeBody reads a POST body of at most MaxBodyBytes and decodes it
-// as one JSON value into v, answering the error itself (405, 413, or
-// 400; ok=false) when the method, size, or encoding is unacceptable.
-// The whole body must be that one value: trailing bytes after it are
-// a 400, so a body forwarded verbatim means the same thing to every
-// hop that decodes it.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, reqID string, v any) ([]byte, bool) {
+// decodeBody decodes a body from readBody as one JSON value into v,
+// answering a decode error itself (400; ok=false). The whole body must
+// be that one value: trailing bytes after it are a 400, so a body
+// forwarded verbatim means the same thing to every hop that decodes it.
+func (s *Server) decodeBody(w http.ResponseWriter, body []byte, reqID string, v any) bool {
+	if err := json.Unmarshal(body, v); err != nil {
+		s.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error(), reqID)
+		return false
+	}
+	return true
+}
+
+// readBody reads a POST body of at most MaxBodyBytes, answering the
+// error itself (405, 413, or 400; ok=false) when the method or size is
+// unacceptable or the read fails.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, reqID string) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		s.WriteError(w, http.StatusMethodNotAllowed, "POST required", reqID)
 		return nil, false
 	}
 	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.maxBodyBytes), r.ContentLength, s.maxBodyBytes)
-	if err == nil {
-		err = json.Unmarshal(body, v)
-	}
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
