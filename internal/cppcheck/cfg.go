@@ -7,6 +7,13 @@
 // used by transform.StaticVerify as a conservative equivalence
 // pre-screen before the interpreter.
 //
+// Every per-function analysis runs on a Scratch, the one reusable
+// workspace: Build constructs a function's CFG over recycled storage
+// and walks its reachability once, and Compact, Summary, DefUseChains,
+// LiveWidths and AppendDiagnostics read that graph. Analyze and
+// Fingerprint take one pooled Scratch per unit, internal/semstats
+// keeps one per pooled workspace.
+//
 // The analyses are deliberately tuned to the competitive-programming
 // subset the rest of the system speaks: flat scoping, scalar locals,
 // arrays and vectors treated opaquely. Anything outside the subset
@@ -17,6 +24,8 @@
 package cppcheck
 
 import (
+	"slices"
+
 	"gptattr/internal/cppast"
 )
 
@@ -56,6 +65,13 @@ type CFG struct {
 	// declarations); diagnostics and fingerprints must not trust the
 	// graph for behavioural conclusions, only for shape.
 	Unsupported bool
+
+	// The one reachability walk of the graph, taken when it is built:
+	// reach marks by block ID the blocks reachable from Entry, and rpo
+	// lists them in reverse postorder. Compaction, the dataflow and
+	// the diagnostics all read it.
+	reach []bool
+	rpo   []*Block
 }
 
 // loopCtx is the break/continue target pair of an enclosing loop or
@@ -66,22 +82,27 @@ type loopCtx struct {
 }
 
 type cfgBuilder struct {
+	s     *Scratch
 	g     *CFG
 	cur   *Block
 	loops []loopCtx
-	arena *CFGArena // nil: every node heap-allocated (BuildCFG)
 }
 
-// BuildCFG constructs the control-flow graph of fn's body. It returns
+// Build constructs the control-flow graph of fn's body over the
+// scratch's recycled storage and walks its reachability. It returns
 // nil for a bodyless prototype. The builder never fails: unsupported
 // statements are recorded as opaque block statements and flag the
-// graph Unsupported.
-func BuildCFG(fn *cppast.FuncDecl) *CFG {
+// graph Unsupported. The returned *CFG, and every Block in it, is
+// owned by the scratch and valid only until its next Build or Release
+// call.
+func (s *Scratch) Build(fn *cppast.FuncDecl) *CFG {
 	if fn == nil || fn.Body == nil {
 		return nil
 	}
-	g := &CFG{Fn: fn}
-	b := &cfgBuilder{g: g}
+	s.used, s.usedEx = 0, 0
+	g := &s.g
+	*g = CFG{Fn: fn, Blocks: g.Blocks[:0], reach: g.reach, rpo: g.rpo}
+	b := &cfgBuilder{s: s, g: g, loops: s.loops[:0]}
 	g.Entry = b.newBlock("entry")
 	g.Exit = b.newBlock("exit")
 	first := b.newBlock("body")
@@ -90,29 +111,39 @@ func BuildCFG(fn *cppast.FuncDecl) *CFG {
 	b.stmts(fn.Body.Stmts)
 	// Fall off the end of the body: implicit return.
 	link(b.cur, g.Exit)
+	s.loops = b.loops[:0]
+	g.walk()
 	return g
 }
 
-func (b *cfgBuilder) newBlock(label string) *Block {
-	var blk *Block
-	if b.arena != nil {
-		blk = b.arena.takeBlock()
-		blk.Label = label
-	} else {
-		blk = &Block{Label: label}
+// walk fills reach and rpo.
+func (g *CFG) walk() {
+	g.reach = resize(g.reach, len(g.Blocks))
+	if cap(g.rpo) < len(g.Blocks) {
+		g.rpo = make([]*Block, 0, len(g.Blocks))
 	}
+	g.rpo = g.rpo[:0]
+	g.postorder(g.Entry)
+	slices.Reverse(g.rpo)
+}
+
+func (g *CFG) postorder(b *Block) {
+	if g.reach[b.ID] {
+		return
+	}
+	g.reach[b.ID] = true
+	for _, s := range b.Succs {
+		g.postorder(s)
+	}
+	g.rpo = append(g.rpo, b)
+}
+
+func (b *cfgBuilder) newBlock(label string) *Block {
+	blk := b.s.takeBlock()
+	blk.Label = label
 	blk.ID = len(b.g.Blocks)
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
-}
-
-// exprStmt wraps an expression as a statement node (the for-post
-// materialization), recycling arena storage when available.
-func (b *cfgBuilder) exprStmt(x cppast.Node) *cppast.ExprStmt {
-	if b.arena != nil {
-		return b.arena.takeExprStmt(x)
-	}
-	return &cppast.ExprStmt{X: x}
 }
 
 func link(from, to *Block) {
@@ -239,7 +270,7 @@ func (b *cfgBuilder) forStmt(n *cppast.For) {
 	if n.Post != nil {
 		// Materialize the post clause as a statement so dataflow and
 		// the fingerprint see for/while forms identically.
-		post.Stmts = append(post.Stmts, b.exprStmt(n.Post))
+		post.Stmts = append(post.Stmts, b.s.takeExprStmt(n.Post))
 	}
 	link(post, cond)
 	b.loops = b.loops[:len(b.loops)-1]

@@ -6,7 +6,7 @@ import (
 
 // CompactNode is one node of a compacted CFG: a maximal straight-line
 // run of the function's reachable blocks. Succs and Preds index the
-// slice Compactor.Compact returns; Cond, IsSwitch and CaseVals describe
+// slice Scratch.Compact returns; Cond, IsSwitch and CaseVals describe
 // the branch that ends the run, as on Block.
 type CompactNode struct {
 	Stmts    []cppast.Node
@@ -17,22 +17,19 @@ type CompactNode struct {
 	Preds    []int
 }
 
-// Compactor reduces CFGs to their normal form: unreachable blocks
-// dropped, trivial empty blocks dissolved, straight-line chains merged,
-// nodes numbered in reverse postorder with the entry first. The for and
+// compactor holds the recycled storage of Scratch.Compact, which
+// reduces CFGs to their normal form: unreachable blocks dropped,
+// trivial empty blocks dissolved, straight-line chains merged, nodes
+// numbered in reverse postorder with the entry first. The for and
 // while spellings of one loop, and any layout of one function, compact
 // to the same graph. It is the one normal form the code base uses: the
 // fingerprint serializes it and semstats measures its shape, so the
 // two agree by construction.
-//
-// A Compactor recycles all of its storage, so compacting a stream of
-// functions allocates nothing once warm. The zero value is ready to
-// use. One Compactor backs one live graph at a time.
-type Compactor struct {
-	reach   []bool
+type compactor struct {
 	blockCn []int32 // block ID -> working-node index, -1 unreachable
-	rmark   []int32 // per-block resolve epochs
-	repoch  int32
+	land    []int32 // block ID -> resolved block ID + 1; 0 unknown, -1 on the walk
+	path    []*Block
+	steps   int // resolve walk steps this Compact (pinned by a test)
 
 	cns  []workNode // high-water slab
 	used int
@@ -46,7 +43,6 @@ type Compactor struct {
 	stmtBuf []cppast.Node // merged-statement arena (grow-by-abandonment)
 	order   []int32
 	cnIdx   []int32
-	stack   []int32
 
 	nodes []CompactNode // output, high-water
 }
@@ -62,7 +58,7 @@ type workNode struct {
 	succs    []int32
 }
 
-func (cp *Compactor) takeWorkNode() int32 {
+func (cp *compactor) takeWorkNode() int32 {
 	if cp.used < len(cp.cns) {
 		w := &cp.cns[cp.used]
 		*w = workNode{succs: w.succs[:0]}
@@ -74,58 +70,66 @@ func (cp *Compactor) takeWorkNode() int32 {
 }
 
 // resolve follows trivial empty single-successor blocks to their
-// landing block, stopping on a cycle. On an empty-block cycle
-// (for(;;);) the answer depends on where the walk starts; that is part
-// of the normal form.
-func (cp *Compactor) resolve(g *CFG, b *Block) *Block {
-	cp.repoch++
-	e := cp.repoch
-	for len(b.Stmts) == 0 && b.Cond == nil && len(b.Succs) == 1 && b != g.Exit && cp.rmark[b.ID] != e {
-		cp.rmark[b.ID] = e
+// landing block, stopping on a cycle, and records the landing of every
+// block it walks, so each block is walked at most once per Compact. On
+// an empty-block cycle (for(;;);) the answer depends on where the walk
+// starts, and that is part of the normal form: a block on the tail
+// resolves to the block where the walk enters the cycle, and a block
+// on the cycle resolves to itself.
+func (cp *compactor) resolve(g *CFG, b *Block) *Block {
+	path := cp.path[:0]
+	var to *Block
+	for {
+		if l := cp.land[b.ID]; l > 0 {
+			to = g.Blocks[l-1]
+			break
+		} else if l < 0 {
+			// b is on this walk: the walk from b on is the cycle.
+			i := len(path) - 1
+			for path[i] != b {
+				i--
+			}
+			for _, c := range path[i:] {
+				cp.land[c.ID] = int32(c.ID) + 1
+			}
+			path, to = path[:i], b
+			break
+		}
+		if len(b.Stmts) != 0 || b.Cond != nil || len(b.Succs) != 1 || b == g.Exit {
+			to = b
+			break
+		}
+		cp.land[b.ID] = -1
+		path = append(path, b)
 		b = b.Succs[0]
+		cp.steps++
 	}
-	return b
+	for _, c := range path {
+		cp.land[c.ID] = int32(to.ID) + 1
+	}
+	cp.path = path[:0]
+	return to
 }
 
-// Compact reduces g to its compacted graph, entry at index 0 and the
-// rest in reverse postorder; nil for a nil CFG. The result is owned by
-// the Compactor and valid until its next Compact or Release call.
-func (cp *Compactor) Compact(g *CFG) []CompactNode {
+// Compact reduces g to its compacted graph (see compactor), entry at
+// index 0 and the rest in reverse postorder; nil for a nil CFG. The
+// result is owned by the Scratch and valid until its next Compact or
+// Release call.
+func (s *Scratch) Compact(g *CFG) []CompactNode {
 	if g == nil {
 		return nil
 	}
+	cp := &s.cp
 	nb := len(g.Blocks)
 
-	// Reachability from entry.
-	if cap(cp.reach) < nb {
-		cp.reach = make([]bool, nb)
-	} else {
-		cp.reach = cp.reach[:nb]
-		clear(cp.reach)
-	}
-	cp.stack = append(cp.stack[:0], int32(g.Entry.ID))
-	for len(cp.stack) > 0 {
-		id := cp.stack[len(cp.stack)-1]
-		cp.stack = cp.stack[:len(cp.stack)-1]
-		if cp.reach[id] {
-			continue
-		}
-		cp.reach[id] = true
-		for _, s := range g.Blocks[id].Succs {
-			if !cp.reach[s.ID] {
-				cp.stack = append(cp.stack, int32(s.ID))
-			}
-		}
-	}
-
 	// Working nodes for reachable blocks; edges via resolve.
-	cp.blockCn = resizeI32(cp.blockCn, nb)
-	cp.rmark = resizeI32(cp.rmark, nb)
-	cp.repoch = 0
+	cp.blockCn = resize(cp.blockCn, nb)
+	cp.land = resize(cp.land, nb)
+	cp.steps = 0
 	cp.used = 0
 	for _, b := range g.Blocks {
 		cp.blockCn[b.ID] = -1
-		if cp.reach[b.ID] {
+		if g.reach[b.ID] {
 			wi := cp.takeWorkNode()
 			w := &cp.cns[wi]
 			w.stmts, w.cond, w.isSwitch, w.caseVals = b.Stmts, b.Cond, b.IsSwitch, b.CaseVals
@@ -144,13 +148,13 @@ func (cp *Compactor) Compact(g *CFG) []CompactNode {
 	}
 	cp.entryCn = cp.blockCn[cp.resolve(g, g.Entry).ID]
 	cp.exitCn = -1 // unreachable exit (infinite loop)
-	if cp.reach[g.Exit.ID] {
+	if g.reach[g.Exit.ID] {
 		cp.exitCn = cp.blockCn[g.Exit.ID]
 	}
 
 	// Merge straight-line chains in one preorder sweep.
-	cp.predCnt = resizeI32(cp.predCnt, cp.used)
-	cp.vmark = resizeI32(cp.vmark, cp.used)
+	cp.predCnt = resize(cp.predCnt, cp.used)
+	cp.vmark = resize(cp.vmark, cp.used)
 	cp.vepoch++
 	cp.predWalk(cp.entryCn)
 	cp.stmtBuf = cp.stmtBuf[:0]
@@ -166,7 +170,7 @@ func (cp *Compactor) Compact(g *CFG) []CompactNode {
 	}
 
 	// Materialize the output graph.
-	cp.cnIdx = resizeI32(cp.cnIdx, cp.used)
+	cp.cnIdx = resize(cp.cnIdx, cp.used)
 	for i, wi := range cp.order {
 		cp.cnIdx[wi] = int32(i)
 	}
@@ -195,7 +199,7 @@ func (cp *Compactor) Compact(g *CFG) []CompactNode {
 
 // predWalk counts every node's predecessor edges over the part of the
 // graph reachable from wi.
-func (cp *Compactor) predWalk(wi int32) {
+func (cp *compactor) predWalk(wi int32) {
 	if cp.vmark[wi] == cp.vepoch {
 		return
 	}
@@ -214,7 +218,7 @@ func (cp *Compactor) predWalk(wi int32) {
 // node. A merge changes no surviving node's predecessor count and no
 // reachability, and a chain's head is always visited before its
 // members, so one sweep leaves no mergeable pair.
-func (cp *Compactor) mergeVisit(wi int32) {
+func (cp *compactor) mergeVisit(wi int32) {
 	if cp.vmark[wi] == cp.vepoch {
 		return
 	}
@@ -246,7 +250,7 @@ func (cp *Compactor) mergeVisit(wi int32) {
 	}
 }
 
-func (cp *Compactor) poVisit(wi int32) {
+func (cp *compactor) poVisit(wi int32) {
 	if cp.vmark[wi] == cp.vepoch {
 		return
 	}
@@ -257,9 +261,8 @@ func (cp *Compactor) poVisit(wi int32) {
 	cp.order = append(cp.order, wi)
 }
 
-// Release drops the AST references the recycled storage holds, so a
-// pooled Compactor does not pin a request's tree between uses.
-func (cp *Compactor) Release() {
+// release drops the AST references the recycled storage holds.
+func (cp *compactor) release() {
 	for i := range cp.cns {
 		w := &cp.cns[i]
 		*w = workNode{succs: w.succs[:0]}

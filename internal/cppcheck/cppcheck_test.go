@@ -3,6 +3,7 @@ package cppcheck
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"gptattr/internal/cppast"
@@ -404,6 +405,45 @@ int main() {
 	}
 }
 
+// TestPooledScratchConcurrent runs Analyze and Fingerprint, which share
+// one pool of workspaces, from several goroutines at once over the
+// FuzzBuildCFG seeds: every answer must equal the one-goroutine answer.
+func TestPooledScratchConcurrent(t *testing.T) {
+	type answer struct {
+		diags []Diagnostic
+		fp    string
+		ok    bool
+	}
+	var tus []*cppast.TranslationUnit
+	for _, src := range cfgSeeds() {
+		if tu, err := cppast.Parse(src); err == nil && tu != nil {
+			tus = append(tus, tu)
+		}
+	}
+	run := func(tu *cppast.TranslationUnit) answer {
+		fp, ok := Fingerprint(tu)
+		return answer{Analyze(tu), fp, ok}
+	}
+	want := make([]answer, len(tus))
+	for i, tu := range tus {
+		want[i] = run(tu)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range tus {
+				i := (k + w*len(tus)/4) % len(tus)
+				if got := run(tus[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d, seed %d: %+v, want %+v", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestDefUseChains(t *testing.T) {
 	tu := cppast.MustParse(`
 int main() {
@@ -414,8 +454,8 @@ int main() {
 }
 `)
 	fn := tu.Function("main")
-	g := BuildCFG(fn)
-	chains := DefUseChains(g, nil)
+	var sc Scratch
+	chains := sc.DefUseChains(sc.Build(fn), nil)
 	if len(chains) == 0 {
 		t.Fatal("want def-use chains")
 	}
@@ -434,10 +474,10 @@ int main() {
 
 func TestBuildCFGNilForPrototype(t *testing.T) {
 	tu := cppast.MustParse("int solve(int n);\nint main() { return 0; }")
-	if g := BuildCFG(tu.Function("solve")); g != nil {
+	if g := new(Scratch).Build(tu.Function("solve")); g != nil {
 		t.Fatal("prototype must produce a nil CFG")
 	}
-	if g := BuildCFG(nil); g != nil {
+	if g := new(Scratch).Build(nil); g != nil {
 		t.Fatal("nil function must produce a nil CFG")
 	}
 }
@@ -452,7 +492,7 @@ int main() {
     return 0;
 }
 `)
-	g := BuildCFG(tu.Function("main"))
+	g := new(Scratch).Build(tu.Function("main"))
 	if g.Unsupported {
 		t.Fatal("break/continue inside a loop are supported")
 	}
@@ -464,7 +504,7 @@ int main() {
 
 func TestCFGStrayBreakUnsupported(t *testing.T) {
 	tu := cppast.MustParse("int main() { break; return 0; }")
-	g := BuildCFG(tu.Function("main"))
+	g := new(Scratch).Build(tu.Function("main"))
 	if !g.Unsupported {
 		t.Fatal("stray break must mark the CFG unsupported")
 	}
@@ -490,7 +530,7 @@ int main() {
     return 0;
 }
 `)
-	g := BuildCFG(tu.Function("main"))
+	g := new(Scratch).Build(tu.Function("main"))
 	if g.Unsupported {
 		t.Fatal("switch is supported")
 	}

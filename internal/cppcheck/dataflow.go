@@ -54,8 +54,8 @@ type event struct {
 // funcAnalysis holds the per-function dataflow state shared by the
 // diagnostic rules, def-use chain construction, and the semstats
 // summary path. Every slab is reusable: init() recycles the previous
-// function's storage, so a pooled DataflowScratch analyzes function
-// after function without allocating.
+// function's storage, so a Scratch analyzes function after function
+// without allocating.
 type funcAnalysis struct {
 	g     *CFG
 	funcs map[string]*cppast.FuncDecl // unit-level, for ref params
@@ -68,19 +68,16 @@ type funcAnalysis struct {
 	r    reaching
 	live dataflow // see liveness
 
-	// Reverse postorder of the blocks reachable from entry and their
-	// marks by block ID (rpoScratch fills both), and the liveness
-	// visiting order (backwardOrder).
-	rpoSeen []bool
-	rpo     []*Block
-	order   []*Block
+	order []*Block // the liveness visiting order (backwardOrder)
 
 	// Per-variable block epochs, and the replay's current def.
 	cur []curDef
 
-	// Summary scratch.
-	useCnt []int32
-	counts []int32
+	// Summary and diagnostics scratch.
+	useCnt  []int32
+	counts  []int32
+	liveRow []uint64 // checkDeadStores' running live set
+	varMark []bool   // per-variable flags of one rule
 }
 
 // curDef is one variable's def state within the block being walked:
@@ -104,16 +101,8 @@ func aggregateType(typ string) bool {
 		strings.Contains(t, "stack")
 }
 
-// newFuncAnalysis collects declarations and the per-block event stream
-// for fn's CFG into fresh storage (cold path; hot paths reuse a
-// DataflowScratch).
-func newFuncAnalysis(g *CFG, funcs map[string]*cppast.FuncDecl) *funcAnalysis {
-	fa := &funcAnalysis{}
-	fa.init(g, funcs)
-	return fa
-}
-
-// init recycles fa's slabs for a new function.
+// init collects the declarations and the per-block event stream of
+// g's function, recycling fa's slabs.
 func (fa *funcAnalysis) init(g *CFG, funcs map[string]*cppast.FuncDecl) {
 	fa.g = g
 	fa.funcs = funcs
@@ -359,46 +348,12 @@ func (fa *funcAnalysis) callEvents(call *cppast.CallExpr) {
 	}
 }
 
-// rpoScratch returns the blocks reachable from Entry in reverse
-// postorder — the iteration order of the forward dataflow and the
-// diagnostics — over reusable storage, leaving fa.rpoSeen marking
-// exactly those blocks.
-func (fa *funcAnalysis) rpoScratch() []*Block {
-	n := len(fa.g.Blocks)
-	if cap(fa.rpoSeen) < n {
-		fa.rpoSeen = make([]bool, n)
-	} else {
-		fa.rpoSeen = fa.rpoSeen[:n]
-		clear(fa.rpoSeen)
-	}
-	if cap(fa.rpo) < n {
-		fa.rpo = make([]*Block, 0, n)
-	}
-	fa.rpo = fa.rpo[:0]
-	fa.postorder(fa.g.Entry)
-	for i, j := 0, len(fa.rpo)-1; i < j; i, j = i+1, j-1 {
-		fa.rpo[i], fa.rpo[j] = fa.rpo[j], fa.rpo[i]
-	}
-	return fa.rpo
-}
-
-func (fa *funcAnalysis) postorder(b *Block) {
-	if fa.rpoSeen[b.ID] {
-		return
-	}
-	fa.rpoSeen[b.ID] = true
-	for _, s := range b.Succs {
-		fa.postorder(s)
-	}
-	fa.rpo = append(fa.rpo, b)
-}
-
 // backwardOrder returns the order liveness visits blocks in: the
 // reachable blocks in postorder, so each follows its successors
 // outside loops, then the unreachable ones, whose live-out rows count
 // toward the widths too.
 func (fa *funcAnalysis) backwardOrder() []*Block {
-	rpo := fa.rpoScratch()
+	rpo := fa.g.rpo
 	if cap(fa.order) < len(fa.g.Blocks) {
 		fa.order = make([]*Block, 0, len(fa.g.Blocks))
 	}
@@ -407,7 +362,7 @@ func (fa *funcAnalysis) backwardOrder() []*Block {
 		fa.order = append(fa.order, rpo[i])
 	}
 	for i := len(fa.g.Blocks) - 1; i >= 0; i-- {
-		if !fa.rpoSeen[i] {
+		if !fa.g.reach[i] {
 			fa.order = append(fa.order, fa.g.Blocks[i])
 		}
 	}
@@ -420,19 +375,10 @@ func setBit(s []uint64, i int32)      { s[i>>6] |= 1 << (uint(i) & 63) }
 func clearBit(s []uint64, i int32)    { s[i>>6] &^= 1 << (uint(i) & 63) }
 func hasBit(s []uint64, i int32) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// resizeU64 returns a zeroed []uint64 of length n, reusing capacity.
-func resizeU64(s []uint64, n int) []uint64 {
+// resize returns a zeroed slice of length n, reusing s's capacity.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -458,10 +404,10 @@ type dataflow struct {
 // reset zeroes every row for nb blocks of w words, reusing capacity.
 func (d *dataflow) reset(w, nb int) {
 	d.w = w
-	d.gen = resizeU64(d.gen, nb*w)
-	d.kill = resizeU64(d.kill, nb*w)
-	d.join = resizeU64(d.join, nb*w)
-	d.fact = resizeU64(d.fact, nb*w)
+	d.gen = resize(d.gen, nb*w)
+	d.kill = resize(d.kill, nb*w)
+	d.join = resize(d.join, nb*w)
+	d.fact = resize(d.fact, nb*w)
 }
 
 func (d *dataflow) row(s []uint64, id int) []uint64 {
@@ -542,7 +488,7 @@ func (fa *funcAnalysis) reachingDefs() int {
 		r.defsOf[i] = r.defsOf[i][:0]
 	}
 	r.siteEv = r.siteEv[:0]
-	r.eventDef = resizeI32(r.eventDef, len(fa.events))
+	r.eventDef = resize(r.eventDef, len(fa.events))
 	for i, ev := range fa.events {
 		r.eventDef[i] = -1
 		if ev.kind == evDef {
@@ -554,7 +500,7 @@ func (fa *funcAnalysis) reachingDefs() int {
 	}
 	r.nReal = len(r.siteEv)
 	n := r.nReal
-	r.uninitID = resizeI32(r.uninitID, nv)
+	r.uninitID = resize(r.uninitID, nv)
 	for vid := range fa.vars {
 		r.uninitID[vid] = -1
 		if v := &fa.vars[vid]; v.Uninit && !v.Param {
@@ -568,7 +514,7 @@ func (fa *funcAnalysis) reachingDefs() int {
 	// Only a block's last def of each variable leaves the block, and
 	// it kills every def of that variable, the pseudo-def included.
 	// Walking each block backwards meets that def first.
-	fa.resetCur()
+	fa.cur = resize(fa.cur, len(fa.vars))
 	for bi := range fa.g.Blocks {
 		ep := int32(bi + 1)
 		gen, kill := r.row(r.gen, bi), r.row(r.kill, bi)
@@ -590,16 +536,7 @@ func (fa *funcAnalysis) reachingDefs() int {
 			setBit(entryGen, id)
 		}
 	}
-	return r.solve(fa.rpoScratch(), true)
-}
-
-// resetCur zeroes one def state per variable, reusing capacity.
-func (fa *funcAnalysis) resetCur() {
-	if cap(fa.cur) < len(fa.vars) {
-		fa.cur = make([]curDef, len(fa.vars))
-	}
-	fa.cur = fa.cur[:len(fa.vars)]
-	clear(fa.cur)
+	return r.solve(fa.g.rpo, true)
 }
 
 // replay walks the blocks of order event by event against the solved
@@ -611,7 +548,7 @@ func (fa *funcAnalysis) resetCur() {
 // reads.
 func (fa *funcAnalysis) replay(order []*Block, hit func(site int32, use event)) {
 	r := &fa.r
-	fa.resetCur()
+	fa.cur = resize(fa.cur, len(fa.vars))
 	for i, b := range order {
 		ep := int32(i + 1)
 		in := r.row(r.join, b.ID)
@@ -642,10 +579,12 @@ type DefUseEntry struct {
 }
 
 // DefUseChains computes, for every real definition of a local
-// variable, the source lines of the uses that definition reaches.
+// variable in g, the source lines of the uses that definition reaches.
 // Entries follow block/event order; use lines are in discovery order.
-func DefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
-	fa := newFuncAnalysis(g, funcs)
+// The result is caller-owned.
+func (s *Scratch) DefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
+	fa := &s.fa
+	fa.init(g, funcs)
 	fa.reachingDefs()
 	r := &fa.r
 	uses := make([][]int, r.nReal)
@@ -671,10 +610,12 @@ type VarLiveWidth struct {
 	Width int
 }
 
-// LiveWidths runs the backward liveness analysis and returns one entry
-// per analyzed local (parameters included) in declaration order.
-func LiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
-	fa := newFuncAnalysis(g, funcs)
+// LiveWidths runs the backward liveness analysis over g and returns
+// one entry per analyzed local (parameters included) in declaration
+// order. The result is caller-owned.
+func (s *Scratch) LiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
+	fa := &s.fa
+	fa.init(g, funcs)
 	counts := fa.liveWidthCounts()
 	out := make([]VarLiveWidth, 0, len(fa.vars))
 	for vid := range fa.vars {
@@ -688,7 +629,7 @@ func LiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
 func (fa *funcAnalysis) liveWidthCounts() []int32 {
 	fa.liveness()
 	lv := &fa.live
-	fa.counts = resizeI32(fa.counts, len(fa.vars))
+	fa.counts = resize(fa.counts, len(fa.vars))
 	for bi := range fa.g.Blocks {
 		for wi, word := range lv.row(lv.join, bi) {
 			for word != 0 {
@@ -745,34 +686,25 @@ type DataflowSummary struct {
 	MaxLiveWidth int
 }
 
-// DataflowScratch is a reusable workspace for Summary. One scratch
-// serves one function at a time; steady state it allocates nothing.
-type DataflowScratch struct {
-	fa funcAnalysis
-}
-
-// NewDataflowScratch returns an empty workspace.
-func NewDataflowScratch() *DataflowScratch { return &DataflowScratch{} }
-
-// Release drops name-bearing state so a pooled scratch does not pin
+// release drops name-bearing state so a pooled scratch does not pin
 // the last-analyzed source's strings between uses.
-func (ds *DataflowScratch) Release() {
-	clear(ds.fa.varID)
-	ds.fa.vars = ds.fa.vars[:0]
-	ds.fa.g = nil
-	ds.fa.funcs = nil
-	ds.fa.rpo = ds.fa.rpo[:0]
-	ds.fa.order = ds.fa.order[:0]
+func (fa *funcAnalysis) release() {
+	clear(fa.varID)
+	clear(fa.vars[:cap(fa.vars)])
+	fa.vars = fa.vars[:0]
+	fa.g = nil
+	fa.funcs = nil
+	fa.order = fa.order[:0]
 }
 
 // Summary computes both dataflow summaries of g over reused storage.
 // The result aggregates what DefUseChains and LiveWidths would return.
-func (ds *DataflowScratch) Summary(g *CFG, funcs map[string]*cppast.FuncDecl) DataflowSummary {
-	fa := &ds.fa
+func (s *Scratch) Summary(g *CFG, funcs map[string]*cppast.FuncDecl) DataflowSummary {
+	fa := &s.fa
 	fa.init(g, funcs)
 	fa.reachingDefs()
 	nReal := fa.r.nReal
-	fa.useCnt = resizeI32(fa.useCnt, nReal)
+	fa.useCnt = resize(fa.useCnt, nReal)
 	fa.replay(g.Blocks, func(site int32, _ event) {
 		if int(site) < nReal {
 			fa.useCnt[site]++

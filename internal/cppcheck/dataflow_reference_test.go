@@ -94,7 +94,7 @@ func refReachingDefs(fa *funcAnalysis) *refReaching {
 			setBit(entryOut, id)
 		}
 	}
-	rpo := fa.rpoScratch()
+	rpo := fa.g.rpo
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
@@ -199,8 +199,15 @@ func refLiveness(fa *funcAnalysis) (w int, liveOut []uint64) {
 	return w, liveOut
 }
 
+// freshAnalysis collects g's events into storage of its own.
+func freshAnalysis(g *CFG, funcs map[string]*cppast.FuncDecl) *funcAnalysis {
+	fa := &funcAnalysis{}
+	fa.init(g, funcs)
+	return fa
+}
+
 func refDefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
-	fa := newFuncAnalysis(g, funcs)
+	fa := freshAnalysis(g, funcs)
 	r := refReachingDefs(fa)
 	uses := make([][]int, r.nReal)
 	refScanChains(fa, r, func(site, line int32) {
@@ -215,7 +222,7 @@ func refDefUseChains(g *CFG, funcs map[string]*cppast.FuncDecl) []DefUseEntry {
 }
 
 func refLiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
-	fa := newFuncAnalysis(g, funcs)
+	fa := freshAnalysis(g, funcs)
 	w, lo := refLiveness(fa)
 	counts := make([]int, len(fa.vars))
 	for bi := range fa.g.Blocks {
@@ -236,7 +243,7 @@ func refLiveWidths(g *CFG, funcs map[string]*cppast.FuncDecl) []VarLiveWidth {
 }
 
 // refSummary aggregates the reference chains and widths the way
-// DataflowScratch.Summary documents.
+// Scratch.Summary documents.
 func refSummary(g *CFG, funcs map[string]*cppast.FuncDecl) DataflowSummary {
 	var sum DataflowSummary
 	chains := refDefUseChains(g, funcs)
@@ -263,7 +270,7 @@ func refCheckUninitReads(fa *funcAnalysis) []Diagnostic {
 	reported := make([]bool, len(fa.vars))
 	cur := make([]uint64, r.w)
 	var out []Diagnostic
-	for _, b := range fa.rpoScratch() {
+	for _, b := range fa.g.rpo {
 		copy(cur, r.row(r.in, b))
 		for ei := fa.evOff[b.ID]; ei < fa.evOff[b.ID+1]; ei++ {
 			ev := fa.events[ei]
@@ -297,7 +304,7 @@ func refCheckDeadStores(fa *funcAnalysis) []Diagnostic {
 	w, liveOut := refLiveness(fa)
 	live := make([]uint64, w)
 	var out []Diagnostic
-	for _, b := range fa.rpoScratch() {
+	for _, b := range fa.g.rpo {
 		copy(live, liveOut[b.ID*w:(b.ID+1)*w])
 		evs := fa.eventsOf(b)
 		for i := len(evs) - 1; i >= 0; i-- {
@@ -323,33 +330,32 @@ func refCheckDeadStores(fa *funcAnalysis) []Diagnostic {
 	return out
 }
 
-// refAnalyzeFunc is AnalyzeFunc with the two dataflow rules on the
-// reference engine; the other rules read no dataflow facts.
-func refAnalyzeFunc(fn *cppast.FuncDecl, funcs map[string]*cppast.FuncDecl) []Diagnostic {
-	g := BuildCFG(fn)
+// refDiagnostics is AppendDiagnostics with the two dataflow rules on
+// the reference engine; the other rules read no dataflow facts.
+func refDiagnostics(g *CFG, funcs map[string]*cppast.FuncDecl) []Diagnostic {
 	if g == nil || g.Unsupported {
 		return nil
 	}
-	fa := newFuncAnalysis(g, funcs)
+	fa := freshAnalysis(g, funcs)
 	var out []Diagnostic
 	out = append(out, refCheckUninitReads(fa)...)
 	out = append(out, refCheckDeadStores(fa)...)
-	out = append(out, fa.checkUnreachable()...)
-	out = append(out, fa.checkUnusedDecls()...)
-	out = append(out, fa.checkConstConds()...)
-	return out
+	out = fa.checkUnreachable(out)
+	out = fa.checkUnusedDecls(out)
+	return fa.checkConstConds(out)
 }
 
 // FuzzDataflowMatchesReference pins the shipped dataflow engine to the
 // reference on every function of every input: DefUseChains (use-line
-// order included), LiveWidths, DataflowScratch.Summary on one scratch
-// reused across inputs, and AnalyzeFunc's diagnostics. Its seeds are
-// FuzzBuildCFG's, the pathological shapes included.
+// order included), LiveWidths, Summary and AppendDiagnostics, all on
+// one Scratch reused across inputs, while the reference analyzes a
+// graph of its own on fresh storage. Its seeds are FuzzBuildCFG's, the
+// pathological shapes included.
 func FuzzDataflowMatchesReference(f *testing.F) {
 	for _, s := range cfgSeeds() {
 		f.Add(s)
 	}
-	ds := NewDataflowScratch()
+	var ws Scratch
 	f.Fuzz(func(t *testing.T, src string) {
 		tu, err := cppast.Parse(src)
 		if err != nil || tu == nil {
@@ -362,21 +368,21 @@ func FuzzDataflowMatchesReference(f *testing.F) {
 			}
 		}
 		for _, fn := range tu.Functions() {
-			g := BuildCFG(fn)
+			g, ref := ws.Build(fn), new(Scratch).Build(fn)
 			if g == nil {
 				continue
 			}
-			if got, want := DefUseChains(g, funcs), refDefUseChains(g, funcs); !reflect.DeepEqual(got, want) {
+			if got, want := ws.DefUseChains(g, funcs), refDefUseChains(ref, funcs); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: DefUseChains = %+v, want %+v", fn.Name, got, want)
 			}
-			if got, want := LiveWidths(g, funcs), refLiveWidths(g, funcs); !slices.Equal(got, want) {
+			if got, want := ws.LiveWidths(g, funcs), refLiveWidths(ref, funcs); !slices.Equal(got, want) {
 				t.Fatalf("%s: LiveWidths = %+v, want %+v", fn.Name, got, want)
 			}
-			if got, want := ds.Summary(g, funcs), refSummary(g, funcs); got != want {
+			if got, want := ws.Summary(g, funcs), refSummary(ref, funcs); got != want {
 				t.Fatalf("%s: Summary = %+v, want %+v", fn.Name, got, want)
 			}
-			if got, want := AnalyzeFunc(fn, funcs), refAnalyzeFunc(fn, funcs); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: AnalyzeFunc = %v, want %v", fn.Name, got, want)
+			if got, want := ws.AppendDiagnostics(nil, g, funcs), refDiagnostics(ref, funcs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: AppendDiagnostics = %v, want %v", fn.Name, got, want)
 			}
 		}
 	})

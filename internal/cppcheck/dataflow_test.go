@@ -19,8 +19,8 @@ func TestSolveSweepsOnAcyclicShapes(t *testing.T) {
 			if names[i] == "nested while" {
 				continue
 			}
-			g := BuildCFG(cppast.MustParse(src).Function("main"))
-			fa := newFuncAnalysis(g, nil)
+			g := new(Scratch).Build(cppast.MustParse(src).Function("main"))
+			fa := freshAnalysis(g, nil)
 			if s := fa.reachingDefs(); s > 3 {
 				t.Errorf("%s at %d: reaching definitions took %d sweeps, want <= 3", names[i], n, s)
 			}

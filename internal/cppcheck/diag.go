@@ -43,12 +43,11 @@ func Analyze(tu *cppast.TranslationUnit) []Diagnostic {
 			funcs[f.Name] = f
 		}
 	}
+	s := unitScratch.Get().(*Scratch)
+	defer putScratch(s)
 	var out []Diagnostic
 	for _, f := range tu.Functions() {
-		if f.Body == nil {
-			continue
-		}
-		out = append(out, AnalyzeFunc(f, funcs)...)
+		out = s.AppendDiagnostics(out, s.Build(f), funcs)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Line != out[j].Line {
@@ -62,22 +61,21 @@ func Analyze(tu *cppast.TranslationUnit) []Diagnostic {
 	return out
 }
 
-// AnalyzeFunc runs the rules over a single function definition. funcs
-// supplies the unit's function declarations for reference-parameter
-// resolution; nil is accepted.
-func AnalyzeFunc(fn *cppast.FuncDecl, funcs map[string]*cppast.FuncDecl) []Diagnostic {
-	g := BuildCFG(fn)
+// AppendDiagnostics runs the rules over one function's graph and
+// appends the findings to dst. funcs supplies the unit's function
+// declarations for reference-parameter resolution; nil is accepted. A
+// nil or Unsupported graph adds nothing.
+func (s *Scratch) AppendDiagnostics(dst []Diagnostic, g *CFG, funcs map[string]*cppast.FuncDecl) []Diagnostic {
 	if g == nil || g.Unsupported {
-		return nil
+		return dst
 	}
-	fa := newFuncAnalysis(g, funcs)
-	var out []Diagnostic
-	out = append(out, fa.checkUninitReads()...)
-	out = append(out, fa.checkDeadStores()...)
-	out = append(out, fa.checkUnreachable()...)
-	out = append(out, fa.checkUnusedDecls()...)
-	out = append(out, fa.checkConstConds()...)
-	return out
+	fa := &s.fa
+	fa.init(g, funcs)
+	dst = fa.checkUninitReads(dst)
+	dst = fa.checkDeadStores(dst)
+	dst = fa.checkUnreachable(dst)
+	dst = fa.checkUnusedDecls(dst)
+	return fa.checkConstConds(dst)
 }
 
 // valueRuleApplies gates the flow-value rules to variables the flat
@@ -89,11 +87,11 @@ func (fa *funcAnalysis) valueRuleApplies(vid int32) bool {
 
 // checkUninitReads reports reads possibly reached by the synthetic
 // uninitialized definition of an initializer-less scalar declaration.
-func (fa *funcAnalysis) checkUninitReads() []Diagnostic {
+func (fa *funcAnalysis) checkUninitReads(out []Diagnostic) []Diagnostic {
 	fa.reachingDefs()
-	reported := make([]bool, len(fa.vars)) // one finding per variable
-	var out []Diagnostic
-	fa.replay(fa.rpoScratch(), func(site int32, use event) {
+	fa.varMark = resize(fa.varMark, len(fa.vars))
+	reported := fa.varMark // one finding per variable
+	fa.replay(fa.g.rpo, func(site int32, use event) {
 		if site != fa.r.uninitID[use.vid] || reported[use.vid] || !fa.valueRuleApplies(use.vid) {
 			return
 		}
@@ -114,12 +112,12 @@ func (fa *funcAnalysis) checkUninitReads() []Diagnostic {
 // value cannot be observed: the variable is redefined or the function
 // exits before any use. Declarator initializers are exempt (defensive
 // zero-initialization is idiomatic, not a bug).
-func (fa *funcAnalysis) checkDeadStores() []Diagnostic {
+func (fa *funcAnalysis) checkDeadStores(out []Diagnostic) []Diagnostic {
 	fa.liveness()
 	lv := &fa.live
-	live := make([]uint64, lv.w)
-	var out []Diagnostic
-	for _, b := range fa.rpoScratch() {
+	fa.liveRow = resize(fa.liveRow, lv.w)
+	live := fa.liveRow
+	for _, b := range fa.g.rpo {
 		copy(live, lv.row(lv.join, b.ID))
 		evs := fa.eventsOf(b)
 		for i := len(evs) - 1; i >= 0; i-- {
@@ -148,10 +146,8 @@ func (fa *funcAnalysis) checkDeadStores() []Diagnostic {
 // checkUnreachable reports statements in blocks no path from entry
 // can execute. Only region heads (unreachable blocks with no
 // unreachable predecessor) are reported, one finding per region.
-func (fa *funcAnalysis) checkUnreachable() []Diagnostic {
-	fa.rpoScratch()
-	reach := fa.rpoSeen // indexed by block ID
-	var out []Diagnostic
+func (fa *funcAnalysis) checkUnreachable(out []Diagnostic) []Diagnostic {
+	reach := fa.g.reach // indexed by block ID
 	for _, b := range fa.g.Blocks {
 		if reach[b.ID] || (len(b.Stmts) == 0 && b.Cond == nil) {
 			continue
@@ -184,14 +180,14 @@ func (fa *funcAnalysis) checkUnreachable() []Diagnostic {
 
 // checkUnusedDecls reports locals that are declared but never read or
 // written after declaration.
-func (fa *funcAnalysis) checkUnusedDecls() []Diagnostic {
-	used := make([]bool, len(fa.vars))
+func (fa *funcAnalysis) checkUnusedDecls(out []Diagnostic) []Diagnostic {
+	fa.varMark = resize(fa.varMark, len(fa.vars))
+	used := fa.varMark
 	for _, ev := range fa.events {
 		if ev.kind == evUse || (ev.kind == evDef && !ev.decl) {
 			used[ev.vid] = true
 		}
 	}
-	var out []Diagnostic
 	for vid := range fa.vars {
 		v := &fa.vars[vid]
 		if used[vid] || v.Param || v.Escaped || v.MultiDecl {
@@ -211,8 +207,7 @@ func (fa *funcAnalysis) checkUnusedDecls() []Diagnostic {
 // checkConstConds reports branch conditions that fold to a constant —
 // the fossil a bad rewrite leaves behind when it replaces a live
 // condition with a literal.
-func (fa *funcAnalysis) checkConstConds() []Diagnostic {
-	var out []Diagnostic
+func (fa *funcAnalysis) checkConstConds(out []Diagnostic) []Diagnostic {
 	report := func(cond cppast.Node, truth bool) {
 		out = append(out, Diagnostic{
 			Rule: RuleConstCond,

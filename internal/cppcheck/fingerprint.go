@@ -28,7 +28,8 @@ import (
 // unequal or unavailable fingerprints imply nothing.
 func Fingerprint(tu *cppast.TranslationUnit) (string, bool) {
 	c := newCanon(tu)
-	var cp Compactor
+	sc := unitScratch.Get().(*Scratch)
+	defer putScratch(sc)
 	var b strings.Builder
 	for _, d := range tu.Decls {
 		switch n := d.(type) {
@@ -50,11 +51,11 @@ func Fingerprint(tu *cppast.TranslationUnit) (string, bool) {
 				continue
 			}
 			c.resetLocals(n.Params)
-			g := BuildCFG(n)
+			g := sc.Build(n)
 			if g.Unsupported {
 				return "", false
 			}
-			body, ok := c.serializeCFG(cp.Compact(g))
+			body, ok := c.serializeCFG(sc.Compact(g))
 			if !ok {
 				return "", false
 			}
@@ -221,7 +222,7 @@ func (c *canon) defUseSummary() string {
 
 // --- CFG serialization ---
 
-// serializeCFG renders the function's compacted graph (see Compactor):
+// serializeCFG renders the function's compacted graph (see compactor):
 // blocks numbered in reverse postorder, so for-loops and their
 // while-rewrites serialize identically.
 func (c *canon) serializeCFG(nodes []CompactNode) (string, bool) {

@@ -9,26 +9,29 @@ import (
 	"gptattr/internal/cppast"
 )
 
-// FuzzBuildCFG pins the builder's two structural guarantees for any
+// FuzzBuildCFG pins the builder's structural guarantees for any
 // source the tolerant parser accepts: it never panics, and every block
 // is either reachable from entry or genuinely unreachable code (no
 // block is lost — each one the builder allocated is in g.Blocks, and
 // each reachable block's edges are symmetric with its Preds lists).
-// It also checks the compacted graph's invariants (checkCompact), with
-// one Compactor reused across functions. Analyze and Fingerprint ride
+// Every function is built on one Scratch reused across inputs and
+// checked against a build on a fresh Scratch (sameCFG), so recycled
+// storage never leaks into a graph. It also checks the graph's
+// reachability walk and the compacted graph's invariants
+// (checkCompact) on the reused Scratch. Analyze and Fingerprint ride
 // along so the whole pipeline is panic-free on arbitrary inputs.
 func FuzzBuildCFG(f *testing.F) {
 	for _, s := range cfgSeeds() {
 		f.Add(s)
 	}
+	var ws Scratch
 	f.Fuzz(func(t *testing.T, src string) {
 		tu, err := cppast.Parse(src)
 		if err != nil || tu == nil {
 			return
 		}
-		var cp Compactor
 		for _, fn := range tu.Functions() {
-			g := BuildCFG(fn)
+			g := ws.Build(fn)
 			if fn.Body == nil {
 				if g != nil {
 					t.Fatal("prototype must yield nil CFG")
@@ -41,6 +44,7 @@ func FuzzBuildCFG(f *testing.F) {
 			if g.Entry == nil || g.Exit == nil {
 				t.Fatal("CFG must have entry and exit")
 			}
+			sameCFG(t, g, new(Scratch).Build(fn))
 			inGraph := make(map[*Block]bool, len(g.Blocks))
 			for _, b := range g.Blocks {
 				inGraph[b] = true
@@ -52,6 +56,9 @@ func FuzzBuildCFG(f *testing.F) {
 				}
 			}
 			for _, b := range g.Blocks {
+				if g.reach[b.ID] != reach[b] {
+					t.Fatalf("block %d: reach mark %v, reachable %v", b.ID, g.reach[b.ID], reach[b])
+				}
 				for _, s := range b.Succs {
 					if !inGraph[s] {
 						t.Fatal("edge to a block outside the graph")
@@ -68,26 +75,59 @@ func FuzzBuildCFG(f *testing.F) {
 					}
 				}
 			}
-			// The dataflow's RPO must start at entry and hold exactly
-			// the reachable blocks.
-			rpo := (&funcAnalysis{g: g}).rpoScratch()
-			if len(rpo) == 0 || rpo[0] != g.Entry {
+			// The RPO must start at entry and hold exactly the
+			// reachable blocks.
+			if len(g.rpo) == 0 || g.rpo[0] != g.Entry {
 				t.Fatal("RPO must start at entry")
 			}
-			if len(rpo) != len(reach) {
-				t.Fatalf("RPO has %d blocks, %d are reachable", len(rpo), len(reach))
+			if len(g.rpo) != len(reach) {
+				t.Fatalf("RPO has %d blocks, %d are reachable", len(g.rpo), len(reach))
 			}
-			for _, b := range rpo {
+			for _, b := range g.rpo {
 				if !reach[b] {
 					t.Fatal("RPO contains unreachable block")
 				}
 			}
-			checkCompact(t, g, reach, cp.Compact(g))
+			checkCompact(t, g, reach, ws.Compact(g))
 		}
 		// The full pipeline must be panic-free too.
 		_ = Analyze(tu)
 		_, _ = Fingerprint(tu)
 	})
+}
+
+// sameCFG fails unless got and want are the same graph of the same
+// function: block IDs, labels, statements, branches, switch labels,
+// edges in order, the Unsupported flag and the reachability walk. A
+// materialized for-post statement is a wrapper each Scratch owns, so
+// it compares by the expression it wraps.
+func sameCFG(t *testing.T, got, want *CFG) {
+	t.Helper()
+	ids := func(bs []*Block) []int {
+		out := make([]int, len(bs))
+		for i, b := range bs {
+			out[i] = b.ID
+		}
+		return out
+	}
+	sameStmt := func(a, b cppast.Node) bool {
+		ea, ok1 := a.(*cppast.ExprStmt)
+		eb, ok2 := b.(*cppast.ExprStmt)
+		return a == b || ok1 && ok2 && ea.X == eb.X
+	}
+	if got.Fn != want.Fn || got.Unsupported != want.Unsupported || len(got.Blocks) != len(want.Blocks) ||
+		got.Entry.ID != want.Entry.ID || got.Exit.ID != want.Exit.ID ||
+		!slices.Equal(ids(got.rpo), ids(want.rpo)) || !slices.Equal(got.reach, want.reach) {
+		t.Fatalf("%s: graph differs from a fresh build", want.Fn.Name)
+	}
+	for i, w := range want.Blocks {
+		b := got.Blocks[i]
+		if b.ID != w.ID || b.Label != w.Label || b.Cond != w.Cond || b.IsSwitch != w.IsSwitch ||
+			!slices.Equal(b.CaseVals, w.CaseVals) || !slices.EqualFunc(b.Stmts, w.Stmts, sameStmt) ||
+			!slices.Equal(ids(b.Succs), ids(w.Succs)) || !slices.Equal(ids(b.Preds), ids(w.Preds)) {
+			t.Fatalf("%s: block %d differs from a fresh build", want.Fn.Name, i)
+		}
+	}
 }
 
 // reachable returns the set of blocks reachable from g.Entry.

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+	"unsafe"
 
 	"gptattr/internal/fault"
 	"gptattr/internal/stylometry"
@@ -52,17 +53,30 @@ const ExtractorFingerprint = "caliskan-islam+semstats/v2"
 
 // Key returns the content address of one (fingerprint, source) pair.
 // Both parts are length-prefixed before hashing, so shifting bytes
-// between fingerprint and source always changes the key.
+// between fingerprint and source always changes the key. It runs on
+// every request, so the hash reads the strings' bytes in place and the
+// digest and its hex form stay on the stack: the key string is the one
+// allocation.
 func Key(fingerprint, source string) string {
 	h := sha256.New()
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(fingerprint)))
 	h.Write(n[:])
-	h.Write([]byte(fingerprint))
+	h.Write(stringBytes(fingerprint))
 	binary.LittleEndian.PutUint64(n[:], uint64(len(source)))
 	h.Write(n[:])
-	h.Write([]byte(source))
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(stringBytes(source))
+	var sum [sha256.Size]byte
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:])
+}
+
+// stringBytes views s's bytes without copying them. Hash writes never
+// modify or retain their argument (the io.Writer contract), so the
+// view cannot break the string's immutability.
+func stringBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // Options configures a Cache.

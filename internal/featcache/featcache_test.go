@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,6 +26,36 @@ func TestKeyStableAndDistinct(t *testing.T) {
 	// boundary must change the key.
 	if Key("ab", "cd") == Key("abc", "d") {
 		t.Error("boundary shift produced the same key")
+	}
+}
+
+// TestKeyBytesPinned pins keys recorded before Key stopped copying
+// its inputs: on-disk entries live at paths named by the key, so its
+// bytes must never move. The cases cover an empty source, an empty
+// fingerprint, non-ASCII and invalid UTF-8.
+func TestKeyBytesPinned(t *testing.T) {
+	for _, c := range []struct{ fp, src, key string }{
+		{ExtractorFingerprint, "", "787e4e6b81f253f610c63be870ff92aeb979feeef2079c17492e51b5a45d18ff"},
+		{"", "", "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"},
+		{ExtractorFingerprint, "int main() { return 0; }\n", "9cfabd9528c16373c265cebcabd490b71a6590f5093ba8896c3266c39e423e2e"},
+		{"fp1", "int main() {}", "f7e83728fee18f8bca32c16f02fd80a261fb3eeadd41abce7ab6504d85383f01"},
+		{ExtractorFingerprint, "// naïve 日本語 ✓\nint main() { puts(\"é\"); }\n", "0f926ae0c770b9e0e14658eab4c94c12f3c88b1f16cf06cdd3a3fcf070355876"},
+		{ExtractorFingerprint, "\xff\xfe invalid", "40d9f8c2e64d4de0a5d43ae21557f9f2bc3a3e1a4ca31b8bbdc1626570099fca"},
+	} {
+		if got := Key(c.fp, c.src); got != c.key {
+			t.Errorf("Key(%q, %q) = %s, want %s", c.fp, c.src, got, c.key)
+		}
+	}
+}
+
+// TestKeyAllocs pins Key at one allocation, the returned string, at
+// every source length.
+func TestKeyAllocs(t *testing.T) {
+	for _, n := range []int{0, 100, 100000} {
+		src := strings.Repeat("x", n)
+		if a := testing.AllocsPerRun(100, func() { _ = Key(ExtractorFingerprint, src) }); a != 1 {
+			t.Errorf("Key over %d bytes: %v allocs, want 1", n, a)
+		}
 	}
 }
 

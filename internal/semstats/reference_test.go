@@ -45,7 +45,7 @@ func NewFuncContext(fn *cppast.FuncDecl, funcs map[string]*cppast.FuncDecl, glob
 // prototype), building it on first use.
 func (c *FuncContext) CFG() *cppcheck.CFG {
 	if !c.cfgDone {
-		c.cfg = cppcheck.BuildCFG(c.fn)
+		c.cfg = new(cppcheck.Scratch).Build(c.fn)
 		c.cfgDone = true
 	}
 	return c.cfg
@@ -122,7 +122,7 @@ func (c *FuncContext) Stats() *FuncStats {
 	}
 
 	// Def-use chains (on the raw CFG: the dataflow passes own it).
-	chains := cppcheck.DefUseChains(g, c.funcs)
+	chains := new(cppcheck.Scratch).DefUseChains(g, c.funcs)
 	st.Chains = len(chains)
 	for _, ch := range chains {
 		n := len(ch.UseLines)
@@ -146,7 +146,7 @@ func (c *FuncContext) Stats() *FuncStats {
 	}
 
 	// Live-range widths.
-	widths := cppcheck.LiveWidths(g, c.funcs)
+	widths := new(cppcheck.Scratch).LiveWidths(g, c.funcs)
 	st.Vars = len(widths)
 	for _, w := range widths {
 		st.LiveWidthSum += w.Width
@@ -208,7 +208,7 @@ type node struct {
 }
 
 // graph is the reference compacted CFG in reverse postorder, nodes[0]
-// the entry: the map-based twin of cppcheck.Compactor's output.
+// the entry: the map-based twin of cppcheck.Scratch.Compact's output.
 type graph struct {
 	nodes []*node
 }

@@ -9,11 +9,11 @@ import (
 	"gptattr/internal/fault"
 )
 
-// Scratch is the reusable workspace behind AnalyzeContext: CFG arena,
-// dataflow bitset workspace, CFG compactor, loop and
-// call-graph state, shaper intern tables, and the FileStats/FuncStats
-// output storage itself. One Scratch analyzes one unit at a time;
-// steady state it allocates nothing (pinned in internal/stylometry's
+// Scratch is the reusable workspace behind AnalyzeContext: the
+// cppcheck workspace (CFG storage, compactor, dataflow slabs), loop
+// and call-graph state, shaper intern tables, and the
+// FileStats/FuncStats output storage itself. One Scratch analyzes one
+// unit at a time; steady state it allocates nothing (pinned in internal/stylometry's
 // extraction alloc test, which runs the full pipeline through here).
 //
 // The *FileStats returned by Scratch.AnalyzeContext is owned by the
@@ -21,9 +21,7 @@ import (
 // package-level Analyze/AnalyzeContext wrappers use a fresh Scratch
 // per call and therefore hand out independent results.
 type Scratch struct {
-	arena  *cppcheck.CFGArena
-	df     *cppcheck.DataflowScratch
-	cp     cppcheck.Compactor
+	cc     cppcheck.Scratch
 	emark  []int32 // edge-dedup epochs
 	eepoch int32
 	loops  loopScratch
@@ -44,8 +42,6 @@ type Scratch struct {
 // NewScratch returns an empty analysis workspace.
 func NewScratch() *Scratch {
 	s := &Scratch{
-		arena:     cppcheck.NewCFGArena(),
-		df:        cppcheck.NewDataflowScratch(),
 		funcs:     make(map[string]*cppast.FuncDecl),
 		globals:   make(map[string]bool),
 		funcNames: make(map[string]bool),
@@ -60,9 +56,7 @@ func NewScratch() *Scratch {
 // name strings) so a pooled Scratch does not pin a request's source
 // between uses. The workspace slabs keep their capacity.
 func (s *Scratch) Release() {
-	s.arena.Release()
-	s.df.Release()
-	s.cp.Release()
+	s.cc.Release()
 	s.fnList = s.fnList[:0]
 	clear(s.funcs)
 	clear(s.globals)
@@ -152,14 +146,14 @@ func (s *Scratch) AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit
 // them from the file-level pass.
 func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 	*st = FuncStats{Name: fn.Name, Grams: st.Grams[:0]}
-	g := cppcheck.BuildCFGArena(fn, s.arena)
+	g := s.cc.Build(fn)
 	if g == nil {
 		return
 	}
 	st.Unsupported = g.Unsupported
 
 	// CFG shape.
-	nodes := s.cp.Compact(g)
+	nodes := s.cc.Compact(g)
 	st.Blocks = len(nodes)
 	st.Edges = s.edgeCount(nodes)
 	succTotal := 0
@@ -179,7 +173,7 @@ func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
 
 	// Def-use chains and live-range widths (on the raw CFG: the
 	// dataflow passes own it), straight to their aggregate form.
-	sum := s.df.Summary(g, s.funcs)
+	sum := s.cc.Summary(g, s.funcs)
 	st.Chains = sum.Chains
 	st.ChainUses = sum.ChainUses
 	st.MaxChainLen = sum.MaxChainLen

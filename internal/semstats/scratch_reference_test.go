@@ -260,12 +260,12 @@ func TestScratchReleaseThenReuse(t *testing.T) {
 	}
 }
 
-// TestCompactorMatchesReference pins cppcheck's one-sweep Compactor to
-// the reference compact() node for node: same order, statements,
-// branch condition and edge lists, reusing one Compactor across the
-// corpus and its deep shapes.
+// TestCompactorMatchesReference pins cppcheck's one-sweep compaction
+// to the reference compact() node for node: same order, statements,
+// branch condition and edge lists, reusing one cppcheck.Scratch across
+// the corpus and its deep shapes.
 func TestCompactorMatchesReference(t *testing.T) {
-	var cp cppcheck.Compactor
+	var sc cppcheck.Scratch
 	srcs := append(referenceCorpus(t), deepShapes(48)...)
 	for i, src := range srcs {
 		tu, err := cppast.Parse(src)
@@ -273,11 +273,11 @@ func TestCompactorMatchesReference(t *testing.T) {
 			t.Fatalf("src %d: parse: %v", i, err)
 		}
 		for _, f := range tu.Functions() {
-			g := cppcheck.BuildCFG(f)
+			g := sc.Build(f)
 			if g == nil {
 				continue
 			}
-			want, got := compact(g), cp.Compact(g)
+			want, got := compact(g), sc.Compact(g)
 			tag := fmt.Sprintf("src %d func %q", i, f.Name)
 			if len(got) != len(want.nodes) {
 				t.Fatalf("%s: %d nodes, want %d", tag, len(got), len(want.nodes))

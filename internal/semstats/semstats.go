@@ -1,17 +1,21 @@
 // Package semstats is the static-analysis pass framework behind the
 // semantic stylometry feature group. It runs per-function passes over
 // internal/cppcheck's control-flow graphs — shape metrics of the
-// compacted CFG (cppcheck.Compactor, the normal form the fingerprint
-// serializes), natural-loop nesting, def-use chain and live-range
-// statistics, a file-level call graph with fan-in/fan-out and
-// recursion detection, and alpha-normalized expression-shape grams —
-// and aggregates them into FuncStats/FileStats records that
+// compacted CFG (cppcheck.Scratch.Compact, the normal form the
+// fingerprint serializes), natural-loop nesting, def-use chain and
+// live-range statistics, a file-level call graph with fan-in/fan-out
+// and recursion detection, and alpha-normalized expression-shape grams
+// — and aggregates them into FuncStats/FileStats records that
 // internal/stylometry folds into its feature vectors and
 // cmd/cppcheck -metrics prints directly.
 //
 // One pipeline ships: Scratch.AnalyzeContext, which runs every pass for
 // a function in sequence over recycled workspace (Analyze and
-// AnalyzeContext wrap it with a fresh Scratch per call). The map-based
+// AnalyzeContext wrap it with a fresh Scratch per call). A Scratch
+// holds one cppcheck.Scratch, which builds each function's graph,
+// compacts it and solves its dataflow, so the graph, its normal form
+// and its dataflow summary all come from one workspace with one
+// Release. The map-based
 // reference pipeline it replaced lives in the package tests, which
 // diff the two bit-for-bit. All outputs are deterministic: iteration
 // is over slices in source or sorted order, never raw map order.
