@@ -53,7 +53,7 @@ func loadClassifierSaver(r io.Reader) (func(io.Writer) error, error) {
 }
 
 // goldenModels trains every model kind on a small seeded corpus.
-func goldenModels(t *testing.T) []savedModel {
+func goldenModels(t testing.TB) []savedModel {
 	t.Helper()
 	human, _, err := corpus.GenerateYear(corpus.YearConfig{Year: 2017, NumAuthors: 6, Seed: 11})
 	if err != nil {

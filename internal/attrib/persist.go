@@ -1,10 +1,12 @@
 package attrib
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"gptattr/internal/jsonscan"
 	"gptattr/internal/ml"
 	"gptattr/internal/stylometry"
 )
@@ -75,28 +77,106 @@ func (m *model) save(w io.Writer, kind string, labels []string) error {
 // load decodes and validates the model header, then the forest that
 // follows it, into m and returns the header's labels. The input is
 // untrusted disk state: the version and kind must match, and the
-// forest must be consistent with the header's feature width so
-// prediction can never index out of range. Callers check the class
-// count against their labels.
+// forest and columns must be consistent with the header's feature
+// widths so prediction can never index out of range. Callers check the
+// class count against their labels.
+//
+// The exact bytes save writes take scanModel's one-pass fast path; any
+// other input is decoded by encoding/json, which also reports every
+// decode error, so the fast path changes no answer.
 func (m *model) load(r io.Reader, kind string) ([]string, error) {
-	dec := json.NewDecoder(r)
-	var env modelEnvelope
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("attrib: load %s header: %w", kind, err)
+	data, err := jsonscan.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("attrib: load %s: %w", kind, err)
 	}
-	if env.Version != FormatVersion {
-		return nil, fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
+	env, forest := scanModel(data)
+	if forest != nil {
+		err = env.check(kind)
+	} else {
+		env, forest, err = decodeModel(data, kind)
 	}
-	if env.Kind != kind {
-		return nil, fmt.Errorf("attrib: model kind %q, want %s", env.Kind, kind)
-	}
-	if env.Vec == nil {
-		return nil, fmt.Errorf("attrib: malformed %s header", kind)
-	}
-	forest, err := ml.DecodeForest(io.MultiReader(dec.Buffered(), r))
 	if err != nil {
 		return nil, err
 	}
+	return m.set(env, forest)
+}
+
+// scanModel is load's fast path: the header line and the forest line
+// exactly as save writes them, keys in save's order and no whitespace,
+// read through one jsonscan cursor. It returns a nil forest for any
+// other input, or a forest ml.DecodeForest would reject.
+func scanModel(data []byte) (*modelEnvelope, *ml.Forest) {
+	c := jsonscan.NewCursor(data)
+	env := &modelEnvelope{}
+	c.Lit(`{"version":`)
+	env.Version = c.Int()
+	c.Lit(`,"kind":`)
+	env.Kind = c.Str()
+	c.Lit(`,"vectorizer":`)
+	env.Vec = stylometry.ScanVectorizer(&c)
+	c.Lit(`,"columns":`)
+	env.Cols = c.Ints()
+	if c.Opt(`,"labels":`) {
+		env.Labels = c.Strs()
+	}
+	if c.Opt(`,"level":`) {
+		env.Level = c.Int()
+	}
+	if c.Opt(`,"families":`) {
+		env.Families = c.Strs()
+	}
+	if c.Opt(`,"calibration":`) {
+		env.Calibration = c.Float()
+	}
+	c.Lit("}\n")
+	forest := ml.ScanForest(&c)
+	c.Opt("\n")
+	if !c.Done() {
+		return nil, nil
+	}
+	return env, forest
+}
+
+// decodeModel is load through encoding/json: the header as one JSON
+// value, checked before ml.DecodeForest decodes the forest that follows
+// it.
+func decodeModel(data []byte, kind string) (*modelEnvelope, *ml.Forest, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	env := &modelEnvelope{}
+	if err := dec.Decode(env); err != nil {
+		return nil, nil, fmt.Errorf("attrib: load %s header: %w", kind, err)
+	}
+	if err := env.check(kind); err != nil {
+		return nil, nil, err
+	}
+	forest, err := ml.DecodeForest(bytes.NewReader(data[dec.InputOffset():]))
+	return env, forest, err
+}
+
+// check validates a decoded header on its own: the version, the kind,
+// a vectorizer, and columns that each name one of its features.
+func (env *modelEnvelope) check(kind string) error {
+	if env.Version != FormatVersion {
+		return fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
+	}
+	if env.Kind != kind {
+		return fmt.Errorf("attrib: model kind %q, want %s", env.Kind, kind)
+	}
+	if env.Vec == nil {
+		return fmt.Errorf("attrib: malformed %s header", kind)
+	}
+	for _, col := range env.Cols {
+		if col < 0 || col >= env.Vec.NumFeatures() {
+			return fmt.Errorf("attrib: header column %d outside the vectorizer's %d features",
+				col, env.Vec.NumFeatures())
+		}
+	}
+	return nil
+}
+
+// set installs a decoded header and forest into m, once the forest is
+// checked against the header's columns, and returns the labels.
+func (m *model) set(env *modelEnvelope, forest *ml.Forest) ([]string, error) {
 	if forest.MaxFeature() >= len(env.Cols) {
 		return nil, fmt.Errorf("attrib: forest consults feature %d but header has %d columns",
 			forest.MaxFeature(), len(env.Cols))

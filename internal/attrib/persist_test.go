@@ -2,6 +2,8 @@ package attrib
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -177,4 +179,147 @@ func TestLoadRejectsDuplicateLabels(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "duplicate label") {
 		t.Fatalf("LoadOracle of a duplicate-label header: err = %v, want a duplicate label error", err)
 	}
+}
+
+// rewriteFirstColumn rewrites a saved model so its header's first
+// selected column reads col.
+func rewriteFirstColumn(t testing.TB, saved []byte, col string) []byte {
+	t.Helper()
+	at := bytes.Index(saved, []byte(`"columns":[`))
+	if at < 0 {
+		t.Fatal("columns not found in saved header")
+	}
+	at += len(`"columns":[`)
+	end := at + bytes.IndexAny(saved[at:], ",]")
+	return append(append(append([]byte(nil), saved[:at]...), col...), saved[end:]...)
+}
+
+// TestLoadRejectsColumnOutsideVectorizer: every selected column names
+// one of the vectorizer's features, or scoring indexes past the dense
+// row. A header whose column is negative or past the vectorizer must
+// fail to load on both decode paths: the canonical bytes and the same
+// header with whitespace, which encoding/json decodes.
+func TestLoadRejectsColumnOutsideVectorizer(t *testing.T) {
+	fx := fixture(t)
+	var buf bytes.Buffer
+	if err := fx.oracle.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"99999999", "-1", strconv.Itoa(fx.oracle.vec.NumFeatures())} {
+		bad := rewriteFirstColumn(t, buf.Bytes(), col)
+		spaced := append([]byte("{ "), bad[1:]...)
+		for name, data := range map[string][]byte{"canonical": bad, "spaced": spaced} {
+			_, err := LoadOracle(bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), "outside the vectorizer") {
+				t.Errorf("column %s, %s header: err = %v, want a column outside the vectorizer error", col, name, err)
+			}
+		}
+	}
+}
+
+// loadEither decodes data as a model of kind through the fast path
+// (fast) or encoding/json, and returns what saving the result writes,
+// or the error.
+func loadEither(data []byte, kind string, fast bool) ([]byte, error) {
+	env, forest := scanModel(data)
+	var err error
+	switch {
+	case !fast:
+		env, forest, err = decodeModel(data, kind)
+	case forest == nil:
+		return nil, errNotCanonical
+	default:
+		err = env.check(kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var m model
+	labels, err := m.set(env, forest)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := m.save(&out, kind, labels); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+var errNotCanonical = errors.New("not canonical")
+
+// forestCases are ml's TestDecodeForestHardening inputs: forests
+// DecodeForest must reject.
+var forestCases = []string{
+	`{"num_classes":1000000000,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[0]}]}`,
+	`{"num_classes":2,"trees":[{"feature":[],"threshold":[],"left":[],"right":[],"class":[]}]}`,
+	`{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[2]}]}`,
+	`{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[-1]}]}`,
+	`{"num_classes":2,"trees":[{"feature":[0],"threshold":[0.5],"left":[0],"right":[0],"class":[0]}]}`,
+	`{"num_classes":2,"trees":[{"feature":[-1,0],"threshold":[0,0.5],"left":[0,0],"right":[0,0],"class":[0,0]}]}`,
+}
+
+// FuzzDecodeModel: on any bytes, the fast path and encoding/json give
+// the same model (equal Save bytes) or the same error, for both model
+// kinds. Every trained model's saved bytes must take the fast path, so
+// the comparison is not vacuous.
+func FuzzDecodeModel(f *testing.F) {
+	for _, m := range goldenModels(f) {
+		var buf bytes.Buffer
+		if err := m.save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		saved := buf.Bytes()
+		if _, forest := scanModel(saved); forest == nil {
+			f.Fatalf("%s: saved bytes miss the fast path", m.name)
+		}
+		f.Add(saved)
+		if m.name != "oracle.l0" {
+			continue
+		}
+		header := saved[:bytes.IndexByte(saved, '\n')+1]
+		for _, forest := range forestCases {
+			f.Add(append(append([]byte(nil), header...), forest+"\n"...))
+		}
+		f.Add(rewriteFirstColumn(f, saved, "99999999"))
+		for _, edit := range []struct {
+			old, new string
+			fast     bool // whether the edited bytes still take the fast path
+		}{
+			{`"A001"`, `"\u0041001"`, true},               // an escape in a label
+			{`\u003e`, `>`, true},                         // a name written without encoding/json's escape
+			{`"UseTFIDF":false`, `"UseTFIDF":true`, true}, // TF-IDF set, no weights
+			{`,"cfg":{"MinDocFreq":0,"UseTFIDF":false}`, // a TF-IDF vectorizer
+				`,"idf":{"WordUnigram:a":1.5,"WordUnigram:b\u003e":2.25},"cfg":{"MinDocFreq":2,"UseTFIDF":true}`, false},
+			{`{"version":1,"kind":"oracle",`, `{"kind":"oracle","version":1,`, false}, // reordered keys
+			{`"columns":[`, `"columns": [`, false},                                    // whitespace in the header
+			{"}\n{", "}\n\n {", false},                                                // whitespace before the forest
+		} {
+			edited := bytes.Replace(saved, []byte(edit.old), []byte(edit.new), 1)
+			if bytes.Equal(edited, saved) {
+				f.Fatalf("%s: no %q in saved bytes", m.name, edit.old)
+			}
+			if _, forest := scanModel(edited); (forest != nil) != edit.fast {
+				f.Fatalf("%s with %q: fast path taken %v, want %v", m.name, edit.new, forest != nil, edit.fast)
+			}
+			f.Add(edited)
+		}
+		f.Add(append(append([]byte(nil), saved...), "garbage"...))
+		for _, cut := range []int{1, len(header) - 1, len(header), len(saved) / 2, len(saved) - 2} {
+			f.Add(saved[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range []string{"oracle", "binary"} {
+			fast, fastErr := loadEither(data, kind, true)
+			if fastErr == errNotCanonical {
+				continue
+			}
+			slow, slowErr := loadEither(data, kind, false)
+			if fmt.Sprint(fastErr) != fmt.Sprint(slowErr) || !bytes.Equal(fast, slow) {
+				t.Fatalf("%s: fast path gave %d bytes, %v; encoding/json gave %d bytes, %v",
+					kind, len(fast), fastErr, len(slow), slowErr)
+			}
+		}
+	})
 }

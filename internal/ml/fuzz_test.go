@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"gptattr/internal/jsonscan"
 )
 
 // FuzzDecodeForest feeds arbitrary and truncated bytes through
@@ -12,7 +14,8 @@ import (
 // predicts without panicking — never an index-out-of-range, an
 // infinite Predict walk, or an allocation driven by hostile declared
 // counts. Serving loads models from disk state it does not control, so
-// this is the trust boundary.
+// this is the trust boundary. Wherever the one-pass fast path accepts
+// the input, encoding/json must decode the same forest.
 func FuzzDecodeForest(f *testing.F) {
 	// A genuine encoding plus truncations of it.
 	d := blobs(3, 20, 4, 1.0, 17)
@@ -25,7 +28,12 @@ func FuzzDecodeForest(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	if c := jsonscan.NewCursor(valid); ScanForest(&c) == nil {
+		f.Fatal("an encoded forest misses the fast path")
+	}
 	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`,"trees":`), []byte(`, "trees":`), 1))
+	f.Add(append(append([]byte(nil), valid...), "trailing"...))
 	for _, cut := range []int{1, len(valid) / 2, len(valid) - 2} {
 		f.Add(valid[:cut])
 	}
@@ -38,10 +46,30 @@ func FuzzDecodeForest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := DecodeForest(bytes.NewReader(data))
-		if err != nil {
-			if g != nil {
-				t.Fatal("DecodeForest returned both a forest and an error")
+		if err != nil && g != nil {
+			t.Fatal("DecodeForest returned both a forest and an error")
+		}
+		// Whatever the fast path accepts, encoding/json decodes to a
+		// forest that encodes to the same bytes.
+		c := jsonscan.NewCursor(data)
+		fast := ScanForest(&c)
+		c.Opt("\n")
+		if c.Done() {
+			if err != nil {
+				t.Fatalf("fast path accepted what encoding/json rejects: %v", err)
 			}
+			var a, b bytes.Buffer
+			if err := fast.Encode(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Encode(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("fast path and encoding/json decode different forests:\n%s\n%s", a.Bytes(), b.Bytes())
+			}
+		}
+		if err != nil {
 			return
 		}
 		// A decoded forest must be safe to use: every declared invariant

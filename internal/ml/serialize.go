@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+
+	"gptattr/internal/jsonscan"
 )
 
 // forestDTO is the JSON wire form of a Forest.
@@ -51,48 +54,31 @@ const (
 	maxDecodeTrees   = 1 << 16
 )
 
-// DecodeForest reads a forest previously written by Encode. The input
-// is validated as untrusted: node arrays must be consistent, children
-// must point strictly forward (so Predict terminates), leaf classes
-// must fall inside the declared class count (so Votes never indexes out
-// of range), and the declared counts are capped so a corrupt file
-// cannot force huge allocations downstream.
+// DecodeForest reads a forest previously written by Encode, through
+// encoding/json. The input is validated as untrusted: node arrays must
+// be consistent, children must point strictly forward (so Predict
+// terminates), leaf classes must fall inside the declared class count
+// (so Votes never indexes out of range), and the declared counts are
+// capped so a corrupt file cannot force huge allocations downstream.
+// ScanForest is the one-pass reader of Encode's exact bytes; both run
+// the same checks.
 func DecodeForest(r io.Reader) (*Forest, error) {
 	var dto forestDTO
 	if err := json.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("ml: decode forest: %w", err)
 	}
-	if dto.NumClasses < 1 || dto.NumClasses > maxDecodeClasses {
-		return nil, fmt.Errorf("ml: decoded forest has %d classes", dto.NumClasses)
-	}
-	if len(dto.Trees) > maxDecodeTrees {
-		return nil, fmt.Errorf("ml: decoded forest has %d trees", len(dto.Trees))
+	if err := checkForest(dto.NumClasses, len(dto.Trees)); err != nil {
+		return nil, err
 	}
 	f := &Forest{numClasses: dto.NumClasses}
 	for ti, td := range dto.Trees {
 		n := len(td.Feature)
-		if n == 0 {
-			return nil, fmt.Errorf("ml: tree %d is empty", ti)
-		}
-		if len(td.Threshold) != n || len(td.Left) != n || len(td.Right) != n || len(td.Class) != n {
+		if n > 0 && (len(td.Threshold) != n || len(td.Left) != n || len(td.Right) != n || len(td.Class) != n) {
 			return nil, fmt.Errorf("ml: tree %d has inconsistent node arrays", ti)
 		}
-		t := &Tree{numClasses: dto.NumClasses, nodes: make([]treeNode, n)}
-		for i := 0; i < n; i++ {
-			if td.Feature[i] >= 0 {
-				// Children strictly after their parent: the builder
-				// appends parents before subtrees, and Predict relies on
-				// this to terminate on untrusted input.
-				if int(td.Left[i]) <= i || int(td.Left[i]) >= n ||
-					int(td.Right[i]) <= i || int(td.Right[i]) >= n {
-					return nil, fmt.Errorf("ml: tree %d node %d has out-of-range children", ti, i)
-				}
-			}
-			if td.Class[i] < 0 || int(td.Class[i]) >= dto.NumClasses {
-				return nil, fmt.Errorf("ml: tree %d node %d class %d outside %d classes",
-					ti, i, td.Class[i], dto.NumClasses)
-			}
-			t.nodes[i] = treeNode{
+		nodes := make([]treeNode, n)
+		for i := range nodes {
+			nodes[i] = treeNode{
 				feature:   td.Feature[i],
 				threshold: td.Threshold[i],
 				left:      td.Left[i],
@@ -100,12 +86,108 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 				class:     td.Class[i],
 			}
 		}
-		f.trees = append(f.trees, t)
-	}
-	if len(f.trees) == 0 {
-		return nil, fmt.Errorf("ml: decoded forest has no trees")
+		if err := checkTree(ti, nodes, dto.NumClasses); err != nil {
+			return nil, err
+		}
+		f.trees = append(f.trees, &Tree{numClasses: dto.NumClasses, nodes: nodes})
 	}
 	return f, nil
+}
+
+// ScanForest reads the forest Encode writes, without its trailing
+// newline, from c: {"num_classes":…,"trees":[{"feature":[…],
+// "threshold":[…],"left":[…],"right":[…],"class":[…]},…]} with no
+// whitespace, read straight into each tree's nodes. On any other input,
+// or a forest DecodeForest would reject, it fails c and returns nil.
+// Nothing is sized from a declared count: a tree's nodes grow in one
+// scratch slice and are copied out at their final length.
+func ScanForest(c *jsonscan.Cursor) *Forest {
+	c.Lit(`{"num_classes":`)
+	f := &Forest{numClasses: c.Int()}
+	c.Lit(`,"trees":[`)
+	var scratch []treeNode
+	for ti := 0; c.Next(ti); ti++ {
+		nodes := scratch[:0]
+		c.Lit(`{"feature":[`)
+		for i := 0; c.Next(i); i++ {
+			nodes = append(nodes, treeNode{feature: c.Int()})
+		}
+		scratch = nodes
+		c.Lit(`,"threshold":`)
+		scanNodes(c, nodes, func(n *treeNode) { n.threshold = c.Float() })
+		c.Lit(`,"left":`)
+		scanNodes(c, nodes, func(n *treeNode) { n.left = c.Int32() })
+		c.Lit(`,"right":`)
+		scanNodes(c, nodes, func(n *treeNode) { n.right = c.Int32() })
+		c.Lit(`,"class":`)
+		scanNodes(c, nodes, func(n *treeNode) { n.class = c.Int32() })
+		c.Lit("}")
+		if !c.OK() || checkTree(ti, nodes, f.numClasses) != nil {
+			c.Fail()
+			return nil
+		}
+		f.trees = append(f.trees, &Tree{numClasses: f.numClasses, nodes: slices.Clone(nodes)})
+	}
+	c.Lit("}")
+	if !c.OK() || checkForest(f.numClasses, len(f.trees)) != nil {
+		c.Fail()
+		return nil
+	}
+	return f
+}
+
+// scanNodes reads one per-node array of a tree into nodes, one element
+// per node through read, failing c unless it has exactly len(nodes)
+// elements.
+func scanNodes(c *jsonscan.Cursor, nodes []treeNode, read func(*treeNode)) {
+	c.Lit("[")
+	i := 0
+	for ; c.Next(i); i++ {
+		if i == len(nodes) {
+			c.Fail()
+			return
+		}
+		read(&nodes[i])
+	}
+	if i != len(nodes) {
+		c.Fail()
+	}
+}
+
+// checkForest validates a decoded forest's declared counts.
+func checkForest(numClasses, numTrees int) error {
+	if numClasses < 1 || numClasses > maxDecodeClasses {
+		return fmt.Errorf("ml: decoded forest has %d classes", numClasses)
+	}
+	if numTrees > maxDecodeTrees {
+		return fmt.Errorf("ml: decoded forest has %d trees", numTrees)
+	}
+	if numTrees == 0 {
+		return fmt.Errorf("ml: decoded forest has no trees")
+	}
+	return nil
+}
+
+// checkTree validates tree ti's decoded nodes: at least one, children
+// strictly after their parent (the builder appends parents before
+// subtrees, and Predict relies on this to terminate on untrusted
+// input), and every class inside the forest's class count.
+func checkTree(ti int, nodes []treeNode, numClasses int) error {
+	n := len(nodes)
+	if n == 0 {
+		return fmt.Errorf("ml: tree %d is empty", ti)
+	}
+	for i, nd := range nodes {
+		if nd.feature >= 0 {
+			if int(nd.left) <= i || int(nd.left) >= n || int(nd.right) <= i || int(nd.right) >= n {
+				return fmt.Errorf("ml: tree %d node %d has out-of-range children", ti, i)
+			}
+		}
+		if nd.class < 0 || int(nd.class) >= numClasses {
+			return fmt.Errorf("ml: tree %d node %d class %d outside %d classes", ti, i, nd.class, numClasses)
+		}
+	}
+	return nil
 }
 
 // NumClasses returns the class count the forest was trained with.

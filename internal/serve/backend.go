@@ -175,6 +175,8 @@ func (l *LocalBackend) Commit() (uint64, error) { return l.reg.Commit() }
 func (l *LocalBackend) Observe(met *metrics.Registry) {
 	met.Gauge("queue_depth").Set(int64(l.batcher.QueueLen()))
 	met.Gauge("model_generation").Set(int64(l.reg.Current().Generation))
+	// Rounded up, so a recorded load never reads as 0.
+	met.Gauge("model_load_ms").Set(int64((l.reg.LoadTime() + time.Millisecond - 1) / time.Millisecond))
 	if bo := l.batcher.Brownout(); bo != nil {
 		met.Gauge("brownout_level").Set(int64(bo.Level()))
 		met.Counter("brownout_steps_up_total").Raise(bo.StepsUp())

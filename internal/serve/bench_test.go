@@ -83,3 +83,20 @@ func BenchmarkServeHit(b *testing.B) {
 		serveOne(b, h, i, bodies[i%len(bodies)])
 	}
 }
+
+// BenchmarkRegistryLoad is one model generation read from disk, what
+// every replica start and every reload pays: the six ladder files
+// decoded and validated, and each oracle rung's answer table built.
+func BenchmarkRegistryLoad(b *testing.B) {
+	r, err := NewRegistry(ladderDir(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Load(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"net/http"
 	"slices"
@@ -10,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+
+	"gptattr/internal/jsonscan"
 )
 
 // The inference codec. A 200 answer is written by appending to one
@@ -22,8 +22,8 @@ import (
 // json.Unmarshal into AttributeRequest.
 
 // labelTable is one loaded oracle's share of the answer encoder: each
-// class's author label quoted once by encoding/json (HTML escaping,
-// U+2028 and invalid UTF-8 included), and the order encoding/json
+// class's author label quoted once as encoding/json quotes it (HTML
+// escaping, U+2028 and invalid UTF-8 included), and the order encoding/json
 // writes a map's keys in. The registry builds one per oracle rung as it
 // loads a generation, so a table lives and dies with its generation.
 type labelTable struct {
@@ -46,7 +46,7 @@ func newLabelTable(labels []string) *labelTable {
 	t.size = len(`{"author":,"proba":{},"confidence":,"degrade_level":,"calibration":,"model_generation":}`) + 1 + 4*maxFloatLen
 	longest := 0
 	for i, l := range labels {
-		t.quoted[i], _ = json.Marshal(l) // a string always marshals
+		t.quoted[i] = appendQuoted(nil, l)
 		t.sorted[i] = i
 		t.size += len(t.quoted[i]) + len(`:,`) + maxFloatLen
 		longest = max(longest, len(t.quoted[i]))
@@ -59,6 +59,61 @@ func newLabelTable(labels []string) *labelTable {
 		return &s
 	}
 	return t
+}
+
+// appendQuoted appends s quoted as json.Marshal quotes a string:
+// \" \\ \b \f \n \r \t, other control bytes and the HTML-sensitive
+// < > & as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and each
+// byte of invalid UTF-8 as \ufffd.
+func appendQuoted(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0 // s[start:i] is still to be copied
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // answerBuf appends one answer body. err keeps the first value JSON
@@ -154,83 +209,21 @@ func encodeDetect(chatgpt bool, conf float64, level int, calib float64, gen uint
 	return Answer{Body: a.b, Level: level, Generation: gen}, nil
 }
 
-// sourcePrefix opens the canonical request body.
-const sourcePrefix = `{"source":"`
-
 // parseSource is the request decoder's fast path. It accepts only the
 // canonical body, {"source":"…"} followed by optional whitespace, whose
-// string holds no control bytes or invalid UTF-8 and whose escapes are
-// \n \t \r \b \f \" \\ \/ or a \uXXXX outside the surrogate range; what
-// it accepts, json.Unmarshal decodes to the same source. Any other body
-// (ok=false) is left to json.Unmarshal, which answers it exactly as it
-// always has. It makes one pass over the string: a source without
-// escapes is one copy of the raw bytes, and from the first escape on,
-// runs of plain bytes are copied whole into a builder.
+// string jsonscan decodes (no control bytes, invalid UTF-8 or surrogate
+// escapes); what it accepts, json.Unmarshal decodes to the same source.
+// Any other body (ok=false) is left to json.Unmarshal, which answers it
+// exactly as it always has.
 func parseSource(body []byte) (src string, ok bool) {
-	if !bytes.HasPrefix(body, []byte(sourcePrefix)) {
+	c := jsonscan.NewCursor(body)
+	c.Lit(`{"source":`)
+	src = c.Str()
+	if !c.OK() || !isCloseBrace(c.Rest()) {
 		return "", false
 	}
-	rest := body[len(sourcePrefix):]
-	var sb strings.Builder // the decoded source, from the first escape on
-	done := 0              // rest[:done] is decoded into sb
-	for i := 0; ; {
-		for i < len(rest) && plainByte[rest[i]] {
-			i++
-		}
-		if i == len(rest) {
-			return "", false
-		}
-		switch c := rest[i]; {
-		case c == '"':
-			if !isCloseBrace(rest[i+1:]) {
-				return "", false
-			}
-			if sb.Cap() == 0 {
-				return string(rest[:i]), true
-			}
-			sb.Write(rest[done:i])
-			return sb.String(), true
-		case c == '\\':
-			if sb.Cap() == 0 {
-				sb.Grow(len(rest))
-			}
-			sb.Write(rest[done:i])
-			if i+1 == len(rest) {
-				return "", false
-			}
-			if e := unescaped[rest[i+1]]; e != 0 {
-				sb.WriteByte(e)
-				i += 2
-			} else if r, hex := hex4(rest[i+2:]); rest[i+1] == 'u' && hex && utf8.RuneLen(r) > 0 {
-				sb.WriteRune(r) // RuneLen is -1 on a surrogate half
-				i += 6
-			} else {
-				return "", false
-			}
-			done = i
-		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(rest[i:])
-			if r == utf8.RuneError && size == 1 {
-				return "", false // invalid UTF-8, which json.Unmarshal replaces
-			}
-			i += size
-		default:
-			return "", false // a control byte, which a JSON string may not hold
-		}
-	}
+	return src, true
 }
-
-// plainByte marks the bytes a JSON string holds as themselves:
-// printable ASCII other than the quote and the backslash.
-var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// unescaped maps the letter of each one-letter escape to its byte.
-var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
 // isCloseBrace reports whether b is "}" followed by JSON whitespace only.
 func isCloseBrace(b []byte) bool {
@@ -243,26 +236,4 @@ func isCloseBrace(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// hex4 decodes the four hex digits that open b.
-func hex4(b []byte) (rune, bool) {
-	if len(b) < 4 {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
 }

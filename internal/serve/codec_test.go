@@ -275,6 +275,7 @@ func FuzzEncodeAnswer(f *testing.F) {
 	}
 	f.Add("A017|A002|A105", le(0.1, 0.7, 0.2), uint(1), 0.63, 0.9, 0, uint64(1), false)
 	f.Add("<script>|a&b|x>y|\u2028|\u2029|\xff|\ufffd|\x00|\"q\"|\\", le(0.1, 0.2, 0.3), uint(3), 0.2, 0.0, 2, uint64(1<<63), true)
+	f.Add("\b|\f|\x1f|\x7f|é\xe2\x80|\u2029\n\r\t", le(0.5), uint(2), 0.5, 0.0, 0, uint64(2), false)
 	f.Add("z|y|x|w|v|u|t|s|r|q|p|o", le(1.0/12), uint(11), 1.0/12, 0.5, 1, uint64(0), false)
 	f.Add("only", le(1), uint(0), 1.0, 0.0, 0, uint64(7), true)
 	f.Add("a|b", le(0.5, 0.5), uint(0), math.Copysign(0, -1), math.Copysign(0, -1), -1, uint64(3), false)

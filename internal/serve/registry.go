@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gptattr/internal/attrib"
 	"gptattr/internal/fault"
@@ -147,6 +148,9 @@ type Registry struct {
 	dir string
 	cur atomic.Pointer[Models]
 	gen atomic.Uint64
+	// loadTime is how long the last successful Load or Stage took to
+	// read its generation.
+	loadTime atomic.Int64 // a time.Duration
 
 	// loadMu serializes Load/Stage/Commit calls (SIGHUP and POST
 	// /v1/reload can race) and guards staged; readers never take it.
@@ -238,9 +242,15 @@ func (r *Registry) StagedGeneration() uint64 {
 	return r.staged.Generation
 }
 
+// LoadTime reports how long the last successful Load or Stage took to
+// read the model files.
+func (r *Registry) LoadTime() time.Duration { return time.Duration(r.loadTime.Load()) }
+
 // read loads the model files into an unpublished Models (generation
-// unassigned). Callers hold loadMu.
+// unassigned) and, on success, records how long that took. Callers
+// hold loadMu.
 func (r *Registry) read() (*Models, error) {
+	start := time.Now()
 	if err := fault.Hit(PointRegistryLoad); err != nil {
 		return nil, fmt.Errorf("serve: reload: %w", err)
 	}
@@ -262,6 +272,7 @@ func (r *Registry) read() (*Models, error) {
 	}
 	m.Oracle = m.Oracles[stylometry.DegradeNone]
 	m.Detector = m.Detectors[stylometry.DegradeNone]
+	r.loadTime.Store(int64(time.Since(start)))
 	return m, nil
 }
 

@@ -165,7 +165,7 @@ func TestServerBodyLimit(t *testing.T) {
 }
 
 func TestServerHealthzAndMetrics(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, BatchConfig{QueueDepth: 8, Workers: 2})
+	ts, _, _, reg := newTestServer(t, BatchConfig{QueueDepth: 8, Workers: 2})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -204,6 +204,30 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+
+	// After a reload, the load-time gauge reads that reload's duration
+	// in whole milliseconds, rounded up.
+	if resp, body := postJSON(t, ts.URL+"/v1/reload", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d %s", resp.StatusCode, body)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	ms := (reg.LoadTime() + time.Millisecond - 1) / time.Millisecond
+	for _, want := range []string{
+		"model_generation 2\n",
+		fmt.Sprintf("model_load_ms %d\n", ms),
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q after a reload:\n%s", want, text)
+		}
+	}
+	if ms < 1 {
+		t.Errorf("model_load_ms %d after a reload, want at least 1", ms)
 	}
 }
 

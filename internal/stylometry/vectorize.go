@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gptattr/internal/jsonscan"
 )
 
 // jsonMarshal/jsonUnmarshal alias the stdlib so method receivers avoid
@@ -41,8 +43,8 @@ type Vectorizer struct {
 	// scalarCols/scalarIDF map the interned scalar vocabulary straight
 	// to columns (and TF-IDF weights) so VectorIntoSparse never touches
 	// a feature-name string for fixed features. Built eagerly by
-	// NewVectorizer/UnmarshalJSON — never lazily, the vectorizer is
-	// shared across serving workers.
+	// NewVectorizer and init (both decoders) — never lazily, the
+	// vectorizer is shared across serving workers.
 	scalarCols []int32
 	scalarIDF  []float64
 }
@@ -167,16 +169,43 @@ func (v *Vectorizer) UnmarshalJSON(data []byte) error {
 	if err := jsonUnmarshal(data, &dto); err != nil {
 		return err
 	}
-	v.names = dto.Names
-	v.idf = dto.IDF
+	v.init(dto.Names, dto.IDF, dto.Cfg)
+	return nil
+}
+
+// ScanVectorizer reads the vectorizer MarshalJSON writes without TF-IDF
+// weights from c: {"names":[…],"cfg":{"MinDocFreq":…,"UseTFIDF":…}}
+// with no whitespace. On any other input, an "idf" map included, it
+// fails c and returns nil, and the caller decodes the input with
+// encoding/json instead.
+func ScanVectorizer(c *jsonscan.Cursor) *Vectorizer {
+	c.Lit(`{"names":`)
+	names := c.Strs()
+	var cfg VectorizerConfig
+	c.Lit(`,"cfg":{"MinDocFreq":`)
+	cfg.MinDocFreq = c.Int()
+	c.Lit(`,"UseTFIDF":`)
+	cfg.UseTFIDF = c.Bool()
+	c.Lit("}}")
+	if !c.OK() {
+		return nil
+	}
+	v := &Vectorizer{}
+	v.init(names, nil, cfg)
+	return v
+}
+
+// init sets a decoded vectorizer's fields and builds its lookup tables.
+func (v *Vectorizer) init(names []string, idf map[string]float64, cfg VectorizerConfig) {
+	v.names = names
+	v.idf = idf
 	if v.idf == nil {
 		v.idf = map[string]float64{} // repolint:allow-featmap persisted-model decode
 	}
-	v.cfg = dto.Cfg
+	v.cfg = cfg
 	v.index = make(map[string]int, len(v.names))
 	for i, n := range v.names {
 		v.index[n] = i
 	}
 	v.buildScalarTables()
-	return nil
 }
