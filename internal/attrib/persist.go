@@ -1,7 +1,6 @@
 package attrib
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,42 +73,37 @@ func (m *model) save(w io.Writer, kind string, labels []string) error {
 	return m.forest.Encode(w)
 }
 
-// load decodes and validates the model header, then the forest that
+// load reads and validates the model header, then the forest that
 // follows it, into m and returns the header's labels. The input is
 // untrusted disk state: the version and kind must match, and the
 // forest and columns must be consistent with the header's feature
 // widths so prediction can never index out of range. Callers check the
 // class count against their labels.
-//
-// The exact bytes save writes take scanModel's one-pass fast path; any
-// other input is decoded by encoding/json, which also reports every
-// decode error, so the fast path changes no answer.
 func (m *model) load(r io.Reader, kind string) ([]string, error) {
 	data, err := jsonscan.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("attrib: load %s: %w", kind, err)
 	}
-	env, forest := scanModel(data)
-	if forest != nil {
-		err = env.check(kind)
-	} else {
-		env, forest, err = decodeModel(data, kind)
-	}
+	env, forest, err := scanModel(data, kind)
 	if err != nil {
 		return nil, err
 	}
 	return m.set(env, forest)
 }
 
-// scanModel is load's fast path: the header line and the forest line
-// exactly as save writes them, keys in save's order and no whitespace,
-// read through one jsonscan cursor. It returns a nil forest for any
-// other input, or a forest ml.DecodeForest would reject.
-func scanModel(data []byte) (*modelEnvelope, *ml.Forest) {
+// scanModel reads the header line and the forest line exactly as save
+// writes them, keys in save's order and no whitespace, through one
+// jsonscan cursor: the version first, which must be FormatVersion, then
+// the rest of the header, checked before the forest is read. At most
+// one newline may follow the forest. Any other input is an error that
+// names the byte offset where it left the layout.
+func scanModel(data []byte, kind string) (*modelEnvelope, *ml.Forest, error) {
 	c := jsonscan.NewCursor(data)
-	env := &modelEnvelope{}
 	c.Lit(`{"version":`)
-	env.Version = c.Int()
+	env := &modelEnvelope{Version: c.Int()}
+	if c.OK() && env.Version != FormatVersion {
+		return nil, nil, fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
+	}
 	c.Lit(`,"kind":`)
 	env.Kind = c.Str()
 	c.Lit(`,"vectorizer":`)
@@ -129,41 +123,29 @@ func scanModel(data []byte) (*modelEnvelope, *ml.Forest) {
 		env.Calibration = c.Float()
 	}
 	c.Lit("}\n")
-	forest := ml.ScanForest(&c)
-	c.Opt("\n")
-	if !c.Done() {
-		return nil, nil
-	}
-	return env, forest
-}
-
-// decodeModel is load through encoding/json: the header as one JSON
-// value, checked before ml.DecodeForest decodes the forest that follows
-// it.
-func decodeModel(data []byte, kind string) (*modelEnvelope, *ml.Forest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	env := &modelEnvelope{}
-	if err := dec.Decode(env); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, nil, fmt.Errorf("attrib: load %s header: %w", kind, err)
 	}
 	if err := env.check(kind); err != nil {
 		return nil, nil, err
 	}
-	forest, err := ml.DecodeForest(bytes.NewReader(data[dec.InputOffset():]))
-	return env, forest, err
+	forest, err := ml.ScanForest(&c)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.Opt("\n")
+	c.End()
+	if err := c.Err(); err != nil {
+		return nil, nil, fmt.Errorf("attrib: load %s: %w", kind, err)
+	}
+	return env, forest, nil
 }
 
-// check validates a decoded header on its own: the version, the kind,
-// a vectorizer, and columns that each name one of its features.
+// check validates a scanned header on its own: the kind, and columns
+// that each name one of the vectorizer's features.
 func (env *modelEnvelope) check(kind string) error {
-	if env.Version != FormatVersion {
-		return fmt.Errorf("attrib: model format version %d, want %d", env.Version, FormatVersion)
-	}
 	if env.Kind != kind {
 		return fmt.Errorf("attrib: model kind %q, want %s", env.Kind, kind)
-	}
-	if env.Vec == nil {
-		return fmt.Errorf("attrib: malformed %s header", kind)
 	}
 	for _, col := range env.Cols {
 		if col < 0 || col >= env.Vec.NumFeatures() {
@@ -174,7 +156,7 @@ func (env *modelEnvelope) check(kind string) error {
 	return nil
 }
 
-// set installs a decoded header and forest into m, once the forest is
+// set installs a scanned header and forest into m, once the forest is
 // checked against the header's columns, and returns the labels.
 func (m *model) set(env *modelEnvelope, forest *ml.Forest) ([]string, error) {
 	if forest.MaxFeature() >= len(env.Cols) {

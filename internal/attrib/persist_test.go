@@ -2,12 +2,14 @@ package attrib
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"testing"
+
+	"gptattr/internal/stylometry"
 )
 
 func TestOracleSaveLoadRoundTrip(t *testing.T) {
@@ -197,8 +199,8 @@ func rewriteFirstColumn(t testing.TB, saved []byte, col string) []byte {
 // TestLoadRejectsColumnOutsideVectorizer: every selected column names
 // one of the vectorizer's features, or scoring indexes past the dense
 // row. A header whose column is negative or past the vectorizer must
-// fail to load on both decode paths: the canonical bytes and the same
-// header with whitespace, which encoding/json decodes.
+// fail to load; the same header with whitespace fails earlier, as a
+// header that is not Save's layout.
 func TestLoadRejectsColumnOutsideVectorizer(t *testing.T) {
 	fx := fixture(t)
 	var buf bytes.Buffer
@@ -207,35 +209,128 @@ func TestLoadRejectsColumnOutsideVectorizer(t *testing.T) {
 	}
 	for _, col := range []string{"99999999", "-1", strconv.Itoa(fx.oracle.vec.NumFeatures())} {
 		bad := rewriteFirstColumn(t, buf.Bytes(), col)
+		_, err := LoadOracle(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "outside the vectorizer") {
+			t.Errorf("column %s: err = %v, want a column outside the vectorizer error", col, err)
+		}
 		spaced := append([]byte("{ "), bad[1:]...)
-		for name, data := range map[string][]byte{"canonical": bad, "spaced": spaced} {
-			_, err := LoadOracle(bytes.NewReader(data))
-			if err == nil || !strings.Contains(err.Error(), "outside the vectorizer") {
-				t.Errorf("column %s, %s header: err = %v, want a column outside the vectorizer error", col, name, err)
-			}
+		_, err = LoadOracle(bytes.NewReader(spaced))
+		if want := "attrib: load oracle header: malformed at byte 0"; fmt.Sprint(err) != want {
+			t.Errorf("column %s, spaced header: err = %v, want %s", col, err, want)
 		}
 	}
 }
 
-// loadEither decodes data as a model of kind through the fast path
-// (fast) or encoding/json, and returns what saving the result writes,
-// or the error.
-func loadEither(data []byte, kind string, fast bool) ([]byte, error) {
-	env, forest := scanModel(data)
-	var err error
-	switch {
-	case !fast:
-		env, forest, err = decodeModel(data, kind)
-	case forest == nil:
-		return nil, errNotCanonical
-	default:
-		err = env.check(kind)
+// TestLoadRejectsNonCanonicalModel: a model file has one writer, so
+// anything but Save's layout fails to load, with an error naming the
+// byte where the input left it. Bytes after the forest included: one
+// forest value followed by more input is not a model file.
+func TestLoadRejectsNonCanonicalModel(t *testing.T) {
+	fx := fixture(t)
+	var buf bytes.Buffer
+	if err := fx.oracle.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if err != nil {
+	saved := buf.Bytes()
+	at := func(sub string) int {
+		i := bytes.Index(saved, []byte(sub))
+		if i < 0 {
+			t.Fatalf("no %q in saved bytes", sub)
+		}
+		return i
+	}
+	edit := func(old, new string) []byte {
+		at(old)
+		return bytes.Replace(saved, []byte(old), []byte(new), 1)
+	}
+	header := "attrib: load oracle header: malformed at byte %d"
+	tail := "attrib: load oracle: malformed at byte %d"
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"trailing garbage", append(append([]byte(nil), saved...), "garbage"...), fmt.Sprintf(tail, len(saved))},
+		{"two models", append(append([]byte(nil), saved...), saved...), fmt.Sprintf(tail, len(saved))},
+		{"space after the brace", append([]byte("{ "), saved[1:]...), fmt.Sprintf(header, 0)},
+		{"reordered keys", edit(`{"version":1,"kind":"oracle",`, `{"kind":"oracle","version":1,`), fmt.Sprintf(header, 0)},
+		{"TF-IDF set", edit(`"UseTFIDF":false`, `"UseTFIDF":true`), fmt.Sprintf(header, at(`,"UseTFIDF":`))},
+		{"an idf map", edit(`,"cfg":{"MinDocFreq":0,"UseTFIDF":false}`,
+			`,"idf":{"WordUnigram:a":1.5},"cfg":{"MinDocFreq":2,"UseTFIDF":true}`), fmt.Sprintf(header, at(`,"cfg":`))},
+	} {
+		if _, err := LoadOracle(bytes.NewReader(tc.data)); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// refHeader and refForest mirror a model file's two lines for the
+// frozen encoding/json reader the scanner replaced: the header with the
+// vectorizer in its wire form, and the forest's wire form.
+type refHeader struct {
+	Version int    `json:"version"`
+	Kind    string `json:"kind"`
+	Vec     *struct {
+		Names []string           `json:"names"`
+		IDF   map[string]float64 `json:"idf,omitempty"`
+		Cfg   struct {
+			MinDocFreq int
+			UseTFIDF   bool
+		} `json:"cfg"`
+	} `json:"vectorizer"`
+	Cols        []int    `json:"columns"`
+	Labels      []string `json:"labels,omitempty"`
+	Level       int      `json:"level,omitempty"`
+	Families    []string `json:"families,omitempty"`
+	Calibration float64  `json:"calibration,omitempty"`
+}
+
+type refForest struct {
+	NumClasses int `json:"num_classes"`
+	Trees      []struct {
+		Feature   []int     `json:"feature"`
+		Threshold []float64 `json:"threshold"`
+		Left      []int32   `json:"left"`
+		Right     []int32   `json:"right"`
+		Class     []int32   `json:"class"`
+	} `json:"trees"`
+}
+
+// refSave decodes data as a model of kind through encoding/json, the
+// header and then the forest value that follows it, and returns what
+// saving that model writes: the two values re-encoded, with the level
+// clamped and unknown families dropped as model.set does.
+func refSave(data []byte, kind string) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var h refHeader
+	var forest refForest
+	if err := dec.Decode(&h); err != nil {
 		return nil, err
 	}
+	if err := dec.Decode(&forest); err != nil {
+		return nil, err
+	}
+	if h.Version != FormatVersion || h.Kind != kind || h.Vec == nil {
+		return nil, fmt.Errorf("header version %d, kind %q", h.Version, h.Kind)
+	}
+	h.Level = int(stylometry.DegradeLevel(h.Level).Clamp())
+	h.Families = familyNames(parseFamilies(h.Families))
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	if err := enc.Encode(h); err != nil {
+		return nil, err
+	}
+	if err := enc.Encode(forest); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// loadSave loads data as a model of kind and returns what saving it
+// writes.
+func loadSave(data []byte, kind string) ([]byte, error) {
 	var m model
-	labels, err := m.set(env, forest)
+	labels, err := m.load(bytes.NewReader(data), kind)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +341,8 @@ func loadEither(data []byte, kind string, fast bool) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-var errNotCanonical = errors.New("not canonical")
-
 // forestCases are ml's TestDecodeForestHardening inputs: forests
-// DecodeForest must reject.
+// ScanForest must reject.
 var forestCases = []string{
 	`{"num_classes":1000000000,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[0]}]}`,
 	`{"num_classes":2,"trees":[{"feature":[],"threshold":[],"left":[],"right":[],"class":[]}]}`,
@@ -259,10 +352,10 @@ var forestCases = []string{
 	`{"num_classes":2,"trees":[{"feature":[-1,0],"threshold":[0,0.5],"left":[0,0],"right":[0,0],"class":[0,0]}]}`,
 }
 
-// FuzzDecodeModel: on any bytes, the fast path and encoding/json give
-// the same model (equal Save bytes) or the same error, for both model
-// kinds. Every trained model's saved bytes must take the fast path, so
-// the comparison is not vacuous.
+// FuzzDecodeModel: on any bytes, loading either model kind never
+// panics, and whatever it accepts, the frozen encoding/json reader
+// decodes to a model with equal Save bytes. Every trained model's saved
+// bytes must load, so the comparison is not vacuous.
 func FuzzDecodeModel(f *testing.F) {
 	for _, m := range goldenModels(f) {
 		var buf bytes.Buffer
@@ -270,8 +363,8 @@ func FuzzDecodeModel(f *testing.F) {
 			f.Fatal(err)
 		}
 		saved := buf.Bytes()
-		if _, forest := scanModel(saved); forest == nil {
-			f.Fatalf("%s: saved bytes miss the fast path", m.name)
+		if _, err := m.load(bytes.NewReader(saved)); err != nil {
+			f.Fatalf("%s: saved bytes do not load: %v", m.name, err)
 		}
 		f.Add(saved)
 		if m.name != "oracle.l0" {
@@ -284,11 +377,11 @@ func FuzzDecodeModel(f *testing.F) {
 		f.Add(rewriteFirstColumn(f, saved, "99999999"))
 		for _, edit := range []struct {
 			old, new string
-			fast     bool // whether the edited bytes still take the fast path
+			ok       bool // whether the edited bytes still load
 		}{
-			{`"A001"`, `"\u0041001"`, true},               // an escape in a label
-			{`\u003e`, `>`, true},                         // a name written without encoding/json's escape
-			{`"UseTFIDF":false`, `"UseTFIDF":true`, true}, // TF-IDF set, no weights
+			{`"A001"`, `"\u0041001"`, true}, // an escape in a label
+			{`\u003e`, `>`, true},           // a name written without encoding/json's escape
+			{`"UseTFIDF":false`, `"UseTFIDF":true`, false},
 			{`,"cfg":{"MinDocFreq":0,"UseTFIDF":false}`, // a TF-IDF vectorizer
 				`,"idf":{"WordUnigram:a":1.5,"WordUnigram:b\u003e":2.25},"cfg":{"MinDocFreq":2,"UseTFIDF":true}`, false},
 			{`{"version":1,"kind":"oracle",`, `{"kind":"oracle","version":1,`, false}, // reordered keys
@@ -299,26 +392,29 @@ func FuzzDecodeModel(f *testing.F) {
 			if bytes.Equal(edited, saved) {
 				f.Fatalf("%s: no %q in saved bytes", m.name, edit.old)
 			}
-			if _, forest := scanModel(edited); (forest != nil) != edit.fast {
-				f.Fatalf("%s with %q: fast path taken %v, want %v", m.name, edit.new, forest != nil, edit.fast)
+			if _, err := loadSave(edited, "oracle"); (err == nil) != edit.ok {
+				f.Fatalf("%s with %q: load err = %v, want ok %v", m.name, edit.new, err, edit.ok)
 			}
 			f.Add(edited)
 		}
 		f.Add(append(append([]byte(nil), saved...), "garbage"...))
+		f.Add(append(append([]byte(nil), saved...), saved...))
 		for _, cut := range []int{1, len(header) - 1, len(header), len(saved) / 2, len(saved) - 2} {
 			f.Add(saved[:cut])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []string{"oracle", "binary"} {
-			fast, fastErr := loadEither(data, kind, true)
-			if fastErr == errNotCanonical {
+			got, err := loadSave(data, kind)
+			if err != nil {
 				continue
 			}
-			slow, slowErr := loadEither(data, kind, false)
-			if fmt.Sprint(fastErr) != fmt.Sprint(slowErr) || !bytes.Equal(fast, slow) {
-				t.Fatalf("%s: fast path gave %d bytes, %v; encoding/json gave %d bytes, %v",
-					kind, len(fast), fastErr, len(slow), slowErr)
+			want, err := refSave(data, kind)
+			if err != nil {
+				t.Fatalf("%s: load accepted what encoding/json rejects: %v", kind, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: load and encoding/json decode different models:\n%s\n%s", kind, got, want)
 			}
 		}
 	})

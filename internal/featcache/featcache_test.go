@@ -297,14 +297,13 @@ func TestConcurrentGetAndScore(t *testing.T) {
 	doc := func(i int) stylometry.Features {
 		return stylometry.Features{"AvgLineLength": float64(i), "WordUnigram:x": float64(i % 3)}
 	}
-	vec := stylometry.NewVectorizer([]stylometry.Features{doc(1), doc(2)}, stylometry.VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
+	vec := stylometry.NewVectorizer([]stylometry.Features{doc(1), doc(2)}, stylometry.VectorizerConfig{MinDocFreq: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			row := make([]float64, vec.NumFeatures())
-			want := make([]float64, vec.NumFeatures())
 			for i := 0; i < 200; i++ {
 				src := fmt.Sprintf("src-%d", i%12)
 				v, ok := c.Get(src)
@@ -313,7 +312,7 @@ func TestConcurrentGetAndScore(t *testing.T) {
 					continue
 				}
 				vec.VectorIntoSparse(v, row)
-				vec.VectorInto(doc(i%12), want)
+				want := vec.Vector(doc(i % 12))
 				for j := range row {
 					if row[j] != want[j] {
 						t.Errorf("goroutine %d: %s column %d = %v, want %v", g, src, j, row[j], want[j])

@@ -1,14 +1,16 @@
 // Package jsonscan reads canonical JSON — the bytes encoding/json's
 // Marshal and Encoder write — in one left-to-right pass, without
-// reflection. It serves fast paths that know the exact layout they
+// reflection. It serves readers that know the exact layout they
 // expect: the caller walks the input with a Cursor, matching fixed
 // punctuation and keys as literals and reading values in order. The
 // first mismatch marks the cursor failed, every later call is a no-op,
-// and the caller hands the whole input to encoding/json instead, which
-// answers it exactly as it would have without the fast path.
+// and Err names the byte offset where the input left the layout. Model
+// files have one writer, so their loader rejects such input outright;
+// the serving request decoder, whose clients may send any valid JSON,
+// hands it to encoding/json instead.
 //
-// A Cursor therefore never reports why it stopped, and accepts a value
-// only where encoding/json decodes the same bytes to the same value:
+// A Cursor accepts a value only where encoding/json decodes the same
+// bytes to the same value:
 // numbers follow the JSON grammar and floats parse through
 // strconv.ParseFloat as encoding/json's do, so every bit matches;
 // strings hold no control bytes, invalid UTF-8 or surrogate escapes
@@ -17,6 +19,7 @@ package jsonscan
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"io/fs"
 	"strconv"
@@ -57,16 +60,24 @@ func NewCursor(b []byte) Cursor { return Cursor{b: b} }
 // OK reports whether every read so far matched.
 func (c *Cursor) OK() bool { return !c.bad }
 
-// Done reports whether every read so far matched and the input is
-// consumed.
-func (c *Cursor) Done() bool { return !c.bad && c.pos == len(c.b) }
+// Err returns nil if every read so far matched, or an error naming the
+// byte offset of the first read that did not.
+func (c *Cursor) Err() error {
+	if !c.bad {
+		return nil
+	}
+	return errors.New("malformed at byte " + strconv.Itoa(c.pos))
+}
+
+// End fails the cursor unless the input is consumed.
+func (c *Cursor) End() {
+	if c.pos != len(c.b) {
+		c.bad = true
+	}
+}
 
 // Rest returns the unread input.
 func (c *Cursor) Rest() []byte { return c.b[c.pos:] }
-
-// Fail marks the input as not in the caller's layout, for a check the
-// cursor cannot make itself (two arrays of different lengths, say).
-func (c *Cursor) Fail() { c.bad = true }
 
 // Opt consumes s if the input continues with it, and reports whether it
 // did. A mismatch does not fail the cursor: Opt reads optional keys.
@@ -171,7 +182,7 @@ func digits(b []byte, i int) int {
 // integer consumes a JSON integer that fits in a signed bits-bit
 // integer, in one pass over its digits. Eighteen digits always fit in
 // an int64; longer integers, and numbers with a fraction or an
-// exponent, are left to encoding/json.
+// exponent, fail the cursor.
 func (c *Cursor) integer(bits uint) int64 {
 	if c.bad {
 		return 0
@@ -221,15 +232,6 @@ func (c *Cursor) Float() float64 {
 		return 0
 	}
 	return f
-}
-
-// Bool consumes true or false.
-func (c *Cursor) Bool() bool {
-	if c.Opt("true") {
-		return true
-	}
-	c.Lit("false")
-	return false
 }
 
 // Str consumes a JSON string and returns its value. A string without

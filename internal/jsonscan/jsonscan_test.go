@@ -24,7 +24,6 @@ var readers = []struct {
 	{"Int", func(c *Cursor) any { return c.Int() }, func() any { return new(int) }},
 	{"Int32", func(c *Cursor) any { return c.Int32() }, func() any { return new(int32) }},
 	{"Float", func(c *Cursor) any { return c.Float() }, func() any { return new(float64) }},
-	{"Bool", func(c *Cursor) any { return c.Bool() }, func() any { return new(bool) }},
 	{"Str", func(c *Cursor) any { return c.Str() }, func() any { return new(string) }},
 	{"Ints", func(c *Cursor) any { return c.Ints() }, func() any { return new([]int) }},
 	{"Strs", func(c *Cursor) any { return c.Strs() }, func() any { return new([]string) }},
@@ -39,7 +38,7 @@ func sameAsJSON(t *testing.T, data []byte) []string {
 	for _, r := range readers {
 		c := NewCursor(data)
 		got := r.read(&c)
-		if !c.Done() {
+		if c.End(); !c.OK() {
 			continue
 		}
 		took = append(took, r.name)
@@ -90,8 +89,8 @@ func TestCursorMatchesJSON(t *testing.T) {
 		{`-`, ""},
 		{`NaN`, ""},
 		{`0x10`, ""},
-		{`true`, "Bool"},
-		{`false`, "Bool"},
+		{`true`, ""},
+		{`false`, ""},
 		{`null`, ""},
 		{`""`, "Str"},
 		{`"ASTBigramTF:BinaryExpr>BinaryExpr"`, "Str"},
@@ -139,8 +138,8 @@ func TestLitOptNext(t *testing.T) {
 		t.Fatal("optional keys or an empty array misread")
 	}
 	c.Lit("}")
-	if !c.Done() || fmt.Sprint(got) != "[1 2]" {
-		t.Fatalf("Done %v, got %v", c.Done(), got)
+	if c.End(); c.Err() != nil || fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("err %v, got %v", c.Err(), got)
 	}
 
 	c = NewCursor([]byte(`[1,2]`))
@@ -150,6 +149,30 @@ func TestLitOptNext(t *testing.T) {
 	}
 	if string(c.Rest()) != `[1,2]` {
 		t.Fatalf("a failed read consumed input: rest %q", c.Rest())
+	}
+}
+
+// TestErrNamesOffset: Err names the offset of the first read that did
+// not match, and End fails a cursor short of the input's end there.
+func TestErrNamesOffset(t *testing.T) {
+	for _, tc := range []struct {
+		in, want string
+	}{
+		{`{"a":[1,2]}`, "<nil>"},
+		{`{"a":[1,x]}`, "malformed at byte 8"},
+		{`{"b":[1,2]}`, "malformed at byte 0"},
+		{`{"a":[1,2]}{}`, "malformed at byte 11"},
+		{`{"a":[1,2]`, "malformed at byte 10"},
+		{`{"a":[1,2]}}`, "malformed at byte 11"},
+	} {
+		c := NewCursor([]byte(tc.in))
+		c.Lit(`{"a":`)
+		c.Ints()
+		c.Lit("}")
+		c.End()
+		if got := fmt.Sprint(c.Err()); got != tc.want {
+			t.Errorf("%s: Err() = %s, want %s", tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -3,19 +3,16 @@ package ml
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
-
-	"gptattr/internal/jsonscan"
 )
 
 // FuzzDecodeForest feeds arbitrary and truncated bytes through
-// DecodeForest. The decoder must return an error or a forest that
-// predicts without panicking — never an index-out-of-range, an
-// infinite Predict walk, or an allocation driven by hostile declared
-// counts. Serving loads models from disk state it does not control, so
-// this is the trust boundary. Wherever the one-pass fast path accepts
-// the input, encoding/json must decode the same forest.
+// ScanForest. It must return an error or a forest that predicts
+// without panicking — never an index-out-of-range, an infinite Predict
+// walk, or an allocation driven by hostile declared counts. Serving
+// loads models from disk state it does not control, so this is the
+// trust boundary. Whatever the scanner accepts, the frozen
+// encoding/json reader decodes to the same forest.
 func FuzzDecodeForest(f *testing.F) {
 	// A genuine encoding plus truncations of it.
 	d := blobs(3, 20, 4, 1.0, 17)
@@ -28,8 +25,8 @@ func FuzzDecodeForest(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	if c := jsonscan.NewCursor(valid); ScanForest(&c) == nil {
-		f.Fatal("an encoded forest misses the fast path")
+	if _, err := scanAll(valid); err != nil {
+		f.Fatalf("an encoded forest is rejected: %v", err)
 	}
 	f.Add(valid)
 	f.Add(bytes.Replace(valid, []byte(`,"trees":`), []byte(`, "trees":`), 1))
@@ -45,34 +42,28 @@ func FuzzDecodeForest(f *testing.F) {
 	f.Add([]byte(`{"num_classes":2,"trees":[{"feature":[],"threshold":[],"left":[],"right":[],"class":[]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := DecodeForest(bytes.NewReader(data))
-		if err != nil && g != nil {
-			t.Fatal("DecodeForest returned both a forest and an error")
-		}
-		// Whatever the fast path accepts, encoding/json decodes to a
-		// forest that encodes to the same bytes.
-		c := jsonscan.NewCursor(data)
-		fast := ScanForest(&c)
-		c.Opt("\n")
-		if c.Done() {
-			if err != nil {
-				t.Fatalf("fast path accepted what encoding/json rejects: %v", err)
-			}
-			var a, b bytes.Buffer
-			if err := fast.Encode(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Encode(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("fast path and encoding/json decode different forests:\n%s\n%s", a.Bytes(), b.Bytes())
-			}
-		}
+		g, err := scanAll(data)
 		if err != nil {
+			if g != nil {
+				t.Fatal("ScanForest returned both a forest and an error")
+			}
 			return
 		}
-		// A decoded forest must be safe to use: every declared invariant
+		ref, refErr := decodeForestRef(bytes.NewReader(data))
+		if refErr != nil {
+			t.Fatalf("ScanForest accepted what the encoding/json reader rejects: %v", refErr)
+		}
+		var a, b bytes.Buffer
+		if err := g.Encode(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("ScanForest and encoding/json decode different forests:\n%s\n%s", a.Bytes(), b.Bytes())
+		}
+		// A scanned forest must be safe to use: every declared invariant
 		// was validated, so prediction over a wide-enough vector cannot
 		// panic and must finish.
 		x := make([]float64, g.MaxFeature()+1)
@@ -89,25 +80,23 @@ func FuzzDecodeForest(f *testing.F) {
 }
 
 // TestDecodeForestHardening pins the specific rejections the fuzzer
-// relies on, so a refactor cannot silently drop one.
+// relies on, each by its rule's message, so a refactor cannot silently
+// drop one.
 func TestDecodeForestHardening(t *testing.T) {
 	tests := []struct {
 		name string
 		data string
+		want string
 	}{
-		{"class count over cap", `{"num_classes":1000000000,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[0]}]}`},
-		{"empty tree", `{"num_classes":2,"trees":[{"feature":[],"threshold":[],"left":[],"right":[],"class":[]}]}`},
-		{"class outside range", `{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[2]}]}`},
-		{"negative class", `{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[-1]}]}`},
-		{"self-loop child", `{"num_classes":2,"trees":[{"feature":[0],"threshold":[0.5],"left":[0],"right":[0],"class":[0]}]}`},
-		{"backward child", `{"num_classes":2,"trees":[{"feature":[-1,0],"threshold":[0,0.5],"left":[0,0],"right":[0,0],"class":[0,0]}]}`},
+		{"class count over cap", `{"num_classes":1000000000,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[0]}]}`, "decoded forest has 1000000000 classes"},
+		{"empty tree", `{"num_classes":2,"trees":[{"feature":[],"threshold":[],"left":[],"right":[],"class":[]}]}`, "tree 0 is empty"},
+		{"class outside range", `{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[2]}]}`, "class 2 outside 2 classes"},
+		{"negative class", `{"num_classes":2,"trees":[{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"class":[-1]}]}`, "class -1 outside 2 classes"},
+		{"self-loop child", `{"num_classes":2,"trees":[{"feature":[0],"threshold":[0.5],"left":[0],"right":[0],"class":[0]}]}`, "tree 0 node 0 has out-of-range children"},
+		{"backward child", `{"num_classes":2,"trees":[{"feature":[-1,0],"threshold":[0,0.5],"left":[0,0],"right":[0,0],"class":[0,0]}]}`, "tree 0 node 1 has out-of-range children"},
 	}
 	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := DecodeForest(strings.NewReader(tt.data)); err == nil {
-				t.Fatalf("accepted %s", tt.name)
-			}
-		})
+		t.Run(tt.name, func(t *testing.T) { rejects(t, tt.data, tt.want) })
 	}
 }
 

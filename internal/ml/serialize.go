@@ -54,54 +54,18 @@ const (
 	maxDecodeTrees   = 1 << 16
 )
 
-// DecodeForest reads a forest previously written by Encode, through
-// encoding/json. The input is validated as untrusted: node arrays must
-// be consistent, children must point strictly forward (so Predict
-// terminates), leaf classes must fall inside the declared class count
-// (so Votes never indexes out of range), and the declared counts are
-// capped so a corrupt file cannot force huge allocations downstream.
-// ScanForest is the one-pass reader of Encode's exact bytes; both run
-// the same checks.
-func DecodeForest(r io.Reader) (*Forest, error) {
-	var dto forestDTO
-	if err := json.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("ml: decode forest: %w", err)
-	}
-	if err := checkForest(dto.NumClasses, len(dto.Trees)); err != nil {
-		return nil, err
-	}
-	f := &Forest{numClasses: dto.NumClasses}
-	for ti, td := range dto.Trees {
-		n := len(td.Feature)
-		if n > 0 && (len(td.Threshold) != n || len(td.Left) != n || len(td.Right) != n || len(td.Class) != n) {
-			return nil, fmt.Errorf("ml: tree %d has inconsistent node arrays", ti)
-		}
-		nodes := make([]treeNode, n)
-		for i := range nodes {
-			nodes[i] = treeNode{
-				feature:   td.Feature[i],
-				threshold: td.Threshold[i],
-				left:      td.Left[i],
-				right:     td.Right[i],
-				class:     td.Class[i],
-			}
-		}
-		if err := checkTree(ti, nodes, dto.NumClasses); err != nil {
-			return nil, err
-		}
-		f.trees = append(f.trees, &Tree{numClasses: dto.NumClasses, nodes: nodes})
-	}
-	return f, nil
-}
-
 // ScanForest reads the forest Encode writes, without its trailing
 // newline, from c: {"num_classes":…,"trees":[{"feature":[…],
 // "threshold":[…],"left":[…],"right":[…],"class":[…]},…]} with no
-// whitespace, read straight into each tree's nodes. On any other input,
-// or a forest DecodeForest would reject, it fails c and returns nil.
-// Nothing is sized from a declared count: a tree's nodes grow in one
-// scratch slice and are copied out at their final length.
-func ScanForest(c *jsonscan.Cursor) *Forest {
+// whitespace, read straight into each tree's nodes. The input is
+// validated as untrusted: node arrays must be consistent, children
+// must point strictly forward (so Predict terminates), leaf classes
+// must fall inside the declared class count (so Votes never indexes
+// out of range), and the declared counts are capped so a corrupt file
+// cannot force huge allocations downstream. Nothing is sized from a
+// declared count: a tree's nodes grow in one scratch slice and are
+// copied out at their final length.
+func ScanForest(c *jsonscan.Cursor) (*Forest, error) {
 	c.Lit(`{"num_classes":`)
 	f := &Forest{numClasses: c.Int()}
 	c.Lit(`,"trees":[`)
@@ -113,45 +77,47 @@ func ScanForest(c *jsonscan.Cursor) *Forest {
 			nodes = append(nodes, treeNode{feature: c.Int()})
 		}
 		scratch = nodes
-		c.Lit(`,"threshold":`)
-		scanNodes(c, nodes, func(n *treeNode) { n.threshold = c.Float() })
-		c.Lit(`,"left":`)
-		scanNodes(c, nodes, func(n *treeNode) { n.left = c.Int32() })
-		c.Lit(`,"right":`)
-		scanNodes(c, nodes, func(n *treeNode) { n.right = c.Int32() })
-		c.Lit(`,"class":`)
-		scanNodes(c, nodes, func(n *treeNode) { n.class = c.Int32() })
+		same := scanNodes(c, `,"threshold":`, nodes, func(n *treeNode) { n.threshold = c.Float() }) &&
+			scanNodes(c, `,"left":`, nodes, func(n *treeNode) { n.left = c.Int32() }) &&
+			scanNodes(c, `,"right":`, nodes, func(n *treeNode) { n.right = c.Int32() }) &&
+			scanNodes(c, `,"class":`, nodes, func(n *treeNode) { n.class = c.Int32() })
+		if !same && c.OK() {
+			return nil, fmt.Errorf("ml: tree %d has inconsistent node arrays", ti)
+		}
 		c.Lit("}")
-		if !c.OK() || checkTree(ti, nodes, f.numClasses) != nil {
-			c.Fail()
-			return nil
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("ml: decode forest: %w", err)
+		}
+		if err := checkTree(ti, nodes, f.numClasses); err != nil {
+			return nil, err
 		}
 		f.trees = append(f.trees, &Tree{numClasses: f.numClasses, nodes: slices.Clone(nodes)})
 	}
 	c.Lit("}")
-	if !c.OK() || checkForest(f.numClasses, len(f.trees)) != nil {
-		c.Fail()
-		return nil
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("ml: decode forest: %w", err)
 	}
-	return f
+	if err := checkForest(f.numClasses, len(f.trees)); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-// scanNodes reads one per-node array of a tree into nodes, one element
-// per node through read, failing c unless it has exactly len(nodes)
-// elements.
-func scanNodes(c *jsonscan.Cursor, nodes []treeNode, read func(*treeNode)) {
+// scanNodes reads key and then one per-node array of a tree into
+// nodes, one element per node through read. It reports whether the
+// array held exactly len(nodes) elements; it stops, without failing c,
+// at an element past the last node.
+func scanNodes(c *jsonscan.Cursor, key string, nodes []treeNode, read func(*treeNode)) bool {
+	c.Lit(key)
 	c.Lit("[")
 	i := 0
 	for ; c.Next(i); i++ {
 		if i == len(nodes) {
-			c.Fail()
-			return
+			return false
 		}
 		read(&nodes[i])
 	}
-	if i != len(nodes) {
-		c.Fail()
-	}
+	return i == len(nodes)
 }
 
 // checkForest validates a decoded forest's declared counts.

@@ -27,7 +27,7 @@ func TestExtractVecAllocs(t *testing.T) {
 	docs := []Features{warm.Vec().Features()}
 	sp := warm.Vec().Sparse()
 	putScratch(warm)
-	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
+	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1})
 	row := make([]float64, v.NumFeatures())
 
 	if a := testing.AllocsPerRun(100, func() {
@@ -53,29 +53,13 @@ func TestExtractVecAllocs(t *testing.T) {
 	}
 }
 
-// TestVectorIntoAllocs pins VectorInto's allocation-free contract: the
-// serving path reuses one row buffer across requests and vectorization
-// must not allocate per call.
-func TestVectorIntoAllocs(t *testing.T) {
-	docs := []Features{
-		{"WordUnigram:for": 2, "WordUnigram:int": 1, "LineLenAvg": 14.5},
-		{"WordUnigram:for": 1, "WordUnigram:while": 3, "LineLenAvg": 22.0},
-		{"WordUnigram:int": 4, "LeafTF:x": 2, "LineLenAvg": 9.1},
-	}
-	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
-	row := make([]float64, v.NumFeatures())
-	if a := testing.AllocsPerRun(100, func() { v.VectorInto(docs[0], row) }); a > 0 {
-		t.Errorf("VectorInto allocates %.2f per call, want 0", a)
-	}
-}
-
-// TestVectorIntoSizeMismatchPanics documents the misuse guard.
-func TestVectorIntoSizeMismatchPanics(t *testing.T) {
+// TestVectorIntoSparseSizeMismatchPanics documents the misuse guard.
+func TestVectorIntoSparseSizeMismatchPanics(t *testing.T) {
 	v := NewVectorizer([]Features{{"LineLenAvg": 1}}, VectorizerConfig{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("VectorInto with short row did not panic")
+			t.Fatal("VectorIntoSparse with a long row did not panic")
 		}
 	}()
-	v.VectorInto(Features{}, make([]float64, v.NumFeatures()+1))
+	v.VectorIntoSparse(Features{}.Sparse(), make([]float64, v.NumFeatures()+1))
 }

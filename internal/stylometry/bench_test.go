@@ -62,27 +62,25 @@ func BenchmarkSemanticFeatures(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorInto pins the request path's hot loop: filling a
-// dense row from a feature map must not allocate at all.
+// BenchmarkVectorInto pins the request path's vectorizer: filling a
+// dense row from the Sparse a served extraction produces, as attrserve
+// does before every forest vote, must not allocate at all.
 func BenchmarkVectorInto(b *testing.B) {
-	docs := make([]Features, 0, 8)
-	for i := 0; i < 8; i++ {
-		f, err := Extract(benchSrc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		docs = append(docs, f)
+	sc := getScratch()
+	if _, err := sc.extractVec(context.Background(), benchSrc, DegradeNone); err != nil {
+		b.Fatal(err)
 	}
-	vec := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1})
+	doc := sc.Vec().Sparse()
+	vec := NewVectorizer([]Features{sc.Vec().Features()}, VectorizerConfig{MinDocFreq: 1})
+	putScratch(sc)
 	row := make([]float64, vec.NumFeatures())
-	doc := docs[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vec.VectorInto(doc, row)
+		vec.VectorIntoSparse(doc, row)
 	}
-	if n := testing.AllocsPerRun(100, func() { vec.VectorInto(doc, row) }); n != 0 {
-		b.Fatalf("VectorInto allocates %v per run, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { vec.VectorIntoSparse(doc, row) }); n != 0 {
+		b.Fatalf("VectorIntoSparse allocates %v per run, want 0", n)
 	}
 }
 

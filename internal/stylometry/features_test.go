@@ -226,29 +226,6 @@ func TestVectorizerDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestVectorizerTFIDF(t *testing.T) {
-	docs := []Features{
-		{"WordUnigram:common": 1},
-		{"WordUnigram:common": 1},
-		{"WordUnigram:common": 1, "WordUnigram:seldom": 1},
-		{"WordUnigram:common": 1, "WordUnigram:seldom": 1},
-	}
-	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1, UseTFIDF: true})
-	row := v.Vector(docs[2])
-	var common, seldom float64
-	for i, n := range v.FeatureNames() {
-		switch n {
-		case "WordUnigram:common":
-			common = row[i]
-		case "WordUnigram:seldom":
-			seldom = row[i]
-		}
-	}
-	if seldom <= common {
-		t.Errorf("IDF should upweight rarer term: seldom=%v common=%v", seldom, common)
-	}
-}
-
 func TestBuildDataset(t *testing.T) {
 	sources := []string{sampleA, sampleB, sampleA}
 	labels := []int{0, 1, 0}

@@ -156,8 +156,9 @@ func (s *Sparse) Bytes() int {
 // VectorIntoSparse fills a caller-provided row (len must be
 // NumFeatures) from a Sparse, allocating nothing: scalars go through
 // the precomputed ScalarID -> column table, terms through one map
-// probe on their names. It produces exactly VectorInto(s.Features(),
-// row) without materializing the map.
+// probe on their names. It produces exactly Vector(s.Features())
+// without materializing the map. Serving paths reuse one row per
+// worker across requests.
 func (v *Vectorizer) VectorIntoSparse(s *Sparse, row []float64) {
 	if len(row) != len(v.names) {
 		// repolint:allow-panic caller-contract violation (wrongly sized scratch), not a data fault the supervisors should absorb
@@ -165,25 +166,14 @@ func (v *Vectorizer) VectorIntoSparse(s *Sparse, row []float64) {
 	}
 	clear(row)
 	for i, id := range s.ids {
-		col := v.scalarCols[id]
-		if col < 0 {
-			continue
+		if col := v.scalarCols[id]; col >= 0 {
+			row[col] = s.vals[i]
 		}
-		// scalarIDF is 1 when no reweighting applies; x*1.0 is exact.
-		row[col] = s.vals[i] * v.scalarIDF[id]
 	}
 	terms := s.vals[len(s.ids):]
 	for i, name := range s.names {
-		col, ok := v.index[name]
-		if !ok {
-			continue
+		if col, ok := v.index[name]; ok {
+			row[col] = terms[i]
 		}
-		val := terms[i]
-		if v.cfg.UseTFIDF {
-			if w, ok := v.idf[name]; ok {
-				val *= w
-			}
-		}
-		row[col] = val
 	}
 }

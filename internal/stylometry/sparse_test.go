@@ -84,27 +84,23 @@ func TestFeatureVecSparseMatchesFeatures(t *testing.T) {
 }
 
 // TestVectorIntoSparseMatchesVectorInto pins the serving vectorizer
-// bit-for-bit to the map path, with TF-IDF on and off and with a
-// vocabulary that leaves some of each document's terms unindexed.
+// bit-for-bit to the training path's Vector, with vocabularies that
+// leave some of each document's terms unindexed.
 func TestVectorIntoSparseMatchesVectorInto(t *testing.T) {
 	cases := sparseCases(t)
 	docs := make([]Features, len(cases))
 	for i, c := range cases {
 		docs[i] = c.f
 	}
-	for _, cfg := range []VectorizerConfig{
-		{MinDocFreq: 1}, {MinDocFreq: 1, UseTFIDF: true},
-		{MinDocFreq: 3}, {MinDocFreq: 3, UseTFIDF: true},
-	} {
+	for _, cfg := range []VectorizerConfig{{MinDocFreq: 1}, {MinDocFreq: 3}} {
 		v := NewVectorizer(docs, cfg)
-		want := make([]float64, v.NumFeatures())
 		got := make([]float64, v.NumFeatures())
 		for _, c := range cases {
-			v.VectorInto(c.sp.Features(), want)
+			want := v.Vector(c.sp.Features())
 			v.VectorIntoSparse(c.sp, got)
 			for col := range want {
 				if math.Float64bits(got[col]) != math.Float64bits(want[col]) {
-					t.Fatalf("%+v, %s: column %s = %v, VectorInto gives %v",
+					t.Fatalf("%+v, %s: column %s = %v, Vector gives %v",
 						cfg, c.name, v.FeatureNames()[col], got[col], want[col])
 				}
 			}
