@@ -1,5 +1,7 @@
 package cppast
 
+import "gptattr/internal/reuse"
+
 // Arena owns all memory for trees built by ParseTokens: per-type node
 // slabs, bump-allocated child slices, and an intern table for composed
 // type/name strings. A pooled Arena makes steady-state parsing
@@ -78,7 +80,10 @@ func NewArena() *Arena { return &Arena{} }
 
 // Reset recycles the arena for the next parse. Every tree previously
 // returned by ParseTokens with this arena becomes invalid: its nodes
-// will be overwritten. The intern table is retained.
+// are zeroed, so a pooled arena does not pin the last source. Reset
+// clears only the slots the last parse took (the scratch stacks clear
+// on every pop), drops any slab above reuse.MaxSlots, and keeps the
+// intern table.
 func (a *Arena) Reset() {
 	a.units.reset()
 	a.preprocs.reset()
@@ -116,13 +121,13 @@ func (a *Arena) Reset() {
 	a.paramBack.reset()
 	a.declBack.reset()
 	a.caseBack.reset()
-	a.nodeStk = a.nodeStk[:0]
-	a.paramStk = a.paramStk[:0]
-	a.declStk = a.declStk[:0]
-	a.caseStk = a.caseStk[:0]
-	a.buf = a.buf[:0]
-	a.buf2 = a.buf2[:0]
-	a.parts = a.parts[:0]
+	a.nodeStk = reuse.Slab(a.nodeStk)
+	a.paramStk = reuse.Slab(a.paramStk)
+	a.declStk = reuse.Slab(a.declStk)
+	a.caseStk = reuse.Slab(a.caseStk)
+	a.buf = reuse.Trim(a.buf)[:0]
+	a.buf2 = reuse.Trim(a.buf2)[:0]
+	a.parts = reuse.Slab(a.parts)
 	a.ps = parser{}
 }
 
@@ -152,7 +157,8 @@ func (a *Arena) internBytes(b []byte) string {
 // buf, and when buf fills, a larger one replaces it — previously handed
 // out pointers keep the old array alive, so nothing moves. reset keeps
 // only the newest (largest) buffer, which is what makes a pooled arena
-// converge to zero steady-state allocations.
+// converge to zero steady-state allocations, and clears only its used
+// prefix: the slots past it are still zero.
 type bump[T any] struct{ buf []T }
 
 func (b *bump[T]) grow(n int) {
@@ -166,7 +172,14 @@ func (b *bump[T]) grow(n int) {
 	b.buf = make([]T, 0, c)
 }
 
-func (b *bump[T]) reset() { b.buf = b.buf[:0] }
+func (b *bump[T]) reset() { b.buf = reuse.Slab(b.buf) }
+
+// pop truncates a scratch stack to mark, zeroing the popped slots so
+// a stack's slots past its length never hold a stale node or string.
+func pop[T any](stk []T, mark int) []T {
+	clear(stk[mark:])
+	return stk[:mark]
+}
 
 // alloc returns a pointer to a zeroed slot.
 func alloc[T any](b *bump[T]) *T {

@@ -77,25 +77,25 @@ func (p *parser) here() pos { return pos{line: p.cur().Line} }
 // into arena backing.
 func (p *parser) takeNodes(mark int) []Node {
 	out := p.a.nodeBack.take(p.a.nodeStk[mark:])
-	p.a.nodeStk = p.a.nodeStk[:mark]
+	p.a.nodeStk = pop(p.a.nodeStk, mark)
 	return out
 }
 
 func (p *parser) takeParams(mark int) []*Param {
 	out := p.a.paramBack.take(p.a.paramStk[mark:])
-	p.a.paramStk = p.a.paramStk[:mark]
+	p.a.paramStk = pop(p.a.paramStk, mark)
 	return out
 }
 
 func (p *parser) takeDecls(mark int) []*Declarator {
 	out := p.a.declBack.take(p.a.declStk[mark:])
-	p.a.declStk = p.a.declStk[:mark]
+	p.a.declStk = pop(p.a.declStk, mark)
 	return out
 }
 
 func (p *parser) takeCases(mark int) []*SwitchCase {
 	out := p.a.caseBack.take(p.a.caseStk[mark:])
-	p.a.caseStk = p.a.caseStk[:mark]
+	p.a.caseStk = pop(p.a.caseStk, mark)
 	return out
 }
 
@@ -321,7 +321,7 @@ func (p *parser) joinParts(mark int) string {
 		}
 		s = a.internBytes(a.buf)
 	}
-	a.parts = a.parts[:mark]
+	a.parts = pop(a.parts, mark)
 	return s
 }
 
@@ -388,7 +388,7 @@ func (p *parser) tryParseType() (string, bool) {
 post:
 	if !seenBase {
 		p.pos = start
-		a.parts = a.parts[:mark]
+		a.parts = pop(a.parts, mark)
 		return "", false
 	}
 	for p.cur().Is("*") || p.cur().Is("&") || p.cur().Is("const") {
@@ -1081,7 +1081,7 @@ func (p *parser) tryCast() Node {
 	}
 	if !seenKeyword || !p.cur().Is(")") {
 		p.pos = save
-		a.parts = a.parts[:mark]
+		a.parts = pop(a.parts, mark)
 		return nil
 	}
 	p.next() // ')'
@@ -1093,7 +1093,7 @@ func (p *parser) tryCast() Node {
 		t.Is("-") || t.Is("+") || t.Is("!") || t.Is("~") || t.Is("++") || t.Is("--")
 	if !startsExpr {
 		p.pos = save
-		a.parts = a.parts[:mark]
+		a.parts = pop(a.parts, mark)
 		return nil
 	}
 	typ := p.joinParts(mark)

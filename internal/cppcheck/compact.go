@@ -2,6 +2,7 @@ package cppcheck
 
 import (
 	"gptattr/internal/cppast"
+	"gptattr/internal/reuse"
 )
 
 // CompactNode is one node of a compacted CFG: a maximal straight-line
@@ -31,7 +32,7 @@ type compactor struct {
 	path    []*Block
 	steps   int // resolve walk steps this Compact (pinned by a test)
 
-	cns  []workNode // high-water slab
+	cns  []workNode // [:used] this Compact
 	used int
 
 	entryCn, exitCn int32
@@ -44,7 +45,11 @@ type compactor struct {
 	order   []int32
 	cnIdx   []int32
 
-	nodes []CompactNode // output, high-water
+	nodes []CompactNode // output
+
+	// Dirty marks: the most working and output nodes one Compact used
+	// since the last release. Every slot past its mark is zero.
+	dirty, dirtyNodes int
 }
 
 // workNode is a node during compaction, with successor indices into
@@ -66,6 +71,7 @@ func (cp *compactor) takeWorkNode() int32 {
 		cp.cns = append(cp.cns, workNode{})
 	}
 	cp.used++
+	cp.dirty = max(cp.dirty, cp.used)
 	return int32(cp.used - 1)
 }
 
@@ -157,7 +163,7 @@ func (s *Scratch) Compact(g *CFG) []CompactNode {
 	cp.vmark = resize(cp.vmark, cp.used)
 	cp.vepoch++
 	cp.predWalk(cp.entryCn)
-	cp.stmtBuf = cp.stmtBuf[:0]
+	cp.stmtBuf = reuse.Slab(cp.stmtBuf)
 	cp.vepoch++
 	cp.mergeVisit(cp.entryCn)
 
@@ -179,6 +185,7 @@ func (s *Scratch) Compact(g *CFG) []CompactNode {
 		cp.nodes = append(cp.nodes[:cap(cp.nodes)], make([]CompactNode, n-cap(cp.nodes))...)
 	}
 	cp.nodes = cp.nodes[:n]
+	cp.dirtyNodes = max(cp.dirtyNodes, n)
 	for i, wi := range cp.order {
 		w := &cp.cns[wi]
 		nd := &cp.nodes[i]
@@ -261,17 +268,18 @@ func (cp *compactor) poVisit(wi int32) {
 	cp.order = append(cp.order, wi)
 }
 
-// release drops the AST references the recycled storage holds.
+// release drops the AST references the recycled storage holds,
+// visiting only the nodes written since the last release.
 func (cp *compactor) release() {
-	for i := range cp.cns {
+	for i := range cp.cns[:cp.dirty] {
 		w := &cp.cns[i]
 		*w = workNode{succs: w.succs[:0]}
 	}
-	all := cp.nodes[:cap(cp.nodes)]
-	for i := range all {
-		all[i] = CompactNode{Succs: all[i].Succs[:0], Preds: all[i].Preds[:0]}
+	nodes := cp.nodes[:cp.dirtyNodes]
+	for i := range nodes {
+		nodes[i] = CompactNode{Succs: nodes[i].Succs[:0], Preds: nodes[i].Preds[:0]}
 	}
 	cp.nodes = cp.nodes[:0]
-	clear(cp.stmtBuf[:cap(cp.stmtBuf)])
-	cp.stmtBuf = cp.stmtBuf[:0]
+	cp.stmtBuf = reuse.Slab(cp.stmtBuf)
+	cp.dirty, cp.dirtyNodes = 0, 0
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/reuse"
 )
 
 // VarInfo describes one function-local variable (or parameter) as the
@@ -60,7 +61,7 @@ type funcAnalysis struct {
 	g     *CFG
 	funcs map[string]*cppast.FuncDecl // unit-level, for ref params
 
-	varID  map[string]int32 // name -> index into vars (cleared per init)
+	varID  map[string]int32 // name -> index into vars (emptied per init)
 	vars   []VarInfo        // declaration order
 	events []event          // block-major flat event stream
 	evOff  []int32          // len(g.Blocks)+1 offsets into events
@@ -106,12 +107,8 @@ func aggregateType(typ string) bool {
 func (fa *funcAnalysis) init(g *CFG, funcs map[string]*cppast.FuncDecl) {
 	fa.g = g
 	fa.funcs = funcs
-	if fa.varID == nil {
-		fa.varID = make(map[string]int32)
-	} else {
-		clear(fa.varID)
-	}
-	fa.vars = fa.vars[:0]
+	fa.varID = reuse.Map(fa.varID)
+	fa.vars = reuse.Slab(fa.vars)
 	fa.events = fa.events[:0]
 	fa.evOff = fa.evOff[:0]
 
@@ -687,11 +684,18 @@ type DataflowSummary struct {
 }
 
 // release drops name-bearing state so a pooled scratch does not pin
-// the last-analyzed source's strings between uses.
+// the last-analyzed source's strings between uses. The other slabs
+// hold only numbers, each sized by a function's blocks, variables or
+// events, or, for the bitset rows, by its blocks times its def sites
+// or variables. Scratch.Release bounds the blocks; when one of the
+// others outgrew reuse.MaxSlots, the whole state is dropped.
 func (fa *funcAnalysis) release() {
-	clear(fa.varID)
-	clear(fa.vars[:cap(fa.vars)])
-	fa.vars = fa.vars[:0]
+	if max(cap(fa.vars), cap(fa.events), cap(fa.r.gen), cap(fa.live.gen)) > reuse.MaxSlots {
+		*fa = funcAnalysis{}
+		return
+	}
+	fa.varID = reuse.Map(fa.varID)
+	fa.vars = reuse.Slab(fa.vars)
 	fa.g = nil
 	fa.funcs = nil
 	fa.order = fa.order[:0]

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/reuse"
 )
 
 // Scratch is the one reusable workspace behind every per-function
@@ -22,11 +23,15 @@ import (
 // graph built by any Scratch. The zero value is ready to use.
 type Scratch struct {
 	g      CFG
-	blocks []*Block // high-water pool; [:used] handed to the live CFG
+	blocks []*Block // [:used] handed to the live CFG
 	used   int
 	exprs  []*cppast.ExprStmt
 	usedEx int
 	loops  []loopCtx
+
+	// Dirty marks: the most blocks and exprs taken by one Build since
+	// the last Release. Every pooled slot past its mark is zero.
+	dirty, dirtyEx int
 
 	cp compactor
 	fa funcAnalysis
@@ -44,59 +49,63 @@ func putScratch(s *Scratch) {
 // takeBlock returns a zeroed Block whose slice fields keep their old
 // capacity.
 func (s *Scratch) takeBlock() *Block {
-	if s.used < len(s.blocks) {
-		blk := s.blocks[s.used]
-		s.used++
-		*blk = Block{
-			Stmts:    blk.Stmts[:0],
-			Succs:    blk.Succs[:0],
-			Preds:    blk.Preds[:0],
-			CaseVals: blk.CaseVals[:0],
-		}
-		return blk
+	if s.used == len(s.blocks) {
+		s.blocks = append(s.blocks, &Block{})
 	}
-	blk := &Block{}
-	s.blocks = append(s.blocks, blk)
+	blk := s.blocks[s.used]
 	s.used++
+	s.dirty = max(s.dirty, s.used)
+	resetBlock(blk)
 	return blk
+}
+
+// resetBlock zeroes blk, clearing its statements and case values only
+// as far as its last use wrote them, so every slot past a block
+// slice's length stays zero. Its edges point only at the Scratch's own
+// blocks and are truncated.
+func resetBlock(blk *Block) {
+	*blk = Block{
+		Stmts:    reuse.Slab(blk.Stmts),
+		Succs:    blk.Succs[:0],
+		Preds:    blk.Preds[:0],
+		CaseVals: reuse.Slab(blk.CaseVals),
+	}
 }
 
 // takeExprStmt returns a recycled ExprStmt wrapping x.
 func (s *Scratch) takeExprStmt(x cppast.Node) *cppast.ExprStmt {
-	if s.usedEx < len(s.exprs) {
-		e := s.exprs[s.usedEx]
-		s.usedEx++
-		*e = cppast.ExprStmt{X: x}
-		return e
+	if s.usedEx == len(s.exprs) {
+		s.exprs = append(s.exprs, &cppast.ExprStmt{})
 	}
-	e := &cppast.ExprStmt{X: x}
-	s.exprs = append(s.exprs, e)
+	e := s.exprs[s.usedEx]
 	s.usedEx++
+	s.dirtyEx = max(s.dirtyEx, s.usedEx)
+	*e = cppast.ExprStmt{X: x}
 	return e
 }
 
 // Release drops every reference into the last-analyzed source (block
 // statement lists, conditions, materialized post clauses, compacted
 // statement runs, variable names) so a pooled scratch does not pin a
-// request's tree between uses. The slabs keep their capacity.
+// request's tree between uses. It visits only the slots written since
+// the last Release (see package reuse), and drops what outgrew the
+// reuse caps; the rest keep their capacity.
 func (s *Scratch) Release() {
-	for _, blk := range s.blocks {
-		*blk = Block{
-			Stmts:    blk.Stmts[:0:cap(blk.Stmts)],
-			Succs:    blk.Succs[:0:cap(blk.Succs)],
-			Preds:    blk.Preds[:0:cap(blk.Preds)],
-			CaseVals: blk.CaseVals[:0:cap(blk.CaseVals)],
-		}
-		clear(blk.Stmts[:cap(blk.Stmts)])
-		clear(blk.Succs[:cap(blk.Succs)])
-		clear(blk.Preds[:cap(blk.Preds)])
-		clear(blk.CaseVals[:cap(blk.CaseVals)])
+	if len(s.blocks) > reuse.MaxSlots {
+		// Every graph slab (edges, the walk, the compactor's and the
+		// dataflow's per-block state) points into the block pool or
+		// is sized by it: drop them together.
+		*s = Scratch{}
+		return
 	}
-	for _, e := range s.exprs {
+	for _, blk := range s.blocks[:s.dirty] {
+		resetBlock(blk)
+	}
+	for _, e := range s.exprs[:s.dirtyEx] {
 		*e = cppast.ExprStmt{}
 	}
 	s.g = CFG{Blocks: s.g.Blocks[:0], reach: s.g.reach, rpo: s.g.rpo[:0]}
-	s.used, s.usedEx = 0, 0
+	s.used, s.usedEx, s.dirty, s.dirtyEx = 0, 0, 0, 0
 	s.cp.release()
 	s.fa.release()
 }

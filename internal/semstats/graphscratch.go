@@ -1,6 +1,9 @@
 package semstats
 
-import "gptattr/internal/cppcheck"
+import (
+	"gptattr/internal/cppcheck"
+	"gptattr/internal/reuse"
+)
 
 // resizeI32 returns a zeroed []int32 of length n, reusing capacity.
 func resizeI32(s []int32, n int) []int32 {
@@ -55,6 +58,15 @@ type loopScratch struct {
 	parent []int32 // header -> innermost enclosing header, -1 outermost
 	depth  []int32 // header -> nesting depth (1 = outermost), 0 off headers
 	stack  []int32
+}
+
+// release drops the slabs that outgrew reuse.MaxSlots. They hold only
+// numbers, rewritten before every read.
+func (ls *loopScratch) release() {
+	ls.rep = reuse.Trim(ls.rep)
+	ls.parent = reuse.Trim(ls.parent)
+	ls.depth = reuse.Trim(ls.depth)
+	ls.stack = reuse.Trim(ls.stack)
 }
 
 func (ls *loopScratch) find(x int32) int32 {

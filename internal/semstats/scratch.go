@@ -7,6 +7,7 @@ import (
 	"gptattr/internal/cppast"
 	"gptattr/internal/cppcheck"
 	"gptattr/internal/fault"
+	"gptattr/internal/reuse"
 )
 
 // Scratch is the reusable workspace behind AnalyzeContext: the
@@ -34,8 +35,9 @@ type Scratch struct {
 	funcNames map[string]bool
 	seen      map[string]bool
 
-	statPool []*FuncStats // high-water; Grams slices persist
+	statPool []*FuncStats // [:sused] this unit; Grams slices persist
 	sused    int
+	sdirty   int // the most stats one unit took since the last Release
 	fs       FileStats
 }
 
@@ -54,32 +56,41 @@ func NewScratch() *Scratch {
 
 // Release drops references into the last-analyzed unit (AST nodes,
 // name strings) so a pooled Scratch does not pin a request's source
-// between uses. The workspace slabs keep their capacity.
+// between uses. Like cppcheck.Scratch.Release, it visits only what was
+// written since the last Release and drops what outgrew the reuse
+// caps (see package reuse); the rest keep their capacity.
 func (s *Scratch) Release() {
 	s.cc.Release()
-	s.fnList = s.fnList[:0]
-	clear(s.funcs)
-	clear(s.globals)
-	clear(s.funcNames)
-	clear(s.seen)
+	s.resetUnit()
 	s.cg.release()
 	s.sh.release()
-	for _, st := range s.statPool {
-		clear(st.Grams[:cap(st.Grams)])
-		*st = FuncStats{Grams: st.Grams[:0]}
+	for _, st := range s.statPool[:s.sdirty] {
+		*st = FuncStats{Grams: reuse.Slab(st.Grams)}
 	}
-	s.fs = FileStats{Funcs: s.fs.Funcs[:0]}
+	s.statPool = reuse.Trim(s.statPool)
+	s.sused, s.sdirty = 0, 0
+	s.fs = FileStats{Funcs: reuse.Trim(s.fs.Funcs)[:0]}
+	s.emark = reuse.Trim(s.emark)
+	s.loops.release()
+}
+
+// resetUnit empties the unit-level tables: the function list and the
+// name maps.
+func (s *Scratch) resetUnit() {
+	s.fnList = reuse.Slab(s.fnList)
+	s.funcs = reuse.Map(s.funcs)
+	s.globals = reuse.Map(s.globals)
+	s.funcNames = reuse.Map(s.funcNames)
+	s.seen = reuse.Map(s.seen)
 }
 
 func (s *Scratch) takeStats() *FuncStats {
-	if s.sused < len(s.statPool) {
-		s.sused++
-		return s.statPool[s.sused-1]
+	if s.sused == len(s.statPool) {
+		s.statPool = append(s.statPool, &FuncStats{})
 	}
-	st := &FuncStats{}
-	s.statPool = append(s.statPool, st)
 	s.sused++
-	return st
+	s.sdirty = max(s.sdirty, s.sused)
+	return s.statPool[s.sused-1]
 }
 
 // AnalyzeContext runs the full pass pipeline over one unit, recycling
@@ -87,11 +98,7 @@ func (s *Scratch) takeStats() *FuncStats {
 // AnalyzeContext (pinned by TestScratchMatchesReference); the returned
 // FileStats is valid until the next call on this scratch.
 func (s *Scratch) AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit) (*FileStats, error) {
-	s.fnList = s.fnList[:0]
-	clear(s.funcs)
-	clear(s.globals)
-	clear(s.funcNames)
-	clear(s.seen)
+	s.resetUnit()
 	for _, d := range tu.Decls {
 		switch n := d.(type) {
 		case *cppast.FuncDecl:
@@ -145,7 +152,7 @@ func (s *Scratch) AnalyzeContext(ctx context.Context, tu *cppast.TranslationUnit
 // fields (FanIn/FanOut/Recursive) are left zero; AnalyzeContext fills
 // them from the file-level pass.
 func (s *Scratch) funcStats(fn *cppast.FuncDecl, st *FuncStats) {
-	*st = FuncStats{Name: fn.Name, Grams: st.Grams[:0]}
+	*st = FuncStats{Name: fn.Name, Grams: reuse.Slab(st.Grams)}
 	g := s.cc.Build(fn)
 	if g == nil {
 		return
@@ -251,8 +258,9 @@ func (ss *shaperScratch) init() {
 }
 
 func (ss *shaperScratch) release() {
-	clear(ss.locals)
-	clear(ss.idx)
+	ss.locals = reuse.Map(ss.locals)
+	ss.idx = reuse.Map(ss.idx)
+	ss.buf = reuse.Trim(ss.buf)
 	ss.globals, ss.funcs, ss.grams = nil, nil, nil
 	// The intern table holds alpha-normalized shapes, not user text;
 	// keeping it across requests is the point.
@@ -261,8 +269,8 @@ func (ss *shaperScratch) release() {
 // begin prepares the shaper for fn, counting its grams into grams
 // (emptied first; its capacity is reused).
 func (ss *shaperScratch) begin(fn *cppast.FuncDecl, globals, funcs map[string]bool, grams []GramCount) {
-	clear(ss.locals)
-	clear(ss.idx)
+	ss.locals = reuse.Map(ss.locals)
+	ss.idx = reuse.Map(ss.idx)
 	ss.globals, ss.funcs, ss.grams = globals, funcs, grams[:0]
 	for _, p := range fn.Params {
 		if p.Name != "" {
@@ -516,16 +524,23 @@ func (c *cgScratch) init() {
 	}
 }
 
+// release resets the callee rows the last build made, and drops every
+// per-function slab once a unit's function count outgrew
+// reuse.MaxSlots.
 func (c *cgScratch) release() {
-	clear(c.idx)
-	c.n = 0
-	for i := range c.callees {
-		c.callees[i] = c.callees[i][:0]
+	c.idx = reuse.Map(c.idx)
+	for i := range c.callees[:c.n] {
+		c.callees[i] = reuse.Trim(c.callees[i])[:0]
 	}
+	if len(c.callees) > reuse.MaxSlots {
+		c.callees, c.fanIn, c.recursive, c.built, c.cmark, c.smark = nil, nil, nil, nil, nil, nil
+	}
+	c.stack = reuse.Trim(c.stack)
+	c.n = 0
 }
 
 func (c *cgScratch) build(fns []*cppast.FuncDecl) {
-	clear(c.idx)
+	c.idx = reuse.Map(c.idx)
 	c.n = 0
 	for _, f := range fns {
 		if f.Body == nil {

@@ -117,6 +117,39 @@ func BenchmarkExtractVec(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractVecAfterHostile is BenchmarkExtractVec on one
+// scratch that first served each hostileSources source: a reset must
+// cost what the last request wrote, so the ordinary extraction costs
+// what it does on a fresh scratch (same targets), and allocates
+// nothing once the slabs the hostile sources outgrew are regrown.
+func BenchmarkExtractVecAfterHostile(b *testing.B) {
+	ctx := context.Background()
+	sc := newScratch()
+	for _, src := range append(hostileSources(), benchSrc) {
+		if _, err := sc.extractVec(ctx, src, DegradeNone); err != nil {
+			b.Fatal(err)
+		}
+		sc.release()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.extractVec(ctx, benchSrc, DegradeNone); err != nil {
+			b.Fatal(err)
+		}
+		sc.release()
+	}
+	b.StopTimer()
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() {
+			sc.extractVec(ctx, benchSrc, DegradeNone)
+			sc.release()
+		}); n != 0 {
+			b.Fatalf("ExtractVec after a hostile source allocates %v per run, want 0", n)
+		}
+	}
+}
+
 // BenchmarkExtractDegraded gates the brownout floor: a surface-forced
 // extraction is what every admitted request is guaranteed even under
 // max degrade, so its latency bounds worst-case batcher throughput.

@@ -20,6 +20,7 @@ import (
 
 	"gptattr/internal/cppast"
 	"gptattr/internal/cpptok"
+	"gptattr/internal/reuse"
 )
 
 // Features is a sparse feature vector: name -> value.
@@ -72,7 +73,7 @@ func (sc *scratch) extractVec(ctx context.Context, src string, force DegradeLeve
 		return force, err
 	}
 	sc.vec.Reset()
-	toks, _ := cpptok.ScanSurface(src, sc.toks[:0], &sc.surf) // tolerate lexical errors
+	toks, _ := cpptok.ScanSurface(src, reuse.Slab(sc.toks), &sc.surf) // tolerate lexical errors
 	sc.toks = toks
 
 	lineComments, blockComments := 0, 0

@@ -5,6 +5,7 @@ import (
 
 	"gptattr/internal/cppast"
 	"gptattr/internal/cpptok"
+	"gptattr/internal/reuse"
 	"gptattr/internal/semstats"
 )
 
@@ -189,10 +190,18 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // putScratch returns a scratch to the pool. The caller must not retain
 // the scratch, its FeatureVec, or any tree parsed through it.
 func putScratch(sc *scratch) {
-	// Drop token texts and the semantic workspace's AST references so
-	// the pool does not pin the last request's source string between
-	// uses.
-	clear(sc.toks[:cap(sc.toks)])
-	sc.sem.Release()
+	sc.release()
 	scratchPool.Put(sc)
+}
+
+// release drops everything the last extraction left that refers to its
+// source (token texts, the parsed tree, the semantic workspace's AST
+// references), so a pooled scratch does not pin the last request's
+// source string between uses. Each part clears only what the
+// extraction wrote and drops what outgrew the reuse caps (see package
+// reuse); the term-intern tables are kept.
+func (sc *scratch) release() {
+	sc.toks = reuse.Slab(sc.toks)
+	sc.arena.Reset()
+	sc.sem.Release()
 }

@@ -41,15 +41,14 @@ type Vectorizer struct {
 func newVectorizer(names []string, cfg VectorizerConfig) *Vectorizer {
 	v := &Vectorizer{names: names, index: make(map[string]int, len(names)), cfg: cfg,
 		scalarCols: make([]int32, len(scalarNames))}
+	for id := range v.scalarCols {
+		v.scalarCols[id] = -1
+	}
 	for i, name := range names {
 		v.index[name] = i
-	}
-	for id, name := range scalarNames {
-		col, ok := v.index[name]
-		if !ok {
-			col = -1
+		if id, ok := scalarIndex[name]; ok {
+			v.scalarCols[id] = int32(i)
 		}
-		v.scalarCols[id] = int32(col)
 	}
 	return v
 }
