@@ -29,13 +29,28 @@ func TestGoldenExperimentTables(t *testing.T) {
 	}
 	goldenPath := filepath.Join("testdata", "golden_tables.json")
 	got := map[string]string{}
+	pin := func(name, text string) {
+		sum := sha256.Sum256([]byte(text))
+		got[name] = hex.EncodeToString(sum[:])
+	}
 	for _, w := range []int{1, 2} {
 		scale := determinismScale
 		scale.Workers = w
 		s := experiments.NewSuite(scale)
 		for i, text := range suiteOutputs(t, s) {
-			sum := sha256.Sum256([]byte(text))
-			got[fmt.Sprintf("workers=%d/output=%d", w, i)] = hex.EncodeToString(sum[:])
+			pin(fmt.Sprintf("workers=%d/output=%d", w, i), text)
+		}
+		// The two ablations that build their own training sets, at
+		// quick scale.
+		quick := experiments.QuickScale
+		quick.Workers = w
+		q := experiments.NewSuite(quick)
+		for _, name := range []string{"features", "classifier"} {
+			text, err := q.Ablations()[name]()
+			if err != nil {
+				t.Fatalf("ablation %s: %v", name, err)
+			}
+			pin(fmt.Sprintf("quick/workers=%d/ablation=%s", w, name), text)
 		}
 	}
 	if *updateGolden {
