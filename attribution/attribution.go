@@ -355,44 +355,29 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 
 // CrossValidateAuthorship estimates attribution accuracy by stratified
 // k-fold cross-validation over the labelled samples, returning the
-// mean accuracy.
+// mean accuracy. The samples are checked as TrainAuthorship checks
+// them, and the folds train on the set TrainAuthorship fits.
 func CrossValidateAuthorship(samples map[string][]string, k int, p Params) (float64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("attribution: k = %d, want >= 2", k)
 	}
-	authors := make([]string, 0, len(samples))
-	for a := range samples {
-		authors = append(authors, a)
-	}
-	sort.Strings(authors)
-	var sources []string
-	var labels []int
-	for i, a := range authors {
-		for _, s := range samples[a] {
-			sources = append(sources, s)
-			labels = append(labels, i)
-		}
+	c, err := authorshipCorpus(samples)
+	if err != nil {
+		return 0, err
 	}
 	cfg, err := p.config()
 	if err != nil {
 		return 0, err
 	}
-	d, _, err := stylometry.BuildDatasetWith(sources, labels, len(authors),
-		stylometry.VectorizerConfig{MinDocFreq: 2},
-		stylometry.ExtractConfig{Workers: p.Workers, Cache: cfg.Cache})
+	d, err := attrib.OracleDataset(c, nil, cfg)
 	if err != nil {
 		return 0, err
 	}
-	topK := p.TopFeatures
-	if topK <= 0 {
-		topK = 700
-	}
-	reduced, _ := ml.ReduceByInformationGain(d, topK, 10)
-	folds, err := ml.StratifiedKFold(reduced.Y, k, nil)
+	folds, err := ml.StratifiedKFold(d.Y, k, nil)
 	if err != nil {
 		return 0, err
 	}
-	results, err := ml.CrossValidateForest(reduced, folds, ml.ForestConfig{
+	results, err := ml.CrossValidateForest(d, folds, ml.ForestConfig{
 		NumTrees: cfg.Trees, Seed: p.Seed, Workers: p.Workers,
 	})
 	if err != nil {

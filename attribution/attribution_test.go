@@ -197,6 +197,22 @@ func TestCrossValidateAuthorship(t *testing.T) {
 	}
 }
 
+// TestCrossValidateAuthorshipChecksSamples pins that cross-validation
+// refuses what TrainAuthorship refuses: one author, or an author
+// without samples.
+func TestCrossValidateAuthorshipChecksSamples(t *testing.T) {
+	samples := makeSamples(t, 2)
+	for name, bad := range map[string]map[string][]string{
+		"one author":       {"dev-00": samples["dev-00"]},
+		"author, no files": {"dev-00": samples["dev-00"], "dev-01": {}},
+	} {
+		_, trainErr := TrainAuthorship(bad, Params{Trees: 4})
+		if _, err := CrossValidateAuthorship(bad, 2, Params{Trees: 4}); err == nil || trainErr == nil || err.Error() != trainErr.Error() {
+			t.Errorf("%s: CrossValidateAuthorship error %v, TrainAuthorship error %v", name, err, trainErr)
+		}
+	}
+}
+
 func TestDetectStyle(t *testing.T) {
 	src := `#include <cstdio>
 int solve_case(int id)

@@ -247,25 +247,14 @@ func BenchmarkForestOOB(b *testing.B) {
 
 // --- pipeline concurrency and caching benchmarks ---
 
-// benchSources renders a labelled source corpus for pipeline benches.
-func benchSources(b *testing.B, authors int) ([]string, []int, int) {
+// benchCorpus renders a labelled source corpus for pipeline benches.
+func benchCorpus(b *testing.B, authors int) *corpus.Corpus {
 	b.Helper()
 	human, _, err := corpus.GenerateYear(corpus.YearConfig{Year: 2017, NumAuthors: authors, Seed: 21})
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := human.Authors()
-	index := make(map[string]int, len(names))
-	for i, a := range names {
-		index[a] = i
-	}
-	sources := make([]string, len(human.Samples))
-	labels := make([]int, len(human.Samples))
-	for i, s := range human.Samples {
-		sources[i] = s.Source
-		labels[i] = index[s.Author]
-	}
-	return sources, labels, len(names)
+	return human
 }
 
 // benchWorkerCounts compares the sequential path against the full
@@ -278,21 +267,20 @@ func benchWorkerCounts() []int {
 	return []int{1}
 }
 
-// BenchmarkBuildDatasetParallel measures parallel feature extraction +
-// vectorization at each worker count, reporting samples/sec.
+// BenchmarkBuildDatasetParallel measures parallel feature extraction,
+// vectorization and information-gain reduction at each worker count,
+// reporting samples/sec.
 func BenchmarkBuildDatasetParallel(b *testing.B) {
-	sources, labels, classes := benchSources(b, 12)
+	human := benchCorpus(b, 12)
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := stylometry.BuildDatasetWith(sources, labels, classes,
-					stylometry.VectorizerConfig{MinDocFreq: 2},
-					stylometry.ExtractConfig{Workers: w}); err != nil {
+				if _, err := attrib.OracleDataset(human, nil, attrib.Config{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(sources)*b.N)/b.Elapsed().Seconds(), "samples/sec")
+			b.ReportMetric(float64(len(human.Samples)*b.N)/b.Elapsed().Seconds(), "samples/sec")
 		})
 	}
 }
@@ -335,11 +323,9 @@ func BenchmarkCrossValidateParallel(b *testing.B) {
 // (every extraction misses, then populates) and a warm cache (every
 // extraction hits), reporting samples/sec.
 func BenchmarkFeatureCache(b *testing.B) {
-	sources, labels, classes := benchSources(b, 12)
-	vcfg := stylometry.VectorizerConfig{MinDocFreq: 2}
+	human := benchCorpus(b, 12)
 	build := func(b *testing.B, cache stylometry.FeatureCache) {
-		if _, _, err := stylometry.BuildDatasetWith(sources, labels, classes, vcfg,
-			stylometry.ExtractConfig{Cache: cache}); err != nil {
+		if _, err := attrib.OracleDataset(human, nil, attrib.Config{Cache: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,7 +337,7 @@ func BenchmarkFeatureCache(b *testing.B) {
 			}
 			build(b, cache)
 		}
-		b.ReportMetric(float64(len(sources)*b.N)/b.Elapsed().Seconds(), "samples/sec")
+		b.ReportMetric(float64(len(human.Samples)*b.N)/b.Elapsed().Seconds(), "samples/sec")
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache, err := featcache.New(featcache.Options{})
@@ -363,7 +349,7 @@ func BenchmarkFeatureCache(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			build(b, cache)
 		}
-		b.ReportMetric(float64(len(sources)*b.N)/b.Elapsed().Seconds(), "samples/sec")
+		b.ReportMetric(float64(len(human.Samples)*b.N)/b.Elapsed().Seconds(), "samples/sec")
 	})
 }
 

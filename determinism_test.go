@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gptattr/internal/attrib"
 	"gptattr/internal/corpus"
 	"gptattr/internal/experiments"
 	"gptattr/internal/featcache"
@@ -29,39 +30,26 @@ func workerCounts() []int {
 }
 
 // determinismCorpus renders a small labelled corpus once per test run.
-func determinismCorpus(t *testing.T) ([]string, []int, int) {
+func determinismCorpus(t *testing.T) *corpus.Corpus {
 	t.Helper()
 	human, _, err := corpus.GenerateYear(corpus.YearConfig{Year: 2017, NumAuthors: 6, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	authors := human.Authors()
-	index := make(map[string]int, len(authors))
-	for i, a := range authors {
-		index[a] = i
-	}
-	sources := make([]string, len(human.Samples))
-	labels := make([]int, len(human.Samples))
-	for i, s := range human.Samples {
-		sources[i] = s.Source
-		labels[i] = index[s.Author]
-	}
-	return sources, labels, len(authors)
+	return human
 }
 
 // TestBuildDatasetWorkersDeterministic locks down parallel feature
-// extraction: identical datasets (feature names, rows, labels) at any
-// worker count, with and without a cache, cold and warm.
+// extraction and the training boundary: identical datasets (feature
+// names, rows, labels, groups) at any worker count, with and without a
+// cache, cold and warm.
 func TestBuildDatasetWorkersDeterministic(t *testing.T) {
-	sources, labels, classes := determinismCorpus(t)
-	vcfg := stylometry.VectorizerConfig{MinDocFreq: 2}
-
-	ref, _, err := stylometry.BuildDatasetWith(sources, labels, classes, vcfg,
-		stylometry.ExtractConfig{Workers: 1})
+	human := determinismCorpus(t)
+	ref, err := attrib.OracleDataset(human, nil, attrib.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.FeatureNames) == 0 || len(ref.X) != len(sources) {
+	if len(ref.FeatureNames) == 0 || len(ref.X) != len(human.Samples) {
 		t.Fatalf("degenerate reference dataset: %d features, %d rows", len(ref.FeatureNames), len(ref.X))
 	}
 
@@ -80,8 +68,7 @@ func TestBuildDatasetWorkersDeterministic(t *testing.T) {
 	for _, tc := range cases {
 		for _, w := range workerCounts() {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(t *testing.T) {
-				d, _, err := stylometry.BuildDatasetWith(sources, labels, classes, vcfg,
-					stylometry.ExtractConfig{Workers: w, Cache: tc.cache})
+				d, err := attrib.OracleDataset(human, nil, attrib.Config{Workers: w, Cache: tc.cache})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,8 +78,8 @@ func TestBuildDatasetWorkersDeterministic(t *testing.T) {
 				if !reflect.DeepEqual(d.X, ref.X) {
 					t.Error("feature rows differ from sequential reference")
 				}
-				if !reflect.DeepEqual(d.Y, ref.Y) {
-					t.Error("labels differ from sequential reference")
+				if !reflect.DeepEqual(d.Y, ref.Y) || !reflect.DeepEqual(d.Groups, ref.Groups) {
+					t.Error("labels or groups differ from sequential reference")
 				}
 			})
 		}
@@ -107,13 +94,10 @@ func TestBuildDatasetWorkersDeterministic(t *testing.T) {
 // path: identical fold assignment, predictions, and accuracies at any
 // worker count.
 func TestCrossValidatePipelineWorkersDeterministic(t *testing.T) {
-	sources, labels, classes := determinismCorpus(t)
-	d, _, err := stylometry.BuildDatasetWith(sources, labels, classes,
-		stylometry.VectorizerConfig{MinDocFreq: 2}, stylometry.ExtractConfig{})
+	reduced, err := attrib.OracleDataset(determinismCorpus(t), nil, attrib.Config{TopFeatures: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, _ := ml.ReduceByInformationGain(d, 150, 10)
 	folds, err := ml.StratifiedKFold(reduced.Y, 4, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -77,13 +78,14 @@ func pairShifts(pairs []SourcePair) (names []string, sumAbs []float64, moved []i
 	if len(pairs) == 0 {
 		return nil, nil, nil, fmt.Errorf("arena: no pairs to rank")
 	}
-	docs := make([]stylometry.Features, 0, 2*len(pairs))
+	docs := make([]*stylometry.Sparse, 0, 2*len(pairs))
+	ctx := context.Background()
 	for i, p := range pairs {
-		of, err := stylometry.Extract(p.Original)
+		of, _, err := stylometry.ExtractSupervised(ctx, p.Original, stylometry.DegradeNone, nil)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("arena: extracting original %d: %w", i, err)
 		}
-		ef, err := stylometry.Extract(p.Evaded)
+		ef, _, err := stylometry.ExtractSupervised(ctx, p.Evaded, stylometry.DegradeNone, nil)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("arena: extracting evaded %d: %w", i, err)
 		}
@@ -93,9 +95,10 @@ func pairShifts(pairs []SourcePair) (names []string, sumAbs []float64, moved []i
 	names = vec.FeatureNames()
 	sumAbs = make([]float64, len(names))
 	moved = make([]int, len(names))
+	orow, erow := make([]float64, len(names)), make([]float64, len(names))
 	for i := 0; i < len(docs); i += 2 {
-		orow := vec.Vector(docs[i])
-		erow := vec.Vector(docs[i+1])
+		vec.VectorIntoSparse(docs[i], orow)
+		vec.VectorIntoSparse(docs[i+1], erow)
 		for c := range names {
 			d := erow[c] - orow[c]
 			if d < 0 {

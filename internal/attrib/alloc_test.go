@@ -55,14 +55,13 @@ func TestDetectSparseAllocs(t *testing.T) {
 	}
 }
 
-// refProba is the scorers' independent reference: a feature map
-// through the map vectorizer (Vectorizer.Vector), the selected
-// columns, then the forest's vote share per class.
+// refProba is the scorers' independent reference: the selected
+// columns looked up by name in a feature map, then the forest's vote
+// share per class.
 func refProba(m *model, f stylometry.Features) []float64 {
-	full := m.vec.Vector(f)
 	row := make([]float64, len(m.cols))
 	for i, c := range m.cols {
-		row[i] = full[c]
+		row[i] = f[m.vec.FeatureNames()[c]]
 	}
 	proba := make([]float64, m.forest.NumClasses())
 	m.forest.PredictProbaInto(row, proba)

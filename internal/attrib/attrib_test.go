@@ -1,6 +1,7 @@
 package attrib
 
 import (
+	"slices"
 	"testing"
 
 	"gptattr/internal/corpus"
@@ -65,7 +66,7 @@ func TestOracleSelfPrediction(t *testing.T) {
 
 func TestOracleGeneralizesAcrossChallenges(t *testing.T) {
 	fx := fixture(t)
-	acc, err := SelfAccuracy(fx.human, fx.cfg)
+	acc, _, err := SelfAccuracy(fx.human, nil, fx.cfg)
 	if err != nil {
 		t.Fatalf("SelfAccuracy: %v", err)
 	}
@@ -247,6 +248,41 @@ func TestBinaryClassifierPredict(t *testing.T) {
 	}
 	if acc := float64(hits) / float64(total); acc < 0.8 {
 		t.Errorf("training-sample binary accuracy = %.2f, want >= 0.8", acc)
+	}
+}
+
+// TestBuildDataset pins the training boundary's shape: one row per
+// sample over the reduced columns, labels and challenge groups set,
+// and identical sources vectorized to identical rows.
+func TestBuildDataset(t *testing.T) {
+	fx := fixture(t)
+	c := &corpus.Corpus{Samples: []corpus.Sample{fx.human.Samples[0], fx.human.Samples[1], fx.human.Samples[0]}}
+	c.Samples[1].Author = "other"
+	d, err := OracleDataset(c, nil, Config{MinDocFreq: 1})
+	if err != nil {
+		t.Fatalf("OracleDataset: %v", err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("dataset invalid: %v", err)
+	}
+	if len(d.X) != 3 || d.NumClasses != 2 || len(d.Groups) != 3 || d.Groups[0] != challengeIndex(c.Samples[0].Challenge) {
+		t.Errorf("dataset shape %dx%d, %d classes, groups %v", len(d.X), d.NumFeatures(), d.NumClasses, d.Groups)
+	}
+	if !slices.Equal(d.X[0], d.X[2]) || d.Y[0] != d.Y[2] || d.Y[0] == d.Y[1] {
+		t.Errorf("identical sources gave rows or labels that differ, or distinct authors share a label: %v", d.Y)
+	}
+}
+
+// TestBuildDatasetPropagatesError pins that a source failing to
+// extract fails the dataset, and that vectors not matching the corpus
+// are refused.
+func TestBuildDatasetPropagatesError(t *testing.T) {
+	c := &corpus.Corpus{Samples: []corpus.Sample{{Source: "", Author: "a", Challenge: "C1"}}}
+	if _, err := OracleDataset(c, nil, Config{}); err == nil {
+		t.Error("OracleDataset with an empty source succeeded")
+	}
+	if _, err := OracleDataset(c, []*stylometry.Sparse{}, Config{}); err == nil {
+		t.Error("OracleDataset with no vector for its one sample succeeded")
 	}
 }
 

@@ -101,27 +101,37 @@ func challengeIndex(id string) int {
 	return 0
 }
 
-// buildDataset learns a vectorizer on a task's vectors, restricted to
-// cfg.Families, and vectorizes them with its label assignment and
-// challenge groups, then reduces by information gain. This is the
-// training boundary: the only place in this package that builds
-// feature maps.
+// buildDataset is the one training boundary: it learns a vectorizer
+// over t's vectors, restricted to cfg.Families, builds each sample's
+// row, label and challenge group, and keeps the cfg.TopFeatures most
+// informative columns, which it returns as indices into the
+// vectorizer's.
 func buildDataset(t task, cfg Config) (*ml.Dataset, *stylometry.Vectorizer, []int) {
-	feats := make([]stylometry.Features, len(t.feats))
-	for i, sp := range t.feats {
-		feats[i] = sp.Features(cfg.Families...)
-	}
-	vec := stylometry.NewVectorizer(feats, stylometry.VectorizerConfig{MinDocFreq: cfg.MinDocFreq})
+	vec := stylometry.NewVectorizer(t.feats, stylometry.VectorizerConfig{MinDocFreq: cfg.MinDocFreq}, cfg.Families...)
 	d := &ml.Dataset{NumClasses: t.numClasses, FeatureNames: vec.FeatureNames()}
-	d.X = make([][]float64, len(feats))
-	d.Y = make([]int, len(feats))
-	d.Groups = make([]int, len(feats))
-	for i, f := range feats {
-		d.X[i] = vec.Vector(f)
+	d.X = make([][]float64, len(t.feats))
+	d.Y = make([]int, len(t.feats))
+	d.Groups = make([]int, len(t.feats))
+	for i, sp := range t.feats {
+		d.X[i] = make([]float64, vec.NumFeatures())
+		vec.VectorIntoSparse(sp, d.X[i])
 		d.Y[i] = t.labelOf(t.c.Samples[i])
 		d.Groups[i] = challengeIndex(t.c.Samples[i].Challenge)
 	}
 	reduced, cols := ml.ReduceByInformationGain(d, cfg.topFeatures(), 10)
 	reduced.Groups = d.Groups
 	return reduced, vec, cols
+}
+
+// OracleDataset is the training set TrainOracle fits on: one row per
+// sample of human with feats its vectors (nil extracts them here), one
+// class per author in sorted order, the challenges as fold groups, and
+// the columns cut to cfg.TopFeatures by information gain.
+func OracleDataset(human *corpus.Corpus, feats []*stylometry.Sparse, cfg Config) (*ml.Dataset, error) {
+	t, _, err := oracleTask(human, feats, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d, _, _ := buildDataset(t, cfg)
+	return d, nil
 }

@@ -24,7 +24,7 @@ type ClassifierLadder [stylometry.DegradeLevels]*Classifier
 // estimate so serving can report how much confidence a degraded
 // answer deserves.
 func TrainOracleLadder(human *corpus.Corpus, cfg Config) (*OracleLadder, error) {
-	t, labels, err := oracleTask(human, cfg)
+	t, labels, err := oracleTask(human, nil, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -52,9 +52,10 @@ type task struct {
 	numClasses int
 }
 
-// oracleTask extracts a human corpus for authorship training and
-// returns it with the sorted author labels (class i = labels[i]).
-func oracleTask(human *corpus.Corpus, cfg Config) (task, []string, error) {
+// oracleTask is authorship training over a human corpus with feats its
+// vectors (nil extracts them here), returned with the sorted author
+// labels (class i = labels[i]).
+func oracleTask(human *corpus.Corpus, feats []*stylometry.Sparse, cfg Config) (task, []string, error) {
 	if len(human.Samples) == 0 {
 		return task{}, nil, fmt.Errorf("attrib: empty oracle corpus")
 	}
@@ -64,7 +65,12 @@ func oracleTask(human *corpus.Corpus, cfg Config) (task, []string, error) {
 	for i, l := range labels {
 		index[l] = i
 	}
-	feats, err := ExtractAll(human, cfg)
+	var err error
+	if feats == nil {
+		feats, err = ExtractAll(human, cfg)
+	} else if len(feats) != len(human.Samples) {
+		err = fmt.Errorf("attrib: %d feature vectors for %d samples", len(feats), len(human.Samples))
+	}
 	if err != nil {
 		return task{}, nil, err
 	}

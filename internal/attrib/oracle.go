@@ -22,7 +22,7 @@ type Oracle struct {
 
 // TrainOracle fits the oracle on a human (non-ChatGPT) corpus.
 func TrainOracle(human *corpus.Corpus, cfg Config) (*Oracle, error) {
-	t, labels, err := oracleTask(human, cfg)
+	t, labels, err := oracleTask(human, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -107,23 +107,23 @@ func (o *Oracle) PredictCorpus(c *corpus.Corpus, feats []*stylometry.Sparse) ([]
 }
 
 // SelfAccuracy evaluates the oracle with grouped (per-challenge)
-// cross-validation over its own training corpus — a sanity metric
-// mirroring Caliskan-Islam's headline result.
-func SelfAccuracy(human *corpus.Corpus, cfg Config) (float64, error) {
-	t, _, err := oracleTask(human, cfg)
+// cross-validation over its own training set, OracleDataset(human,
+// feats, cfg) — a sanity metric mirroring Caliskan-Islam's headline
+// result — and reports how many columns that set selected.
+func SelfAccuracy(human *corpus.Corpus, feats []*stylometry.Sparse, cfg Config) (acc float64, selected int, err error) {
+	d, err := OracleDataset(human, feats, cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	d, _, _ := buildDataset(t, cfg)
 	folds, err := ml.GroupKFold(d.Groups)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	results, err := ml.CrossValidateForest(d, folds, ml.ForestConfig{
 		NumTrees: cfg.trees(), Seed: cfg.Seed, Workers: cfg.Workers,
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return ml.MeanAccuracy(results), nil
+	return ml.MeanAccuracy(results), d.NumFeatures(), nil
 }

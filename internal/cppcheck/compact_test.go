@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/pathological"
 )
 
 // TestResolveStepsLinear counts the steps of compaction's empty-block
@@ -14,7 +15,7 @@ import (
 func TestResolveStepsLinear(t *testing.T) {
 	var sc Scratch
 	for _, n := range []int{256, 1024} {
-		shapes := shapeSeeds(n)
+		shapes := pathological.Sources(n)
 		for _, c := range []struct {
 			name  string
 			shape int

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/pathological"
 )
 
 // TestSolveSweepsOnAcyclicShapes counts fixpoint sweeps, not time: on
@@ -15,7 +16,7 @@ import (
 func TestSolveSweepsOnAcyclicShapes(t *testing.T) {
 	names := []string{"nested if", "nested while", "else if", "switch", "flat", "&& chain", "parentheses"}
 	for _, n := range []int{64, 256} {
-		for i, src := range shapeSeeds(n) {
+		for i, src := range pathological.Sources(n) {
 			if names[i] == "nested while" {
 				continue
 			}

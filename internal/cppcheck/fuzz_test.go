@@ -1,12 +1,11 @@
 package cppcheck
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/pathological"
 )
 
 // FuzzBuildCFG pins the builder's structural guarantees for any
@@ -314,34 +313,7 @@ var handSeeds = []string{
 // small enough for tier-1.
 const shapeDepth = 64
 
-// shapeSeeds renders the seven pathological shapes — nested if, nested
-// while, an else-if chain, a switch with one case per value, flat
-// straight-line statements, an && chain and nested parentheses — at
-// depth or length n.
-func shapeSeeds(n int) []string {
-	rep := func(s string) string { return strings.Repeat(s, n) }
-	var elseIf, cases, and strings.Builder
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			elseIf.WriteString(" else ")
-			and.WriteString(" && ")
-		}
-		fmt.Fprintf(&elseIf, "if (x == %d) y = %d;", i, i)
-		fmt.Fprintf(&cases, "case %d: y = %d; break; ", i, i)
-		fmt.Fprintf(&and, "x > %d", i)
-	}
-	return []string{
-		"int main() { int x = 1, y = 0; " + rep("if (x) { ") + "y = y + 1; " + rep("} ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + rep("while (x) { ") + "x = 0; " + rep("} ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + elseIf.String() + " else y = -1; return y; }",
-		"int main() { int x = 1, y = 0; switch (x) { " + cases.String() + "default: y = -1; } return y; }",
-		"int main() { int y = 0, i = 1; " + rep("y = y + i; ") + "return y; }",
-		"int main() { int x = 1, y = 0; if (" + and.String() + ") y = 1; return y; }",
-		"int main() { int x = 1; int y = " + rep("(") + "x" + rep(")") + "; return y; }",
-	}
-}
-
 // cfgSeeds is the full FuzzBuildCFG seed corpus.
 func cfgSeeds() []string {
-	return append(append([]string(nil), handSeeds...), shapeSeeds(shapeDepth)...)
+	return append(append([]string(nil), handSeeds...), pathological.Sources(shapeDepth)...)
 }

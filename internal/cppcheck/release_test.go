@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gptattr/internal/cppast"
+	"gptattr/internal/pathological"
 )
 
 // hostileDepth is the depth or length at which the seven seed shapes
@@ -108,7 +109,7 @@ func TestReleaseVisitsWhatTheUnitWrote(t *testing.T) {
 	for _, src := range cfgSeeds() {
 		fixtures = append(fixtures, parse(src))
 	}
-	for hi, src := range append(shapeSeeds(hostileDepth), wideFunc(20000)) {
+	for hi, src := range append(pathological.Sources(hostileDepth), wideFunc(20000)) {
 		var s Scratch
 		// Functions around the hostile one, the first merging a
 		// statement chain and the last merging none: Release must

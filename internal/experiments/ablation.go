@@ -23,46 +23,16 @@ func (s *Suite) AblationFeatureFamilies() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	vecs, err := attrib.ExtractAll(yd.Human, attrib.Config{})
+	vecs, err := attrib.ExtractAll(yd.Human, s.attribConfig())
 	if err != nil {
 		return "", err
-	}
-	authors := yd.Human.Authors()
-	sort.Strings(authors)
-	index := make(map[string]int, len(authors))
-	for i, a := range authors {
-		index[a] = i
 	}
 
 	// eval trains on the vectors restricted to fams (all when empty).
 	eval := func(fams ...stylometry.FeatureFamily) (float64, int, error) {
-		docs := make([]stylometry.Features, len(vecs))
-		for i, sp := range vecs {
-			docs[i] = sp.Features(fams...)
-		}
-		vec := stylometry.NewVectorizer(docs, stylometry.VectorizerConfig{MinDocFreq: 2})
-		d := &ml.Dataset{NumClasses: len(authors)}
-		d.X = make([][]float64, len(docs))
-		d.Y = make([]int, len(docs))
-		d.Groups = make([]int, len(docs))
-		for i, doc := range docs {
-			d.X[i] = vec.Vector(doc)
-			d.Y[i] = index[yd.Human.Samples[i].Author]
-			d.Groups[i] = challengeIndex(yd.Human.Samples[i].Challenge)
-		}
-		reduced, cols := ml.ReduceByInformationGain(d, s.scale.TopFeatures, 10)
-		reduced.Groups = d.Groups
-		folds, err := ml.GroupKFold(reduced.Groups)
-		if err != nil {
-			return 0, 0, err
-		}
-		results, err := ml.CrossValidateForest(reduced, folds, ml.ForestConfig{
-			NumTrees: s.scale.Trees, Seed: s.scale.Seed,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return ml.MeanAccuracy(results), len(cols), nil
+		cfg := s.attribConfig()
+		cfg.Families = fams
+		return attrib.SelfAccuracy(yd.Human, vecs, cfg)
 	}
 
 	var rows [][]string
@@ -172,48 +142,27 @@ func (s *Suite) AblationClassifier() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	vecs, err := attrib.ExtractAll(yd.Human, attrib.Config{})
+	cfg := s.attribConfig()
+	vecs, err := attrib.ExtractAll(yd.Human, cfg)
 	if err != nil {
 		return "", err
 	}
-	feats := make([]stylometry.Features, len(vecs))
-	for i, sp := range vecs {
-		feats[i] = sp.Features()
+	rfAcc, _, err := attrib.SelfAccuracy(yd.Human, vecs, cfg)
+	if err != nil {
+		return "", err
 	}
-	authors := yd.Human.Authors()
-	sort.Strings(authors)
-	index := make(map[string]int, len(authors))
-	for i, a := range authors {
-		index[a] = i
+	reduced, err := attrib.OracleDataset(yd.Human, vecs, cfg)
+	if err != nil {
+		return "", err
 	}
-	vec := stylometry.NewVectorizer(feats, stylometry.VectorizerConfig{MinDocFreq: 2})
-	d := &ml.Dataset{NumClasses: len(authors)}
-	d.X = make([][]float64, len(feats))
-	d.Y = make([]int, len(feats))
-	d.Groups = make([]int, len(feats))
-	for i, f := range feats {
-		d.X[i] = vec.Vector(f)
-		d.Y[i] = index[yd.Human.Samples[i].Author]
-		d.Groups[i] = challengeIndex(yd.Human.Samples[i].Challenge)
-	}
-	reduced, _ := ml.ReduceByInformationGain(d, s.scale.TopFeatures, 10)
-	reduced.Groups = d.Groups
 	folds, err := ml.GroupKFold(reduced.Groups)
-	if err != nil {
-		return "", err
-	}
-
-	// Random forest.
-	rfResults, err := ml.CrossValidateForest(reduced, folds, ml.ForestConfig{
-		NumTrees: s.scale.Trees, Seed: s.scale.Seed,
-	})
 	if err != nil {
 		return "", err
 	}
 
 	// kNN at several k.
 	var rows [][]string
-	rows = append(rows, []string{"random forest", pct(ml.MeanAccuracy(rfResults))})
+	rows = append(rows, []string{"random forest", pct(rfAcc)})
 	for _, k := range []int{1, 3, 5} {
 		sum := 0.0
 		for _, fold := range folds {
@@ -248,7 +197,7 @@ func (s *Suite) AblationForestSize() (string, error) {
 	for _, trees := range []int{5, 10, 25, 50, 100} {
 		cfg := s.attribConfig()
 		cfg.Trees = trees
-		acc, err := attrib.SelfAccuracy(yd.Human, cfg)
+		acc, _, err := attrib.SelfAccuracy(yd.Human, nil, cfg)
 		if err != nil {
 			return "", err
 		}
@@ -271,7 +220,7 @@ func (s *Suite) AblationFeatureSelection() (string, error) {
 	for _, k := range []int{25, 100, 300, 700, 1500} {
 		cfg := s.attribConfig()
 		cfg.TopFeatures = k
-		acc, err := attrib.SelfAccuracy(yd.Human, cfg)
+		acc, _, err := attrib.SelfAccuracy(yd.Human, nil, cfg)
 		if err != nil {
 			return "", err
 		}
@@ -289,21 +238,6 @@ func distinctStyles(rs []gpt.Result) int {
 		set[r.StyleIndex] = true
 	}
 	return len(set)
-}
-
-// challengeIndex maps "C1".."C8" to a fold-group id.
-func challengeIndex(id string) int {
-	if len(id) >= 2 && id[0] == 'C' {
-		n := 0
-		for _, r := range id[1:] {
-			if r < '0' || r > '9' {
-				return 0
-			}
-			n = n*10 + int(r-'0')
-		}
-		return n
-	}
-	return 0
 }
 
 // chalProg returns the i-th 2017 challenge program (helper for

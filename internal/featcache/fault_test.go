@@ -1,7 +1,6 @@
 package featcache
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,15 +28,14 @@ func TestTornWriteNeverLeavesTruncatedEntry(t *testing.T) {
 	fault.Enable(11)
 	fault.Set(PointDiskTorn, fault.Policy{Kind: fault.KindPartialWrite})
 	src := "int main() { return 7; }"
-	full := stylometry.Features{"AST_depth": 4, "ws_ratio": 0.25}
+	full := stylometry.Features{"MaxASTDepth": 4, "WhitespaceRatio": 0.25}
 	c.Put(src, full)
 	fault.Disable()
 
 	key := Key(ExtractorFingerprint, src)
 	path := filepath.Join(dir, key[:2], key+".json")
 	if data, err := os.ReadFile(path); err == nil {
-		var f stylometry.Features
-		if json.Unmarshal(data, &f) == nil && len(f) == len(full) {
+		if _, err := stylometry.ScanSparse(data); err == nil {
 			t.Fatalf("torn write produced a complete entry: %q", data)
 		}
 	}
@@ -58,7 +56,7 @@ func TestTornWriteNeverLeavesTruncatedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c3.Get(src); !ok || got.Features()["AST_depth"] != 4 {
+	if got, ok := c3.Get(src); !ok || got.Features()["MaxASTDepth"] != 4 {
 		t.Fatalf("recomputed entry unreadable: ok=%v got=%v", ok, got)
 	}
 }
@@ -77,14 +75,14 @@ func TestDiskFaultsRetriedThenRecovered(t *testing.T) {
 	fault.Enable(5)
 	fault.Set(PointDiskWrite, fault.Policy{Kind: fault.KindError, Limit: diskRetries - 1})
 	fault.Set(PointDiskRead, fault.Policy{Kind: fault.KindError, Limit: diskRetries - 1})
-	c.Put("src", stylometry.Features{"A": 3})
+	c.Put("src", stylometry.Features{"AvgLineLength": 3})
 
 	c2, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c2.Get("src")
-	if !ok || got.Features()["A"] != 3 {
+	if !ok || got.Features()["AvgLineLength"] != 3 {
 		t.Fatalf("entry lost under retried faults: ok=%v got=%v", ok, got)
 	}
 	st := fault.Stats()

@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -149,8 +148,7 @@ func (c *Cache) Get(src string) (*stylometry.Sparse, bool) {
 	}
 	c.mu.Unlock()
 	if c.opts.Dir != "" {
-		if f, ok := c.loadDisk(key); ok {
-			v := f.Sparse()
+		if v, ok := c.loadDisk(key); ok {
 			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.DiskHits++
@@ -212,12 +210,14 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.opts.Dir, key[:2], key+".json")
 }
 
-// loadDisk reads one on-disk entry. A file that exists but does not
-// decode — truncated by a crash, corrupted, or written by something
-// else — is treated exactly like a miss: the bad file is deleted so
-// the recomputed entry can be stored cleanly, and the caller
-// re-extracts. Nothing downstream ever sees a partial entry.
-func (c *Cache) loadDisk(key string) (stylometry.Features, bool) {
+// loadDisk reads one on-disk entry: the Sparse as storeDisk wrote it,
+// read back by stylometry.ScanSparse, so it equals the vector stored.
+// A file that exists but does not scan — truncated by a crash,
+// corrupted, written by something else, or an entry in the old
+// name-to-value map form — is treated exactly like a miss: the bad
+// file is deleted so the recomputed entry can be stored cleanly, and
+// the caller re-extracts. Nothing downstream ever sees a partial entry.
+func (c *Cache) loadDisk(key string) (*stylometry.Sparse, bool) {
 	path := c.diskPath(key)
 	var data []byte
 	err := fault.Retry(diskRetries, diskBackoff, func() error {
@@ -231,12 +231,12 @@ func (c *Cache) loadDisk(key string) (stylometry.Features, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var f stylometry.Features
-	if err := json.Unmarshal(data, &f); err != nil {
+	v, err := stylometry.ScanSparse(data)
+	if err != nil {
 		os.Remove(path)
 		return nil, false
 	}
-	return f, true
+	return v, true
 }
 
 // storeDisk writes atomically: the payload goes to a temp file that
@@ -248,7 +248,7 @@ func (c *Cache) loadDisk(key string) (stylometry.Features, bool) {
 // is caught by the corrupt-entry delete+recompute backstop in
 // loadDisk).
 func (c *Cache) storeDisk(key string, v *stylometry.Sparse) {
-	data, err := json.Marshal(v.Features())
+	data, err := v.MarshalJSON()
 	if err != nil {
 		return
 	}

@@ -1,13 +1,17 @@
 package featcache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"gptattr/internal/corpus"
+	"gptattr/internal/pathological"
 	"gptattr/internal/stylometry"
 )
 
@@ -122,7 +126,7 @@ func TestDiskLayerSurvivesNewCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.Put("src", stylometry.Features{"A": 1.25})
+	c1.Put("src", stylometry.Features{"AvgLineLength": 1.25})
 
 	// A fresh cache instance with an empty memory layer must hit disk.
 	c2, err := New(Options{Dir: dir})
@@ -133,7 +137,7 @@ func TestDiskLayerSurvivesNewCache(t *testing.T) {
 	if !ok {
 		t.Fatal("disk layer miss")
 	}
-	if got.Features()["A"] != 1.25 {
+	if got.Features()["AvgLineLength"] != 1.25 {
 		t.Errorf("disk features = %v", got)
 	}
 	if st := c2.Stats(); st.DiskHits != 1 {
@@ -154,7 +158,8 @@ func TestDiskLayerSurvivesNewCache(t *testing.T) {
 // entry should live and asserts full recovery: the read is a miss, the
 // bad file is deleted, and a recomputed entry lands cleanly and is
 // served on the next read — including from a fresh cache over the same
-// directory.
+// directory. An entry in the old name-to-value map form is garbage
+// too: old disk caches go cold once.
 func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 	garbage := [][]byte{
 		[]byte("{not json"),
@@ -162,6 +167,7 @@ func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 		[]byte(`{"A":1`),               // truncated mid-object
 		[]byte(`[1,2,3]`),              // valid JSON, wrong shape
 		{0xff, 0xfe, 0x00, 0x01, 0x02}, // binary junk
+		[]byte(`{"A":1.25}`),           // the old map-shaped entry
 	}
 	for gi, junk := range garbage {
 		dir := t.TempDir()
@@ -185,10 +191,10 @@ func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 			t.Errorf("garbage %d: corrupt entry not deleted (stat err: %v)", gi, err)
 		}
 		// Recompute path: store fresh features over the cleaned slot.
-		f := stylometry.Features{"A": float64(gi), "B": 2}
+		f := stylometry.Features{"AvgLineLength": float64(gi), "WordUnigram:b": 2}
 		c.Put(src, f)
 		got, ok := c.Get(src)
-		if !ok || got.Features()["A"] != float64(gi) {
+		if !ok || got.Features()["AvgLineLength"] != float64(gi) {
 			t.Fatalf("garbage %d: recomputed entry not served (ok=%v, got=%v)", gi, ok, got)
 		}
 		// A brand-new cache over the same dir must read the rewritten
@@ -198,7 +204,7 @@ func TestDiskLayerRecoversFromCorruptEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ok = c2.Get(src)
-		if !ok || got.Features()["B"] != 2 {
+		if !ok || got.Features()["WordUnigram:b"] != 2 {
 			t.Fatalf("garbage %d: rewritten disk entry unreadable (ok=%v, got=%v)", gi, ok, got)
 		}
 		if s := c2.Stats(); s.DiskHits != 1 {
@@ -220,13 +226,13 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				src := fmt.Sprintf("src-%d", i%10)
 				if v, ok := c.Get(src); ok {
-					if f := v.Features(); f["i"] != float64(i%10) {
+					if f := v.Features(); f["AvgLineLength"] != float64(i%10) {
 						t.Errorf("wrong cached value for %s: %v", src, f)
 						return
 					}
 					continue
 				}
-				c.Put(src, stylometry.Features{"i": float64(i % 10)})
+				c.Put(src, stylometry.Features{"AvgLineLength": float64(i % 10)})
 			}
 		}(g)
 	}
@@ -297,7 +303,7 @@ func TestConcurrentGetAndScore(t *testing.T) {
 	doc := func(i int) stylometry.Features {
 		return stylometry.Features{"AvgLineLength": float64(i), "WordUnigram:x": float64(i % 3)}
 	}
-	vec := stylometry.NewVectorizer([]stylometry.Features{doc(1), doc(2)}, stylometry.VectorizerConfig{MinDocFreq: 1})
+	vec := stylometry.NewVectorizer([]*stylometry.Sparse{doc(1).Sparse(), doc(2).Sparse()}, stylometry.VectorizerConfig{MinDocFreq: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -312,10 +318,10 @@ func TestConcurrentGetAndScore(t *testing.T) {
 					continue
 				}
 				vec.VectorIntoSparse(v, row)
-				want := vec.Vector(doc(i % 12))
-				for j := range row {
-					if row[j] != want[j] {
-						t.Errorf("goroutine %d: %s column %d = %v, want %v", g, src, j, row[j], want[j])
+				want := doc(i % 12)
+				for j, name := range vec.FeatureNames() {
+					if row[j] != want[name] {
+						t.Errorf("goroutine %d: %s column %s = %v, want %v", g, src, name, row[j], want[name])
 						return
 					}
 				}
@@ -352,4 +358,44 @@ func FuzzFeatureCacheKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDiskWarmEqualsCold pins that every layer serves the vector
+// extraction made: for each fixture source, the cold ExtractSupervised
+// vector, the memory-warm Get and the disk-warm Get from a fresh cache
+// over the same directory are deeply equal, term order included.
+func TestDiskWarmEqualsCold(t *testing.T) {
+	human, _, err := corpus.GenerateYear(corpus.YearConfig{Year: 2017, NumAuthors: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := pathological.Sources(8)
+	for _, s := range human.Samples {
+		srcs = append(srcs, s.Source)
+	}
+	dir := t.TempDir()
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := make([]*stylometry.Sparse, len(srcs))
+	for i, src := range srcs {
+		if cold[i], _, err = stylometry.ExtractSupervised(context.Background(), src, stylometry.DegradeNone, c); err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+	}
+	warm, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range srcs {
+		mem, memOK := c.Get(src)
+		disk, diskOK := warm.Get(src)
+		if !memOK || !diskOK || !reflect.DeepEqual(mem, cold[i]) || !reflect.DeepEqual(disk, cold[i]) {
+			t.Errorf("source %d: memory hit %v, disk hit %v, or a warm vector differs from the cold one", i, memOK, diskOK)
+		}
+	}
+	if st := warm.Stats(); st.DiskHits != uint64(len(srcs)) {
+		t.Errorf("disk hits = %d, want %d", st.DiskHits, len(srcs))
+	}
 }

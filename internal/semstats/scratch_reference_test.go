@@ -21,6 +21,7 @@ import (
 	"gptattr/internal/cppcheck"
 	"gptattr/internal/gpt"
 	"gptattr/internal/ir"
+	"gptattr/internal/pathological"
 	"gptattr/internal/style"
 )
 
@@ -293,19 +294,10 @@ func TestCompactorMatchesReference(t *testing.T) {
 	}
 }
 
-// deepShapes renders chain-heavy functions n levels deep: nested ifs
-// and whiles, an else-if chain, and straight-line statements split by
-// empty blocks.
+// deepShapes renders the seven pathological shapes at depth n plus
+// one of semstats' own: straight-line statements split by nested empty
+// blocks, ending in a for (;;) loop.
 func deepShapes(n int) []string {
-	rep := func(s string) string { return strings.Repeat(s, n) }
-	var elseIf strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&elseIf, "if (x == %d) y = %d; else ", i, i)
-	}
-	return []string{
-		"int main() { int x = 1, y = 0; " + rep("if (x) { y++; ") + rep("} y--; ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + rep("while (x) { y++; ") + "x = 0; " + rep("} ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + elseIf.String() + "y = -1; return y; }",
-		"int main() { int y = 0; " + rep("{ y = y + 1; { } } ") + "for (;;) { } }",
-	}
+	return append(pathological.Sources(n),
+		"int main() { int y = 0; "+strings.Repeat("{ y = y + 1; { } } ", n)+"for (;;) { } }")
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"gptattr/internal/pathological"
 	"gptattr/internal/serve/metrics"
 	"gptattr/internal/stylometry"
 )
@@ -54,32 +54,6 @@ func refDecode(body []byte, limit int64) (int, string) {
 		return http.StatusBadRequest, "empty source"
 	}
 	return http.StatusOK, req.Source
-}
-
-// shapeSources renders seven pathological source shapes (nested if,
-// nested while, an else-if chain, a switch with one case per value,
-// flat statements, an && chain, nested parentheses) at depth n.
-func shapeSources(n int) []string {
-	rep := func(s string) string { return strings.Repeat(s, n) }
-	var elseIf, cases, and strings.Builder
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			elseIf.WriteString(" else ")
-			and.WriteString(" && ")
-		}
-		fmt.Fprintf(&elseIf, "if (x == %d) y = %d;", i, i)
-		fmt.Fprintf(&cases, "case %d: y = %d; break; ", i, i)
-		fmt.Fprintf(&and, "x > %d", i)
-	}
-	return []string{
-		"int main() { int x = 1, y = 0; " + rep("if (x) { ") + "y = y + 1; " + rep("} ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + rep("while (x) { ") + "x = 0; " + rep("} ") + "return y; }",
-		"int main() { int x = 1, y = 0; " + elseIf.String() + " else y = -1; return y; }",
-		"int main() { int x = 1, y = 0; switch (x) { " + cases.String() + "default: y = -1; } return y; }",
-		"int main() { int y = 0, i = 1; " + rep("y = y + i; ") + "return y; }",
-		"int main() { int x = 1, y = 0; if (" + and.String() + ") y = 1; return y; }",
-		"int main() { int x = 1; int y = " + rep("(") + "x" + rep(")") + "; return y; }",
-	}
 }
 
 // requestBodies renders src as a Go client's json.Marshal does (HTML
@@ -143,7 +117,7 @@ func decodeSeeds() [][]byte {
 		[]byte("{\"source\":\"caf\xc3\xa9\"}"),
 		[]byte("{\"source\":\"\xed\xa0\x80\"}"),
 	}
-	for _, src := range shapeSources(6) {
+	for _, src := range pathological.Sources(6) {
 		seeds = append(seeds, requestBodies(src)...)
 	}
 	return seeds
@@ -194,7 +168,7 @@ func FuzzDecodeSource(f *testing.F) {
 // json.Unmarshal with itself. Go clients write C++'s <, > and & as
 // \u003c, \u003e and \u0026.
 func TestFastPathTakesClientBodies(t *testing.T) {
-	srcs := append(shapeSources(6), sampleSource(t, 0), sampleSource(t, 1),
+	srcs := append(pathological.Sources(6), sampleSource(t, 0), sampleSource(t, 1),
 		"#include <vector>\nint main() { return 1 < 2 && 3 > 2; } // caf\u00e9 \u2028\t\"q\"\\")
 	type fast struct {
 		body []byte

@@ -24,10 +24,9 @@ func TestExtractVecAllocs(t *testing.T) {
 	if _, err := warm.extractVec(ctx, benchSrc, DegradeNone); err != nil {
 		t.Fatal(err)
 	}
-	docs := []Features{warm.Vec().Features()}
 	sp := warm.Vec().Sparse()
 	putScratch(warm)
-	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1})
+	v := NewVectorizer([]*Sparse{sp}, VectorizerConfig{MinDocFreq: 1})
 	row := make([]float64, v.NumFeatures())
 
 	if a := testing.AllocsPerRun(100, func() {
@@ -55,7 +54,7 @@ func TestExtractVecAllocs(t *testing.T) {
 
 // TestVectorIntoSparseSizeMismatchPanics documents the misuse guard.
 func TestVectorIntoSparseSizeMismatchPanics(t *testing.T) {
-	v := NewVectorizer([]Features{{"LineLenAvg": 1}}, VectorizerConfig{})
+	v := NewVectorizer([]*Sparse{Features{"LineLenAvg": 1}.Sparse()}, VectorizerConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("VectorIntoSparse with a long row did not panic")

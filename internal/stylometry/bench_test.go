@@ -71,7 +71,7 @@ func BenchmarkVectorInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	doc := sc.Vec().Sparse()
-	vec := NewVectorizer([]Features{sc.Vec().Features()}, VectorizerConfig{MinDocFreq: 1})
+	vec := NewVectorizer([]*Sparse{doc}, VectorizerConfig{MinDocFreq: 1})
 	putScratch(sc)
 	row := make([]float64, vec.NumFeatures())
 	b.ReportAllocs()

@@ -29,7 +29,7 @@ func TestDegradedEqualsFilteredFull(t *testing.T) {
 			if gotLvl != lvl {
 				t.Fatalf("ExtractDegraded(%v) reported level %v", lvl, gotLvl)
 			}
-			want := full.Sparse().Features(lvl.Families()...)
+			want := FilterFamilies(full, lvl.Families()...)
 			if len(got) != len(want) {
 				t.Errorf("level %v: %d features, want %d", lvl, len(got), len(want))
 			}
@@ -99,7 +99,7 @@ func TestExtractDegradedBudgetExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	want := full.Sparse().Features(DegradeNoSemantic.Families()...)
+	want := FilterFamilies(full, DegradeNoSemantic.Families()...)
 	if len(f) != len(want) {
 		t.Fatalf("degraded vector has %d features, want %d", len(f), len(want))
 	}

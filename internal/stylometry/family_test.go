@@ -46,23 +46,22 @@ func TestFamilyString(t *testing.T) {
 	}
 }
 
+// TestFilterFamily pins the vocabulary's family filter: a scalar's
+// family and a term's both decide whether it gets a column.
 func TestFilterFamily(t *testing.T) {
-	doc := Features{
+	docs := []*Sparse{Features{
 		"WordUnigram:x": 1,
 		"LnTabDensity":  2,
 		"ASTNodeTF:For": 3,
-	}
-	lay := doc.Sparse().Features(FamilyLayout)
-	if len(lay) != 1 || lay["LnTabDensity"] != 2 {
-		t.Errorf("layout filter wrong: %v", lay)
-	}
-	syn := doc.Sparse().Features(FamilySyntactic)
-	if len(syn) != 1 || syn["ASTNodeTF:For"] != 3 {
-		t.Errorf("syntactic filter wrong: %v", syn)
-	}
-	// Original untouched.
-	if len(doc) != 3 {
-		t.Error("filtering mutated input")
+	}.Sparse()}
+	for _, c := range []struct {
+		fam  FeatureFamily
+		want string
+	}{{FamilyLexical, "WordUnigram:x"}, {FamilyLayout, "LnTabDensity"}, {FamilySyntactic, "ASTNodeTF:For"}} {
+		v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1}, c.fam)
+		if names := v.FeatureNames(); len(names) != 1 || names[0] != c.want {
+			t.Errorf("%v filter kept %v, want [%s]", c.fam, names, c.want)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // features from the token stream, layout features from raw text, and
 // syntactic features from the cppast parse tree (node-kind term
 // frequencies, parent-child bigrams, depths). Documents become compact
-// Sparse vectors, which models score directly; the name->value map
-// form (Features) is built where a Vectorizer is learned, to align a
-// corpus into a dense ml.Dataset.
+// Sparse vectors, which a Vectorizer learns its columns from and
+// models score directly; the name->value map form (Features) is what
+// Extract and ExtractDegraded return, for the public API.
 //
 // Internally extraction runs on an interned vocabulary: passes write
 // into a FeatureVec (dense scalar slab + interned term accumulators)

@@ -183,73 +183,33 @@ func TestAllFeaturesFinite(t *testing.T) {
 }
 
 func TestVectorizer(t *testing.T) {
-	docs := []Features{
-		{"WordUnigram:alpha": 2, "AvgLineLength": 10},
-		{"WordUnigram:alpha": 1, "WordUnigram:rare": 1, "AvgLineLength": 20},
-		{"WordUnigram:alpha": 3, "AvgLineLength": 30},
+	docs := []*Sparse{
+		Features{"WordUnigram:alpha": 2, "AvgLineLength": 10}.Sparse(),
+		Features{"WordUnigram:alpha": 1, "WordUnigram:rare": 1, "AvgLineLength": 20}.Sparse(),
+		Features{"WordUnigram:alpha": 3, "AvgLineLength": 30}.Sparse(),
 	}
 	v := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 2})
-	names := v.FeatureNames()
-	for _, n := range names {
-		if n == "WordUnigram:rare" {
-			t.Error("rare term survived MinDocFreq=2")
-		}
-	}
-	found := false
-	for _, n := range names {
-		if n == "WordUnigram:alpha" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("frequent term missing from dictionary")
-	}
 	// Scalar features are kept regardless of document frequency.
-	vec := v.Vector(docs[0])
-	if len(vec) != v.NumFeatures() {
-		t.Fatalf("vector length %d != dict size %d", len(vec), v.NumFeatures())
+	if got, want := strings.Join(v.FeatureNames(), ","), "AvgLineLength,WordUnigram:alpha"; got != want {
+		t.Errorf("dictionary = %s, want %s (rare term dropped at MinDocFreq=2)", got, want)
 	}
 	// Unknown features are ignored silently.
-	_ = v.Vector(Features{"WordUnigram:never-seen": 9})
+	row := make([]float64, v.NumFeatures())
+	v.VectorIntoSparse(Features{"WordUnigram:never-seen": 9, "AvgLineLength": 5}.Sparse(), row)
+	if row[0] != 5 || row[1] != 0 {
+		t.Errorf("row = %v, want [5 0]", row)
+	}
 }
 
 func TestVectorizerDeterministicOrder(t *testing.T) {
-	docs := []Features{
-		{"b": 1, "a": 1, "c": 1},
-		{"c": 1, "a": 1, "b": 1},
+	docs := []*Sparse{
+		Features{"WordUnigram:b": 1, "WordUnigram:a": 1, "LeafTF:c": 1}.Sparse(),
+		Features{"LeafTF:c": 1, "SemShape:a": 1, "WordUnigram:b": 1}.Sparse(),
 	}
 	v1 := NewVectorizer(docs, VectorizerConfig{MinDocFreq: 1})
-	v2 := NewVectorizer([]Features{docs[1], docs[0]}, VectorizerConfig{MinDocFreq: 1})
+	v2 := NewVectorizer([]*Sparse{docs[1], docs[0]}, VectorizerConfig{MinDocFreq: 1})
 	n1, n2 := v1.FeatureNames(), v2.FeatureNames()
 	if strings.Join(n1, ",") != strings.Join(n2, ",") {
 		t.Errorf("column order unstable: %v vs %v", n1, n2)
-	}
-}
-
-func TestBuildDataset(t *testing.T) {
-	sources := []string{sampleA, sampleB, sampleA}
-	labels := []int{0, 1, 0}
-	d, v, err := BuildDatasetWith(sources, labels, 2, VectorizerConfig{MinDocFreq: 1}, ExtractConfig{})
-	if err != nil {
-		t.Fatalf("BuildDatasetWith: %v", err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("dataset invalid: %v", err)
-	}
-	if len(d.X) != 3 || d.NumFeatures() != v.NumFeatures() {
-		t.Errorf("dataset shape %dx%d unexpected", len(d.X), d.NumFeatures())
-	}
-	// Identical sources must produce identical rows.
-	for j := range d.X[0] {
-		if d.X[0][j] != d.X[2][j] {
-			t.Errorf("identical sources produced different vectors at col %d", j)
-			break
-		}
-	}
-}
-
-func TestBuildDatasetPropagatesError(t *testing.T) {
-	if _, _, err := BuildDatasetWith([]string{""}, []int{0}, 1, VectorizerConfig{}, ExtractConfig{}); err == nil {
-		t.Error("BuildDatasetWith with empty source succeeded")
 	}
 }

@@ -127,9 +127,10 @@ func (fv *FeatureVec) NumSet() int {
 	return n
 }
 
-// Features materializes the sparse map view. This is the package-
-// boundary form (training corpora, JSON); serving paths snapshot the
-// vec with Sparse and vectorize that via Vectorizer.VectorIntoSparse.
+// Features materializes the sparse map view. This is the form Extract
+// and ExtractDegraded return, for the public API; everything else
+// snapshots the vec with Sparse and vectorizes that via
+// Vectorizer.VectorIntoSparse.
 func (fv *FeatureVec) Features() Features {
 	out := make(Features, fv.NumSet()) // repolint:allow-featmap the boundary materializer itself
 	fv.mergeInto(out)

@@ -58,9 +58,10 @@ func FuzzExtractPipeline(f *testing.F) {
 			t.Fatal("workers=1 and workers=2 extracted different features")
 		}
 
-		if _, _, err := stylometry.BuildDatasetWith(sources, []int{0, 1}, 2,
-			stylometry.VectorizerConfig{}, stylometry.ExtractConfig{Workers: 2}); err != nil {
-			t.Fatalf("BuildDatasetWith failed on extractable input: %v", err)
+		vec := stylometry.NewVectorizer(seq, stylometry.VectorizerConfig{})
+		row := make([]float64, vec.NumFeatures())
+		for _, sp := range seq {
+			vec.VectorIntoSparse(sp, row)
 		}
 	})
 }

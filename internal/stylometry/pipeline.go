@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gptattr/internal/fault"
-	"gptattr/internal/ml"
 )
 
 // PointExtract is the fault-injection point on the per-source
@@ -191,34 +190,4 @@ func ExtractSupervised(ctx context.Context, src string, force DegradeLevel, cach
 		cache.Put(src, sp)
 	}
 	return sp, level, nil
-}
-
-// BuildDatasetWith extracts features for every source (in parallel,
-// through the optional cache), learns a vectorizer on them, and
-// assembles an ml.Dataset with the given labels. Learning a vectorizer
-// is the training boundary, so the feature maps are built here. The
-// vocabulary is learned from the documents in input order and column
-// names are sorted, so the dataset is bit-identical at any worker
-// count.
-func BuildDatasetWith(sources []string, labels []int, numClasses int,
-	cfg VectorizerConfig, ex ExtractConfig) (*ml.Dataset, *Vectorizer, error) {
-	vecs, _, err := ExtractAll(sources, DegradeNone, ex)
-	if err != nil {
-		return nil, nil, err
-	}
-	docs := make([]Features, len(vecs))
-	for i, sp := range vecs {
-		docs[i] = sp.Features()
-	}
-	v := NewVectorizer(docs, cfg)
-	d := &ml.Dataset{
-		Y:            labels,
-		NumClasses:   numClasses,
-		FeatureNames: v.FeatureNames(),
-	}
-	d.X = make([][]float64, len(docs))
-	for i, doc := range docs {
-		d.X[i] = v.Vector(doc)
-	}
-	return d, v, nil
 }

@@ -107,7 +107,7 @@ func semBlock(t *testing.T, src string) stylometry.Features {
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	return f.Sparse().Features(stylometry.FamilySemantic)
+	return stylometry.FilterFamilies(f, stylometry.FamilySemantic)
 }
 
 // diffFeatures returns a readable diff of two feature maps.

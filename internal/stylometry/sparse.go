@@ -1,22 +1,35 @@
 package stylometry
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"unsafe"
+
+	"gptattr/internal/jsonscan"
 )
 
 // Sparse is the compact, immutable form of one document's features:
 // the present scalars as ScalarIDs with their values, then the terms
-// as feature names with their values. It is what the serving path
-// carries from extraction through the feature cache to the model —
-// about a third of the memory of the equivalent Features map, and
-// scored without a map probe per scalar (Vectorizer.VectorIntoSparse).
+// as feature names with their values. It is the one feature form below
+// the public API: serving carries it from extraction through the
+// feature cache, memory and disk, to the model, and training learns
+// its vocabulary from it. It holds about a third of the memory of the
+// equivalent Features map and is scored without a map probe per
+// scalar (Vectorizer.VectorIntoSparse).
 // Term names taken from a FeatureVec share the intern tables' strings.
 // A Sparse is never mutated after construction, so any number of
 // goroutines may read one concurrently.
+//
+// Terms are in extraction order: each namespace's terms by first
+// touch. Once a scratch's term namespace has interned maxTermIDs
+// terms, new terms overflow and sort after the interned ones, so a
+// source extracted after that point can order its terms differently
+// from the same source extracted before it. The vectors are equal as
+// feature sets and vectorize to the same rows.
 type Sparse struct {
 	ids   []uint16  // present scalar IDs, ascending
 	vals  []float64 // vals[:len(ids)] scalars, vals[len(ids):] terms
@@ -123,25 +136,103 @@ func (f Features) Sparse() *Sparse {
 // safe.
 func (s *Sparse) Sparse() *Sparse { return s }
 
-// Features materializes the map view, for training corpora, the disk
-// cache and JSON; the serving path scores s directly. With fams
-// non-empty only features of those families are kept, so a
-// family-subset training corpus is built in this one copy.
-func (s *Sparse) Features(fams ...FeatureFamily) Features {
-	keep := func(name string) bool { return len(fams) == 0 || slices.Contains(fams, Family(name)) }
+// Features materializes the map view, for tests that compare a vector
+// with a map; models and the training boundary read s directly.
+func (s *Sparse) Features() Features {
 	out := make(Features, len(s.vals)) // repolint:allow-featmap the boundary materializer for the compact form
 	for i, id := range s.ids {
-		if name := scalarNames[id]; keep(name) {
-			out[name] = s.vals[i]
-		}
+		out[scalarNames[id]] = s.vals[i]
 	}
 	terms := s.vals[len(s.ids):]
 	for i, name := range s.names {
-		if keep(name) {
-			out[name] = terms[i]
-		}
+		out[name] = terms[i]
 	}
 	return out
+}
+
+// sparseDTO is the JSON form of a Sparse: the featcache disk entry.
+type sparseDTO struct {
+	IDs   []uint16  `json:"ids"`
+	Names []string  `json:"names"`
+	Vals  []float64 `json:"vals"`
+}
+
+// MarshalJSON implements json.Marshaler: {"ids":[…],"names":[…],
+// "vals":[…]}, the parts in s's own order, an empty part as [].
+func (s *Sparse) MarshalJSON() ([]byte, error) {
+	dto := sparseDTO{IDs: s.ids, Names: s.names, Vals: s.vals}
+	if dto.IDs == nil {
+		dto.IDs = []uint16{}
+	}
+	if dto.Names == nil {
+		dto.Names = []string{}
+	}
+	if dto.Vals == nil {
+		dto.Vals = []float64{}
+	}
+	return json.Marshal(dto)
+}
+
+// ScanSparse reads exactly the bytes MarshalJSON writes, with nothing
+// after them, and returns the Sparse they encode. It checks what every
+// Sparse holds: ascending IDs of registered scalars, term names in an
+// extraction term namespace (WordUnigram:, LeafTF: or SemShape:), and
+// one value per ID and name. Values are finite, as JSON spells no NaN
+// or infinity and a number out of float64's range fails the read. The
+// slices are sized exactly, and a vector without terms has nil names,
+// as FeatureVec.Sparse leaves them.
+func ScanSparse(data []byte) (*Sparse, error) {
+	c := jsonscan.NewCursor(data)
+	var ids []uint16
+	c.Lit(`{"ids":[`)
+	for i := 0; c.Next(i); i++ {
+		id := c.Int()
+		if c.OK() && (id < 0 || id >= len(scalarNames) || i > 0 && id <= int(ids[i-1])) {
+			return nil, fmt.Errorf("stylometry: sparse vector: scalar ID %d out of range or order", id)
+		}
+		ids = append(ids, uint16(id))
+	}
+	var names []string
+	c.Lit(`,"names":[`)
+	for i := 0; c.Next(i); i++ {
+		name := c.Str()
+		if c.OK() && !termName(name) {
+			return nil, fmt.Errorf("stylometry: sparse vector: %q is in no term namespace", name)
+		}
+		names = append(names, name)
+	}
+	s := &Sparse{ids: append(make([]uint16, 0, len(ids)), ids...),
+		vals: make([]float64, 0, len(ids)+len(names))}
+	if len(names) > 0 {
+		s.names = append(make([]string, 0, len(names)), names...)
+	}
+	c.Lit(`,"vals":[`)
+	for i := 0; c.Next(i); i++ {
+		if i == cap(s.vals) {
+			return nil, fmt.Errorf("stylometry: sparse vector: more than %d values", cap(s.vals))
+		}
+		s.vals = append(s.vals, c.Float())
+	}
+	c.Lit("}")
+	c.End()
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("stylometry: sparse vector: %w", err)
+	}
+	if len(s.vals) != cap(s.vals) {
+		return nil, fmt.Errorf("stylometry: sparse vector: %d values for %d features", len(s.vals), cap(s.vals))
+	}
+	return s, nil
+}
+
+// termName reports whether name is in one of the term namespaces
+// extraction writes.
+func termName(name string) bool {
+	for _, p := range [...]string{"WordUnigram:", "LeafTF:", "SemShape:"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Bytes reports the memory held by s's own slices: IDs, values and
@@ -156,8 +247,8 @@ func (s *Sparse) Bytes() int {
 // VectorIntoSparse fills a caller-provided row (len must be
 // NumFeatures) from a Sparse, allocating nothing: scalars go through
 // the precomputed ScalarID -> column table, terms through one map
-// probe on their names. It produces exactly Vector(s.Features())
-// without materializing the map. Serving paths reuse one row per
+// probe on their names. Column i holds s's value for FeatureNames()[i],
+// or zero when s lacks that feature. Serving paths reuse one row per
 // worker across requests.
 func (v *Vectorizer) VectorIntoSparse(s *Sparse, row []float64) {
 	if len(row) != len(v.names) {

@@ -2,9 +2,11 @@ package stylometry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,7 +50,7 @@ type sparseCase struct {
 
 // sparseCases extracts the golden corpus at every degrade level, plus
 // one source through a scratch whose term intern table overflows.
-func sparseCases(t *testing.T) []sparseCase {
+func sparseCases(t testing.TB) []sparseCase {
 	t.Helper()
 	ctx := context.Background()
 	var out []sparseCase
@@ -84,8 +86,8 @@ func TestFeatureVecSparseMatchesFeatures(t *testing.T) {
 }
 
 // TestVectorIntoSparseMatchesVectorInto pins the serving vectorizer
-// bit-for-bit to the training path's Vector, with vocabularies that
-// leave some of each document's terms unindexed.
+// bit-for-bit to the map-based reference row builder, with
+// vocabularies that leave some of each document's terms unindexed.
 func TestVectorIntoSparseMatchesVectorInto(t *testing.T) {
 	cases := sparseCases(t)
 	docs := make([]Features, len(cases))
@@ -93,14 +95,14 @@ func TestVectorIntoSparseMatchesVectorInto(t *testing.T) {
 		docs[i] = c.f
 	}
 	for _, cfg := range []VectorizerConfig{{MinDocFreq: 1}, {MinDocFreq: 3}} {
-		v := NewVectorizer(docs, cfg)
+		v := refNewVectorizer(docs, cfg)
 		got := make([]float64, v.NumFeatures())
 		for _, c := range cases {
-			want := v.Vector(c.sp.Features())
+			want := refVector(v, c.sp.Features())
 			v.VectorIntoSparse(c.sp, got)
 			for col := range want {
 				if math.Float64bits(got[col]) != math.Float64bits(want[col]) {
-					t.Fatalf("%+v, %s: column %s = %v, Vector gives %v",
+					t.Fatalf("%+v, %s: column %s = %v, reference gives %v",
 						cfg, c.name, v.FeatureNames()[col], got[col], want[col])
 				}
 			}
@@ -185,4 +187,76 @@ int main() {
 			t.Fatalf("extraction %d: Sparse differs from the first extraction", i+1)
 		}
 	}
+}
+
+// FuzzScanSparse checks the featcache disk entry's reader. Every
+// fixture vector round-trips through MarshalJSON and ScanSparse
+// exactly; malformed and old map-shaped entries are rejected; and on
+// arbitrary bytes ScanSparse never panics, and whatever it accepts
+// encoding/json decodes to the same vector, which again round-trips.
+func FuzzScanSparse(f *testing.F) {
+	for _, c := range sparseCases(f) {
+		data, err := c.sp.MarshalJSON()
+		if err != nil {
+			f.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := ScanSparse(data)
+		if err != nil || !reflect.DeepEqual(got, c.sp) {
+			f.Fatalf("%s: round trip = %v, %v", c.name, got, err)
+		}
+		old, err := json.Marshal(c.f)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(old)
+		f.Add(data[:len(data)/2])
+	}
+	last := len(scalarNames) - 1
+	for _, bad := range []string{
+		``, `{"A":1.25}`, `{}`, `null`,
+		`{"ids":[2,1],"names":[],"vals":[1,2]}`,
+		`{"ids":[1,1],"names":[],"vals":[1,2]}`,
+		`{"ids":[-1],"names":[],"vals":[1]}`,
+		fmt.Sprintf(`{"ids":[%d],"names":[],"vals":[1]}`, last+1),
+		`{"ids":[1],"names":[],"vals":[1,2]}`,
+		`{"ids":[1],"names":["LeafTF:x"],"vals":[1]}`,
+		`{"ids":[],"names":["A"],"vals":[1]}`,
+		`{"ids":[],"names":["AvgLineLength"],"vals":[1]}`,
+		`{"ids":[1],"names":[],"vals":[1e400]}`,
+		`{"ids":[1],"names":[],"vals":[NaN]}`,
+		`{"ids":[1],"names":[],"vals":[1]} `,
+		`{"ids":[1],"names":[],"vals":[1]}{}`,
+		`{"ids":[1],"names":null,"vals":[1]}`,
+		`{"ids":[1],"names":[],"vals":[1]`,
+		`{"ids": [1],"names":[],"vals":[1]}`,
+	} {
+		if sp, err := ScanSparse([]byte(bad)); err == nil {
+			f.Errorf("ScanSparse(%s) = %v, want an error", bad, sp)
+		}
+		f.Add([]byte(bad))
+	}
+	if sp, err := ScanSparse([]byte(fmt.Sprintf(`{"ids":[0,%d],"names":[],"vals":[1,2]}`, last))); err != nil || len(sp.ids) != 2 {
+		f.Errorf("the first and last scalar IDs: %v, %v", sp, err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ScanSparse(data)
+		if err != nil {
+			return
+		}
+		var dto sparseDTO
+		if err := json.Unmarshal(data, &dto); err != nil {
+			t.Fatalf("ScanSparse accepted what encoding/json rejects: %v", err)
+		}
+		if !slices.Equal(dto.IDs, sp.ids) || !slices.Equal(dto.Names, sp.names) || !slices.Equal(dto.Vals, sp.vals) {
+			t.Fatalf("ScanSparse read %v, encoding/json %v", sp, dto)
+		}
+		again, err := sp.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ScanSparse(again); err != nil || !reflect.DeepEqual(back, sp) {
+			t.Fatalf("re-encoded vector does not round-trip: %v, %v", back, err)
+		}
+	})
 }

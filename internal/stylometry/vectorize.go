@@ -2,6 +2,7 @@ package stylometry
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 
 	"gptattr/internal/jsonscan"
@@ -22,7 +23,7 @@ func (c VectorizerConfig) minDF() int {
 	return c.MinDocFreq
 }
 
-// Vectorizer aligns sparse feature maps into dense rows with a fixed,
+// Vectorizer aligns sparse feature vectors into dense rows with a fixed,
 // deterministic column order learned from a training corpus.
 type Vectorizer struct {
 	names []string
@@ -64,21 +65,38 @@ func termFeature(name string) bool {
 	return false
 }
 
-// NewVectorizer learns the feature dictionary from a document corpus.
-func NewVectorizer(docs []Features, cfg VectorizerConfig) *Vectorizer {
-	df := make(map[string]int)
-	for _, d := range docs {
-		for name := range d {
-			df[name]++
+// NewVectorizer learns the feature dictionary from a document corpus:
+// every feature some document holds, except a term feature (see
+// termFeature) held by fewer than MinDocFreq documents. With fams
+// non-empty only features of those families enter it, so a model
+// trained on a family subset never indexes the others. Columns are
+// sorted by name, so the dictionary does not depend on document order.
+// This is the training boundary; rows come from VectorIntoSparse.
+func NewVectorizer(docs []*Sparse, cfg VectorizerConfig, fams ...FeatureFamily) *Vectorizer {
+	scalarDF := make([]int, len(scalarNames))
+	termDF := make(map[string]int)
+	for _, s := range docs {
+		for _, id := range s.ids {
+			scalarDF[id]++
+		}
+		for _, name := range s.names {
+			termDF[name]++
 		}
 	}
+	keep := func(name string, df int) bool {
+		return (df >= cfg.minDF() || !termFeature(name)) &&
+			(len(fams) == 0 || slices.Contains(fams, Family(name)))
+	}
 	var names []string
-	minDF := cfg.minDF()
-	for name, n := range df {
-		if termFeature(name) && n < minDF {
-			continue
+	for id, df := range scalarDF {
+		if df > 0 && keep(scalarNames[id], df) {
+			names = append(names, scalarNames[id])
 		}
-		names = append(names, name)
+	}
+	for name, df := range termDF {
+		if keep(name, df) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return newVectorizer(names, cfg)
@@ -90,18 +108,6 @@ func (v *Vectorizer) NumFeatures() int { return len(v.names) }
 // FeatureNames returns the column names in order (shared slice; do not
 // mutate).
 func (v *Vectorizer) FeatureNames() []string { return v.names }
-
-// Vector produces the dense row for one document. Unknown features are
-// ignored (the document may be out-of-vocabulary).
-func (v *Vectorizer) Vector(doc Features) []float64 {
-	row := make([]float64, len(v.names))
-	for name, val := range doc {
-		if i, ok := v.index[name]; ok {
-			row[i] = val
-		}
-	}
-	return row
-}
 
 // vectorizerDTO is the JSON wire form of a Vectorizer. Format 1 still
 // carries the key of a since-removed TF-IDF option, always false.
