@@ -142,16 +142,7 @@ func (s *Suite) AblationClassifier() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := s.attribConfig()
-	vecs, err := attrib.ExtractAll(yd.Human, cfg)
-	if err != nil {
-		return "", err
-	}
-	rfAcc, _, err := attrib.SelfAccuracy(yd.Human, vecs, cfg)
-	if err != nil {
-		return "", err
-	}
-	reduced, err := attrib.OracleDataset(yd.Human, vecs, cfg)
+	reduced, err := attrib.OracleDataset(yd.Human, nil, s.attribConfig())
 	if err != nil {
 		return "", err
 	}
@@ -160,9 +151,17 @@ func (s *Suite) AblationClassifier() (string, error) {
 		return "", err
 	}
 
+	// Random forest.
+	rfResults, err := ml.CrossValidateForest(reduced, folds, ml.ForestConfig{
+		NumTrees: s.scale.Trees, Seed: s.scale.Seed, Workers: s.scale.Workers,
+	})
+	if err != nil {
+		return "", err
+	}
+
 	// kNN at several k.
 	var rows [][]string
-	rows = append(rows, []string{"random forest", pct(rfAcc)})
+	rows = append(rows, []string{"random forest", pct(ml.MeanAccuracy(rfResults))})
 	for _, k := range []int{1, 3, 5} {
 		sum := 0.0
 		for _, fold := range folds {

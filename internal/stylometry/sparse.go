@@ -158,23 +158,18 @@ type sparseDTO struct {
 }
 
 // MarshalJSON implements json.Marshaler: {"ids":[…],"names":[…],
-// "vals":[…]}, the parts in s's own order, an empty part as [].
+// "vals":[…]}, the parts in s's own order.
 func (s *Sparse) MarshalJSON() ([]byte, error) {
-	dto := sparseDTO{IDs: s.ids, Names: s.names, Vals: s.vals}
-	if dto.IDs == nil {
-		dto.IDs = []uint16{}
+	names := s.names
+	if names == nil {
+		names = []string{} // a vector without terms
 	}
-	if dto.Names == nil {
-		dto.Names = []string{}
-	}
-	if dto.Vals == nil {
-		dto.Vals = []float64{}
-	}
-	return json.Marshal(dto)
+	return json.Marshal(sparseDTO{IDs: s.ids, Names: names, Vals: s.vals})
 }
 
-// ScanSparse reads exactly the bytes MarshalJSON writes, with nothing
-// after them, and returns the Sparse they encode. It checks what every
+// ScanSparse reads the layout MarshalJSON writes — its keys in its
+// order, no whitespace, nothing after the object — and returns the
+// Sparse it encodes. It checks what every
 // Sparse holds: ascending IDs of registered scalars, term names in an
 // extraction term namespace (WordUnigram:, LeafTF: or SemShape:), and
 // one value per ID and name. Values are finite, as JSON spells no NaN
