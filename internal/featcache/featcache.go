@@ -246,7 +246,8 @@ func (c *Cache) loadDisk(key string) (*stylometry.Sparse, bool) {
 // terminal errors are swallowed, because the disk layer is an
 // optimization, not a store of record (and a surviving torn payload
 // is caught by the corrupt-entry delete+recompute backstop in
-// loadDisk).
+// loadDisk). A vector MarshalJSON refuses (a term name that is not
+// valid UTF-8) is kept in memory only.
 func (c *Cache) storeDisk(key string, v *stylometry.Sparse) {
 	data, err := v.MarshalJSON()
 	if err != nil {

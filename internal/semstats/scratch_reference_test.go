@@ -295,9 +295,15 @@ func TestCompactorMatchesReference(t *testing.T) {
 }
 
 // deepShapes renders the seven pathological shapes at depth n plus
-// one of semstats' own: straight-line statements split by nested empty
-// blocks, ending in a for (;;) loop.
+// three of semstats' own: straight-line statements split by nested
+// empty blocks, ending in a for (;;) loop; nested ifs with a statement
+// before and after every level; and nested whiles with a statement in
+// every body. The last two give each level a non-empty join or body
+// block, so compaction merges a statement chain at every depth.
 func deepShapes(n int) []string {
+	rep := func(s string) string { return strings.Repeat(s, n) }
 	return append(pathological.Sources(n),
-		"int main() { int y = 0; "+strings.Repeat("{ y = y + 1; { } } ", n)+"for (;;) { } }")
+		"int main() { int y = 0; "+rep("{ y = y + 1; { } } ")+"for (;;) { } }",
+		"int main() { int x = 1, y = 0; "+rep("if (x) { y++; ")+rep("} y--; ")+"return y; }",
+		"int main() { int x = 1, y = 0; "+rep("while (x) { y++; ")+"x = 0; "+rep("} ")+"return y; }")
 }

@@ -176,9 +176,9 @@ type scratch struct {
 // tests that need a scratch of their own.
 func newScratch() *scratch {
 	sc := &scratch{arena: cppast.NewArena(), sem: semstats.NewScratch()}
-	sc.vec.words.space = &termSpace{prefix: "WordUnigram:"}
-	sc.vec.leafs.space = &termSpace{prefix: "LeafTF:"}
-	sc.vec.shapes.space = &termSpace{prefix: "SemShape:"}
+	for i, ta := range [...]*termAccum{&sc.vec.words, &sc.vec.leafs, &sc.vec.shapes} {
+		ta.space = &termSpace{prefix: termPrefixes[i]}
+	}
 	sc.vec.Reset()
 	return sc
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 
 	"gptattr/internal/jsonscan"
@@ -158,8 +159,16 @@ type sparseDTO struct {
 }
 
 // MarshalJSON implements json.Marshaler: {"ids":[…],"names":[…],
-// "vals":[…]}, the parts in s's own order.
+// "vals":[…]}, the parts in s's own order. A term name that is not
+// valid UTF-8 (a string literal's raw bytes, say) is an error:
+// encoding/json would write it with U+FFFD in place of the bad bytes,
+// and the vector read back would hold a different feature.
 func (s *Sparse) MarshalJSON() ([]byte, error) {
+	for _, name := range s.names {
+		if !utf8.ValidString(name) {
+			return nil, fmt.Errorf("stylometry: sparse vector: term name %q is not valid UTF-8", name)
+		}
+	}
 	names := s.names
 	if names == nil {
 		names = []string{} // a vector without terms
@@ -171,7 +180,7 @@ func (s *Sparse) MarshalJSON() ([]byte, error) {
 // order, no whitespace, nothing after the object — and returns the
 // Sparse it encodes. It checks what every
 // Sparse holds: ascending IDs of registered scalars, term names in an
-// extraction term namespace (WordUnigram:, LeafTF: or SemShape:), and
+// extraction term namespace (termPrefixes), and
 // one value per ID and name. Values are finite, as JSON spells no NaN
 // or infinity and a number out of float64's range fails the read. The
 // slices are sized exactly, and a vector without terms has nil names,
@@ -219,10 +228,14 @@ func ScanSparse(data []byte) (*Sparse, error) {
 	return s, nil
 }
 
-// termName reports whether name is in one of the term namespaces
-// extraction writes.
+// termPrefixes are the open-vocabulary term namespaces extraction
+// writes, one termSpace each (see newScratch): word unigrams, AST leaf
+// terms and semantic shape grams.
+var termPrefixes = [...]string{"WordUnigram:", "LeafTF:", "SemShape:"}
+
+// termName reports whether name is in one of termPrefixes' namespaces.
 func termName(name string) bool {
-	for _, p := range [...]string{"WordUnigram:", "LeafTF:", "SemShape:"} {
+	for _, p := range termPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
 		}

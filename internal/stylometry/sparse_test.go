@@ -236,6 +236,9 @@ func FuzzScanSparse(f *testing.F) {
 		}
 		f.Add([]byte(bad))
 	}
+	if _, err := (&Sparse{vals: []float64{1}, names: []string{"LeafTF:\"caf\xe9\""}}).MarshalJSON(); err == nil {
+		f.Error("MarshalJSON encoded a term name that is not valid UTF-8")
+	}
 	if sp, err := ScanSparse([]byte(fmt.Sprintf(`{"ids":[0,%d],"names":[],"vals":[1,2]}`, last))); err != nil || len(sp.ids) != 2 {
 		f.Errorf("the first and last scalar IDs: %v, %v", sp, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"slices"
 	"sort"
+	"strings"
 
 	"gptattr/internal/jsonscan"
 )
@@ -54,11 +55,15 @@ func newVectorizer(names []string, cfg VectorizerConfig) *Vectorizer {
 	return v
 }
 
-// termFeature reports whether the feature name is an open-vocabulary
-// term (subject to MinDocFreq) as opposed to a fixed scalar.
+// termFeature reports whether the feature name is subject to
+// MinDocFreq: an open-vocabulary term (termName), or a scalar of the
+// per-AST-kind blocks, which are filtered like terms.
 func termFeature(name string) bool {
-	for _, p := range []string{"WordUnigram:", "LeafTF:", "ASTBigramTF:", "ASTNodeTF:", "ASTAvgDepth:", "SemShape:"} {
-		if len(name) >= len(p) && name[:len(p)] == p {
+	if termName(name) {
+		return true
+	}
+	for _, p := range [...]string{"ASTBigramTF:", "ASTNodeTF:", "ASTAvgDepth:"} {
+		if strings.HasPrefix(name, p) {
 			return true
 		}
 	}
